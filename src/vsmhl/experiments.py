@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -38,6 +38,7 @@ from .model import (
     law_to_dict,
     law_violations,
     moments,
+    reject_unknown_keys,
     split_rng,
 )
 from .particles import simulate_system
@@ -137,6 +138,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, spec: dict) -> "ExperimentConfig":
         try:
+            reject_unknown_keys(spec, [f.name for f in fields(cls)], "config")
+            reject_unknown_keys(spec["params"], [f.name for f in fields(ModelParams)], "params")
             params = ModelParams(
                 eta=float(spec["params"]["eta"]),
                 n_particles=int(spec["params"]["n_particles"]),
@@ -146,6 +149,7 @@ class ExperimentConfig:
             grid = None
             if spec.get("grid") is not None:
                 g = spec["grid"]
+                reject_unknown_keys(g, [f.name for f in fields(SolverGrid)], "grid")
                 grid = SolverGrid(x_max=float(g["x_max"]), nx=int(g["nx"]), nt=int(g["nt"]))
             return cls(
                 experiment=str(spec["experiment"]),

@@ -11,9 +11,22 @@ freedom and noncentrality 4x/J.  The density of a single start point x is
 
     f(y | x) = (2/J) (y/x)^{(eta-1)/2} exp(-2(x+y)/J) I_{eta-1}(4 sqrt(xy)/J)
 
-and the full density is its mixture over the initial law.  Everything here
-is evaluated in log space so large Bessel arguments (small t, large y) do
-not overflow.
+and the full density is its mixture over the initial law, exact for each
+family (a = J/2, b = a + theta):
+
+* ``PointMass(x0)``: the kernel itself; ``DiscreteAtoms``: its log-sum-exp.
+* ``GammaLaw(k, theta)``: the mixed BESQ Laplace transform
+  (1 + a s)^{k-eta} (1 + b s)^{-k} (Revuz & Yor, Continuous Martingales and
+  Brownian Motion, ch. XI) inverts, by Kummer's function
+  (https://dlmf.nist.gov/13.2), to Gamma(eta, scale b) at eta = k and in general
+  f(y) = y^{eta-1} e^{-y/b} 1F1(eta-k; eta; -y(1/a - 1/b)) / (Gamma(eta) a^{eta-k} b^k).
+* ``UniformLaw(a0, b0)``: as d/dlam F(z; d, lam) = -f(z; d+2, lam) for the
+  noncentral chi-squared CDF F, the Poisson-gamma series telescopes to
+  f(y) = [F(4y/J; 2eta-2, 4a0/J) - F(4y/J; 2eta-2, 4b0/J)] / (b0 - a0),
+  a difference of CDFs below (a0 + b0)/2 and of survival functions above.
+
+Everything here is evaluated in log space so large Bessel arguments (small
+t, large y) do not overflow.
 """
 
 from __future__ import annotations
@@ -25,8 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
-from scipy.special import logsumexp
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammaln, hyp1f1, logsumexp
+from scipy.stats import gamma as gamma_dist, ncx2
 
 from .bessel import log_modified_bessel_i, modified_bessel_i, modified_bessel_i_scaled
 from .errors import ValidationError
@@ -58,7 +71,6 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_SUPPORT_TAIL = 1e-15
 _CHUNK = 1024
 
 
@@ -132,83 +144,58 @@ def _log_kernel(eta: float, J: float, x, y) -> np.ndarray:
     return out
 
 
-def _effective_support(law: InitialLaw) -> tuple[float, float]:
-    """Interval carrying all but ~1e-15 of the initial law's mass."""
+def _support_hi(law: InitialLaw) -> float:
+    """Upper end of the initial law's support; all but ~1e-15 of a gamma law."""
     if isinstance(law, PointMass):
-        return law.x0, law.x0
+        return law.x0
     if isinstance(law, DiscreteAtoms):
-        locs = law.locations()
-        return float(locs.min()), float(locs.max())
+        return float(law.locations().max())
     if isinstance(law, UniformLaw):
-        return law.a, law.b
-    hi = float(gamma_dist.ppf(1.0 - _SUPPORT_TAIL, law.shape, scale=law.scale))
-    return 0.0, hi
+        return law.b
+    return float(gamma_dist.ppf(1.0 - 1e-15, law.shape, scale=law.scale))
 
 
-def _law_logpdf(law: InitialLaw, x: np.ndarray) -> np.ndarray:
-    if isinstance(law, GammaLaw):
-        k, th = law.shape, law.scale
-        out = np.full(x.shape, -np.inf)
-        pos = x > 0
-        out[pos] = (
-            (k - 1.0) * np.log(x[pos]) - x[pos] / th - math.lgamma(k) - k * math.log(th)
-        )
-        return out
-    if isinstance(law, UniformLaw):
-        inside = (x >= law.a) & (x <= law.b)
-        out = np.full(x.shape, -np.inf)
-        out[inside] = -math.log(law.b - law.a)
-        return out
-    raise TypeError(f"no density for law type {type(law).__name__}")
+def _log_gamma_mixture(eta: float, J: float, law: GammaLaw, y: np.ndarray) -> np.ndarray:
+    k, a = law.shape, 0.5 * J
+    b = a + law.scale
+    p, x = eta - k, y * (law.scale / (a * b))
+    m = hyp1f1(p, eta, -x)
+    log_norm = gammaln(eta) + p * math.log(a) + k * math.log(b)
+    with np.errstate(divide="ignore"):
+        return (eta - 1.0) * np.log(y) - y / b + np.log(m) - log_norm
 
 
-def _log_density_chunk(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
-    """Log mixture density on a 1-D block of evaluation points."""
+def _log_uniform_mixture(eta: float, J: float, law: UniformLaw, y: np.ndarray) -> np.ndarray:
+    # ncx2 evaluates noncentrality 0 (a0 = 0) as the central chi-squared law;
+    # see density() for the accuracy of the difference quotient
+    z, df = 4.0 * y / J, 2.0 * eta - 2.0
+    nc_a, nc_b = 4.0 * law.a / J, 4.0 * law.b / J
+    lo = y <= 0.5 * (law.a + law.b)
+    diff = np.empty(y.shape)
+    diff[lo] = ncx2.cdf(z[lo], df, nc_a) - ncx2.cdf(z[lo], df, nc_b)
+    diff[~lo] = ncx2.sf(z[~lo], df, nc_b) - ncx2.sf(z[~lo], df, nc_a)
+    with np.errstate(divide="ignore"):
+        return np.log(np.maximum(diff, 0.0)) - math.log(law.b - law.a)
+
+
+def _log_kernel_mixture(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
+    """Log density of a point-mass or atomic start on a 1-D block of points."""
     law = ll.law
     if isinstance(law, PointMass):
         return _log_kernel(ll.eta, J, law.x0, y)
-    if isinstance(law, DiscreteAtoms):
-        lk = _log_kernel(ll.eta, J, law.locations()[None, :], y[:, None])
-        return logsumexp(lk + np.log(law.weights())[None, :], axis=1)
-
-    # continuous mixture: integrate over u = sqrt(x).  In u the kernel is a
-    # near-Gaussian bump centred at sqrt(y) with scale sqrt(J)/2, so panels
-    # only need to cover that window intersected with the law's support.
-    lo_s, hi_s = _effective_support(law)
-    u_lo_s, u_hi_s = math.sqrt(lo_s), math.sqrt(hi_s)
-    sigma_u = 0.5 * math.sqrt(J)
-    half = 12.0 * sigma_u
-    uc = np.sqrt(y)
-    lo = np.clip(uc - half, u_lo_s, u_hi_s)
-    hi = np.clip(uc + half, u_lo_s, u_hi_s)
-    outside = hi - lo <= 0
-    lo[outside], hi[outside] = u_lo_s, u_hi_s
-
-    h_target = min(0.5 * sigma_u, 0.1)
-    n_panels = int(np.clip(math.ceil((hi - lo).max() / h_target), 16, 400))
-    frac = np.linspace(0.0, 1.0, n_panels + 1)
-    edges = lo[:, None] + (hi - lo)[:, None] * frac[None, :]  # (ny, P+1)
-    centers = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    halfw = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    u = centers[:, :, None] + halfw[:, :, None] * _GL_NODES[None, None, :]
-    w = halfw[:, :, None] * _GL_WEIGHTS[None, None, :]
-
-    x_nodes = u * u
-    log_int = (
-        _log_kernel(ll.eta, J, x_nodes, y[:, None, None])
-        + _law_logpdf(law, x_nodes)
-        + np.log(2.0 * u)
-    )
-    vals = np.sum(np.exp(log_int) * w, axis=(1, 2))
-    with np.errstate(divide="ignore"):
-        return np.log(vals)
+    lk = _log_kernel(ll.eta, J, law.locations()[None, :], y[:, None])
+    return logsumexp(lk + np.log(law.weights())[None, :], axis=1)
 
 
 def _log_density(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
+    if isinstance(ll.law, GammaLaw):
+        return _log_gamma_mixture(ll.eta, J, ll.law, y)
+    if isinstance(ll.law, UniformLaw):
+        return _log_uniform_mixture(ll.eta, J, ll.law, y)
     out = np.empty(y.shape)
     for start in range(0, len(y), _CHUNK):
         block = y[start : start + _CHUNK]
-        out[start : start + len(block)] = _log_density_chunk(ll, J, block)
+        out[start : start + len(block)] = _log_kernel_mixture(ll, J, block)
     return out
 
 
@@ -220,7 +207,14 @@ def _check_density_args(t: float, y: np.ndarray) -> None:
 
 
 def density(ll: LimitLaw, t: float, y):
-    """Pointwise density of the limit measure at time t > 0."""
+    """Pointwise density of the limit measure at time t > 0.
+
+    For a ``UniformLaw(a0, b0)`` start the closed form is a difference
+    quotient, so its relative error is about 1e-16 J(t) / (b0 - a0): 1e-10 at
+    J / (b0 - a0) = 1e6, and no correct digit near 1e16.  A very narrow
+    uniform law or a long horizon should use ``PointMass`` or
+    ``DiscreteAtoms`` instead.  The same holds for ``cdf`` and ``quantile``.
+    """
     ys = np.asarray(y, dtype=float)
     _check_density_args(t, ys)
     scalar = ys.ndim == 0
@@ -243,7 +237,7 @@ class _CdfTable:
         var_law = max(m2 - m1 * m1, 0.0)
         mu = mean(ll, t)
         sd = math.sqrt(0.25 * ll.eta * J * J + ll.m_lambda * J + var_law)
-        _, x_hi = _effective_support(ll.law)
+        x_hi = _support_hi(ll.law)
         sd_hi = math.sqrt(x_hi * J + 0.25 * ll.eta * J * J)
         y_hi = max(mu + 45.0 * sd, x_hi + 0.5 * ll.eta * J + 45.0 * sd_hi, 16.0 * J)
         u_max = math.sqrt(y_hi)

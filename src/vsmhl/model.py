@@ -10,7 +10,7 @@ to check against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "require_valid_law",
     "law_to_dict",
     "law_from_dict",
+    "reject_unknown_keys",
     "split_rng",
 ]
 
@@ -194,15 +195,19 @@ _LAW_TAGS = {
 
 def law_to_dict(law: InitialLaw) -> dict:
     """JSON-ready dict encoding (tag plus parameters)."""
-    if isinstance(law, PointMass):
-        return {"type": "point_mass", "x0": law.x0}
-    if isinstance(law, GammaLaw):
-        return {"type": "gamma", "shape": law.shape, "scale": law.scale}
-    if isinstance(law, UniformLaw):
-        return {"type": "uniform", "a": law.a, "b": law.b}
+    tag = _LAW_TAGS.get(type(law))
+    if tag is None:
+        raise ValidationError(f"unknown initial law type {type(law).__name__}")
     if isinstance(law, DiscreteAtoms):
-        return {"type": "atoms", "atoms": [[loc, w] for loc, w in law.atoms]}
-    raise ValidationError(f"unknown initial law type {type(law).__name__}")
+        return {"type": tag, "atoms": [[loc, w] for loc, w in law.atoms]}
+    return {"type": tag, **{f.name: getattr(law, f.name) for f in fields(law)}}
+
+
+def reject_unknown_keys(spec: dict, known, where: str) -> None:
+    """Raise ValidationError naming every key of spec that is not in known."""
+    unknown = sorted(str(key) for key in set(spec) - set(known))
+    if unknown:
+        raise ValidationError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
 
 
 def law_from_dict(spec: dict) -> InitialLaw:
@@ -211,15 +216,14 @@ def law_from_dict(spec: dict) -> InitialLaw:
         tag = spec["type"]
     except (TypeError, KeyError):
         raise ValidationError("initial law dict needs a 'type' tag") from None
+    cls = next((c for c, known in _LAW_TAGS.items() if known == tag), None)
+    if cls is None:
+        raise ValidationError(f"unknown initial law type tag {tag!r}")
+    names = [f.name for f in fields(cls)]
+    reject_unknown_keys(spec, ["type", *names], f"'{tag}' law")
     try:
-        if tag == "point_mass":
-            return PointMass(float(spec["x0"]))
-        if tag == "gamma":
-            return GammaLaw(float(spec["shape"]), float(spec["scale"]))
-        if tag == "uniform":
-            return UniformLaw(float(spec["a"]), float(spec["b"]))
-        if tag == "atoms":
+        if cls is DiscreteAtoms:
             return DiscreteAtoms(tuple((float(l), float(w)) for l, w in spec["atoms"]))
+        return cls(*(float(spec[name]) for name in names))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed '{tag}' law: {exc}") from None
-    raise ValidationError(f"unknown initial law type tag {tag!r}")

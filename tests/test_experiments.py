@@ -6,9 +6,11 @@ import vsmhl.experiments as exp
 from vsmhl import (
     ConfigurationError,
     ExperimentConfig,
+    GammaLaw,
     ModelParams,
     PointMass,
     SolverGrid,
+    UniformLaw,
     ValidationError,
     run_experiment,
 )
@@ -45,6 +47,13 @@ class TestConfig:
     def test_pde_check_needs_grid(self):
         cfg = small_convergence_cfg(experiment="pde_check", n_values=())
         assert any("grid" in v for v in cfg.violations())
+
+    @pytest.mark.parametrize("section", [None, "params", "grid", "law"])
+    def test_unknown_key_rejected(self, section):
+        spec = small_convergence_cfg(grid=SolverGrid(30.0, 100, 100)).to_dict()
+        (spec if section is None else spec[section])["replicatons"] = 3
+        with pytest.raises(ValidationError, match="replicatons"):
+            ExperimentConfig.from_dict(spec)
 
     def test_malformed_dict(self):
         with pytest.raises(ValidationError):
@@ -108,6 +117,11 @@ class TestOtherRunners:
         r = run_experiment(cfg)
         assert r.passed
         assert [row[0] for row in r.rows] == [0.5, 1.0]
+
+    @pytest.mark.parametrize("law", [GammaLaw(2.0, 0.5), UniformLaw(0.0, 2.0)], ids=str)
+    def test_sampler_check_continuous_laws(self, law):
+        cfg = ExperimentConfig("sampler_check", ModelParams(2.0, 1, 1.0), law, seed=5)
+        assert run_experiment(cfg).passed
 
     def test_moment_check(self):
         cfg = ExperimentConfig(

@@ -1,10 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ive
 from scipy.stats import ncx2
 
+import vsmhl.limit as limit
 from vsmhl import (
     DiscreteAtoms,
     GammaLaw,
@@ -45,6 +48,49 @@ def ncx2_mixture_pdf(y: float, eta: float, j_clock: float, x0: float, terms: int
         total += math.exp(log_pw + log_chi2)
         log_pw += math.log(lam / 2.0) - math.log(j + 1.0)
     return 4.0 / j_clock * total
+
+
+def mpmath_mixture_pdf(ll: LimitLaw, t: float, y: float) -> float:
+    """mpmath quadrature of the Bessel kernel against a gamma or uniform law.
+
+    Integrates in u = sqrt(x), in steps of 2 sqrt(J), over the window where the
+    integrand is within e^-40 of its peak; a double-precision scan with
+    scipy's ive only locates that window.  mpmath's quadrature stops on an
+    absolute error, so the integrand is divided by its peak value.
+    """
+    eta, law = ll.eta, ll.law
+    J = time_change(ll, t)
+    nu = eta - 1.0
+    if isinstance(law, GammaLaw):
+        k, th = law.shape, law.scale
+        u_lo, u_hi = 0.0, math.sqrt(200.0 * (k + 1.0) * th)
+        log_w = lambda u: (2.0 * k - 1.0) * np.log(u) - u * u / th
+        mp_w = lambda u: 2 * u ** (2 * k - 1) * mp.exp(-u * u / th) / (mp.gamma(k) * mp.mpf(th) ** k)
+    else:
+        u_lo, u_hi = math.sqrt(law.a), math.sqrt(law.b)
+        log_w = np.log
+        mp_w = lambda u: 2 * u / (mp.mpf(law.b) - law.a)
+    u = np.linspace(u_lo, u_hi, 20001)[1:]
+    z = 4.0 * u * math.sqrt(y) / J
+    log_f = -nu * np.log(u) - 2.0 * u * u / J + np.log(ive(nu, z)) + z + log_w(u)
+    live = u[log_f > log_f.max() - 40.0]
+    du = u[1] - u[0]
+    lo, hi = max(u_lo, live.min() - du), min(u_hi, live.max() + du)
+    n = max(2, math.ceil((hi - lo) / (2.0 * math.sqrt(J))))
+    with mp.workdps(20):
+        yy, jj = mp.mpf(y), mp.mpf(J)
+
+        def f(uu):
+            x = uu * uu
+            kernel = (2 / jj) * (yy / x) ** (nu / 2) * mp.exp(-2 * (x + yy) / jj)
+            return kernel * mp.besseli(nu, 4 * uu * mp.sqrt(yy) / jj) * mp_w(uu)
+
+        peak = f(mp.mpf(float(u[np.argmax(log_f)])))
+        # tanh-sinh copes with the u^(2k-1) end point at u = 0, Gauss-Legendre is faster
+        method = "tanh-sinh" if lo == 0.0 else "gauss-legendre"
+        val, err = mp.quad(lambda uu: f(uu) / peak, mp.linspace(lo, hi, n + 1), error=True, method=method)
+    assert err <= 1e-14 * val
+    return float(val * peak)
 
 
 class TestLimitLawType:
@@ -124,25 +170,88 @@ class TestDensity:
         assert density(ll, 0.5, y) == pytest.approx(ref, rel=1e-10)
 
     def test_normalization_one_continuous_cell(self):
-        ll = LimitLaw.from_law(1.5, UniformLaw(0.0, 2.0))
-        mu = mean(ll, 0.8)
-        pts = list(np.linspace(0.0, math.sqrt(mu + 30.0), 8))
-        norm = quad(
-            lambda u: density(ll, 0.8, u * u) * 2.0 * u,
-            0.0,
-            math.sqrt(mu * 1e10),
-            points=pts,
-            limit=300,
-            epsabs=1e-12,
-            epsrel=1e-12,
-        )[0]
-        assert norm == pytest.approx(1.0, abs=1e-8)
+        # total mass and first moment, by quad in u = sqrt(y)
+        cases = [
+            (1.5, UniformLaw(0.0, 2.0), 0.8),
+            (2.0, UniformLaw(0.5, 1.5), 1e-3),
+            (2.0, UniformLaw(0.5, 1.5), 0.5),
+            (2.0, GammaLaw(0.5, 2.0), 1e-3),
+            (2.0, GammaLaw(0.5, 2.0), 0.5),
+        ]
+        for eta, law, t in cases:
+            ll = LimitLaw.from_law(eta, law)
+            mu = mean(ll, t)
+            edges = [math.sqrt(law.a), math.sqrt(law.b)] if isinstance(law, UniformLaw) else []
+            pts = sorted(set(np.linspace(0.0, math.sqrt(mu + 60.0), 10)) | set(edges))
+            kwargs = dict(points=pts, limit=300, epsabs=1e-12, epsrel=1e-12)
+            u_cut = math.sqrt(mu * 1e10)
+            norm = quad(lambda u: density(ll, t, u * u) * 2.0 * u, 0.0, u_cut, **kwargs)[0]
+            first = quad(lambda u: u**3 * density(ll, t, u * u) * 2.0, 0.0, u_cut, **kwargs)[0]
+            assert norm == pytest.approx(1.0, abs=1e-8), (law, t)
+            assert first == pytest.approx(mu, rel=1e-6), (law, t)
+
+    def test_gamma_at_eta_equal_shape_is_plain_gamma(self):
+        # (1 + a s)^0 (1 + b s)^-k: Gamma(eta, scale J/2 + theta)
+        ll = LimitLaw.from_law(2.0, GammaLaw(2.0, 0.5))
+        scale = 0.5 * time_change(ll, 0.7) + 0.5
+        ys = np.linspace(0.01, 20.0, 50)
+        ref = ys * np.exp(-ys / scale) / scale**2
+        assert np.allclose(density(ll, 0.7, ys), ref, rtol=1e-13, atol=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             density(LL_POINT, 0.0, 1.0)
         with pytest.raises(ValueError):
             density(LL_POINT, 1.0, -0.5)
+
+
+ORACLE_LAWS = [
+    (2.0, GammaLaw(2.0, 0.5)),  # eta = k: 1F1 = 1
+    (2.0, GammaLaw(3.0, 0.5)),  # eta - k = -1: 1F1 is a polynomial
+    (1.5, GammaLaw(0.5, 2.0)),
+    (2.0, GammaLaw(1.7, 0.5)),  # 0 < eta - k < 0.5
+    (1.5, GammaLaw(2.0, 0.5)),  # eta - k = -0.5: 1F1 at large argument for small t
+    (2.0, UniformLaw(0.0, 2.0)),  # central chi-squared at the lower end
+    (3.0, UniformLaw(0.5, 1.5)),
+]
+
+
+def oracle_points(ll: LimitLaw, t: float) -> list[float]:
+    law = ll.law
+    if isinstance(law, GammaLaw):
+        return [f * mean(ll, t) for f in (0.05, 0.7, 1.3, 4.0)]
+    J = time_change(ll, t)
+    sd = lambda x: math.sqrt(x * J + J * J)
+    mid, half = 0.5 * (law.a + law.b), 1e-3 * (law.b - law.a)
+    ys = [law.a - 4.0 * sd(law.a), law.a + 2.0 * sd(law.a), mid - half, mid + half]
+    ys += [law.b + c * sd(law.b) for c in (-2.0, 4.0, 10.0)]
+    return [y for y in ys if y > 0]
+
+
+class TestClosedFormMixtures:
+    @pytest.mark.parametrize("t", [1e-4, 1.0])
+    @pytest.mark.parametrize("eta, law", ORACLE_LAWS, ids=lambda v: str(v))
+    def test_against_mpmath_quadrature(self, eta, law, t):
+        ll = LimitLaw.from_law(eta, law)
+        checked = 0
+        for y in oracle_points(ll, t):
+            ref = mpmath_mixture_pdf(ll, t, y)
+            if ref >= 1e-30:
+                assert density(ll, t, y) == pytest.approx(ref, rel=1e-11, abs=0.0), y
+                checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("law", [GammaLaw(2.0, 0.5), UniformLaw(0.5, 1.5)], ids=str)
+    def test_bessel_kernel_never_called(self, law, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("Bessel kernel evaluated for a closed-form law")
+
+        monkeypatch.setattr(limit, "log_modified_bessel_i", boom)
+        limit._table.cache_clear()
+        ll = LimitLaw.from_law(2.0, law)
+        density(ll, 0.3, np.linspace(0.0, 5.0, 11))
+        cdf(ll, 0.3, 1.0)
+        density_grid(ll, 1e-3)
 
 
 class TestCdfQuantile:

@@ -136,6 +136,12 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             law_from_dict({"type": "cauchy"})
 
+    @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: type(l).__name__)
+    def test_unknown_key_rejected(self, law):
+        spec = dict(law_to_dict(law), scael=0.5)
+        with pytest.raises(ValidationError, match="scael"):
+            law_from_dict(spec)
+
 
 class TestSplitRng:
     def test_reproducible(self):
