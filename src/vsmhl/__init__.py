@@ -41,7 +41,6 @@ from .limit import (
     mean,
     quantile,
     sample,
-    table_to_csv,
     time_change,
 )
 from .particles import (
@@ -49,7 +48,6 @@ from .particles import (
     euler_full_truncation,
     log_growth_diagnostic,
     mean_path,
-    paths_to_csv,
     simulate_system,
 )
 from .measures import (
@@ -58,7 +56,6 @@ from .measures import (
     empirical,
     levy,
     market_weights,
-    measure_to_csv,
     ranked_vs_limit,
     sup_distance,
     wasserstein1,

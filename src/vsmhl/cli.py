@@ -37,6 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.threads < 1:
+        print(f"config error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         with open(args.config) as fh:
             spec = json.load(fh)

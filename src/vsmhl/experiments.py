@@ -196,11 +196,14 @@ def _require_valid(cfg: ExperimentConfig, kind: str) -> None:
 
 
 def _map_tasks(fn, argtuples: list[tuple], threads: int):
-    if threads <= 1:
+    # under the fork start method the pool starts all its workers at once, so
+    # never ask for more than there are tasks
+    workers = min(threads, len(argtuples))
+    if workers <= 1:
         for args in argtuples:
             yield fn(*args)
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, *zip(*argtuples))
 
 

@@ -31,7 +31,6 @@ t, large y) do not overflow.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,7 +63,6 @@ __all__ = [
     "quantile",
     "sample",
     "density_grid",
-    "table_to_csv",
     "modified_bessel_i",
     "modified_bessel_i_scaled",
     "log_modified_bessel_i",
@@ -319,15 +317,3 @@ def density_grid(ll: LimitLaw, t: float, n_nodes: int = 4096) -> tuple[np.ndarra
     tab = _table(ll, t)
     y = np.linspace(0.0, tab.y_hi, n_nodes)
     return y, density(ll, t, y)
-
-
-def table_to_csv(ll: LimitLaw, t: float, ys, path) -> None:
-    """Write rows (y, pdf, cdf) at the requested evaluation points."""
-    ys = np.asarray(ys, dtype=float)
-    pdf = density(ll, t, ys)
-    cdfv = cdf(ll, t, ys)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "pdf", "cdf"])
-        for row in zip(ys, pdf, cdfv):
-            writer.writerow([repr(float(v)) for v in row])

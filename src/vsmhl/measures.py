@@ -3,14 +3,12 @@
 A measure is stored either as weighted atoms or as density values on a grid;
 both expose a CDF, which is all the two metrics need.  Wasserstein-1 is the
 area between CDFs, computed exactly for the piecewise-constant /
-piecewise-linear representations used here.  The Levy metric is found by
-bisection over the corridor half-width, checked on a finite evaluation grid
-(documented tolerance 1e-4).
+piecewise-linear representations used here.  The Levy metric is also exact:
+one sweep along the anti-diagonals x + y = s of the two completed CDF graphs.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +26,7 @@ __all__ = [
     "sup_distance",
     "market_weights",
     "ranked_vs_limit",
-    "measure_to_csv",
 ]
-
-LEVY_TOL = 1e-4
-_LEVY_GRID = 4096
 
 
 class Measure1D:
@@ -136,13 +130,9 @@ def empirical(positions) -> Measure1D:
     return Measure1D.from_atoms(pos)
 
 
-def _knots(m: Measure1D) -> np.ndarray:
-    return m.x
-
-
 def wasserstein1(mu: Measure1D, nu: Measure1D) -> float:
     """Area between the two CDFs, exact for atom and grid representations."""
-    xs = np.union1d(_knots(mu), _knots(nu))
+    xs = np.union1d(mu.x, nu.x)
     if len(xs) == 1:
         return 0.0
     f_right = [m.cdf(xs) for m in (mu, nu)]
@@ -162,45 +152,31 @@ def wasserstein1(mu: Measure1D, nu: Measure1D) -> float:
     return float(seg_len @ seg)
 
 
-def _levy_feasible(mu: Measure1D, nu: Measure1D, eps: float, xs: np.ndarray) -> bool:
-    f_lo = mu.cdf(xs - eps) - eps
-    f_hi = mu.cdf(xs + eps) + eps
-    g = nu.cdf(xs)
-    slack = 1e-12
-    return bool(np.all(f_lo <= g + slack) and np.all(g <= f_hi + slack))
+def _completed_graph(m: Measure1D) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (s, y) of the CDF graph with its jumps filled in, s = x + y.
 
-
-def _levy_eval_points(mu: Measure1D, nu: Measure1D, eps: float) -> np.ndarray:
-    lo = min(mu.x[0], nu.x[0]) - eps
-    hi = max(mu.x[-1], nu.x[-1]) + eps
-    span = max(hi - lo, 1e-12)
-    probes = [np.concatenate([_knots(mu), _knots(nu)])]
-    for shift in (-eps, 0.0, eps):
-        probes.append(probes[0] + shift)
-    pts = np.concatenate(probes)
-    pts = np.concatenate([pts, pts - 1e-9 * span])
-    if mu.kind == Measure1D.GRID or nu.kind == Measure1D.GRID:
-        pts = np.concatenate([pts, np.linspace(lo, hi, _LEVY_GRID)])
-    return np.unique(pts)
+    Along the graph s increases strictly and y is piecewise linear in s: each
+    atom gives a vertical segment, each grid cell a straight one.
+    """
+    if m.kind == Measure1D.GRID:
+        return m.x + m._cum, m._cum
+    cum = np.concatenate([[0.0], m._cum])
+    y = np.column_stack([cum[:-1], cum[1:]]).ravel()
+    return np.repeat(m.x, 2) + y, y
 
 
 def levy(mu: Measure1D, nu: Measure1D) -> float:
     """Levy metric: smallest corridor half-width enclosing both CDFs.
 
-    Bisection to absolute tolerance LEVY_TOL; the feasibility check samples
-    both knot sets (shifted by the candidate width) so step discontinuities
-    are probed on both sides.
+    A shift by (-eps, +eps) keeps x + y = s fixed, so the corridor holds at
+    width eps exactly when the two completed graphs are within eps in height
+    on every anti-diagonal.  The height gap is piecewise linear in s, so its
+    maximum sits at a vertex of one of the graphs and the result is exact.
     """
-    if _levy_feasible(mu, nu, 0.0, _levy_eval_points(mu, nu, 0.0)):
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > LEVY_TOL:
-        mid = 0.5 * (lo + hi)
-        if _levy_feasible(mu, nu, mid, _levy_eval_points(mu, nu, mid)):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    (s_mu, y_mu), (s_nu, y_nu) = _completed_graph(mu), _completed_graph(nu)
+    s = np.union1d(s_mu, s_nu)
+    gap = np.interp(s, s_mu, y_mu, 0.0, 1.0) - np.interp(s, s_nu, y_nu, 0.0, 1.0)
+    return float(np.abs(gap).max())
 
 
 _METRICS = {"levy": levy, "wasserstein1": wasserstein1}
@@ -243,13 +219,3 @@ def ranked_vs_limit(positions, ll: LimitLaw, t: float) -> np.ndarray:
     ranks = np.arange(1, n + 1)
     q = quantile(ll, t, ranks / (n + 1.0))
     return np.column_stack([ranks.astype(float), pos, q, np.abs(pos - q)])
-
-
-def measure_to_csv(m: Measure1D, path) -> None:
-    """Write (location, weight) rows for atoms or (x, density) for grids."""
-    header = ["location", "weight"] if m.kind == Measure1D.ATOMS else ["x", "density"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for xv, wv in zip(m.x, m.w):
-            writer.writerow([repr(float(xv)), repr(float(wv))])

@@ -11,7 +11,6 @@ stored paths are nonnegative by construction.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ __all__ = [
     "euler_full_truncation",
     "mean_path",
     "log_growth_diagnostic",
-    "paths_to_csv",
 ]
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -140,15 +138,3 @@ def log_growth_diagnostic(paths: ParticlePaths, i: int) -> tuple[np.ndarray, np.
     increments = np.diff(np.log(y))
     weights = y[:-1] / paths.totals[:-1]
     return increments, weights
-
-
-def paths_to_csv(paths: ParticlePaths, path, max_particles: int | None = None) -> None:
-    """One row per grid node: t, total, then up to max_particles positions."""
-    k = paths.n_particles if max_particles is None else min(max_particles, paths.n_particles)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "total"] + [f"y{i}" for i in range(k)])
-        for j, t in enumerate(paths.time_grid):
-            row = [repr(float(t)), repr(float(paths.totals[j]))]
-            row += [repr(float(paths.positions[i, j])) for i in range(k)]
-            writer.writerow(row)

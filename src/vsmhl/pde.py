@@ -11,15 +11,13 @@ with c(t) = m e^{eta t / 2}, rewritten as a conservation law with flux
 on [0, x_max] with zero flux through both ends.  Cells are uniform, time
 stepping is backward Euler with the growing coefficient evaluated at the new
 level, and each step is one tridiagonal solve.  The advective part of the
-flux is either first-order upwind everywhere ("upwind") or, by default,
-centered on every face where that keeps the system an M-matrix and upwind on
-the rest ("hybrid"); both variants conserve mass to solver precision and
-keep cell values nonnegative.
+flux is centered on every face where that keeps the system an M-matrix and
+taken from the left (donor) cell on the rest; the scheme conserves mass to
+solver precision and keeps cell values nonnegative.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -56,7 +54,6 @@ __all__ = [
 
 TRUNCATION_MASS_TOL = 1e-6
 MOLLIFIER_WIDTH_CELLS = 2.0
-DEFAULT_ADVECTION = "hybrid"
 
 
 @dataclass(frozen=True)
@@ -108,34 +105,6 @@ class DensityTrajectory:
     def measure_path(self) -> MeasurePath:
         return MeasurePath(self.times, tuple(self.measure_at(k) for k in range(len(self.times))))
 
-    def to_csv(self, path) -> None:
-        import csv
-
-        x = self.grid.centers()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "rho"])
-            for k, t in enumerate(self.times):
-                for j in range(self.grid.nx):
-                    writer.writerow([repr(float(t)), repr(float(x[j])), repr(float(self.values[k, j]))])
-
-    def to_binary(self, path) -> None:
-        """Row-major float64 dump plus a JSON sidecar describing the layout."""
-        raw = np.ascontiguousarray(self.values, dtype="<f8")
-        with open(path, "wb") as fh:
-            fh.write(raw.tobytes())
-        sidecar = {
-            "x_max": self.grid.x_max,
-            "nx": self.grid.nx,
-            "nt": self.grid.nt,
-            "horizon": float(self.times[-1]),
-            "shape": list(self.values.shape),
-            "dtype": "<f8",
-            "order": "C",
-        }
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-
 
 def _advance(
     values: np.ndarray,
@@ -144,7 +113,6 @@ def _advance(
     dt: float,
     coeff: float,
     eta: float,
-    advection: str,
 ) -> np.ndarray:
     """One backward-Euler step with coefficient c = coeff held at the new level."""
     nx = len(values)
@@ -155,15 +123,9 @@ def _advance(
     # interior faces f = j + 1/2 between cells j and j+1
     x_left = centers[:-1]
     x_right = centers[1:]
-    if advection == "upwind":
-        adv_left = np.full(nx - 1, a)
-        adv_right = np.zeros(nx - 1)
-    elif advection == "hybrid":
-        centered = 0.5 * a <= (b / dx) * x_right if coeff > 0 else np.ones(nx - 1, bool)
-        adv_left = np.where(centered, 0.5 * a, a)
-        adv_right = np.where(centered, 0.5 * a, 0.0)
-    else:
-        raise ValueError(f"unknown advection scheme {advection!r}")
+    centered = 0.5 * a <= (b / dx) * x_right if coeff > 0 else np.ones(nx - 1, bool)
+    adv_left = np.where(centered, 0.5 * a, a)
+    adv_right = np.where(centered, 0.5 * a, 0.0)
     flux_left = adv_left + (b / dx) * x_left  # multiplies rho_j in F_{j+1/2}
     flux_right = adv_right - (b / dx) * x_right  # multiplies rho_{j+1}
 
@@ -231,7 +193,6 @@ def solve(
     params: ModelParams,
     law: InitialLaw,
     grid: SolverGrid,
-    advection: str = DEFAULT_ADVECTION,
 ) -> DensityTrajectory:
     """Solve the forward equation up to the horizon on the given grid.
 
@@ -256,7 +217,7 @@ def solve(
     values[0] = _initial_cells(law, grid)
     for k in range(grid.nt):
         coeff = ll.m_lambda * math.exp(0.5 * params.eta * times[k + 1])
-        values[k + 1] = _advance(values[k], centers, dx, dt, coeff, params.eta, advection)
+        values[k + 1] = _advance(values[k], centers, dx, dt, coeff, params.eta)
     return DensityTrajectory(grid=grid, times=times, values=values)
 
 

@@ -216,17 +216,17 @@ def test_criterion_9_metric_sanity():
             k = int(rng.integers(1, 12))
             ms.append(Measure1D.from_atoms(rng.uniform(0, 5, k), rng.dirichlet(np.ones(k))))
         a, b, c = ms
-        for dist, slack in ((wasserstein1, 1e-12), (levy, 1e-3)):
+        for dist in (wasserstein1, levy):
             dab = dist(a, b)
             ok &= dab >= 0
-            ok &= abs(dab - dist(b, a)) <= slack
-            ok &= dist(a, a) <= slack
-            ok &= dab <= dist(a, c) + dist(c, b) + slack
+            ok &= abs(dab - dist(b, a)) <= 1e-12
+            ok &= dist(a, a) <= 1e-12
+            ok &= dab <= dist(a, c) + dist(c, b) + 1e-12
         if not ok:
             break
     d_half = levy(Measure1D.from_atoms([0.0], [1.0]), Measure1D.from_atoms([0.5], [1.0]))
-    ok_half = abs(d_half - 0.5) <= 1e-3
-    report(9, bool(ok and ok_half), f"axioms on 1000 triples: {bool(ok)}, levy(d0, d_half) = {d_half:.4f} (0.5 +/- 1e-3)")
+    ok_half = d_half == 0.5
+    report(9, bool(ok and ok_half), f"axioms on 1000 triples: {bool(ok)}, levy(d0, d_half) = {d_half!r} (exactly 0.5)")
 
 
 def test_criterion_10_determinism(convergence_run, tmp_path_factory):

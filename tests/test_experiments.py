@@ -32,6 +32,28 @@ def small_convergence_cfg(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Replace the process pool by a serial fake; list each pool's max_workers."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = small_convergence_cfg(grid=SolverGrid(30.0, 100, 100), output_dir="out")
@@ -82,6 +104,12 @@ class TestConvergence:
         sidecar = json.loads((tmp_path / "a" / "convergence_summary.json").read_text())
         assert sidecar["seed"] == 99
         assert sidecar["config"]["law"] == {"type": "point_mass", "x0": 1.0}
+
+    @pytest.mark.parametrize("threads, workers", [(2, 2), (500, 6)])
+    def test_pool_capped_at_task_count(self, recorded_pools, threads, workers):
+        r = run_experiment(small_convergence_cfg(), threads=threads)  # 2 N x 3 reps
+        assert recorded_pools == [workers]
+        assert r.rows == run_experiment(small_convergence_cfg(), threads=1).rows
 
     def test_seed_changes_values(self, tmp_path):
         r1 = run_experiment(small_convergence_cfg(seed=1))
@@ -207,6 +235,14 @@ class TestCli:
         assert main(["run", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "eta" in err and "m_lambda" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_rejected(self, tmp_path, capsys, recorded_pools, threads):
+        cfg = self.write_cfg(tmp_path, small_convergence_cfg().to_dict())
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output-dir", str(out), "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert recorded_pools == [] and not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2

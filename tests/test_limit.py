@@ -23,7 +23,6 @@ from vsmhl import (
     quantile,
     sample,
     split_rng,
-    table_to_csv,
     time_change,
     wasserstein1,
 )
@@ -344,11 +343,3 @@ class TestWeakContinuityAtZero:
             y, f = density_grid(LL_POINT, t)
             dist.append(wasserstein1(Measure1D.from_grid(y, f), lam))
         assert dist[0] > dist[1] > dist[2]
-
-
-def test_table_to_csv(tmp_path):
-    path = tmp_path / "table.csv"
-    table_to_csv(LL_POINT, 1.0, np.linspace(0.0, 10.0, 11), path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "y,pdf,cdf"
-    assert len(lines) == 12

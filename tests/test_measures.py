@@ -5,17 +5,20 @@ import pytest
 from scipy.stats import gamma as gamma_dist
 
 from vsmhl import (
+    GammaLaw,
     GridMismatchError,
     LimitLaw,
     Measure1D,
     MeasurePath,
+    ModelParams,
     PointMass,
+    density_grid,
     empirical,
     levy,
     market_weights,
-    measure_to_csv,
     quantile,
     ranked_vs_limit,
+    sample,
     sup_distance,
     wasserstein1,
 )
@@ -74,26 +77,72 @@ class TestWasserstein:
         assert wasserstein1(uni, mid) == pytest.approx(0.25, abs=1e-6)
 
 
+def _corridor_holds(mu: Measure1D, nu: Measure1D, eps: float) -> bool:
+    """Brute-force Levy corridor: F(x - eps) - eps <= G(x) <= F(x + eps) + eps.
+
+    Probed at every knot and every knot +/- eps, each also 1e-11 to either
+    side, which is where a corridor narrower than the metric first breaks.
+    """
+    knots = np.concatenate([mu.x, nu.x])
+    pts = np.concatenate([knots, knots - eps, knots + eps])
+    xs = np.concatenate([pts, pts - 1e-11, pts + 1e-11])
+    g = nu.cdf(xs)
+    return bool(np.all(mu.cdf(xs - eps) - eps <= g) and np.all(g <= mu.cdf(xs + eps) + eps))
+
+
+def _assert_corridor_exact(mu: Measure1D, nu: Measure1D) -> None:
+    for a, b in ((mu, nu), (nu, mu)):
+        d = levy(a, b)
+        assert _corridor_holds(a, b, d + 1e-12)
+        assert not _corridor_holds(a, b, d - 1e-9)
+
+
+DIRAC_0 = Measure1D.from_atoms([0.0], [1.0])
+_UNIT = np.linspace(0.0, 1.0, 2001)
+
+
 class TestLevy:
     def test_identical(self):
         m = Measure1D.from_atoms([0.0, 1.0], [0.4, 0.6])
         assert levy(m, m) == 0.0
 
-    def test_half_shifted_diracs_brute_force(self):
-        d0 = Measure1D.from_atoms([0.0], [1.0])
-        dh = Measure1D.from_atoms([0.5], [1.0])
-        got = levy(d0, dh)
+    @pytest.mark.parametrize(
+        "mu, nu, exact",
+        [
+            (DIRAC_0, Measure1D.from_atoms([0.25], [1.0]), 0.25),
+            (DIRAC_0, Measure1D.from_atoms([0.5], [1.0]), 0.5),
+            (DIRAC_0, Measure1D.from_atoms([2.0], [1.0]), 1.0),
+            (Measure1D.from_grid(_UNIT, np.ones_like(_UNIT)), Measure1D.from_atoms([0.5], [1.0]), 0.25),
+        ],
+        ids=["dirac-0.25", "dirac-0.5", "dirac-2", "uniform-vs-midpoint"],
+    )
+    def test_half_shifted_diracs_brute_force(self, mu, nu, exact):
+        # closed forms: levy(d0, dh) = min(h, 1); Uniform[0,1] against its
+        # midpoint opens the corridor to 1/4
+        got = levy(mu, nu)
+        assert got == pytest.approx(exact, abs=1e-12)
         # brute-force oracle: scan candidate widths on a fine grid
-        xs = np.linspace(-1.0, 1.5, 2501)
+        xs = np.linspace(-1.0, 3.5, 4501)
         feasible = []
         for eps in np.linspace(0.0, 1.0, 2001):
-            f_lo = d0.cdf(xs - eps) - eps
-            f_hi = d0.cdf(xs + eps) + eps
-            g = dh.cdf(xs)
+            f_lo = mu.cdf(xs - eps) - eps
+            f_hi = mu.cdf(xs + eps) + eps
+            g = nu.cdf(xs)
             feasible.append(np.all(f_lo <= g + 1e-12) and np.all(g <= f_hi + 1e-12))
         oracle = np.linspace(0.0, 1.0, 2001)[np.argmax(feasible)]
-        assert got == pytest.approx(0.5, abs=1e-3)
         assert got == pytest.approx(oracle, abs=1e-3)
+
+    def test_corridor_oracle_random_atoms(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            _assert_corridor_exact(random_atoms(rng), random_atoms(rng))
+
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_corridor_oracle_empirical_vs_gamma_grid(self, n, t):
+        ll = LimitLaw.from_params(ModelParams(2.0, 64, 1.0), GammaLaw(2.0, 0.5))
+        draws = sample(ll, t, n, np.random.default_rng(n))
+        _assert_corridor_exact(empirical(draws), Measure1D.from_grid(*density_grid(ll, t)))
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(2)
@@ -106,12 +155,12 @@ class TestMetricAxioms:
         rng = np.random.default_rng(3)
         for _ in range(200):
             a, b, c = (random_atoms(rng) for _ in range(3))
-            for dist, slack in ((wasserstein1, 1e-12), (levy, 1e-3)):
+            for dist in (wasserstein1, levy):
                 dab, dba = dist(a, b), dist(b, a)
                 assert dab >= 0.0
-                assert abs(dab - dba) <= slack
-                assert dist(a, a) <= slack
-                assert dab <= dist(a, c) + dist(c, b) + slack
+                assert abs(dab - dba) <= 1e-12
+                assert dist(a, a) <= 1e-12
+                assert dab <= dist(a, c) + dist(c, b) + 1e-12
 
     def test_identity_of_indiscernibles(self):
         a = Measure1D.from_atoms([0.5, 1.5], [0.3, 0.7])
@@ -222,12 +271,3 @@ class TestMeasure1DValidation:
         assert m.cdf(-1.0) == 0.0
         assert m.cdf(5.0) == 1.0
         assert m.cdf(1.0) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_measure_to_csv(tmp_path):
-    m = Measure1D.from_atoms([1.0, 2.0], [0.25, 0.75])
-    out = tmp_path / "measure.csv"
-    measure_to_csv(m, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "location,weight"
-    assert len(lines) == 3

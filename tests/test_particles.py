@@ -14,7 +14,6 @@ from vsmhl import (
     euler_full_truncation,
     log_growth_diagnostic,
     mean_path,
-    paths_to_csv,
     sample_initial,
     simulate_system,
     split_rng,
@@ -228,13 +227,3 @@ class TestParticlePathsInvariants:
         totals = np.array([1.0, 1.0])
         with pytest.raises(ValueError, match="grid"):
             ParticlePaths(np.array([0.5, 1.0]), positions, totals)
-
-
-def test_csv_export_with_particle_cap(tmp_path):
-    params = ModelParams(2.0, 6, 0.2)
-    paths = simulate_system(params, PointMass(1.0), 0.1, split_rng(71))
-    out = tmp_path / "paths.csv"
-    paths_to_csv(paths, out, max_particles=2)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,total,y0,y1"
-    assert len(lines) == len(paths.time_grid) + 1

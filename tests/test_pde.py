@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -66,13 +64,8 @@ class TestAdvance:
     def test_zero_coefficient_freezes_state(self):
         g = SolverGrid(10.0, 64, 16)
         values = np.exp(-g.centers())
-        out = _advance(values, g.centers(), g.dx(), 0.01, 0.0, 2.0, "hybrid")
+        out = _advance(values, g.centers(), g.dx(), 0.01, 0.0, 2.0)
         assert np.array_equal(out, values)
-
-    def test_unknown_scheme(self):
-        g = SolverGrid(10.0, 64, 16)
-        with pytest.raises(ValueError):
-            _advance(np.ones(64), g.centers(), g.dx(), 0.01, 1.0, 2.0, "spectral")
 
 
 class TestSolve:
@@ -177,24 +170,3 @@ class TestDensityTrajectoryInvariants:
         values[5] *= 1.1
         with pytest.raises(ValueError, match="mass"):
             DensityTrajectory(grid, times, values)
-
-
-class TestExports:
-    def test_csv(self, tmp_path):
-        traj = solve(PARAMS, LAW, SolverGrid(30.0, 60, 16))
-        out = tmp_path / "traj.csv"
-        traj.to_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "t,x,rho"
-        assert len(lines) == 1 + 17 * 60
-
-    def test_binary_with_sidecar(self, tmp_path):
-        traj = solve(PARAMS, LAW, SolverGrid(30.0, 60, 16))
-        out = tmp_path / "traj.bin"
-        traj.to_binary(out)
-        assert out.stat().st_size == 17 * 60 * 8
-        sidecar = json.loads((tmp_path / "traj.bin.json").read_text())
-        assert sidecar["shape"] == [17, 60]
-        assert sidecar["dtype"] == "<f8"
-        raw = np.fromfile(out, dtype="<f8").reshape(17, 60)
-        assert np.array_equal(raw, traj.values)
