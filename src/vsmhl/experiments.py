@@ -41,7 +41,7 @@ from .model import (
     reject_unknown_keys,
     split_rng,
 )
-from .particles import simulate_system
+from .particles import simulate_system, step_count
 from .pde import (
     SolverGrid,
     mollified_start_law,
@@ -260,14 +260,12 @@ def _snapshot_indices(n_steps: int) -> np.ndarray:
 
 def _convergence_task(cfg: ExperimentConfig, n: int, rep: int) -> tuple[int, int, float]:
     params = ModelParams(cfg.params.eta, n, cfg.params.horizon)
-    paths = simulate_system(params, cfg.law, cfg.dt, split_rng(cfg.seed, n, rep))
-    idx = _snapshot_indices(len(paths.time_grid) - 1)
-    times = tuple(float(paths.time_grid[i]) for i in idx)
+    nodes = _snapshot_indices(step_count(cfg.params.horizon, cfg.dt))
+    paths = simulate_system(params, cfg.law, cfg.dt, split_rng(cfg.seed, n, rep), nodes)
+    times = tuple(float(t) for t in paths.time_grid)
     ll = LimitLaw.from_law(cfg.params.eta, cfg.law)
     analytic = _analytic_path(ll, times)
-    emp = MeasurePath(
-        np.array(times), tuple(empirical(paths.positions[:, i]) for i in idx)
-    )
+    emp = MeasurePath(paths.time_grid, tuple(empirical(col) for col in paths.positions.T))
     return n, rep, sup_distance(emp, analytic, cfg.metric)
 
 
@@ -375,9 +373,10 @@ def run_sampler_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
 
 def _moment_task(cfg: ExperimentConfig, rep: int) -> tuple[float, float]:
-    paths = simulate_system(cfg.params, cfg.law, cfg.dt, split_rng(cfg.seed, rep))
-    mid = (len(paths.time_grid) - 1) // 2
-    return float(paths.totals[mid]), float(paths.totals[-1])
+    n_steps = step_count(cfg.params.horizon, cfg.dt)
+    nodes = np.unique([0, n_steps // 2, n_steps])  # with one step the middle is step 0
+    paths = simulate_system(cfg.params, cfg.law, cfg.dt, split_rng(cfg.seed, rep), nodes)
+    return float(paths.totals[-2]), float(paths.totals[-1])
 
 
 def run_moment_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -389,7 +388,7 @@ def run_moment_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResul
     tasks = [(cfg, rep) for rep in range(cfg.replications)]
     pairs = _collect(_moment_task, tasks, threads)
     totals = np.array(pairs)  # (R, 2): columns mid, final
-    n_steps = max(int(round(cfg.params.horizon / cfg.dt)), 1)
+    n_steps = step_count(cfg.params.horizon, cfg.dt)
     t_mid = (n_steps // 2) * (cfg.params.horizon / n_steps)
     rows = []
     all_ok = True
@@ -416,7 +415,8 @@ def run_moment_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResul
 
 def _rank_task(cfg: ExperimentConfig, n: int, rep: int) -> tuple[int, int, float]:
     params = ModelParams(cfg.params.eta, n, cfg.params.horizon)
-    paths = simulate_system(params, cfg.law, cfg.dt, split_rng(cfg.seed, n, rep))
+    nodes = [0, step_count(cfg.params.horizon, cfg.dt)]
+    paths = simulate_system(params, cfg.law, cfg.dt, split_rng(cfg.seed, n, rep), nodes)
     ll = LimitLaw.from_law(cfg.params.eta, cfg.law)
     table = ranked_vs_limit(paths.positions[:, -1], ll, cfg.params.horizon)
     lo = max(int(math.ceil(RANK_KEEP[0] * n)), 1)

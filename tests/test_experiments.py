@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 import vsmhl.experiments as exp
+import vsmhl.particles as particles
 from vsmhl import (
     ConfigurationError,
     ExperimentConfig,
@@ -125,10 +127,10 @@ class TestConvergence:
         cfg = small_convergence_cfg()
         real = exp.simulate_system
 
-        def failing(params, law, dt, rng):
+        def failing(params, law, dt, rng, nodes=None):
             if params.n_particles == 64:
                 raise RuntimeError("boom")
-            return real(params, law, dt, rng)
+            return real(params, law, dt, rng, nodes)
 
         monkeypatch.setattr(exp, "simulate_system", failing)
         with pytest.raises(RuntimeError, match="boom"):
@@ -137,6 +139,36 @@ class TestConvergence:
         assert manifest["experiment"] == "convergence"
         assert "boom" in manifest["error"]
         assert len(manifest["completed_rows"]) == 3  # the N=16 replications
+
+    def test_tracing_patch_points(self, monkeypatch):
+        # the benchmark's particles.* spans wrap these two module globals and
+        # read the kept positions off the returned paths
+        euler_calls = []
+        real_euler = particles.euler_full_truncation
+
+        def counting_euler(*args):
+            euler_calls.append(args[3].shape)
+            return real_euler(*args)
+
+        kept = []
+        real_simulate = exp.simulate_system
+
+        def recording_simulate(params, law, dt, rng, nodes=None):
+            paths = real_simulate(params, law, dt, rng, nodes)
+            kept.append((params.n_particles, nodes, paths))
+            return paths
+
+        monkeypatch.setattr(particles, "euler_full_truncation", counting_euler)
+        monkeypatch.setattr(exp, "simulate_system", recording_simulate)
+        n = 4096
+        exp._convergence_task(small_convergence_cfg(dt=0.01), n, 0)  # 100 steps
+        block = particles._NOISE_BUDGET // n
+        assert euler_calls == [(block, n), (100 - block, n)]
+        [(n_kept, nodes, paths)] = kept
+        assert n_kept == n
+        assert list(nodes) == list(exp._snapshot_indices(100))
+        assert type(paths.positions) is np.ndarray
+        assert paths.positions.shape == (n, len(nodes))
 
 
 class TestOtherRunners:
@@ -158,6 +190,14 @@ class TestOtherRunners:
         r = run_experiment(cfg, threads=2)
         assert r.passed
         assert len(r.rows) == 4  # two times, two moments
+
+    def test_moment_check_single_step_reads_the_start_as_middle(self):
+        cfg = ExperimentConfig(
+            "moment_check", ModelParams(2.0, 8, 1.0), PointMass(1.0), dt=1.0, replications=3, seed=6
+        )
+        rows = run_experiment(cfg).rows
+        assert [(t, moment) for t, moment, *_ in rows] == [(0.0, 1), (0.0, 2), (1.0, 1), (1.0, 2)]
+        assert rows[0][2] == 8.0  # the total at step 0 of eight unit point masses
 
     def test_rank_check(self):
         cfg = ExperimentConfig(

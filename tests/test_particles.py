@@ -1,8 +1,11 @@
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import vsmhl.particles as particles
 from vsmhl import (
     ConfigurationError,
     DegenerateStateError,
@@ -95,6 +98,79 @@ class TestSimulate:
     def test_degenerate_state_error(self):
         with pytest.raises(DegenerateStateError):
             euler_full_truncation(2.0, np.zeros(3), 0.1, np.zeros((2, 3)))
+
+
+class TestStreaming:
+    # at N = 4096 a noise block holds 64 steps: 200 steps run as 64 + 64 + 64 + 8
+    N, STEPS = 4096, 200
+
+    def full_run(self, **kw):
+        params = ModelParams(2.0, self.N, 1.0)
+        return simulate_system(params, GammaLaw(2.0, 0.5), 1.0 / self.STEPS, split_rng(71), **kw)
+
+    def test_every_step_matches_one_full_draw(self):
+        block = particles._NOISE_BUDGET // self.N
+        assert self.STEPS > 2 * block and self.STEPS % block != 0
+        paths = self.full_run()
+        rng = split_rng(71)
+        y0 = sample_initial(GammaLaw(2.0, 0.5), self.N, rng)
+        ref = euler_full_truncation(2.0, y0, 1.0 / self.STEPS, rng.standard_normal((self.STEPS, self.N)))
+        assert np.array_equal(paths.positions, ref)
+        assert np.array_equal(paths.totals, [ref[:, k].sum() for k in range(self.STEPS + 1)])
+        assert np.array_equal(paths.time_grid, np.linspace(0.0, 1.0, self.STEPS + 1))
+
+    def test_nodes_pick_columns_of_the_full_run(self):
+        full = self.full_run()
+        nodes = [0, 1, 63, 64, 65, 128, 192, 199, 200]  # both sides of each block edge
+        part = self.full_run(nodes=np.array(nodes))
+        assert part.positions.shape == (self.N, len(nodes))
+        assert np.array_equal(part.positions, full.positions[:, nodes])
+        assert np.array_equal(part.totals, full.totals[nodes])
+        assert np.array_equal(part.time_grid, full.time_grid[nodes])
+        last = self.full_run(nodes=[0, 137])
+        assert np.array_equal(last.positions, full.positions[:, [0, 137]])
+        assert last.horizon == full.time_grid[137]
+
+    def test_degenerate_state_reports_global_step(self):
+        # noise that wipes every particle out in step 8, so the total is 0 at
+        # step 9, the second step of the third 4-step block
+        n = particles._NOISE_BUDGET // 4
+
+        class WipeOut:
+            drawn = 0
+
+            def standard_normal(self, out):
+                out[:] = 0.0
+                out[max(8 - self.drawn, 0):] = -1e6
+                self.drawn += len(out)
+                return out
+
+        with pytest.raises(DegenerateStateError, match="at step 9$") as info:
+            simulate_system(ModelParams(2.0, n, 1.0), PointMass(1.0), 0.1, WipeOut())
+        assert info.value.step == 9
+        again = pickle.loads(pickle.dumps(info.value))  # as a pool worker sends it
+        assert (again.step, str(again)) == (9, str(info.value))
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [[0, 5, 3], [0, 3, 3], [0, 11], [1, 5], [], [0.0, 1.0]],
+        ids=["unsorted", "duplicated", "past-end", "not-from-0", "empty", "float"],
+    )
+    def test_rejects_bad_nodes(self, nodes):
+        with pytest.raises(ValueError, match="nodes"):
+            simulate_system(ModelParams(2.0, 4, 1.0), PointMass(1.0), 0.1, split_rng(0), nodes=nodes)
+
+    def test_memory_grows_with_nodes_not_steps(self):
+        # 200 steps at N = 20000: the full noise and path arrays are 32 MB each
+        params = ModelParams(2.0, 20000, 1.0)
+        tracemalloc.start()
+        try:
+            paths = simulate_system(params, PointMass(1.0), 1 / 200, split_rng(72), nodes=[0, 100, 200])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert paths.positions.shape == (20000, 3)
+        assert peak < 8e6
 
 
 class TestMomentIdentities:
