@@ -1,16 +1,26 @@
-"""Golden digests: the sha256 of each particle experiment's CSV, pinned.
+"""Golden digests: the sha256 of each pinned experiment's CSV.
 
-Each config is small and seeded, and at its largest N the particle engine
-draws its noise in several blocks, the last one partial.  A refactor that
-keeps the RNG streams and the arithmetic must keep every digest; a change
-that means to move them re-pins the digest and says why in CHANGES.md.
+Each particle config is small and seeded, and at its largest N the particle
+engine draws its noise in several blocks, the last one partial.  The
+``pde_check`` config is the solver grid 30/1200/800 with a point-mass start;
+its CSV holds the L1 errors, the mass drift and every weak residual.  A
+refactor that keeps the RNG streams and the arithmetic must keep every
+digest; a change that means to move them re-pins the digest and says why in
+CHANGES.md.
 """
 
 import hashlib
 
 import pytest
 
-from vsmhl import ExperimentConfig, GammaLaw, ModelParams, PointMass, run_experiment
+from vsmhl import (
+    ExperimentConfig,
+    GammaLaw,
+    ModelParams,
+    PointMass,
+    SolverGrid,
+    run_experiment,
+)
 
 GOLDEN = {
     "convergence_point_w1": (
@@ -40,6 +50,13 @@ GOLDEN = {
             dt=0.01, n_values=(64, 8192), replications=2, seed=104,
         ),
         "6f5809ec5486a0aae584ccffe7eb299780fad89fb7bf03f3b043520ed038d2eb",
+    ),
+    "pde_check": (
+        dict(
+            experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=PointMass(1.0),
+            grid=SolverGrid(30.0, 1200, 800),
+        ),
+        "8c8b1ddf1c023123f30bfe6d587da368c0523e92823823355df6fd220d67bf7b",
     ),
 }
 
