@@ -242,14 +242,13 @@ def _law_measure(law: InitialLaw, n_nodes: int = 4096) -> Measure1D:
 
 
 @lru_cache(maxsize=8)
-def _analytic_path(ll: LimitLaw, times: tuple[float, ...]) -> MeasurePath:
+def _analytic_path(ll: LimitLaw, times: tuple[float, ...], n_nodes: int = 4096) -> MeasurePath:
     measures = []
     for t in times:
         if t == 0.0:
             measures.append(_law_measure(ll.law))
         else:
-            y, f = density_grid(ll, t)
-            measures.append(Measure1D.from_grid(y, f))
+            measures.append(Measure1D.from_grid(*density_grid(ll, t, n_nodes)))
     return MeasurePath(np.array(times), tuple(measures))
 
 
@@ -312,28 +311,20 @@ def run_pde_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     drift = float(np.abs(traj.mass() - 1.0).max())
     rows.append(("mass", float(traj.times[-1]), "max_drift", drift))
 
-    pde_path = traj.measure_path()
-    analytic_times = _analytic_times(cfg.params.horizon)
-    analytic = MeasurePath(
-        analytic_times,
-        tuple(
-            _law_measure(cfg.law)
-            if t == 0.0
-            else Measure1D.from_grid(*density_grid(ll, float(t), 6000))
-            for t in analytic_times
-        ),
-    )
+    fracs = (0.5, 1.0)
+    bank = test_function_bank()
+    t_analytic = [frac * cfg.params.horizon for frac in fracs]
+    t_pde = [float(traj.times[int(round(frac * grid.nt))]) for frac in fracs]
+    analytic = _analytic_path(ll, tuple(_analytic_times(cfg.params.horizon)), 6000)
+    r_analytic = weak_residual(analytic, bank, cfg.params.eta, ll.m_lambda, t_analytic)
+    r_pde = weak_residual(traj.measure_path(), bank, cfg.params.eta, ll.m_lambda, t_pde)
     residuals_ok = True
-    for g in test_function_bank():
-        for frac in (0.5, 1.0):
-            t_a = frac * cfg.params.horizon
-            r_a = weak_residual(analytic, g, cfg.params.eta, ll.m_lambda, t_a)
-            rows.append(("residual_analytic", t_a, g.name, r_a))
-            residuals_ok &= abs(r_a) <= RESIDUAL_TOL_ANALYTIC
-            t_p = float(traj.times[int(round(frac * grid.nt))])
-            r_p = weak_residual(pde_path, g, cfg.params.eta, ll.m_lambda, t_p)
-            rows.append(("residual_pde", t_p, g.name, r_p))
-            residuals_ok &= abs(r_p) <= RESIDUAL_TOL_PDE
+    for i, g in enumerate(bank):
+        for j in range(len(fracs)):
+            r_a, r_p = float(r_analytic[i, j]), float(r_pde[i, j])
+            rows.append(("residual_analytic", t_analytic[j], g.name, r_a))
+            rows.append(("residual_pde", t_pde[j], g.name, r_p))
+            residuals_ok &= abs(r_a) <= RESIDUAL_TOL_ANALYTIC and abs(r_p) <= RESIDUAL_TOL_PDE
     final_l1 = l1_values[("l1_vs_exact", grid.nt)]
     passed = final_l1 <= PDE_L1_TOL and drift <= PDE_MASS_TOL and residuals_ok
     return ExperimentResult(

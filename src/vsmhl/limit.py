@@ -221,6 +221,19 @@ def density(ll: LimitLaw, t: float, y):
     return float(out[0]) if scalar else out.reshape(ys.shape)
 
 
+def _y_hi(ll: LimitLaw, t: float) -> float:
+    """Upper end of the tabulated range: 45 standard deviations past the mean,
+    both of the whole law and of a start at the top of its support."""
+    J = time_change(ll, t)
+    m1, m2 = moments(ll.law)
+    var_law = max(m2 - m1 * m1, 0.0)
+    mu = mean(ll, t)
+    sd = math.sqrt(0.25 * ll.eta * J * J + ll.m_lambda * J + var_law)
+    x_hi = _support_hi(ll.law)
+    sd_hi = math.sqrt(x_hi * J + 0.25 * ll.eta * J * J)
+    return max(mu + 45.0 * sd, x_hi + 0.5 * ll.eta * J + 45.0 * sd_hi, 16.0 * J)
+
+
 class _CdfTable:
     """Cumulative table of the limit density, Hermite-interpolated in y.
 
@@ -231,13 +244,7 @@ class _CdfTable:
 
     def __init__(self, ll: LimitLaw, t: float):
         J = time_change(ll, t)
-        m1, m2 = moments(ll.law)
-        var_law = max(m2 - m1 * m1, 0.0)
-        mu = mean(ll, t)
-        sd = math.sqrt(0.25 * ll.eta * J * J + ll.m_lambda * J + var_law)
-        x_hi = _support_hi(ll.law)
-        sd_hi = math.sqrt(x_hi * J + 0.25 * ll.eta * J * J)
-        y_hi = max(mu + 45.0 * sd, x_hi + 0.5 * ll.eta * J + 45.0 * sd_hi, 16.0 * J)
+        y_hi = _y_hi(ll, t)
         u_max = math.sqrt(y_hi)
         h_u = max(min(math.sqrt(J) / 64.0, u_max / 128.0), u_max / 80000.0)
         n_panels = math.ceil(u_max / h_u)
@@ -313,7 +320,7 @@ def sample(ll: LimitLaw, t: float, n: int, rng: np.random.Generator) -> np.ndarr
 
 
 def density_grid(ll: LimitLaw, t: float, n_nodes: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Evenly spaced grid spanning the bulk of the law, with density values."""
-    tab = _table(ll, t)
-    y = np.linspace(0.0, tab.y_hi, n_nodes)
+    """Evenly spaced grid on [0, y_hi], the range of the CDF table at t, with
+    density values; only the closed-form upper end is computed, no table."""
+    y = np.linspace(0.0, _y_hi(ll, t), n_nodes)
     return y, density(ll, t, y)

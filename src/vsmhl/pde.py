@@ -54,6 +54,7 @@ __all__ = [
 
 TRUNCATION_MASS_TOL = 1e-6
 MOLLIFIER_WIDTH_CELLS = 2.0
+_PAIR_BYTES = 2**18  # density rows stacked per pairing block; keeps the temporaries in cache
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,10 @@ class DensityTrajectory:
     def mass(self) -> np.ndarray:
         return self.values.sum(axis=1) * self.grid.dx()
 
-    def measure_at(self, index: int) -> Measure1D:
-        return Measure1D.from_grid(self.grid.centers(), np.maximum(self.values[index], 0.0))
-
     def measure_path(self) -> MeasurePath:
-        return MeasurePath(self.times, tuple(self.measure_at(k) for k in range(len(self.times))))
+        centers = self.grid.centers()  # one array for every node, not a copy per node
+        measures = tuple(Measure1D.from_grid(centers, np.maximum(v, 0.0)) for v in self.values)
+        return MeasurePath(self.times, measures)
 
 
 def _advance(
@@ -277,38 +277,81 @@ def test_function_bank() -> list[TestFunction]:
     return bank
 
 
+def _generator(g: TestFunction, eta: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The spatial part of the weak form, (eta/2) g' + (x/2) g''."""
+    return lambda x: 0.5 * eta * g.df(x) + 0.5 * x * g.d2f(x)
+
+
+def _pairing_table(path: MeasurePath, funcs: list[Callable], stop: int) -> np.ndarray:
+    """Pairings of the path's first `stop` measures with each function.
+
+    Returns a (len(funcs), stop) array.  Consecutive grid measures on one x
+    array are stacked, at most _PAIR_BYTES of rows at a time, so each function
+    is evaluated once per block; every row is reduced in the same order as
+    Measure1D.expect, which atom measures still use, so each entry equals the
+    per-measure call bit for bit.
+    """
+    table = np.empty((len(funcs), stop))
+    k = 0
+    while k < stop:
+        m = path.measures[k]
+        if m.kind == Measure1D.ATOMS:
+            table[:, k] = [m.expect(f) for f in funcs]
+            k += 1
+            continue
+        end = k + 1
+        block_end = min(stop, k + max(1, _PAIR_BYTES // m.x.nbytes))
+        while (
+            end < block_end
+            and path.measures[end].kind == Measure1D.GRID
+            and np.array_equal(path.measures[end].x, m.x)
+        ):
+            end += 1
+        w = np.stack([path.measures[j].w for j in range(k, end)])
+        for i, f in enumerate(funcs):
+            table[i, k:end] = np.trapezoid(w * f(m.x), m.x, axis=1)
+        k = end
+    return table
+
+
 def weak_residual(
     path: MeasurePath,
-    g: TestFunction,
+    bank: list[TestFunction],
     eta: float,
     m_lambda: float,
-    t: float,
-) -> float:
-    """Residual of the integrated test-function identity at time t.
+    t_values,
+) -> np.ndarray:
+    """Residuals of the integrated test-function identity, one per (g, t).
 
-    Returns (rho(t), g) - (rho(0), g) minus the time integral of
-    m e^{eta s/2} (rho(s), (eta/2) g' + (x/2) g''), the integral taken by
-    composite Simpson on the path's own time grid; t must be a grid node.
+    Entry [i, j] is (rho(t_j), g_i) - (rho(0), g_i) minus the time integral
+    of m e^{eta s/2} (rho(s), (eta/2) g_i' + (x/2) g_i''), the integral taken
+    by composite Simpson (one trapezoid on a single step) on the path's own
+    time grid; every t_j must be a grid node.  Each measure up to the last
+    requested node is paired once with every (eta/2) g' + (x/2) g'', and each
+    t_j reads its own prefix of that table; g itself is paired only at 0 and
+    at the t_j.  All bad t_j are rejected before any pairing.
     """
     times = np.asarray(path.times, dtype=float)
     tol = 1e-9 * max(1.0, times[-1])
-    if t > times[-1] + tol:
-        raise ValueError(f"t={t} exceeds the path horizon {times[-1]}")
-    idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > tol:
-        raise ValueError(f"t={t} is not a node of the path's time grid")
-
-    def pairing(s_index: int) -> float:
-        meas = path.measures[s_index]
-        return meas.expect(lambda x: 0.5 * eta * g.df(x) + 0.5 * x * g.d2f(x))
-
-    lhs = path.measures[idx].expect(g.f) - path.measures[0].expect(g.f)
-    if idx == 0 or m_lambda == 0.0:
-        return float(lhs)
-    s = times[: idx + 1]
-    integrand = m_lambda * np.exp(0.5 * eta * s) * np.array([pairing(k) for k in range(idx + 1)])
-    if idx == 1:
-        rhs = 0.5 * (integrand[0] + integrand[1]) * (s[1] - s[0])
-    else:
-        rhs = simpson(integrand, x=s)
-    return float(lhs - rhs)
+    nodes = []
+    for t in t_values:
+        if t > times[-1] + tol:
+            raise ValueError(f"t={t} exceeds the path horizon {times[-1]}")
+        idx = int(np.argmin(np.abs(times - t)))
+        if abs(times[idx] - t) > tol:
+            raise ValueError(f"t={t} is not a node of the path's time grid")
+        nodes.append(idx)
+    start = path.measures[0]
+    paired = _pairing_table(path, [_generator(g, eta) for g in bank], max(nodes, default=-1) + 1)
+    out = np.empty((len(bank), len(nodes)))
+    for j, idx in enumerate(nodes):
+        out[:, j] = [path.measures[idx].expect(g.f) - start.expect(g.f) for g in bank]
+        if idx == 0 or m_lambda == 0.0:
+            continue
+        s = times[: idx + 1]
+        integrand = m_lambda * np.exp(0.5 * eta * s) * paired[:, : idx + 1]
+        if idx == 1:
+            out[:, j] -= 0.5 * (integrand[:, 0] + integrand[:, 1]) * (s[1] - s[0])
+        else:
+            out[:, j] -= simpson(integrand, x=s, axis=-1)
+    return out

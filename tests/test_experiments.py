@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import vsmhl.experiments as exp
+import vsmhl.limit as limit
 import vsmhl.particles as particles
+import vsmhl.pde as pde
 from vsmhl import (
     ConfigurationError,
+    DiscreteAtoms,
     ExperimentConfig,
     GammaLaw,
     ModelParams,
@@ -213,6 +216,44 @@ class TestOtherRunners:
         assert r.passed
         meds = r.summary["medians"]
         assert meds["256"] < meds["32"]
+
+    def test_pde_check_patch_points(self, monkeypatch):
+        # the benchmark's pde.* and limit.density_grid spans wrap these names
+        calls = {"weak_residual": 0, "density_grid": 0, "measure_path": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(exp, "weak_residual", counting("weak_residual", exp.weak_residual))
+        monkeypatch.setattr(exp, "density_grid", counting("density_grid", exp.density_grid))
+        monkeypatch.setattr(
+            pde.DensityTrajectory,
+            "measure_path",
+            counting("measure_path", pde.DensityTrajectory.measure_path),
+        )
+        exp._analytic_path.cache_clear()
+        cfg = ExperimentConfig(
+            "pde_check", ModelParams(2.0, 1, 1.0), PointMass(1.0), grid=SolverGrid(30.0, 300, 16)
+        )
+        exp.run_pde_check(cfg)
+        assert calls == {"weak_residual": 2, "density_grid": 97, "measure_path": 1}
+
+    @pytest.mark.parametrize(
+        "law",
+        [PointMass(1.0), DiscreteAtoms(((0.5, 0.5), (1.5, 0.5))), GammaLaw(2.0, 0.5), UniformLaw(0.5, 1.5)],
+        ids=str,
+    )
+    def test_pde_check_builds_one_table(self, law):
+        # the solver's tail check reads one CDF; the 97 analytic grids read none
+        exp._analytic_path.cache_clear()
+        limit._table.cache_clear()
+        cfg = ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), law, grid=SolverGrid(40.0, 400, 16))
+        exp.run_pde_check(cfg)
+        assert limit._table.cache_info().misses == 1
 
     def test_pde_check_coarse_grid_fails_threshold(self, tmp_path):
         cfg = ExperimentConfig(

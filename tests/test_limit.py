@@ -343,3 +343,24 @@ class TestWeakContinuityAtZero:
             y, f = density_grid(LL_POINT, t)
             dist.append(wasserstein1(Measure1D.from_grid(y, f), lam))
         assert dist[0] > dist[1] > dist[2]
+
+
+FOUR_LAWS = [
+    PointMass(1.0),
+    DiscreteAtoms(((0.5, 0.5), (1.5, 0.5))),
+    GammaLaw(2.0, 0.5),
+    UniformLaw(0.5, 1.5),
+]
+
+
+class TestDensityGrid:
+    @pytest.mark.parametrize("law", FOUR_LAWS, ids=str)
+    def test_builds_no_table(self, law):
+        ll = LimitLaw.from_law(2.0, law)
+        limit._table.cache_clear()
+        y, f = density_grid(ll, 0.3, 64)
+        assert limit._table.cache_info().currsize == 0
+        assert y[0] == 0.0 and y[-1] == limit._CdfTable(ll, 0.3).y_hi
+        assert np.array_equal(f, density(ll, 0.3, y))
+        with pytest.raises(ValueError):
+            density_grid(ll, 0.0)

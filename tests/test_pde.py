@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import simpson
+
+import vsmhl.experiments as exp
+import vsmhl.pde as pde
 
 from vsmhl import (
     ConfigurationError,
@@ -12,6 +16,7 @@ from vsmhl import (
     PointMass,
     SolverGrid,
     density,
+    empirical,
     mean,
     mollified_start_law,
     solve,
@@ -129,30 +134,84 @@ class TestMollifiedStartLaw:
         assert atoms.locations() @ w == pytest.approx(1.0, abs=1e-2)
 
 
+def reference_residual(path, g, eta, m_lambda, t):
+    """The per-(g, t) formulation: one expect call per node, then Simpson."""
+    times = np.asarray(path.times, dtype=float)
+    idx = int(np.argmin(np.abs(times - t)))
+    lhs = path.measures[idx].expect(g.f) - path.measures[0].expect(g.f)
+    if idx == 0 or m_lambda == 0.0:
+        return float(lhs)
+    s = times[: idx + 1]
+    pairs = [
+        m.expect(lambda x: 0.5 * eta * g.df(x) + 0.5 * x * g.d2f(x))
+        for m in path.measures[: idx + 1]
+    ]
+    integrand = m_lambda * np.exp(0.5 * eta * s) * np.array(pairs)
+    if idx == 1:
+        rhs = 0.5 * (integrand[0] + integrand[1]) * (s[1] - s[0])
+    else:
+        rhs = simpson(integrand, x=s)
+    return float(lhs - rhs)
+
+
+def assert_matches_reference(path, eta, m_lambda, t_values):
+    bank = function_bank()
+    got = weak_residual(path, bank, eta, m_lambda, t_values)
+    assert got.shape == (len(bank), len(t_values))
+    want = [[reference_residual(path, g, eta, m_lambda, t) for t in t_values] for g in bank]
+    assert got.tolist() == want
+
+
 class TestWeakResidual:
     def test_zero_coefficient_constant_path(self):
         m = Measure1D.from_atoms([1.0], [1.0])
         path = MeasurePath(np.linspace(0.0, 1.0, 5), (m,) * 5)
         g = function_bank()[0]
-        assert weak_residual(path, g, 2.0, 0.0, 1.0) == 0.0
+        assert weak_residual(path, [g], 2.0, 0.0, [1.0]) == 0.0
 
-    def test_horizon_errors(self):
+    @pytest.mark.parametrize(
+        "t_values, match",
+        [([2.0], "horizon"), ([0.5, 2.0], "horizon"), ([0.33], "node"), ([1.0, 0.33, 0.5], "node")],
+    )
+    def test_horizon_errors(self, t_values, match):
         m = Measure1D.from_atoms([1.0], [1.0])
         path = MeasurePath(np.linspace(0.0, 1.0, 5), (m,) * 5)
         g = function_bank()[0]
-        with pytest.raises(ValueError, match="horizon"):
-            weak_residual(path, g, 2.0, 1.0, 2.0)
-        with pytest.raises(ValueError, match="node"):
-            weak_residual(path, g, 2.0, 1.0, 0.33)
+        with pytest.raises(ValueError, match=match):
+            weak_residual(path, [g], 2.0, 1.0, t_values)
 
     def test_pde_trajectory_residual_small(self):
         grid = SolverGrid(30.0, 600, 400)
         traj = solve(PARAMS, LAW, grid)
         path = traj.measure_path()
         g = function_bank()[1]
-        r = weak_residual(path, g, PARAMS.eta, 1.0, 1.0)
+        [[r]] = weak_residual(path, [g], PARAMS.eta, 1.0, [1.0])
         assert abs(r) < 1e-2
 
+    def test_solver_path_matches_reference(self):
+        grid = SolverGrid(30.0, 300, 200)
+        rows = pde._PAIR_BYTES // (8 * grid.nx)
+        n_nodes = grid.nt + 1
+        assert rows < n_nodes and n_nodes % rows != 0  # several blocks, the last one partial
+        path = solve(PARAMS, LAW, grid).measure_path()
+        t = path.times
+        assert_matches_reference(path, PARAMS.eta, 1.0, [t[0], t[1], t[2], t[rows], t[rows + 1], 1.0])
+
+    def test_analytic_path_matches_reference(self):
+        ll = LimitLaw.from_law(PARAMS.eta, LAW)
+        path = exp._analytic_path(ll, tuple(exp._analytic_times(1.0)), 6000)
+        assert len(path.times) == 98
+        assert path.measures[0].kind == Measure1D.ATOMS
+        assert len({m.x[-1] for m in path.measures[1:]}) == 97  # no two grids alike
+        t = path.times
+        assert_matches_reference(path, PARAMS.eta, 1.0, [t[1], t[2], 0.5, t[70], 1.0])
+
+    def test_atom_path_matches_reference(self):
+        rng = np.random.default_rng(7)
+        times = np.linspace(0.0, 1.0, 8)
+        measures = tuple(empirical(rng.gamma(2.0, 0.5 + k / 8.0, 50)) for k in range(8))
+        path = MeasurePath(times, measures)
+        assert_matches_reference(path, 1.5, 1.0, list(times) + [times[3] + 1e-12])
 
 class TestDensityTrajectoryInvariants:
     def test_rejects_negative_cells(self):
