@@ -28,11 +28,7 @@ from .model import (
     split_rng,
     validate,
 )
-from .bessel import (
-    log_modified_bessel_i,
-    modified_bessel_i,
-    modified_bessel_i_scaled,
-)
+from .bessel import log_modified_bessel_i
 from .limit import (
     LimitLaw,
     cdf,
@@ -51,6 +47,7 @@ from .particles import (
     simulate_system,
 )
 from .measures import (
+    GridPath,
     Measure1D,
     MeasurePath,
     empirical,

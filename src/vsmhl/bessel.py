@@ -1,10 +1,5 @@
-r"""Modified Bessel function of the first kind, I_nu, for nu >= 0 and z >= 0.
-
-Three entry points:
-
-* ``modified_bessel_i(nu, z)``        -- I_nu(z); overflows to inf past z ~ 709
-* ``modified_bessel_i_scaled(nu, z)`` -- e^{-z} I_nu(z), safe for large z
-* ``log_modified_bessel_i(nu, z)``    -- log I_nu(z), safe everywhere
+r"""Logarithm of the modified Bessel function of the first kind, log I_nu(z),
+for nu >= 0 and z >= 0, computed without overflow for any z.
 
 For z <= 50 the power series
 
@@ -23,11 +18,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "modified_bessel_i",
-    "modified_bessel_i_scaled",
-    "log_modified_bessel_i",
-]
+__all__ = ["log_modified_bessel_i"]
 
 Z_SWITCH = 50.0
 _SERIES_MAX_TERMS = 600
@@ -113,25 +104,3 @@ def log_modified_bessel_i(nu: float, z):
         out[~small] = zl + np.log(_asymptotic_scaled(nu, zl))
     return float(out[0]) if scalar else out
 
-
-def modified_bessel_i(nu: float, z):
-    """I_nu(z); returns inf where e^z overflows (z greater than ~709)."""
-    zs = np.asarray(z, dtype=float)
-    _check_args(nu, zs)
-    with np.errstate(over="ignore"):
-        return np.exp(log_modified_bessel_i(nu, z))
-
-
-def modified_bessel_i_scaled(nu: float, z):
-    """Exponentially scaled variant e^{-z} I_nu(z); finite for all z >= 0."""
-    zs = np.asarray(z, dtype=float)
-    _check_args(nu, zs)
-    scalar = zs.ndim == 0
-    zs = np.atleast_1d(zs)
-    out = np.empty_like(zs)
-    small = zs <= Z_SWITCH
-    if np.any(small):
-        out[small] = np.exp(_series_log(nu, zs[small]) - zs[small])
-    if np.any(~small):
-        out[~small] = _asymptotic_scaled(nu, zs[~small])
-    return float(out[0]) if scalar else out

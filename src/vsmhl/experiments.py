@@ -20,7 +20,7 @@ from scipy.stats import gamma as gamma_dist
 
 from . import __version__
 from .errors import ConfigurationError, ValidationError
-from .limit import LimitLaw, cdf, density, density_grid, sample
+from .limit import LimitLaw, cdf, density, density_grid, sample, time_change
 from .measures import (
     Measure1D,
     MeasurePath,
@@ -34,6 +34,7 @@ from .model import (
     InitialLaw,
     ModelParams,
     PointMass,
+    UniformLaw,
     law_from_dict,
     law_to_dict,
     law_violations,
@@ -71,6 +72,9 @@ PDE_L1_TOL = 1e-2
 PDE_MASS_TOL = 1e-6
 RESIDUAL_TOL_ANALYTIC = 1e-4
 RESIDUAL_TOL_PDE = 5e-3
+# largest J(T) / (b0 - a0) for a UniformLaw start: the difference quotient in
+# limit.density loses about 1e-16 of this ratio, 1e-6 relative at the bound
+UNIFORM_SPREAD_MAX = 1e10
 MOMENT_Z_FIRST = 3.0
 MOMENT_Z_SECOND = 4.0
 RANK_KEEP = (0.1, 0.9)  # central band of ranks summarized by rank_check
@@ -93,8 +97,20 @@ class ExperimentConfig:
         out = []
         if self.experiment not in EXPERIMENT_KINDS:
             out.append(f"unknown experiment {self.experiment!r}")
-        out += self.params.violations()
-        out += law_violations(self.law)
+        model_bad = self.params.violations() + law_violations(self.law)
+        out += model_bad
+        if (
+            not model_bad
+            and isinstance(self.law, UniformLaw)
+            and self.experiment != "moment_check"  # the only one that never reads the limit law
+        ):
+            ll = LimitLaw.from_law(self.params.eta, self.law)
+            spread = time_change(ll, self.params.horizon) / (self.law.b - self.law.a)
+            if spread > UNIFORM_SPREAD_MAX:
+                out.append(
+                    f"uniform law too narrow for the horizon: J(T)/(b - a) = {spread:.3e} "
+                    f"exceeds {UNIFORM_SPREAD_MAX:.0e} (1e-6 relative density error)"
+                )
         if not 0 < self.dt <= self.params.horizon:
             out.append("dt must lie in (0, horizon]")
         if self.replications < 1:
@@ -179,12 +195,14 @@ class ExperimentResult:
 
 
 class ExperimentFailure(RuntimeError):
-    """A replication failed mid-run; carries the rows completed so far."""
+    """A replication failed mid-run; carries the rows completed so far and the
+    failing task's key, (N, replication) or (replication,)."""
 
-    def __init__(self, cause: BaseException, partial_rows: list[tuple]):
+    def __init__(self, cause: BaseException, partial_rows: list[tuple], failed_task: tuple):
         super().__init__(str(cause))
         self.cause = cause
         self.partial_rows = partial_rows
+        self.failed_task = failed_task
 
 
 def _require_valid(cfg: ExperimentConfig, kind: str) -> None:
@@ -213,7 +231,9 @@ def _collect(fn, argtuples: list[tuple], threads: int) -> list:
         for row in _map_tasks(fn, argtuples, threads):
             rows.append(row)
     except Exception as exc:
-        raise ExperimentFailure(exc, rows) from exc
+        # serial runs and pool.map both yield in task order, so the task after
+        # the last completed row is the one that failed
+        raise ExperimentFailure(exc, rows, argtuples[len(rows)][1:]) from exc
     return rows
 
 
@@ -489,6 +509,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
                 "experiment": cfg.experiment,
                 "error": repr(failure.cause),
                 "completed_rows": [list(r) for r in failure.partial_rows],
+                "failed_task": list(failure.failed_task),
             }
             (out / "failure_manifest.json").write_text(
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n"

@@ -40,7 +40,7 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.special import gammaln, hyp1f1, logsumexp
 from scipy.stats import gamma as gamma_dist, ncx2
 
-from .bessel import log_modified_bessel_i, modified_bessel_i, modified_bessel_i_scaled
+from .bessel import log_modified_bessel_i
 from .errors import ValidationError
 from .model import (
     DiscreteAtoms,
@@ -63,8 +63,6 @@ __all__ = [
     "quantile",
     "sample",
     "density_grid",
-    "modified_bessel_i",
-    "modified_bessel_i_scaled",
     "log_modified_bessel_i",
 ]
 

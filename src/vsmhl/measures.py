@@ -5,6 +5,9 @@ both expose a CDF, which is all the two metrics need.  Wasserstein-1 is the
 area between CDFs, computed exactly for the piecewise-constant /
 piecewise-linear representations used here.  The Levy metric is also exact:
 one sweep along the anti-diagonals x + y = s of the two completed CDF graphs.
+A path of measures over a time grid is either one Measure1D per node
+(MeasurePath) or, for densities that share one grid, one 2-D array with a row
+per node (GridPath).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .limit import LimitLaw, quantile
 __all__ = [
     "Measure1D",
     "MeasurePath",
+    "GridPath",
     "empirical",
     "wasserstein1",
     "levy",
@@ -27,6 +31,8 @@ __all__ = [
     "market_weights",
     "ranked_vs_limit",
 ]
+
+_PAIR_BYTES = 2**18  # rows per block of a row-wise reduction; keeps temporaries in cache
 
 
 class Measure1D:
@@ -69,17 +75,7 @@ class Measure1D:
         vals = np.asarray(values, dtype=float)
         if xs.ndim != 1 or xs.shape != vals.shape or len(xs) < 2:
             raise ValueError("grid and values must be matching 1-D arrays")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if np.any(vals < -1e-12):
-            raise ValueError("density values must be nonnegative")
-        vals = np.maximum(vals, 0.0)
-        mass = np.trapezoid(vals, xs)
-        # coarse grids under-resolve narrow densities; accept a few percent of
-        # representational mass error and renormalize to exactly unit mass
-        if abs(mass - 1.0) > 5e-2:
-            raise ValueError(f"grid density mass {mass!r} is too far from 1")
-        vals = vals / mass
+        vals = GridPath([0.0], xs, vals[None]).w[0]  # a one-node path
         cum = np.concatenate([[0.0], cumulative_trapezoid(vals, xs)])
         cum /= cum[-1]
         cum[-1] = 1.0
@@ -120,6 +116,51 @@ class MeasurePath:
             raise ValueError("need one measure per time node")
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("time grid must increase from 0")
+
+    def expect(self, k: int, f) -> float:
+        """Pairing of the k-th measure with a test function."""
+        return self.measures[k].expect(f)
+
+
+class GridPath:
+    """Densities on one shared grid x, one row of w per node of a time grid.
+
+    Row k is the measure at times[k]: values[k] clipped at 0 and divided by
+    its own trapezoid mass.  Coarse grids under-resolve narrow densities, so a
+    few percent of mass error is accepted and renormalized away.  The checks
+    run once per path; the masses are reduced _PAIR_BYTES of rows at a time
+    and the rows divided in place, so the temporaries stay small.  A
+    Measure1D.from_grid measure is a one-node path, so each row equals
+    from_grid(x, values[k]).w bit for bit.
+    """
+
+    __slots__ = ("times", "x", "w")
+
+    def __init__(self, times, x, values):
+        self.times = np.asarray(times, dtype=float)
+        self.x = np.asarray(x, dtype=float)
+        vals = np.asarray(values, dtype=float)
+        if self.x.ndim != 1 or len(self.x) < 2 or vals.shape != (len(self.times), len(self.x)):
+            raise ValueError("need one row of grid values per time node")
+        if len(self.times) == 0 or self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
+            raise ValueError("time grid must increase from 0")
+        if np.any(np.diff(self.x) <= 0):
+            raise ValueError("grid must be strictly increasing")
+        if np.any(vals < -1e-12):
+            raise ValueError("density values must be nonnegative")
+        self.w = np.maximum(vals, 0.0)
+        step = max(1, _PAIR_BYTES // self.x.nbytes)
+        for k in range(0, len(self.w), step):
+            block = self.w[k : k + step]
+            mass = np.trapezoid(block, self.x, axis=1)
+            far = np.abs(mass - 1.0) > 5e-2
+            if far.any():
+                raise ValueError(f"grid density mass {mass[far.argmax()]!r} is too far from 1")
+            block /= mass[:, None]
+
+    def expect(self, k: int, f) -> float:
+        """Pairing of the k-th measure with f, as Measure1D.expect computes it."""
+        return float(np.trapezoid(self.w[k] * f(self.x), self.x))
 
 
 def empirical(positions) -> Measure1D:

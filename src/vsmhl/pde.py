@@ -10,10 +10,12 @@ with c(t) = m e^{eta t / 2}, rewritten as a conservation law with flux
 
 on [0, x_max] with zero flux through both ends.  Cells are uniform, time
 stepping is backward Euler with the growing coefficient evaluated at the new
-level, and each step is one tridiagonal solve.  The advective part of the
-flux is centered on every face where that keeps the system an M-matrix and
-taken from the left (donor) cell on the rest; the scheme conserves mass to
-solver precision and keeps cell values nonnegative.
+level, and each step is one tridiagonal solve by LAPACK gtsv (Gaussian
+elimination with partial pivoting; Anderson et al., LAPACK Users' Guide,
+sec. 2.4).  The advective part of the flux is centered on every face where
+that keeps the system an M-matrix and taken from the left (donor) cell on the
+rest; the scheme conserves mass to solver precision and keeps cell values
+nonnegative.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 from scipy.special import ndtr
 from scipy.stats import gamma as gamma_dist
 
 from .errors import ConfigurationError, ValidationError
 from .limit import LimitLaw, cdf
-from .measures import Measure1D, MeasurePath
+from .measures import _PAIR_BYTES, GridPath, MeasurePath
 from .model import (
     DiscreteAtoms,
     GammaLaw,
@@ -54,7 +57,6 @@ __all__ = [
 
 TRUNCATION_MASS_TOL = 1e-6
 MOLLIFIER_WIDTH_CELLS = 2.0
-_PAIR_BYTES = 2**18  # density rows stacked per pairing block; keeps the temporaries in cache
 
 
 @dataclass(frozen=True)
@@ -100,10 +102,8 @@ class DensityTrajectory:
     def mass(self) -> np.ndarray:
         return self.values.sum(axis=1) * self.grid.dx()
 
-    def measure_path(self) -> MeasurePath:
-        centers = self.grid.centers()  # one array for every node, not a copy per node
-        measures = tuple(Measure1D.from_grid(centers, np.maximum(v, 0.0)) for v in self.values)
-        return MeasurePath(self.times, measures)
+    def measure_path(self) -> GridPath:
+        return GridPath(self.times, self.grid.centers(), self.values)
 
 
 def _advance(
@@ -135,11 +135,13 @@ def _advance(
     upper = r * flux_right
     lower = -r * flux_left
 
-    ab = np.zeros((3, nx))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return solve_banded((1, 1), ab, values)
+    # the diagonals are temporaries, so gtsv may factor them in place
+    _, _, _, out, info = dgtsv(
+        lower, diag, upper, values, overwrite_dl=1, overwrite_d=1, overwrite_du=1
+    )
+    if info != 0:
+        raise LinAlgError(f"tridiagonal solve failed: gtsv info {info}")
+    return out
 
 
 def _mollified_cells(x0: float, grid: SolverGrid) -> np.ndarray:
@@ -282,40 +284,33 @@ def _generator(g: TestFunction, eta: float) -> Callable[[np.ndarray], np.ndarray
     return lambda x: 0.5 * eta * g.df(x) + 0.5 * x * g.d2f(x)
 
 
-def _pairing_table(path: MeasurePath, funcs: list[Callable], stop: int) -> np.ndarray:
+def _pairing_table(path: GridPath | MeasurePath, funcs: list[Callable], stop: int) -> np.ndarray:
     """Pairings of the path's first `stop` measures with each function.
 
-    Returns a (len(funcs), stop) array.  Consecutive grid measures on one x
-    array are stacked, at most _PAIR_BYTES of rows at a time, so each function
-    is evaluated once per block; every row is reduced in the same order as
-    Measure1D.expect, which atom measures still use, so each entry equals the
-    per-measure call bit for bit.
+    Returns a (len(funcs), stop) array.  On a GridPath each function is
+    evaluated once on the shared grid and reduced against contiguous blocks of
+    at most _PAIR_BYTES of rows, views into w, each row in the same order as
+    GridPath.expect.  On a MeasurePath each measure is paired by its own
+    Measure1D.expect.  Either way every entry equals the per-measure pairing
+    bit for bit.
     """
     table = np.empty((len(funcs), stop))
-    k = 0
-    while k < stop:
-        m = path.measures[k]
-        if m.kind == Measure1D.ATOMS:
-            table[:, k] = [m.expect(f) for f in funcs]
-            k += 1
-            continue
-        end = k + 1
-        block_end = min(stop, k + max(1, _PAIR_BYTES // m.x.nbytes))
-        while (
-            end < block_end
-            and path.measures[end].kind == Measure1D.GRID
-            and np.array_equal(path.measures[end].x, m.x)
-        ):
-            end += 1
-        w = np.stack([path.measures[j].w for j in range(k, end)])
-        for i, f in enumerate(funcs):
-            table[i, k:end] = np.trapezoid(w * f(m.x), m.x, axis=1)
-        k = end
+    if isinstance(path, GridPath):
+        x = path.x
+        fx = [f(x) for f in funcs]
+        step = max(1, _PAIR_BYTES // x.nbytes)
+        for k in range(0, stop, step):
+            w = path.w[k : min(k + step, stop)]
+            for i, fxi in enumerate(fx):
+                table[i, k : k + len(w)] = np.trapezoid(w * fxi, x, axis=1)
+        return table
+    for k in range(stop):
+        table[:, k] = [path.expect(k, f) for f in funcs]
     return table
 
 
 def weak_residual(
-    path: MeasurePath,
+    path: GridPath | MeasurePath,
     bank: list[TestFunction],
     eta: float,
     m_lambda: float,
@@ -326,7 +321,9 @@ def weak_residual(
     Entry [i, j] is (rho(t_j), g_i) - (rho(0), g_i) minus the time integral
     of m e^{eta s/2} (rho(s), (eta/2) g_i' + (x/2) g_i''), the integral taken
     by composite Simpson (one trapezoid on a single step) on the path's own
-    time grid; every t_j must be a grid node.  Each measure up to the last
+    time grid; every t_j must be a grid node.  The path is a GridPath (the
+    solver's densities, one row per node on one grid) or a MeasurePath (one
+    Measure1D per node, atoms or grids).  Each measure up to the last
     requested node is paired once with every (eta/2) g' + (x/2) g'', and each
     t_j reads its own prefix of that table; g itself is paired only at 0 and
     at the t_j.  All bad t_j are rejected before any pairing.
@@ -341,11 +338,10 @@ def weak_residual(
         if abs(times[idx] - t) > tol:
             raise ValueError(f"t={t} is not a node of the path's time grid")
         nodes.append(idx)
-    start = path.measures[0]
     paired = _pairing_table(path, [_generator(g, eta) for g in bank], max(nodes, default=-1) + 1)
     out = np.empty((len(bank), len(nodes)))
     for j, idx in enumerate(nodes):
-        out[:, j] = [path.measures[idx].expect(g.f) - start.expect(g.f) for g in bank]
+        out[:, j] = [path.expect(idx, g.f) - path.expect(0, g.f) for g in bank]
         if idx == 0 or m_lambda == 0.0:
             continue
         s = times[: idx + 1]

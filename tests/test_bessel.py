@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from vsmhl import log_modified_bessel_i, modified_bessel_i, modified_bessel_i_scaled
+from vsmhl import log_modified_bessel_i
+
+
+def bessel_i(nu, z):
+    """I_nu(z) from the log kernel; finite for the modest z used here."""
+    return np.exp(log_modified_bessel_i(nu, z))
+
+
+def bessel_i_scaled(nu, z):
+    """e^{-z} I_nu(z) from the log kernel, comparable with scipy's ive."""
+    return np.exp(log_modified_bessel_i(nu, z) - np.asarray(z, dtype=float))
 
 
 def series_oracle(nu: float, z: float) -> float:
@@ -26,20 +36,20 @@ def series_oracle(nu: float, z: float) -> float:
 
 
 def test_series_leading_term_at_zero():
-    assert modified_bessel_i(0.0, 0.0) == 1.0
-    assert modified_bessel_i(1.5, 0.0) == 0.0
+    assert log_modified_bessel_i(0.0, 0.0) == 0.0
+    assert log_modified_bessel_i(1.5, 0.0) == -math.inf
 
 
 def test_i1_of_1_reference_value():
-    assert modified_bessel_i(1.0, 1.0) == pytest.approx(0.5651591040, abs=5e-11)
-    assert modified_bessel_i(1.0, 1.0) == pytest.approx(series_oracle(1.0, 1.0), rel=1e-13)
+    assert bessel_i(1.0, 1.0) == pytest.approx(0.5651591040, abs=5e-11)
+    assert bessel_i(1.0, 1.0) == pytest.approx(series_oracle(1.0, 1.0), rel=1e-13)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.7, 2.5, 4.0, 5.0])
 def test_series_oracle_over_test_box(nu):
     # correctness box: nu in [0, 5], z in [0, 30], 1e-12 relative
     for z in np.linspace(0.0, 30.0, 21):
-        ours = modified_bessel_i(nu, float(z))
+        ours = bessel_i(nu, float(z))
         ref = series_oracle(nu, float(z))
         assert ours == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
@@ -47,14 +57,14 @@ def test_series_oracle_over_test_box(nu):
 @pytest.mark.parametrize("nu", [0.0, 1.0, 2.0])
 def test_leading_asymptotic_at_large_argument(nu):
     z = 700.0
-    scaled = modified_bessel_i_scaled(nu, z)
+    scaled = bessel_i_scaled(nu, z)
     assert scaled * math.sqrt(2 * math.pi * z) == pytest.approx(1.0, abs=1e-2)
 
 
 def test_scaled_variant_consistent_across_switch():
     for nu in (0.0, 0.8, 2.0, 5.0):
         for z in (49.0, 50.0, 51.0, 120.0):
-            direct = modified_bessel_i_scaled(nu, z)
+            direct = bessel_i_scaled(nu, z)
             assert direct == pytest.approx(float(sp.ive(nu, z)), rel=1e-12)
 
 
@@ -62,7 +72,6 @@ def test_log_variant_safe_where_plain_overflows():
     lg = log_modified_bessel_i(1.0, 800.0)
     assert math.isfinite(lg)
     assert lg == pytest.approx(800.0 + math.log(float(sp.ive(1.0, 800.0))), rel=1e-13)
-    assert modified_bessel_i(1.0, 800.0) == math.inf
 
 
 def test_matches_scipy_broadly():
@@ -70,20 +79,20 @@ def test_matches_scipy_broadly():
     for _ in range(200):
         nu = float(rng.uniform(0, 8))
         z = float(rng.uniform(0, 200))
-        assert modified_bessel_i_scaled(nu, z) == pytest.approx(float(sp.ive(nu, z)), rel=1e-11)
+        assert bessel_i_scaled(nu, z) == pytest.approx(float(sp.ive(nu, z)), rel=1e-11)
 
 
 def test_vectorized_input():
     z = np.array([0.0, 1.0, 60.0])
-    out = modified_bessel_i_scaled(0.5, z)
-    assert out.shape == (3,)
+    assert log_modified_bessel_i(0.5, z).shape == (3,)
+    out = bessel_i_scaled(0.5, z)
     assert np.allclose(out, sp.ive(0.5, z), rtol=1e-12)
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        modified_bessel_i(-0.1, 1.0)
+        log_modified_bessel_i(-0.1, 1.0)
     with pytest.raises(ValueError):
-        modified_bessel_i(1.0, -1.0)
+        log_modified_bessel_i(1.0, -1.0)
     with pytest.raises(ValueError):
         log_modified_bessel_i(1.0, np.array([1.0, -2.0]))

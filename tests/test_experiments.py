@@ -12,6 +12,7 @@ from vsmhl import (
     DiscreteAtoms,
     ExperimentConfig,
     GammaLaw,
+    Measure1D,
     ModelParams,
     PointMass,
     SolverGrid,
@@ -82,6 +83,19 @@ class TestConfig:
         with pytest.raises(ValidationError, match="replicatons"):
             ExperimentConfig.from_dict(spec)
 
+    @pytest.mark.parametrize("experiment", ["convergence", "pde_check", "sampler_check", "rank_check"])
+    def test_uniform_law_too_narrow_for_horizon(self, experiment):
+        # J(1) = e - 1 at eta 2 and mean 1, so a width of 1e-11 puts J/(b - a) near 1.7e11
+        grid = SolverGrid(30.0, 100, 100)
+        narrow = small_convergence_cfg(experiment=experiment, law=UniformLaw(1.0, 1.0 + 1e-11), grid=grid)
+        assert any("too narrow" in v for v in narrow.violations())
+        wide = small_convergence_cfg(experiment=experiment, law=UniformLaw(0.5, 1.5), grid=grid)
+        assert wide.violations() == []
+
+    def test_uniform_width_not_checked_without_limit_law(self):
+        cfg = small_convergence_cfg(experiment="moment_check", law=UniformLaw(1.0, 1.0 + 1e-11))
+        assert cfg.violations() == []
+
     def test_malformed_dict(self):
         with pytest.raises(ValidationError):
             ExperimentConfig.from_dict({"experiment": "convergence"})
@@ -142,6 +156,7 @@ class TestConvergence:
         assert manifest["experiment"] == "convergence"
         assert "boom" in manifest["error"]
         assert len(manifest["completed_rows"]) == 3  # the N=16 replications
+        assert manifest["failed_task"] == [64, 0]
 
     def test_tracing_patch_points(self, monkeypatch):
         # the benchmark's particles.* spans wrap these two module globals and
@@ -218,8 +233,15 @@ class TestOtherRunners:
         assert meds["256"] < meds["32"]
 
     def test_pde_check_patch_points(self, monkeypatch):
-        # the benchmark's pde.* and limit.density_grid spans wrap these names
+        # the benchmark's pde.*, limit.density_grid and measures.from_grid
+        # spans wrap these names
         calls = {"weak_residual": 0, "density_grid": 0, "measure_path": 0}
+        grid_sizes = []
+        real_from_grid = Measure1D.__dict__["from_grid"].__func__
+
+        def recording_from_grid(cls, x, values):
+            grid_sizes.append(len(x))
+            return real_from_grid(cls, x, values)
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -235,12 +257,16 @@ class TestOtherRunners:
             "measure_path",
             counting("measure_path", pde.DensityTrajectory.measure_path),
         )
+        monkeypatch.setattr(Measure1D, "from_grid", classmethod(recording_from_grid))
         exp._analytic_path.cache_clear()
         cfg = ExperimentConfig(
             "pde_check", ModelParams(2.0, 1, 1.0), PointMass(1.0), grid=SolverGrid(30.0, 300, 16)
         )
         exp.run_pde_check(cfg)
         assert calls == {"weak_residual": 2, "density_grid": 97, "measure_path": 1}
+        # the solver path is one GridPath: every Measure1D grid measure is one
+        # of the 97 analytic densities (6000 nodes; the solver grid has 300)
+        assert grid_sizes == [6000] * 97
 
     @pytest.mark.parametrize(
         "law",
@@ -324,6 +350,15 @@ class TestCli:
         assert main(["run", "--config", cfg, "--output-dir", str(out), "--threads", threads]) == 2
         assert "--threads" in capsys.readouterr().err
         assert recorded_pools == [] and not out.exists()
+
+    def test_narrow_uniform_law_exit_code(self, tmp_path, capsys):
+        spec = small_convergence_cfg(law=UniformLaw(1.0, 1.0 + 1e-11)).to_dict()
+        out = tmp_path / "out"
+        cfg = self.write_cfg(tmp_path, spec)
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "too narrow for the horizon" in err and "J(T)/(b - a)" in err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import solve_banded
 
 import vsmhl.experiments as exp
 import vsmhl.pde as pde
@@ -9,6 +10,7 @@ from vsmhl import (
     ConfigurationError,
     DensityTrajectory,
     GammaLaw,
+    GridPath,
     LimitLaw,
     Measure1D,
     MeasurePath,
@@ -71,6 +73,42 @@ class TestAdvance:
         values = np.exp(-g.centers())
         out = _advance(values, g.centers(), g.dx(), 0.01, 0.0, 2.0)
         assert np.array_equal(out, values)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_solve_banded(self, seed):
+        # gtsv is the routine solve_banded((1, 1), ...) calls, so handing it the
+        # three diagonals directly must not change a bit
+        rng = np.random.default_rng(seed)
+        nx = int(rng.integers(16, 1300))
+        centers = np.sort(rng.uniform(0.0, 40.0, nx))
+        dx = float(rng.uniform(0.01, 0.5))
+        dt = float(rng.uniform(1e-4, 0.05))
+        coeff = float(rng.uniform(0.0, 10.0)) if seed else 0.0
+        eta = float(rng.uniform(1.01, 4.0))
+        values = rng.uniform(0.0, 1.0, nx)
+        want = banded_step(values, centers, dx, dt, coeff, eta)
+        assert np.array_equal(_advance(values, centers, dx, dt, coeff, eta), want)
+
+
+def banded_step(values, centers, dx, dt, coeff, eta):
+    """The backward-Euler step assembled as a band matrix for solve_banded.
+
+    The matrix is an M-matrix whose columns sum to 1, hence diagonally
+    dominant by columns.
+    """
+    nx = len(values)
+    a, b, r = 0.5 * eta * coeff, 0.5 * coeff, dt / dx
+    x_left, x_right = centers[:-1], centers[1:]
+    centered = 0.5 * a <= (b / dx) * x_right if coeff > 0 else np.ones(nx - 1, bool)
+    flux_left = np.where(centered, 0.5 * a, a) + (b / dx) * x_left
+    flux_right = np.where(centered, 0.5 * a, 0.0) - (b / dx) * x_right
+    ab = np.zeros((3, nx))
+    ab[0, 1:] = r * flux_right
+    ab[1] = 1.0
+    ab[1, :-1] += r * flux_left
+    ab[1, 1:] -= r * flux_right
+    ab[2, :-1] = -r * flux_left
+    return solve_banded((1, 1), ab, values)
 
 
 class TestSolve:
@@ -154,11 +192,14 @@ def reference_residual(path, g, eta, m_lambda, t):
     return float(lhs - rhs)
 
 
-def assert_matches_reference(path, eta, m_lambda, t_values):
+def assert_matches_reference(path, eta, m_lambda, t_values, reference=None):
+    """weak_residual on path equals the per-(g, t) formulation on reference
+    (by default the path itself), entry for entry."""
     bank = function_bank()
     got = weak_residual(path, bank, eta, m_lambda, t_values)
     assert got.shape == (len(bank), len(t_values))
-    want = [[reference_residual(path, g, eta, m_lambda, t) for t in t_values] for g in bank]
+    ref = path if reference is None else reference
+    want = [[reference_residual(ref, g, eta, m_lambda, t) for t in t_values] for g in bank]
     assert got.tolist() == want
 
 
@@ -193,9 +234,16 @@ class TestWeakResidual:
         rows = pde._PAIR_BYTES // (8 * grid.nx)
         n_nodes = grid.nt + 1
         assert rows < n_nodes and n_nodes % rows != 0  # several blocks, the last one partial
-        path = solve(PARAMS, LAW, grid).measure_path()
+        traj = solve(PARAMS, LAW, grid)
+        path = traj.measure_path()
+        assert isinstance(path, GridPath)
+        per_node = MeasurePath(
+            traj.times, tuple(Measure1D.from_grid(grid.centers(), row) for row in traj.values)
+        )
         t = path.times
-        assert_matches_reference(path, PARAMS.eta, 1.0, [t[0], t[1], t[2], t[rows], t[rows + 1], 1.0])
+        assert_matches_reference(
+            path, PARAMS.eta, 1.0, [t[0], t[1], t[2], t[rows], t[rows + 1], 1.0], per_node
+        )
 
     def test_analytic_path_matches_reference(self):
         ll = LimitLaw.from_law(PARAMS.eta, LAW)
@@ -212,6 +260,63 @@ class TestWeakResidual:
         measures = tuple(empirical(rng.gamma(2.0, 0.5 + k / 8.0, 50)) for k in range(8))
         path = MeasurePath(times, measures)
         assert_matches_reference(path, 1.5, 1.0, list(times) + [times[3] + 1e-12])
+
+
+class TestGridPath:
+    X = np.linspace(0.0, 2.0, 41)
+
+    def rows(self, n=5):
+        """Positive rows whose masses lie within 3% of 1."""
+        rng = np.random.default_rng(3)
+        values = rng.uniform(0.2, 0.8, (n, len(self.X)))
+        return values * rng.uniform(0.97, 1.03, (n, 1)) / np.trapezoid(values, self.X)[:, None]
+
+    def test_rows_equal_from_grid(self):
+        grid = SolverGrid(30.0, 300, 200)
+        traj = solve(PARAMS, LAW, grid)
+        assert len(traj.times) > pde._PAIR_BYTES // (8 * grid.nx)  # several normalization blocks
+        path = traj.measure_path()
+        assert path.w.shape == traj.values.shape
+        assert np.array_equal(path.times, traj.times) and np.array_equal(path.x, grid.centers())
+        for row, w in zip(traj.values, path.w):
+            assert np.array_equal(w, Measure1D.from_grid(grid.centers(), row).w)
+            clipped = np.maximum(row, 0.0)  # the one-row normalization, written out
+            assert np.array_equal(w, clipped / np.trapezoid(clipped, grid.centers()))
+
+    def test_negative_roundoff_clipped(self):
+        values = self.rows()
+        values[2, 7] = -1e-13
+        path = GridPath(np.arange(5.0), self.X, values)
+        assert path.w[2, 7] == 0.0
+        assert np.array_equal(path.w[2], Measure1D.from_grid(self.X, values[2]).w)
+
+    def test_rejects_non_increasing_grid(self):
+        x = self.X.copy()
+        x[10] = x[9]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            GridPath(np.arange(5.0), x, self.rows())
+
+    def test_rejects_negative_cell(self):
+        values = self.rows()
+        values[4, 3] = -1e-6
+        with pytest.raises(ValueError, match="nonnegative"):
+            GridPath(np.arange(5.0), self.X, values)
+
+    def test_rejects_row_mass_far_from_one(self):
+        values = self.rows()
+        values[1] *= 0.9 / np.trapezoid(values[1], self.X)
+        with pytest.raises(ValueError, match="grid density mass .* is too far from 1") as path_err:
+            GridPath(np.arange(5.0), self.X, values)
+        with pytest.raises(ValueError) as row_err:
+            Measure1D.from_grid(self.X, values[1])
+        assert str(path_err.value) == str(row_err.value)
+
+    def test_rejects_bad_shapes_and_times(self):
+        with pytest.raises(ValueError, match="one row"):
+            GridPath(np.arange(4.0), self.X, self.rows())
+        with pytest.raises(ValueError, match="time grid"):
+            GridPath(np.array([0.0, 1.0, 1.0, 2.0, 3.0]), self.X, self.rows())
+
 
 class TestDensityTrajectoryInvariants:
     def test_rejects_negative_cells(self):
