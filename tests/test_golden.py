@@ -3,7 +3,9 @@
 Each particle config is small and seeded, and at its largest N the particle
 engine draws its noise in several blocks, the last one partial.  The
 ``pde_check`` config is the solver grid 30/1200/800 with a point-mass start;
-its CSV holds the L1 errors, the mass drift and every weak residual.  A
+its CSV holds the L1 errors, the mass drift and every weak residual.  The
+``sampler_check`` config draws 100k exact limit samples from a gamma start
+at two times and records their Kolmogorov-Smirnov statistics.  A
 refactor that keeps the RNG streams and the arithmetic must keep every
 digest; a change that means to move them re-pins the digest and says why in
 CHANGES.md.
@@ -57,6 +59,13 @@ GOLDEN = {
             grid=SolverGrid(30.0, 1200, 800),
         ),
         "8c8b1ddf1c023123f30bfe6d587da368c0523e92823823355df6fd220d67bf7b",
+    ),
+    "sampler_check": (
+        dict(
+            experiment="sampler_check", params=ModelParams(2.0, 16, 1.0), law=GammaLaw(2.0, 0.5),
+            seed=105,
+        ),
+        "40d4d5eb08952098489773f1e5266770dbadeee50135101f6d3c5355511f71f5",
     ),
 }
 
