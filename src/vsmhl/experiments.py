@@ -16,7 +16,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import gamma as gamma_dist
+from scipy.stats import gamma as gamma_dist, kstest
 
 from . import __version__
 from .errors import ConfigurationError, ValidationError
@@ -42,7 +42,7 @@ from .model import (
     reject_unknown_keys,
     split_rng,
 )
-from .particles import simulate_system, step_count
+from .particles import ParticlePaths, simulate_system, step_count
 from .pde import (
     SolverGrid,
     mollified_start_law,
@@ -78,6 +78,8 @@ UNIFORM_SPREAD_MAX = 1e10
 MOMENT_Z_FIRST = 3.0
 MOMENT_Z_SECOND = 4.0
 RANK_KEEP = (0.1, 0.9)  # central band of ranks summarized by rank_check
+# t = 0 grid of a gamma or uniform law; it stays at 4096 when pde_check's t > 0 grids use 6000
+LAW_GRID_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ class ExperimentConfig:
             and isinstance(self.law, UniformLaw)
             and self.experiment != "moment_check"  # the only one that never reads the limit law
         ):
-            ll = LimitLaw.from_law(self.params.eta, self.law)
+            ll = LimitLaw(self.params.eta, self.law)
             spread = time_change(ll, self.params.horizon) / (self.law.b - self.law.a)
             if spread > UNIFORM_SPREAD_MAX:
                 out.append(
@@ -247,7 +249,7 @@ def _analytic_times(horizon: float) -> np.ndarray:
     return np.concatenate([[0.0], early, mid, late])
 
 
-def _law_measure(law: InitialLaw, n_nodes: int = 4096) -> Measure1D:
+def _law_measure(law: InitialLaw) -> Measure1D:
     """The initial law itself as a comparable measure (time-zero snapshot)."""
     if isinstance(law, PointMass):
         return Measure1D.from_atoms([law.x0], [1.0])
@@ -255,10 +257,10 @@ def _law_measure(law: InitialLaw, n_nodes: int = 4096) -> Measure1D:
         return Measure1D.from_atoms(law.locations(), law.weights())
     if isinstance(law, GammaLaw):
         hi = float(gamma_dist.ppf(1.0 - 1e-12, law.shape, scale=law.scale))
-        x = np.linspace(0.0, hi, n_nodes)
+        x = np.linspace(0.0, hi, LAW_GRID_NODES)
         return Measure1D.from_grid(x, gamma_dist.pdf(x, law.shape, scale=law.scale))
-    x = np.linspace(law.a, law.b, n_nodes)
-    return Measure1D.from_grid(x, np.full(n_nodes, 1.0 / (law.b - law.a)))
+    x = np.linspace(law.a, law.b, LAW_GRID_NODES)
+    return Measure1D.from_grid(x, np.full(LAW_GRID_NODES, 1.0 / (law.b - law.a)))
 
 
 @lru_cache(maxsize=8)
@@ -277,35 +279,40 @@ def _snapshot_indices(n_steps: int) -> np.ndarray:
     return np.unique(idx)
 
 
-def _convergence_task(cfg: ExperimentConfig, n: int, rep: int) -> tuple[int, int, float]:
+def _simulate(cfg: ExperimentConfig, n: int, nodes, *key: int) -> ParticlePaths:
+    """The n-particle system of cfg kept at the given step nodes, drawn from
+    the stream split_rng(cfg.seed, *key)."""
     params = ModelParams(cfg.params.eta, n, cfg.params.horizon)
-    nodes = _snapshot_indices(step_count(cfg.params.horizon, cfg.dt))
-    paths = simulate_system(params, cfg.law, cfg.dt, split_rng(cfg.seed, n, rep), nodes)
+    return simulate_system(params, cfg.law, cfg.dt, split_rng(cfg.seed, *key), nodes)
+
+
+def _over_n_values(cfg: ExperimentConfig, kind: str, task, threads: int) -> tuple[list, dict, bool]:
+    """Run task(cfg, n, rep) for every N and replication; return its (n, rep, value)
+    rows, their median per N keyed by str(N), and whether the medians strictly fall."""
+    _require_valid(cfg, kind)
+    tasks = [(cfg, n, rep) for n in cfg.n_values for rep in range(cfg.replications)]
+    rows = _collect(task, tasks, threads)
+    medians = [float(np.median([v for rn, _, v in rows if rn == n])) for n in cfg.n_values]
+    decreasing = all(b < a for a, b in zip(medians, medians[1:]))
+    return rows, dict(zip(map(str, cfg.n_values), medians)), decreasing
+
+
+def _convergence_task(cfg: ExperimentConfig, n: int, rep: int) -> tuple[int, int, float]:
+    paths = _simulate(cfg, n, _snapshot_indices(step_count(cfg.params.horizon, cfg.dt)), n, rep)
     times = tuple(float(t) for t in paths.time_grid)
-    ll = LimitLaw.from_law(cfg.params.eta, cfg.law)
+    ll = LimitLaw(cfg.params.eta, cfg.law)
     analytic = _analytic_path(ll, times)
     emp = MeasurePath(paths.time_grid, tuple(empirical(col) for col in paths.positions.T))
     return n, rep, sup_distance(emp, analytic, cfg.metric)
 
 
-def _strictly_decreasing(vals: list[float]) -> bool:
-    return all(b < a for a, b in zip(vals, vals[1:]))
-
-
 def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    _require_valid(cfg, "convergence")
-    tasks = [(cfg, n, rep) for n in cfg.n_values for rep in range(cfg.replications)]
-    rows = _collect(_convergence_task, tasks, threads)
-    medians = {
-        n: float(np.median([v for rn, _, v in rows if rn == n])) for n in cfg.n_values
-    }
-    med_list = [medians[n] for n in cfg.n_values]
-    passed = _strictly_decreasing(med_list)
+    rows, medians, passed = _over_n_values(cfg, "convergence", _convergence_task, threads)
     return ExperimentResult(
         experiment="convergence",
         columns=["N", "replication", "metric", "value"],
         rows=[(n, rep, cfg.metric, v) for n, rep, v in rows],
-        summary={"medians": {str(n): medians[n] for n in cfg.n_values}},
+        summary={"medians": medians},
         passed=passed,
     )
 
@@ -314,9 +321,9 @@ def run_pde_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     _require_valid(cfg, "pde_check")
     grid = cfg.grid
     traj = solve(cfg.params, cfg.law, grid)
-    ll = LimitLaw.from_law(cfg.params.eta, cfg.law)
+    ll = LimitLaw(cfg.params.eta, cfg.law)
     moll = mollified_start_law(cfg.law, grid)
-    ll_moll = LimitLaw.from_law(cfg.params.eta, moll)
+    ll_moll = LimitLaw(cfg.params.eta, moll)
     centers = grid.centers()
     dx = grid.dx()
     t_indices = [grid.nt // 2, grid.nt]
@@ -362,15 +369,13 @@ def run_pde_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
 
 def run_sampler_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     _require_valid(cfg, "sampler_check")
-    ll = LimitLaw.from_law(cfg.params.eta, cfg.law)
+    ll = LimitLaw(cfg.params.eta, cfg.law)
     crit = KS_CRITICAL_1PCT / math.sqrt(SAMPLER_N)
     rows = []
     all_ok = True
     for j, t in enumerate((0.5 * cfg.params.horizon, cfg.params.horizon)):
-        draws = np.sort(sample(ll, t, SAMPLER_N, split_rng(cfg.seed, j)))
-        f = cdf(ll, t, draws)
-        i = np.arange(1, SAMPLER_N + 1)
-        ks = max(float(np.max(i / SAMPLER_N - f)), float(np.max(f - (i - 1) / SAMPLER_N)))
+        draws = sample(ll, t, SAMPLER_N, split_rng(cfg.seed, j))
+        ks = float(kstest(draws, lambda y: cdf(ll, t, y)).statistic)
         ok = ks < crit
         all_ok &= ok
         rows.append((t, SAMPLER_N, ks, crit, int(ok)))
@@ -386,7 +391,7 @@ def run_sampler_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResu
 def _moment_task(cfg: ExperimentConfig, rep: int) -> tuple[float, float]:
     n_steps = step_count(cfg.params.horizon, cfg.dt)
     nodes = np.unique([0, n_steps // 2, n_steps])  # with one step the middle is step 0
-    paths = simulate_system(cfg.params, cfg.law, cfg.dt, split_rng(cfg.seed, rep), nodes)
+    paths = _simulate(cfg, cfg.params.n_particles, nodes, rep)
     return float(paths.totals[-2]), float(paths.totals[-1])
 
 
@@ -425,10 +430,8 @@ def run_moment_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResul
 
 
 def _rank_task(cfg: ExperimentConfig, n: int, rep: int) -> tuple[int, int, float]:
-    params = ModelParams(cfg.params.eta, n, cfg.params.horizon)
-    nodes = [0, step_count(cfg.params.horizon, cfg.dt)]
-    paths = simulate_system(params, cfg.law, cfg.dt, split_rng(cfg.seed, n, rep), nodes)
-    ll = LimitLaw.from_law(cfg.params.eta, cfg.law)
+    paths = _simulate(cfg, n, [0, step_count(cfg.params.horizon, cfg.dt)], n, rep)
+    ll = LimitLaw(cfg.params.eta, cfg.law)
     table = ranked_vs_limit(paths.positions[:, -1], ll, cfg.params.horizon)
     lo = max(int(math.ceil(RANK_KEEP[0] * n)), 1)
     hi = max(int(math.floor(RANK_KEEP[1] * n)), lo)
@@ -437,18 +440,12 @@ def _rank_task(cfg: ExperimentConfig, n: int, rep: int) -> tuple[int, int, float
 
 
 def run_rank_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    _require_valid(cfg, "rank_check")
-    tasks = [(cfg, n, rep) for n in cfg.n_values for rep in range(cfg.replications)]
-    rows = _collect(_rank_task, tasks, threads)
-    medians = {
-        n: float(np.median([v for rn, _, v in rows if rn == n])) for n in cfg.n_values
-    }
-    passed = _strictly_decreasing([medians[n] for n in cfg.n_values])
+    rows, medians, passed = _over_n_values(cfg, "rank_check", _rank_task, threads)
     return ExperimentResult(
         experiment="rank_check",
         columns=["N", "replication", "mean_gap"],
         rows=rows,
-        summary={"medians": {str(n): medians[n] for n in cfg.n_values}},
+        summary={"medians": medians},
         passed=passed,
     )
 

@@ -32,7 +32,7 @@ t, large y) do not overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -46,11 +46,9 @@ from .model import (
     DiscreteAtoms,
     GammaLaw,
     InitialLaw,
-    ModelParams,
     PointMass,
     UniformLaw,
     moments,
-    require_valid_law,
     sample_initial,
 )
 
@@ -72,30 +70,16 @@ _CHUNK = 1024
 
 @dataclass(frozen=True)
 class LimitLaw:
-    """Frozen triple (eta, m_lambda, initial law) identifying the limit."""
+    """The limit fixed by eta and the initial law; m_lambda is the law's mean."""
 
     eta: float
-    m_lambda: float
     law: InitialLaw
+    m_lambda: float = field(init=False)
 
     def __post_init__(self):
         if not self.eta > 1.0:
             raise ValidationError("eta must exceed 1")
-        require_valid_law(self.law)
-        m1, _ = moments(self.law)
-        if abs(self.m_lambda - m1) > 1e-12:
-            raise ValidationError(
-                f"m_lambda {self.m_lambda} does not match the law mean {m1}"
-            )
-
-    @classmethod
-    def from_law(cls, eta: float, law: InitialLaw) -> "LimitLaw":
-        m1, _ = moments(law)
-        return cls(eta, m1, law)
-
-    @classmethod
-    def from_params(cls, params: ModelParams, law: InitialLaw) -> "LimitLaw":
-        return cls.from_law(params.eta, law)
+        object.__setattr__(self, "m_lambda", moments(self.law)[0])
 
 
 def time_change(ll: LimitLaw, t: float) -> float:

@@ -32,7 +32,7 @@ __all__ = [
     "ranked_vs_limit",
 ]
 
-_PAIR_BYTES = 2**18  # rows per block of a row-wise reduction; keeps temporaries in cache
+_PAIR_BYTES = 2**18  # bytes per row block, _PAIR_BYTES // x.nbytes rows; keeps temporaries in cache
 
 
 class Measure1D:
@@ -94,14 +94,6 @@ class Measure1D:
         if self.kind == self.ATOMS:
             return float(self.w @ f(self.x))
         return float(np.trapezoid(self.w * f(self.x), self.x))
-
-    def mean(self) -> float:
-        if self.kind == self.ATOMS:
-            return float(self.w @ self.x)
-        return float(np.trapezoid(self.w * self.x, self.x))
-
-    def support(self) -> tuple[float, float]:
-        return float(self.x[0]), float(self.x[-1])
 
 
 @dataclass(frozen=True)

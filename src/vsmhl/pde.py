@@ -205,7 +205,7 @@ def solve(
     bad = validate(params, law)
     if bad:
         raise ValidationError("; ".join(bad))
-    ll = LimitLaw.from_params(params, law)
+    ll = LimitLaw(params.eta, law)
     tail = 1.0 - cdf(ll, params.horizon, grid.x_max)
     if tail > TRUNCATION_MASS_TOL:
         raise ConfigurationError(

@@ -59,7 +59,7 @@ def density_integrals():
     """
     out = {}
     for eta, law, t in matrix_cells():
-        ll = LimitLaw.from_law(eta, law)
+        ll = LimitLaw(eta, law)
         mu = mean(ll, t)
         u_cut = math.sqrt(mu * 1e10)
         pts = list(np.linspace(0.0, math.sqrt(mu + 60.0), 10))
@@ -85,7 +85,7 @@ def test_criterion_3_sampler_vs_cdf():
     crit = 1.63 / math.sqrt(n)
     worst = 0.0
     for idx, (eta, law, t) in enumerate(matrix_cells()):
-        ll = LimitLaw.from_law(eta, law)
+        ll = LimitLaw(eta, law)
         draws = np.sort(sample(ll, t, n, split_rng(SEED, 3, idx)))
         f = cdf(ll, t, draws)
         i = np.arange(1, n + 1)
@@ -100,7 +100,7 @@ def pde_runs():
     law = PointMass(1.0)
     coarse = SolverGrid(30.0, 1200, 800)
     fine = SolverGrid(30.0, 2400, 1600)
-    ll = LimitLaw.from_law(2.0, law)
+    ll = LimitLaw(2.0, law)
     out = {}
     for tag, grid in (("coarse", coarse), ("fine", fine)):
         traj = solve(params, law, grid)
@@ -120,7 +120,7 @@ def test_criterion_4_pde_vs_analytic(pde_runs):
 
 def test_criterion_5_weak_residuals(pde_runs):
     law = PointMass(1.0)
-    ll = LimitLaw.from_law(2.0, law)
+    ll = LimitLaw(2.0, law)
     analytic = exp._analytic_path(ll, tuple(exp._analytic_times(1.0)), 6000)
     traj, _ = pde_runs["coarse"]
     pde_path = traj.measure_path()

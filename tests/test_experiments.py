@@ -140,12 +140,20 @@ class TestConvergence:
         assert all(row[3] >= 0 for row in r.rows)
         assert all(row[2] == "levy" for row in r.rows)
 
-    def test_failure_manifest(self, tmp_path, monkeypatch):
-        cfg = small_convergence_cfg()
+    @pytest.mark.parametrize(
+        "experiment, replications, failed_task",
+        [("convergence", 3, [64, 0]), ("rank_check", 3, [64, 0]), ("moment_check", 6, [3])],
+    )
+    def test_failure_manifest(self, tmp_path, monkeypatch, experiment, replications, failed_task):
+        # N in (16, 64) x 3 replications, or 6 replications of one N: the
+        # fourth simulation fails, after three completed rows
+        cfg = small_convergence_cfg(experiment=experiment, replications=replications)
         real = exp.simulate_system
+        calls = []
 
         def failing(params, law, dt, rng, nodes=None):
-            if params.n_particles == 64:
+            calls.append(params.n_particles)
+            if len(calls) == 4:
                 raise RuntimeError("boom")
             return real(params, law, dt, rng, nodes)
 
@@ -153,10 +161,10 @@ class TestConvergence:
         with pytest.raises(RuntimeError, match="boom"):
             run_experiment(cfg, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "failure_manifest.json").read_text())
-        assert manifest["experiment"] == "convergence"
+        assert manifest["experiment"] == experiment
         assert "boom" in manifest["error"]
-        assert len(manifest["completed_rows"]) == 3  # the N=16 replications
-        assert manifest["failed_task"] == [64, 0]
+        assert len(manifest["completed_rows"]) == 3
+        assert manifest["failed_task"] == failed_task
 
     def test_tracing_patch_points(self, monkeypatch):
         # the benchmark's particles.* spans wrap these two module globals and

@@ -20,6 +20,7 @@ from vsmhl import (
     density,
     density_grid,
     mean,
+    moments,
     quantile,
     sample,
     split_rng,
@@ -27,7 +28,7 @@ from vsmhl import (
     wasserstein1,
 )
 
-LL_POINT = LimitLaw.from_law(2.0, PointMass(1.0))
+LL_POINT = LimitLaw(2.0, PointMass(1.0))
 
 
 def ncx2_mixture_pdf(y: float, eta: float, j_clock: float, x0: float, terms: int = 200) -> float:
@@ -92,18 +93,31 @@ def mpmath_mixture_pdf(ll: LimitLaw, t: float, y: float) -> float:
     return float(val * peak)
 
 
-class TestLimitLawType:
-    def test_from_law_sets_mean(self):
-        ll = LimitLaw.from_law(1.5, GammaLaw(2.0, 0.5))
-        assert ll.m_lambda == pytest.approx(1.0, abs=1e-14)
+FOUR_LAWS = [
+    PointMass(1.0),
+    DiscreteAtoms(((0.5, 0.5), (1.5, 0.5))),
+    GammaLaw(2.0, 0.5),
+    UniformLaw(0.5, 1.5),
+]
 
-    def test_mismatched_mean_rejected(self):
-        with pytest.raises(ValidationError, match="m_lambda"):
-            LimitLaw(2.0, 1.5, PointMass(1.0))
+
+class TestLimitLawType:
+    @pytest.mark.parametrize("law", FOUR_LAWS, ids=str)
+    def test_mean_is_law_mean(self, law):
+        assert LimitLaw(1.5, law).m_lambda == moments(law)[0]
+
+    @pytest.mark.parametrize(
+        "law",
+        [PointMass(-1.0), DiscreteAtoms(((0.5, 0.5), (1.5, 0.6))), GammaLaw(0.0, 0.5), UniformLaw(1.5, 0.5)],
+        ids=str,
+    )
+    def test_invalid_law_rejected(self, law):
+        with pytest.raises(ValidationError):
+            LimitLaw(2.0, law)
 
     def test_eta_must_exceed_one(self):
         with pytest.raises(ValidationError, match="eta"):
-            LimitLaw(1.0, 1.0, PointMass(1.0))
+            LimitLaw(1.0, PointMass(1.0))
 
 
 class TestTimeChange:
@@ -117,7 +131,7 @@ class TestTimeChange:
         assert got == pytest.approx(ref, rel=1e-10)
 
     def test_second_parameter_set(self):
-        ll = LimitLaw(1.5, 2.0, PointMass(2.0))
+        ll = LimitLaw(1.5, PointMass(2.0))
         got = time_change(ll, 2.0)
         ref = quad(lambda s: math.exp(0.75 * s) * 2.0, 0.0, 2.0, epsabs=1e-13)[0]
         assert got == pytest.approx(8.0 / 3.0 * (math.exp(1.5) - 1.0), rel=1e-12)
@@ -162,7 +176,7 @@ class TestDensity:
 
     def test_atom_mixture_matches_weighted_kernels(self):
         law = DiscreteAtoms(((0.5, 0.25), (2.0, 0.75)))
-        ll = LimitLaw.from_law(2.0, law)
+        ll = LimitLaw(2.0, law)
         j_clock = time_change(ll, 0.5)
         y = 1.7
         ref = 0.25 * ncx2_mixture_pdf(y, 2.0, j_clock, 0.5) + 0.75 * ncx2_mixture_pdf(y, 2.0, j_clock, 2.0)
@@ -178,7 +192,7 @@ class TestDensity:
             (2.0, GammaLaw(0.5, 2.0), 0.5),
         ]
         for eta, law, t in cases:
-            ll = LimitLaw.from_law(eta, law)
+            ll = LimitLaw(eta, law)
             mu = mean(ll, t)
             edges = [math.sqrt(law.a), math.sqrt(law.b)] if isinstance(law, UniformLaw) else []
             pts = sorted(set(np.linspace(0.0, math.sqrt(mu + 60.0), 10)) | set(edges))
@@ -191,7 +205,7 @@ class TestDensity:
 
     def test_gamma_at_eta_equal_shape_is_plain_gamma(self):
         # (1 + a s)^0 (1 + b s)^-k: Gamma(eta, scale J/2 + theta)
-        ll = LimitLaw.from_law(2.0, GammaLaw(2.0, 0.5))
+        ll = LimitLaw(2.0, GammaLaw(2.0, 0.5))
         scale = 0.5 * time_change(ll, 0.7) + 0.5
         ys = np.linspace(0.01, 20.0, 50)
         ref = ys * np.exp(-ys / scale) / scale**2
@@ -231,7 +245,7 @@ class TestClosedFormMixtures:
     @pytest.mark.parametrize("t", [1e-4, 1.0])
     @pytest.mark.parametrize("eta, law", ORACLE_LAWS, ids=lambda v: str(v))
     def test_against_mpmath_quadrature(self, eta, law, t):
-        ll = LimitLaw.from_law(eta, law)
+        ll = LimitLaw(eta, law)
         checked = 0
         for y in oracle_points(ll, t):
             ref = mpmath_mixture_pdf(ll, t, y)
@@ -247,7 +261,7 @@ class TestClosedFormMixtures:
 
         monkeypatch.setattr(limit, "log_modified_bessel_i", boom)
         limit._table.cache_clear()
-        ll = LimitLaw.from_law(2.0, law)
+        ll = LimitLaw(2.0, law)
         density(ll, 0.3, np.linspace(0.0, 5.0, 11))
         cdf(ll, 0.3, 1.0)
         density_grid(ll, 1e-3)
@@ -325,7 +339,7 @@ class TestSampler:
         assert np.array_equal(a, b)
 
     def test_gamma_mixture_mean(self):
-        ll = LimitLaw.from_law(3.0, GammaLaw(2.0, 0.5))
+        ll = LimitLaw(3.0, GammaLaw(2.0, 0.5))
         draws = sample(ll, 0.5, 10**6, split_rng(25))
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - mean(ll, 0.5)) < 4 * se
@@ -345,18 +359,10 @@ class TestWeakContinuityAtZero:
         assert dist[0] > dist[1] > dist[2]
 
 
-FOUR_LAWS = [
-    PointMass(1.0),
-    DiscreteAtoms(((0.5, 0.5), (1.5, 0.5))),
-    GammaLaw(2.0, 0.5),
-    UniformLaw(0.5, 1.5),
-]
-
-
 class TestDensityGrid:
     @pytest.mark.parametrize("law", FOUR_LAWS, ids=str)
     def test_builds_no_table(self, law):
-        ll = LimitLaw.from_law(2.0, law)
+        ll = LimitLaw(2.0, law)
         limit._table.cache_clear()
         y, f = density_grid(ll, 0.3, 64)
         assert limit._table.cache_info().currsize == 0

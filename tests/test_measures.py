@@ -10,7 +10,6 @@ from vsmhl import (
     LimitLaw,
     Measure1D,
     MeasurePath,
-    ModelParams,
     PointMass,
     density_grid,
     empirical,
@@ -140,7 +139,7 @@ class TestLevy:
     @pytest.mark.parametrize("t", [0.1, 1.0])
     @pytest.mark.parametrize("n", [16, 256])
     def test_corridor_oracle_empirical_vs_gamma_grid(self, n, t):
-        ll = LimitLaw.from_params(ModelParams(2.0, 64, 1.0), GammaLaw(2.0, 0.5))
+        ll = LimitLaw(2.0, GammaLaw(2.0, 0.5))
         draws = sample(ll, t, n, np.random.default_rng(n))
         _assert_corridor_exact(empirical(draws), Measure1D.from_grid(*density_grid(ll, t)))
 
@@ -236,14 +235,14 @@ class TestMarketWeights:
 
 class TestRankedVsLimit:
     def test_single_particle_row(self):
-        ll = LimitLaw.from_law(2.0, PointMass(1.0))
+        ll = LimitLaw(2.0, PointMass(1.0))
         table = ranked_vs_limit([2.0], ll, 1.0)
         assert table.shape == (1, 4)
         assert table[0, 0] == 1.0
         assert table[0, 2] == pytest.approx(quantile(ll, 1.0, 0.5))
 
     def test_sorted_and_gap_columns(self):
-        ll = LimitLaw.from_law(2.0, PointMass(1.0))
+        ll = LimitLaw(2.0, PointMass(1.0))
         rng = np.random.default_rng(6)
         table = ranked_vs_limit(rng.uniform(0.1, 9.0, 64), ll, 1.0)
         assert np.all(np.diff(table[:, 1]) >= 0)

@@ -120,19 +120,19 @@ class TestSolve:
     def test_matches_analytic_density(self):
         grid = SolverGrid(30.0, 600, 400)
         traj = solve(PARAMS, LAW, grid)
-        ll = LimitLaw.from_law(PARAMS.eta, LAW)
+        ll = LimitLaw(PARAMS.eta, LAW)
         l1 = np.abs(traj.values[-1] - density(ll, 1.0, grid.centers())).sum() * grid.dx()
         assert l1 <= 1e-2
 
     def test_discrete_mean_tracks_analytic_mean(self):
         grid = SolverGrid(30.0, 1200, 800)
         traj = solve(PARAMS, LAW, grid)
-        ll = LimitLaw.from_law(PARAMS.eta, LAW)
+        ll = LimitLaw(PARAMS.eta, LAW)
         discrete_mean = float(traj.values[-1] @ grid.centers() * grid.dx())
         assert discrete_mean == pytest.approx(mean(ll, 1.0), rel=1e-3)
 
     def test_refinement_improves_l1(self):
-        ll = LimitLaw.from_law(PARAMS.eta, LAW)
+        ll = LimitLaw(PARAMS.eta, LAW)
         l1 = {}
         for nx, nt in ((150, 100), (300, 200)):
             grid = SolverGrid(30.0, nx, nt)
@@ -145,7 +145,7 @@ class TestSolve:
         law = GammaLaw(2.0, 0.5)
         grid = SolverGrid(40.0, 800, 400)
         traj = solve(params, law, grid)
-        ll = LimitLaw.from_law(params.eta, law)
+        ll = LimitLaw(params.eta, law)
         l1 = np.abs(traj.values[-1] - density(ll, 1.0, grid.centers())).sum() * grid.dx()
         assert l1 <= 1e-2
         assert np.abs(traj.mass() - 1.0).max() <= 1e-6
@@ -246,7 +246,7 @@ class TestWeakResidual:
         )
 
     def test_analytic_path_matches_reference(self):
-        ll = LimitLaw.from_law(PARAMS.eta, LAW)
+        ll = LimitLaw(PARAMS.eta, LAW)
         path = exp._analytic_path(ll, tuple(exp._analytic_times(1.0)), 6000)
         assert len(path.times) == 98
         assert path.measures[0].kind == Measure1D.ATOMS
