@@ -44,6 +44,7 @@ from .particles import (
     euler_full_truncation,
     log_growth_diagnostic,
     mean_path,
+    simulate_replications,
     simulate_system,
 )
 from .measures import (

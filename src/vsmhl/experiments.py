@@ -3,7 +3,10 @@
 Each experiment takes one JSON-serializable config, fans replications out
 over a worker pool keyed by (N, replication) so results never depend on
 scheduling, and emits a CSV table plus a JSON sidecar holding the resolved
-config, package version, seed and a pass/fail summary.
+config, package version, seed and a pass/fail summary.  The replications of
+one N run in chunks, each chunk simulated as one (R, N) state; every
+replication keeps its own random stream, so the rows do not depend on how
+the replications are chunked.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from .model import (
     reject_unknown_keys,
     split_rng,
 )
-from .particles import ParticlePaths, simulate_system, step_count
+# simulate_system is not called here; perfbench/tracing.py wraps this name
+from .particles import ParticlePaths, simulate_replications, simulate_system, step_count  # noqa: F401
 from .pde import (
     SolverGrid,
     mollified_start_law,
@@ -80,6 +84,9 @@ MOMENT_Z_SECOND = 4.0
 RANK_KEEP = (0.1, 0.9)  # central band of ranks summarized by rank_check
 # t = 0 grid of a gamma or uniform law; it stays at 4096 when pde_check's t > 0 grids use 6000
 LAW_GRID_NODES = 4096
+# largest R * N state simulated as one chunk (at least one replication per
+# chunk); chosen by an in-process sweep over N and R recorded in CHANGES.md
+STATE_BUDGET = 2**14
 
 
 @dataclass(frozen=True)
@@ -198,7 +205,7 @@ class ExperimentResult:
 
 class ExperimentFailure(RuntimeError):
     """A replication failed mid-run; carries the rows completed so far and the
-    failing task's key, (N, replication) or (replication,)."""
+    failing replication's stream key, (N, replication) or (replication,)."""
 
     def __init__(self, cause: BaseException, partial_rows: list[tuple], failed_task: tuple):
         super().__init__(str(cause))
@@ -227,15 +234,54 @@ def _map_tasks(fn, argtuples: list[tuple], threads: int):
             yield from pool.map(fn, *zip(*argtuples))
 
 
-def _collect(fn, argtuples: list[tuple], threads: int) -> list:
-    rows: list = []
+def _chunks(keys: list[tuple], n: int, threads: int) -> list[list[tuple]]:
+    """Split one N's stream keys, in order, into near-equal chunks of at most
+    max(1, STATE_BUDGET // n) keys, and into at least `threads` chunks while
+    there are keys enough, so a small experiment still loads every worker."""
+    count = min(len(keys), max(threads, -(-len(keys) // max(1, STATE_BUDGET // n))))
+    bounds = [len(keys) * i // count for i in range(count + 1)]
+    return [keys[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _run_chunk(task, cfg: ExperimentConfig, n: int, keys: list[tuple]) -> tuple[list, BaseException | None]:
+    """task(cfg, n, keys)'s rows, and the error that stopped them (None if none).
+
+    After an error the keys are rerun one at a time, so the rows before the
+    failing key, that key and its error are those of an unbatched run.
+    """
     try:
-        for row in _map_tasks(fn, argtuples, threads):
-            rows.append(row)
+        return task(cfg, n, keys), None
     except Exception as exc:
-        # serial runs and pool.map both yield in task order, so the task after
-        # the last completed row is the one that failed
-        raise ExperimentFailure(exc, rows, argtuples[len(rows)][1:]) from exc
+        if len(keys) == 1:
+            return [], exc
+    rows: list = []
+    for key in keys:
+        done, exc = _run_chunk(task, cfg, n, [key])
+        rows += done
+        if exc is not None:
+            return rows, exc
+    return rows, None
+
+
+def _collect(task, cfg: ExperimentConfig, groups: list[tuple[int, list[tuple]]], threads: int) -> list:
+    """Run task(cfg, n, keys), one row per stream key, over the chunks of every
+    (n, keys) group; return the rows in key order.  A failure raises
+    ExperimentFailure with the rows before the first failing key."""
+    chunks = [(task, cfg, n, part) for n, keys in groups for part in _chunks(keys, n, threads)]
+    rows: list = []
+    results = _map_tasks(_run_chunk, chunks, threads)
+    try:
+        # serial runs and pool.map both yield in chunk order
+        for *_, keys in chunks:
+            try:
+                done, exc = next(results)
+            except Exception as broken:  # the pool itself failed
+                done, exc = [], broken
+            rows += done
+            if exc is not None:
+                raise ExperimentFailure(exc, rows, keys[len(done)]) from exc
+    finally:
+        results.close()
     return rows
 
 
@@ -279,31 +325,34 @@ def _snapshot_indices(n_steps: int) -> np.ndarray:
     return np.unique(idx)
 
 
-def _simulate(cfg: ExperimentConfig, n: int, nodes, *key: int) -> ParticlePaths:
-    """The n-particle system of cfg kept at the given step nodes, drawn from
-    the stream split_rng(cfg.seed, *key)."""
+def _simulate(cfg: ExperimentConfig, n: int, nodes, keys: list[tuple]) -> list[ParticlePaths]:
+    """The n-particle system of cfg kept at the given step nodes, one
+    replication per stream key, replication i drawn from split_rng(cfg.seed, *keys[i])."""
     params = ModelParams(cfg.params.eta, n, cfg.params.horizon)
-    return simulate_system(params, cfg.law, cfg.dt, split_rng(cfg.seed, *key), nodes)
+    rngs = [split_rng(cfg.seed, *key) for key in keys]
+    return simulate_replications(params, cfg.law, cfg.dt, rngs, nodes)
 
 
 def _over_n_values(cfg: ExperimentConfig, kind: str, task, threads: int) -> tuple[list, dict, bool]:
-    """Run task(cfg, n, rep) for every N and replication; return its (n, rep, value)
+    """Run task(cfg, n, keys) over every N's (n, rep) keys; return its (n, rep, value)
     rows, their median per N keyed by str(N), and whether the medians strictly fall."""
     _require_valid(cfg, kind)
-    tasks = [(cfg, n, rep) for n in cfg.n_values for rep in range(cfg.replications)]
-    rows = _collect(task, tasks, threads)
+    groups = [(n, [(n, rep) for rep in range(cfg.replications)]) for n in cfg.n_values]
+    rows = _collect(task, cfg, groups, threads)
     medians = [float(np.median([v for rn, _, v in rows if rn == n])) for n in cfg.n_values]
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     return rows, dict(zip(map(str, cfg.n_values), medians)), decreasing
 
 
-def _convergence_task(cfg: ExperimentConfig, n: int, rep: int) -> tuple[int, int, float]:
-    paths = _simulate(cfg, n, _snapshot_indices(step_count(cfg.params.horizon, cfg.dt)), n, rep)
-    times = tuple(float(t) for t in paths.time_grid)
+def _convergence_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[int, int, float]]:
+    nodes = _snapshot_indices(step_count(cfg.params.horizon, cfg.dt))
     ll = LimitLaw(cfg.params.eta, cfg.law)
-    analytic = _analytic_path(ll, times)
-    emp = MeasurePath(paths.time_grid, tuple(empirical(col) for col in paths.positions.T))
-    return n, rep, sup_distance(emp, analytic, cfg.metric)
+    rows = []
+    for (_, rep), paths in zip(keys, _simulate(cfg, n, nodes, keys)):
+        analytic = _analytic_path(ll, tuple(float(t) for t in paths.time_grid))
+        emp = MeasurePath(paths.time_grid, tuple(empirical(col) for col in paths.positions.T))
+        rows.append((n, rep, sup_distance(emp, analytic, cfg.metric)))
+    return rows
 
 
 def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -388,11 +437,10 @@ def run_sampler_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResu
     )
 
 
-def _moment_task(cfg: ExperimentConfig, rep: int) -> tuple[float, float]:
+def _moment_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[float, float]]:
     n_steps = step_count(cfg.params.horizon, cfg.dt)
     nodes = np.unique([0, n_steps // 2, n_steps])  # with one step the middle is step 0
-    paths = _simulate(cfg, cfg.params.n_particles, nodes, rep)
-    return float(paths.totals[-2]), float(paths.totals[-1])
+    return [(float(p.totals[-2]), float(p.totals[-1])) for p in _simulate(cfg, n, nodes, keys)]
 
 
 def run_moment_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -401,8 +449,8 @@ def run_moment_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResul
     m1, m2 = moments(cfg.law)
     es0 = n * m1
     es0_sq = n * m2 + n * (n - 1) * m1 * m1
-    tasks = [(cfg, rep) for rep in range(cfg.replications)]
-    pairs = _collect(_moment_task, tasks, threads)
+    keys = [(rep,) for rep in range(cfg.replications)]
+    pairs = _collect(_moment_task, cfg, [(n, keys)], threads)
     totals = np.array(pairs)  # (R, 2): columns mid, final
     n_steps = step_count(cfg.params.horizon, cfg.dt)
     t_mid = (n_steps // 2) * (cfg.params.horizon / n_steps)
@@ -429,14 +477,15 @@ def run_moment_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResul
     )
 
 
-def _rank_task(cfg: ExperimentConfig, n: int, rep: int) -> tuple[int, int, float]:
-    paths = _simulate(cfg, n, [0, step_count(cfg.params.horizon, cfg.dt)], n, rep)
+def _rank_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[int, int, float]]:
     ll = LimitLaw(cfg.params.eta, cfg.law)
-    table = ranked_vs_limit(paths.positions[:, -1], ll, cfg.params.horizon)
     lo = max(int(math.ceil(RANK_KEEP[0] * n)), 1)
     hi = max(int(math.floor(RANK_KEEP[1] * n)), lo)
-    gaps = table[lo - 1 : hi, 3]
-    return n, rep, float(np.mean(gaps))
+    rows = []
+    for (_, rep), paths in zip(keys, _simulate(cfg, n, [0, step_count(cfg.params.horizon, cfg.dt)], keys)):
+        table = ranked_vs_limit(paths.positions[:, -1], ll, cfg.params.horizon)
+        rows.append((n, rep, float(np.mean(table[lo - 1 : hi, 3]))))
+    return rows
 
 
 def run_rank_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:

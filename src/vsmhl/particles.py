@@ -8,10 +8,16 @@ discretized by Euler-Maruyama with full truncation: the diffusion term is
 evaluated at max(Y_i, 0) and the state is clipped at 0 after every step, so
 stored paths are nonnegative by construction.
 
+R independent replications of one N are stepped together as one (R, N)
+state.  Row r draws its initial positions and then its noise from its own
+generator, in the same order as a run of that replication alone, and every
+row is reduced over its own contiguous N values, so each row equals the
+one-replication run bit for bit.
+
 The simulation streams: noise is drawn in blocks of steps, the state is
 carried from block to block, and only the states at the requested step
-indices (the snapshot nodes) are kept, so memory grows with N times the
-number of nodes, not N times the number of steps.
+indices (the snapshot nodes) are kept, so memory grows with R times N times
+the number of nodes, not with the number of steps.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .model import InitialLaw, ModelParams, moments, sample_initial, validate
 __all__ = [
     "ParticlePaths",
     "simulate_system",
+    "simulate_replications",
     "euler_full_truncation",
     "step_count",
     "mean_path",
@@ -35,7 +42,7 @@ __all__ = [
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # standard normals per noise block: the block's noise and its states take
-# about 2 MB each, whatever N is (down to one step per block)
+# about 2 MB each, whatever R and N are (down to one step per block)
 _NOISE_BUDGET = 2**18
 
 
@@ -83,27 +90,38 @@ def step_count(horizon: float, dt: float) -> int:
 
 
 def euler_full_truncation(eta: float, initial: np.ndarray, step: float, noise: np.ndarray) -> np.ndarray:
-    """Advance the coupled system over precomputed standard-normal noise.
+    """Advance R independent copies of the coupled system over precomputed
+    standard-normal noise.
 
-    ``noise`` has shape (n_steps, N); returns positions of shape
-    (N, n_steps + 1) including the initial state.  Raises
-    DegenerateStateError if the total ever hits exactly zero.
+    ``initial`` has shape (R, N) and ``noise`` shape (R, n_steps, N); row r
+    of both belongs to replication r.  Returns the states, shape
+    (n_steps + 1, R, N), with the initial state at step 0.  Raises
+    DegenerateStateError if the total of any row ever hits exactly zero.
     """
-    n_steps, n = noise.shape
-    if initial.shape != (n,):
-        raise ValueError("initial state and noise widths disagree")
+    reps, n_steps, n = noise.shape
+    if initial.shape != (reps, n):
+        raise ValueError("initial state and noise shapes disagree")
     sqrt_h = math.sqrt(step)
-    y = np.array(initial, dtype=float)
-    states = np.empty((n_steps + 1, n))
-    states[0] = y
+    states = np.empty((n_steps + 1, reps, n))
+    states[0] = initial
+    diff = np.empty((reps, n))  # scratch for the diffusion term
     for k in range(n_steps):
-        s = y.sum()
-        if s == 0.0:
+        y, y_next = states[k], states[k + 1]
+        s = y.sum(axis=1, keepdims=True)
+        if not s.all():
             raise DegenerateStateError(k)
-        drift = (eta / (2.0 * n)) * s * step
-        diff = np.sqrt(np.maximum(y, 0.0) * (s / n)) * sqrt_h
-        y = np.maximum(y + drift + diff * noise[k], 0.0, out=states[k + 1])
-    return states.T
+        # in place, the one-row step max(y + drift + diff * noise, 0) with
+        # drift = (eta / 2N) S h and diff = sqrt(max(y, 0) S / N) sqrt(h),
+        # every operation in the same order
+        np.maximum(y, 0.0, out=diff)
+        diff *= s / n
+        np.sqrt(diff, out=diff)
+        diff *= sqrt_h
+        diff *= noise[:, k]
+        np.add(y, (eta / (2.0 * n)) * s * step, out=y_next)
+        y_next += diff
+        np.maximum(y_next, 0.0, out=y_next)
+    return states
 
 
 def _checked_nodes(nodes, n_steps: int) -> np.ndarray:
@@ -117,20 +135,21 @@ def _checked_nodes(nodes, n_steps: int) -> np.ndarray:
     return nodes
 
 
-def simulate_system(
+def simulate_replications(
     params: ModelParams,
     law: InitialLaw,
     dt: float,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     nodes=None,
-) -> ParticlePaths:
-    """Simulate one replication; deterministic for a fixed generator state.
+) -> list[ParticlePaths]:
+    """Simulate one replication per generator, all stepped as one (R, N) state.
 
     The step grid is uniform with step_count(T, dt) steps, so the actual step
     is the closest divisor-step to the requested dt and the grid ends exactly
     at the horizon.  ``nodes`` lists the step indices to keep, strictly
-    increasing from 0; None keeps every step.  The draws, and hence the kept
-    states, do not depend on ``nodes``.
+    increasing from 0; None keeps every step.  Replication r is a function of
+    rngs[r] alone, equal to simulate_system on that generator, and neither
+    the draws nor the kept states depend on ``nodes``.
     """
     bad = validate(params, law)
     if bad:
@@ -142,32 +161,50 @@ def simulate_system(
         raise ConfigurationError(
             "expected total grows past float range over this horizon; shrink horizon or eta"
         )
+    if len(rngs) == 0:
+        raise ValueError("rngs must hold at least one generator")
     n_steps = step_count(params.horizon, dt)
     nodes = _checked_nodes(nodes, n_steps)
-    n = params.n_particles
+    n, reps = params.n_particles, len(rngs)
     h = params.horizon / n_steps
     # one noise buffer for every block: a fresh 2 MB array per block would be
-    # handed back to the system on release and faulted in again
-    noise = np.empty((min(max(_NOISE_BUDGET // n, 1), n_steps), n))
-    kept = np.empty((len(nodes), n))  # row j: the state at step nodes[j]
-    totals = np.empty(len(nodes))
+    # handed back to the system on release and faulted in again.  Each row's
+    # block is contiguous, as Generator.standard_normal(out=) requires
+    noise = np.empty((reps, min(max(_NOISE_BUDGET // (reps * n), 1), n_steps), n))
+    kept = np.empty((reps, len(nodes), n))  # [r, j]: row r's state at step nodes[j]
     j = 0
-    y = sample_initial(law, n, rng)
-    for start in range(0, n_steps, len(noise)):
-        block = rng.standard_normal(out=noise[: n_steps - start])
+    y = np.array([sample_initial(law, n, rng) for rng in rngs])
+    for start in range(0, n_steps, noise.shape[1]):
+        block = noise[:, : n_steps - start]
+        for rng, row in zip(rngs, block):
+            rng.standard_normal(out=row)
         try:
-            # rows: the states at steps start .. start + len(block)
-            states = euler_full_truncation(params.eta, y, h, block).T
+            # states at steps start .. start + block width
+            states = euler_full_truncation(params.eta, y, h, block)
         except DegenerateStateError as exc:
             raise DegenerateStateError(start + exc.step) from None
         while j < len(nodes) and nodes[j] < start + len(states):
-            kept[j] = states[nodes[j] - start]
-            totals[j] = kept[j].sum()
+            kept[:, j] = states[nodes[j] - start]
             j += 1
         y = states[-1].copy()
         del states  # let the next block reuse its memory
     grid = np.linspace(0.0, params.horizon, n_steps + 1)[nodes]
-    return ParticlePaths(time_grid=grid, positions=kept.T, totals=totals)
+    return [ParticlePaths(time_grid=grid, positions=row.T, totals=_column_sums(row.T)) for row in kept]
+
+
+def simulate_system(
+    params: ModelParams,
+    law: InitialLaw,
+    dt: float,
+    rng: np.random.Generator,
+    nodes=None,
+) -> ParticlePaths:
+    """Simulate one replication; deterministic for a fixed generator state.
+
+    The one-row call of simulate_replications, with the same step grid and
+    ``nodes``.
+    """
+    return simulate_replications(params, law, dt, [rng], nodes)[0]
 
 
 def mean_path(paths: ParticlePaths) -> np.ndarray:

@@ -9,6 +9,7 @@ import vsmhl.particles as particles
 import vsmhl.pde as pde
 from vsmhl import (
     ConfigurationError,
+    DegenerateStateError,
     DiscreteAtoms,
     ExperimentConfig,
     GammaLaw,
@@ -145,19 +146,20 @@ class TestConvergence:
         [("convergence", 3, [64, 0]), ("rank_check", 3, [64, 0]), ("moment_check", 6, [3])],
     )
     def test_failure_manifest(self, tmp_path, monkeypatch, experiment, replications, failed_task):
-        # N in (16, 64) x 3 replications, or 6 replications of one N: the
-        # fourth simulation fails, after three completed rows
+        # N in (16, 64) x 3 replications, or 6 replications of one N: every
+        # batch holding the fourth replication fails, after three completed rows
         cfg = small_convergence_cfg(experiment=experiment, replications=replications)
-        real = exp.simulate_system
-        calls = []
+        real = exp.simulate_replications
+        seen = []  # generator states in the order replications first arrive
 
-        def failing(params, law, dt, rng, nodes=None):
-            calls.append(params.n_particles)
-            if len(calls) == 4:
+        def failing(params, law, dt, rngs, nodes=None):
+            states = [g.bit_generator.state for g in rngs]
+            seen.extend(st for st in states if st not in seen)
+            if len(seen) >= 4 and seen[3] in states:
                 raise RuntimeError("boom")
-            return real(params, law, dt, rng, nodes)
+            return real(params, law, dt, rngs, nodes)
 
-        monkeypatch.setattr(exp, "simulate_system", failing)
+        monkeypatch.setattr(exp, "simulate_replications", failing)
         with pytest.raises(RuntimeError, match="boom"):
             run_experiment(cfg, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "failure_manifest.json").read_text())
@@ -166,9 +168,59 @@ class TestConvergence:
         assert len(manifest["completed_rows"]) == 3
         assert manifest["failed_task"] == failed_task
 
+    def test_degenerate_row_mid_chunk_matches_unbatched_run(self, tmp_path, recorded_pools):
+        # one particle, four unit steps, seed 35: replication 2 hits 0 at step
+        # 3, replication 4 already at step 1, so the batch stops on row 4 first
+        cfg = ExperimentConfig(
+            "rank_check", ModelParams(2.0, 1, 4.0), PointMass(1.0), dt=1.0,
+            n_values=(1,), replications=8, seed=35,
+        )
+        keys = [(1, rep) for rep in range(8)]
+        assert exp._chunks(keys, 1, 1) == [keys]
+        with pytest.raises(DegenerateStateError, match="at step 1$"):
+            exp._simulate(cfg, 1, None, keys)
+        manifests, steps = [], []
+        for threads in (1, 8):  # one chunk of 8 rows; 8 one-row chunks
+            out = tmp_path / str(threads)
+            with pytest.raises(DegenerateStateError) as info:
+                run_experiment(cfg, out_dir=out, threads=threads)
+            manifests.append(json.loads((out / "failure_manifest.json").read_text()))
+            steps.append(info.value.step)
+        assert recorded_pools == [8]
+        batched, unbatched = manifests
+        assert batched == unbatched
+        assert batched["failed_task"] == [1, 2]
+        assert [row[:2] for row in batched["completed_rows"]] == [[1, 0], [1, 1]]
+        assert steps == [3, 3]
+
+    def test_chunk_rule(self):
+        def sizes(n, reps, threads):
+            keys = [(n, rep) for rep in range(reps)]
+            chunks = exp._chunks(keys, n, threads)
+            assert [k for chunk in chunks for k in chunk] == keys
+            return [len(chunk) for chunk in chunks]
+
+        assert sizes(64, 6, 1) == [6]
+        assert sizes(64, 6, 2) == [3, 3]  # at least one chunk per thread
+        assert sizes(64, 2, 5) == [1, 1]  # but never an empty one
+        assert exp.STATE_BUDGET // 1024 == 16
+        assert sizes(1024, 20, 1) == [10, 10]  # at most 16 rows of 1024
+        assert sizes(16384, 8, 1) == [1] * 8  # the moments_bigN size runs one row per chunk
+        assert sizes(100_000, 2, 1) == [1, 1]
+
+    @pytest.mark.parametrize("experiment", ["convergence", "rank_check"])
+    def test_rows_independent_of_thread_count(self, experiment):
+        # 5 replications of each N run as chunks 5, 2 + 3 and 1 + 2 + 2
+        cfg = small_convergence_cfg(experiment=experiment, replications=5)
+        rows = [run_experiment(cfg, threads=threads).rows for threads in (1, 2, 3)]
+        assert rows[0] == rows[1] == rows[2]
+        assert len(rows[0]) == 10
+
     def test_tracing_patch_points(self, monkeypatch):
-        # the benchmark's particles.* spans wrap these two module globals and
-        # read the kept positions off the returned paths
+        # the benchmark's particles.* spans wrap two module globals:
+        # experiments.simulate_system, which must still return 2-D kept
+        # positions, and particles.euler_full_truncation, which the batched
+        # engine must call through the module global
         euler_calls = []
         real_euler = particles.euler_full_truncation
 
@@ -177,24 +229,29 @@ class TestConvergence:
             return real_euler(*args)
 
         kept = []
-        real_simulate = exp.simulate_system
+        real_simulate = exp.simulate_replications
 
-        def recording_simulate(params, law, dt, rng, nodes=None):
-            paths = real_simulate(params, law, dt, rng, nodes)
-            kept.append((params.n_particles, nodes, paths))
-            return paths
+        def recording_simulate(params, law, dt, rngs, nodes=None):
+            rows = real_simulate(params, law, dt, rngs, nodes)
+            kept.append((params.n_particles, nodes, rows))
+            return rows
 
         monkeypatch.setattr(particles, "euler_full_truncation", counting_euler)
-        monkeypatch.setattr(exp, "simulate_system", recording_simulate)
+        monkeypatch.setattr(exp, "simulate_replications", recording_simulate)
         n = 4096
-        exp._convergence_task(small_convergence_cfg(dt=0.01), n, 0)  # 100 steps
-        block = particles._NOISE_BUDGET // n
-        assert euler_calls == [(block, n), (100 - block, n)]
-        [(n_kept, nodes, paths)] = kept
+        exp._convergence_task(small_convergence_cfg(dt=0.01), n, [(n, 0), (n, 1)])  # 100 steps
+        block = particles._NOISE_BUDGET // (2 * n)
+        assert euler_calls == [(2, block, n)] * (100 // block) + [(2, 100 % block, n)]
+        [(n_kept, nodes, rows)] = kept
         assert n_kept == n
         assert list(nodes) == list(exp._snapshot_indices(100))
-        assert type(paths.positions) is np.ndarray
-        assert paths.positions.shape == (n, len(nodes))
+        euler_calls.clear()
+        paths = exp.simulate_system(ModelParams(2.0, n, 1.0), PointMass(1.0), 0.01, exp.split_rng(0), nodes)
+        assert euler_calls == [(1, 64, n), (1, 36, n)]
+        for p in [paths, *rows]:
+            assert isinstance(p, particles.ParticlePaths)
+            assert type(p.positions) is np.ndarray
+            assert p.positions.shape == (n, len(nodes))
 
 
 class TestOtherRunners:

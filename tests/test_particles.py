@@ -9,18 +9,23 @@ import vsmhl.particles as particles
 from vsmhl import (
     ConfigurationError,
     DegenerateStateError,
+    DiscreteAtoms,
     GammaLaw,
     ModelParams,
     ParticlePaths,
     PointMass,
+    UniformLaw,
     ValidationError,
     euler_full_truncation,
     log_growth_diagnostic,
     mean_path,
     sample_initial,
+    simulate_replications,
     simulate_system,
     split_rng,
 )
+
+LAWS = [PointMass(1.0), GammaLaw(2.0, 0.5), UniformLaw(0.5, 1.5), DiscreteAtoms(((0.5, 0.5), (1.5, 0.5)))]
 
 
 def scalar_scheme(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) -> np.ndarray:
@@ -29,6 +34,25 @@ def scalar_scheme(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) -> np
     for k in range(noise.shape[0]):
         y = np.maximum(y + 0.5 * eta * y * h + y * math.sqrt(h) * noise[k], 0.0)
     return y
+
+
+def one_row_euler(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) -> np.ndarray:
+    """The full-truncation step written out on one 1-D state; returns the
+    positions, shape (N, n_steps + 1)."""
+    n = len(y0)
+    states = [np.array(y0, dtype=float)]
+    for z in noise:
+        y = states[-1]
+        s = y.sum()
+        drift = (eta / (2.0 * n)) * s * h
+        diff = np.sqrt(np.maximum(y, 0.0) * (s / n)) * math.sqrt(h)
+        states.append(np.maximum(y + drift + diff * z, 0.0))
+    return np.array(states).T
+
+
+def euler_one_row(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) -> np.ndarray:
+    """euler_full_truncation on a single replication; positions (N, n_steps + 1)."""
+    return euler_full_truncation(eta, y0[None], h, noise[None])[:, 0].T
 
 
 class TestSimulate:
@@ -64,7 +88,7 @@ class TestSimulate:
         rng = split_rng(5)
         y0 = sample_initial(PointMass(1.0), 1, rng)
         noise = rng.standard_normal((512, 1))
-        ref = euler_full_truncation(2.0, y0, 1 / 512, noise)
+        ref = euler_one_row(2.0, y0, 1 / 512, noise)
         assert np.array_equal(paths.positions, ref)
 
     def test_n1_gbm_mean(self):
@@ -97,7 +121,17 @@ class TestSimulate:
 
     def test_degenerate_state_error(self):
         with pytest.raises(DegenerateStateError):
-            euler_full_truncation(2.0, np.zeros(3), 0.1, np.zeros((2, 3)))
+            euler_full_truncation(2.0, np.zeros((1, 3)), 0.1, np.zeros((1, 2, 3)))
+        # one zero row among live ones stops the batch at that step
+        initial = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(DegenerateStateError, match="at step 0$"):
+            euler_full_truncation(2.0, initial, 0.1, np.zeros((3, 2, 3)))
+
+    def test_euler_shapes_checked(self):
+        with pytest.raises(ValueError, match="shapes"):
+            euler_full_truncation(2.0, np.ones((2, 3)), 0.1, np.zeros((3, 2, 3)))
+        with pytest.raises(ValueError, match="generator"):
+            simulate_replications(ModelParams(2.0, 4, 1.0), PointMass(1.0), 0.1, [])
 
 
 class TestStreaming:
@@ -114,7 +148,7 @@ class TestStreaming:
         paths = self.full_run()
         rng = split_rng(71)
         y0 = sample_initial(GammaLaw(2.0, 0.5), self.N, rng)
-        ref = euler_full_truncation(2.0, y0, 1.0 / self.STEPS, rng.standard_normal((self.STEPS, self.N)))
+        ref = euler_one_row(2.0, y0, 1.0 / self.STEPS, rng.standard_normal((self.STEPS, self.N)))
         assert np.array_equal(paths.positions, ref)
         assert np.array_equal(paths.totals, [ref[:, k].sum() for k in range(self.STEPS + 1)])
         assert np.array_equal(paths.time_grid, np.linspace(0.0, 1.0, self.STEPS + 1))
@@ -150,6 +184,10 @@ class TestStreaming:
         assert info.value.step == 9
         again = pickle.loads(pickle.dumps(info.value))  # as a pool worker sends it
         assert (again.step, str(again)) == (9, str(info.value))
+        # the same row in the middle of a batch, stepped one step per block
+        rngs = [split_rng(73, 0), WipeOut(), split_rng(73, 2)]
+        with pytest.raises(DegenerateStateError, match="at step 9$"):
+            simulate_replications(ModelParams(2.0, n, 1.0), PointMass(1.0), 0.1, rngs)
 
     @pytest.mark.parametrize(
         "nodes",
@@ -172,15 +210,58 @@ class TestStreaming:
         assert paths.positions.shape == (20000, 3)
         assert peak < 8e6
 
+    def test_memory_at_a_hundred_thousand_particles(self):
+        # N = 1e5 over 1000 steps keeping 3 nodes: full noise and path arrays
+        # would take 800 MB each; one row per chunk is what experiments run
+        params = ModelParams(2.0, 100_000, 1.0)
+        tracemalloc.start()
+        try:
+            [paths] = simulate_replications(params, PointMass(1.0), 1e-3, [split_rng(74)], [0, 500, 1000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert paths.positions.shape == (100_000, 3)
+        assert peak < 32e6
+
+
+class TestReplications:
+    STEPS = 40
+
+    @pytest.mark.parametrize("reps", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 63, 4097])
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    def test_rows_equal_single_runs(self, monkeypatch, law, n, reps):
+        params = ModelParams(2.0, n, 1.0)
+        singles = [simulate_system(params, law, 1 / self.STEPS, split_rng(81, n, r)) for r in range(reps)]
+        # blocks of 6 steps; nodes on both sides of the block edges at 6 and 12
+        monkeypatch.setattr(particles, "_NOISE_BUDGET", 6 * reps * n)
+        nodes = [0, 5, 6, 7, 11, 12, 13, self.STEPS]
+        rngs = [split_rng(81, n, r) for r in range(reps)]
+        rows = simulate_replications(params, law, 1 / self.STEPS, rngs, nodes)
+        assert len(rows) == reps
+        for row, one in zip(rows, singles):
+            assert np.array_equal(row.positions, one.positions[:, nodes])
+            assert np.array_equal(row.totals, one.totals[nodes])
+            assert np.array_equal(row.time_grid, one.time_grid[nodes])
+
+    @pytest.mark.parametrize("n", [1, 63, 4097])
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    def test_single_row_is_the_one_dimensional_step(self, law, n):
+        paths = simulate_system(ModelParams(2.0, n, 1.0), law, 1 / self.STEPS, split_rng(82))
+        rng = split_rng(82)
+        y0 = sample_initial(law, n, rng)
+        ref = one_row_euler(2.0, y0, 1 / self.STEPS, rng.standard_normal((self.STEPS, n)))
+        assert np.array_equal(paths.positions, ref)
+        assert np.array_equal(paths.totals, [ref[:, k].sum() for k in range(self.STEPS + 1)])
+
 
 class TestMomentIdentities:
     def test_first_and_second_moment(self):
         # E[S(t)] = E[S(0)] e^{eta t/2}, E[S(t)^2] = E[S(0)^2] e^{(eta+1/N)t}
         eta, n, reps = 2.0, 64, 80
         params = ModelParams(eta, n, 1.0)
-        finals = np.array(
-            [simulate_system(params, PointMass(1.0), 2e-3, split_rng(31, r)).totals[-1] for r in range(reps)]
-        )
+        rngs = [split_rng(31, r) for r in range(reps)]
+        finals = np.array([p.totals[-1] for p in simulate_replications(params, PointMass(1.0), 2e-3, rngs)])
         target1 = n * math.exp(eta / 2)
         se1 = finals.std(ddof=1) / math.sqrt(reps)
         assert abs(finals.mean() - target1) < 3 * se1
@@ -233,9 +314,8 @@ class TestMeanPath:
         meds = {}
         for n in (64, 1024):
             sups = []
-            for r in range(reps):
-                params = ModelParams(eta, n, 1.0)
-                paths = simulate_system(params, PointMass(1.0), 5e-3, split_rng(52, n, r))
+            rngs = [split_rng(52, n, r) for r in range(reps)]
+            for paths in simulate_replications(ModelParams(eta, n, 1.0), PointMass(1.0), 5e-3, rngs):
                 curve = np.exp(0.5 * eta * paths.time_grid)
                 sups.append(np.abs(mean_path(paths) - curve).max())
             meds[n] = np.median(sups)
@@ -265,10 +345,9 @@ class TestLogGrowthDiagnostic:
         # drift (eta - 1) / (2 alpha) predicts
         eta, reps, steps = 4.0, 500, 50
         small_mean, large_mean = [], []
-        for r in range(reps):
-            rng = split_rng(61, r)
-            noise = rng.standard_normal((steps, 2))
-            positions = euler_full_truncation(eta, np.array([1.0, 10.0]), 1e-3, noise)
+        noise = np.array([split_rng(61, r).standard_normal((steps, 2)) for r in range(reps)])
+        states = euler_full_truncation(eta, np.tile([1.0, 10.0], (reps, 1)), 1e-3, noise)
+        for positions in states.transpose(1, 2, 0):  # one (2, steps + 1) path per replication
             if positions.min() <= 0:
                 continue
             logs = np.log(positions)
