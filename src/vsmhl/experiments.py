@@ -247,7 +247,8 @@ def _run_chunk(task, cfg: ExperimentConfig, n: int, keys: list[tuple]) -> tuple[
     """task(cfg, n, keys)'s rows, and the error that stopped them (None if none).
 
     After an error the keys are rerun one at a time, so the rows before the
-    failing key, that key and its error are those of an unbatched run.
+    failing key, that key and its error are those of an unbatched run (and
+    every row, if no key fails on its own).
     """
     try:
         return task(cfg, n, keys), None
@@ -481,8 +482,9 @@ def _rank_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[i
     ll = LimitLaw(cfg.params.eta, cfg.law)
     lo = max(int(math.ceil(RANK_KEEP[0] * n)), 1)
     hi = max(int(math.floor(RANK_KEEP[1] * n)), lo)
+    nodes = [0, step_count(cfg.params.horizon, cfg.dt)]
     rows = []
-    for (_, rep), paths in zip(keys, _simulate(cfg, n, [0, step_count(cfg.params.horizon, cfg.dt)], keys)):
+    for (_, rep), paths in zip(keys, _simulate(cfg, n, nodes, keys)):
         table = ranked_vs_limit(paths.positions[:, -1], ll, cfg.params.horizon)
         rows.append((n, rep, float(np.mean(table[lo - 1 : hi, 3]))))
     return rows

@@ -36,7 +36,7 @@ def scalar_scheme(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) -> np
     return y
 
 
-def one_row_euler(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) -> np.ndarray:
+def reference_1d_euler(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) -> np.ndarray:
     """The full-truncation step written out on one 1-D state; returns the
     positions, shape (N, n_steps + 1)."""
     n = len(y0)
@@ -50,7 +50,7 @@ def one_row_euler(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) -> np
     return np.array(states).T
 
 
-def euler_one_row(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) -> np.ndarray:
+def euler_single_row(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) -> np.ndarray:
     """euler_full_truncation on a single replication; positions (N, n_steps + 1)."""
     return euler_full_truncation(eta, y0[None], h, noise[None])[:, 0].T
 
@@ -88,7 +88,7 @@ class TestSimulate:
         rng = split_rng(5)
         y0 = sample_initial(PointMass(1.0), 1, rng)
         noise = rng.standard_normal((512, 1))
-        ref = euler_one_row(2.0, y0, 1 / 512, noise)
+        ref = euler_single_row(2.0, y0, 1 / 512, noise)
         assert np.array_equal(paths.positions, ref)
 
     def test_n1_gbm_mean(self):
@@ -148,7 +148,7 @@ class TestStreaming:
         paths = self.full_run()
         rng = split_rng(71)
         y0 = sample_initial(GammaLaw(2.0, 0.5), self.N, rng)
-        ref = euler_one_row(2.0, y0, 1.0 / self.STEPS, rng.standard_normal((self.STEPS, self.N)))
+        ref = euler_single_row(2.0, y0, 1.0 / self.STEPS, rng.standard_normal((self.STEPS, self.N)))
         assert np.array_equal(paths.positions, ref)
         assert np.array_equal(paths.totals, [ref[:, k].sum() for k in range(self.STEPS + 1)])
         assert np.array_equal(paths.time_grid, np.linspace(0.0, 1.0, self.STEPS + 1))
@@ -250,7 +250,7 @@ class TestReplications:
         paths = simulate_system(ModelParams(2.0, n, 1.0), law, 1 / self.STEPS, split_rng(82))
         rng = split_rng(82)
         y0 = sample_initial(law, n, rng)
-        ref = one_row_euler(2.0, y0, 1 / self.STEPS, rng.standard_normal((self.STEPS, n)))
+        ref = reference_1d_euler(2.0, y0, 1 / self.STEPS, rng.standard_normal((self.STEPS, n)))
         assert np.array_equal(paths.positions, ref)
         assert np.array_equal(paths.totals, [ref[:, k].sum() for k in range(self.STEPS + 1)])
 
