@@ -42,8 +42,6 @@ from .limit import (
 from .particles import (
     ParticlePaths,
     euler_full_truncation,
-    log_growth_diagnostic,
-    mean_path,
     simulate_replications,
     simulate_system,
 )
@@ -53,7 +51,6 @@ from .measures import (
     MeasurePath,
     empirical,
     levy,
-    market_weights,
     ranked_vs_limit,
     sup_distance,
     wasserstein1,

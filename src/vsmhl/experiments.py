@@ -89,6 +89,13 @@ LAW_GRID_NODES = 4096
 STATE_BUDGET = 2**14
 
 
+def _integer(value, key: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -124,6 +131,8 @@ class ExperimentConfig:
             out.append("dt must lie in (0, horizon]")
         if self.replications < 1:
             out.append("replications must be at least 1")
+        elif self.experiment == "moment_check" and self.replications < 2:
+            out.append("moment_check needs at least 2 replications: a standard error needs two")
         if not 0 <= self.seed < 2**64:
             out.append("seed must be a 64-bit unsigned integer")
         if self.metric not in ("levy", "wasserstein1"):
@@ -167,7 +176,7 @@ class ExperimentConfig:
             reject_unknown_keys(spec["params"], [f.name for f in fields(ModelParams)], "params")
             params = ModelParams(
                 eta=float(spec["params"]["eta"]),
-                n_particles=int(spec["params"]["n_particles"]),
+                n_particles=_integer(spec["params"]["n_particles"], "params.n_particles"),
                 horizon=float(spec["params"]["horizon"]),
             )
             law = law_from_dict(spec["law"])
@@ -175,15 +184,17 @@ class ExperimentConfig:
             if spec.get("grid") is not None:
                 g = spec["grid"]
                 reject_unknown_keys(g, [f.name for f in fields(SolverGrid)], "grid")
-                grid = SolverGrid(x_max=float(g["x_max"]), nx=int(g["nx"]), nt=int(g["nt"]))
+                grid = SolverGrid(
+                    x_max=float(g["x_max"]), nx=_integer(g["nx"], "grid.nx"), nt=_integer(g["nt"], "grid.nt")
+                )
             return cls(
                 experiment=str(spec["experiment"]),
                 params=params,
                 law=law,
                 dt=float(spec.get("dt", 1e-3)),
-                n_values=tuple(int(n) for n in spec.get("n_values", ())),
-                replications=int(spec.get("replications", 1)),
-                seed=int(spec.get("seed", 0)),
+                n_values=tuple(_integer(n, "n_values") for n in spec.get("n_values", ())),
+                replications=_integer(spec.get("replications", 1), "replications"),
+                seed=_integer(spec.get("seed", 0), "seed"),
                 grid=grid,
                 output_dir=spec.get("output_dir"),
                 metric=str(spec.get("metric", "wasserstein1")),

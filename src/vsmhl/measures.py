@@ -28,7 +28,6 @@ __all__ = [
     "wasserstein1",
     "levy",
     "sup_distance",
-    "market_weights",
     "ranked_vs_limit",
 ]
 
@@ -109,9 +108,12 @@ class MeasurePath:
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("time grid must increase from 0")
 
-    def expect(self, k: int, f) -> float:
-        """Pairing of the k-th measure with a test function."""
-        return self.measures[k].expect(f)
+    def pairings(self, funcs, nodes) -> np.ndarray:
+        """Entry [i, j] is measures[nodes[j]].expect(funcs[i])."""
+        out = np.empty((len(funcs), len(nodes)))
+        for j, k in enumerate(nodes):
+            out[:, j] = [self.measures[k].expect(f) for f in funcs]
+        return out
 
 
 class GridPath:
@@ -150,9 +152,18 @@ class GridPath:
                 raise ValueError(f"grid density mass {mass[far.argmax()]!r} is too far from 1")
             block /= mass[:, None]
 
-    def expect(self, k: int, f) -> float:
-        """Pairing of the k-th measure with f, as Measure1D.expect computes it."""
-        return float(np.trapezoid(self.w[k] * f(self.x), self.x))
+    def pairings(self, funcs, nodes) -> np.ndarray:
+        """Entry [i, j] is from_grid(x, values[nodes[j]]).expect(funcs[i]), bit
+        for bit: each function is evaluated once on the shared grid and reduced
+        against at most _PAIR_BYTES of the requested rows at a time."""
+        fx = [f(self.x) for f in funcs]
+        out = np.empty((len(funcs), len(nodes)))
+        step = max(1, _PAIR_BYTES // self.x.nbytes)
+        for k in range(0, len(nodes), step):
+            w = self.w[nodes[k : k + step]]
+            for i, fxi in enumerate(fx):
+                out[i, k : k + len(w)] = np.trapezoid(w * fxi, self.x, axis=1)
+        return out
 
 
 def empirical(positions) -> Measure1D:
@@ -223,19 +234,6 @@ def sup_distance(p: MeasurePath, q: MeasurePath, metric: str = "wasserstein1") -
         raise GridMismatchError("measure paths must share an identical time grid")
     dist = _METRICS[metric]
     return max(dist(a, b) for a, b in zip(p.measures, q.measures))
-
-
-def market_weights(positions) -> np.ndarray:
-    """Positions normalized by their total; requires a strictly positive total."""
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 1 or len(pos) == 0:
-        raise ValueError("need a nonempty 1-D position vector")
-    if np.any(pos < 0):
-        raise ValueError("positions must be nonnegative")
-    total = pos.sum()
-    if total == 0:
-        raise ValueError("all positions are zero; weights are undefined")
-    return pos / total
 
 
 def ranked_vs_limit(positions, ll: LimitLaw, t: float) -> np.ndarray:

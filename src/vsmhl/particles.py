@@ -36,8 +36,6 @@ __all__ = [
     "simulate_replications",
     "euler_full_truncation",
     "step_count",
-    "mean_path",
-    "log_growth_diagnostic",
 ]
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -74,10 +72,6 @@ class ParticlePaths:
             raise ValueError("positions must be nonnegative")
         if not np.array_equal(self.totals, _column_sums(self.positions)):
             raise ValueError("totals must equal the per-node particle sums exactly")
-
-    @property
-    def n_particles(self) -> int:
-        return self.positions.shape[0]
 
     @property
     def horizon(self) -> float:
@@ -206,22 +200,3 @@ def simulate_system(
     """
     return simulate_replications(params, law, dt, [rng], nodes)[0]
 
-
-def mean_path(paths: ParticlePaths) -> np.ndarray:
-    """Average position per grid node, exactly totals / N."""
-    return paths.totals / paths.n_particles
-
-
-def log_growth_diagnostic(paths: ParticlePaths, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step increments of log Y_i with the concurrent market weight.
-
-    Returns (increments, weights) where increments[k] = log Y_i(t_{k+1}) -
-    log Y_i(t_k) and weights[k] = Y_i(t_k) / S(t_k).  Smaller weights should
-    associate with larger mean increments when eta > 1.
-    """
-    y = paths.positions[i]
-    if np.any(y == 0):
-        raise ValueError("log growth diagnostic requires a strictly positive path")
-    increments = np.diff(np.log(y))
-    weights = y[:-1] / paths.totals[:-1]
-    return increments, weights

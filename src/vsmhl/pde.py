@@ -33,7 +33,7 @@ from scipy.stats import gamma as gamma_dist
 
 from .errors import ConfigurationError, ValidationError
 from .limit import LimitLaw, cdf
-from .measures import _PAIR_BYTES, GridPath, MeasurePath
+from .measures import GridPath, MeasurePath
 from .model import (
     DiscreteAtoms,
     GammaLaw,
@@ -284,31 +284,6 @@ def _generator(g: TestFunction, eta: float) -> Callable[[np.ndarray], np.ndarray
     return lambda x: 0.5 * eta * g.df(x) + 0.5 * x * g.d2f(x)
 
 
-def _pairing_table(path: GridPath | MeasurePath, funcs: list[Callable], stop: int) -> np.ndarray:
-    """Pairings of the path's first `stop` measures with each function.
-
-    Returns a (len(funcs), stop) array.  On a GridPath each function is
-    evaluated once on the shared grid and reduced against contiguous blocks of
-    at most _PAIR_BYTES of rows, views into w, each row in the same order as
-    GridPath.expect.  On a MeasurePath each measure is paired by its own
-    Measure1D.expect.  Either way every entry equals the per-measure pairing
-    bit for bit.
-    """
-    table = np.empty((len(funcs), stop))
-    if isinstance(path, GridPath):
-        x = path.x
-        fx = [f(x) for f in funcs]
-        step = max(1, _PAIR_BYTES // x.nbytes)
-        for k in range(0, stop, step):
-            w = path.w[k : min(k + step, stop)]
-            for i, fxi in enumerate(fx):
-                table[i, k : k + len(w)] = np.trapezoid(w * fxi, x, axis=1)
-        return table
-    for k in range(stop):
-        table[:, k] = [path.expect(k, f) for f in funcs]
-    return table
-
-
 def weak_residual(
     path: GridPath | MeasurePath,
     bank: list[TestFunction],
@@ -323,8 +298,8 @@ def weak_residual(
     by composite Simpson (one trapezoid on a single step) on the path's own
     time grid; every t_j must be a grid node.  The path is a GridPath (the
     solver's densities, one row per node on one grid) or a MeasurePath (one
-    Measure1D per node, atoms or grids).  Each measure up to the last
-    requested node is paired once with every (eta/2) g' + (x/2) g'', and each
+    Measure1D per node, atoms or grids).  Its pairings pair each measure up to
+    the last requested node once with every (eta/2) g' + (x/2) g'', and each
     t_j reads its own prefix of that table; g itself is paired only at 0 and
     at the t_j.  All bad t_j are rejected before any pairing.
     """
@@ -338,10 +313,10 @@ def weak_residual(
         if abs(times[idx] - t) > tol:
             raise ValueError(f"t={t} is not a node of the path's time grid")
         nodes.append(idx)
-    paired = _pairing_table(path, [_generator(g, eta) for g in bank], max(nodes, default=-1) + 1)
-    out = np.empty((len(bank), len(nodes)))
+    paired = path.pairings([_generator(g, eta) for g in bank], range(max(nodes, default=-1) + 1))
+    at_nodes = path.pairings([g.f for g in bank], [0, *nodes])
+    out = at_nodes[:, 1:] - at_nodes[:, :1]
     for j, idx in enumerate(nodes):
-        out[:, j] = [path.expect(idx, g.f) - path.expect(0, g.f) for g in bank]
         if idx == 0 or m_lambda == 0.0:
             continue
         s = times[: idx + 1]

@@ -97,6 +97,31 @@ class TestConfig:
         cfg = small_convergence_cfg(experiment="moment_check", law=UniformLaw(1.0, 1.0 + 1e-11))
         assert cfg.violations() == []
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("params.n_particles", 64.9),
+            ("n_values", [16.7, 64.2]),
+            ("n_values", ["16", "64"]),
+            ("replications", 2.9),
+            ("replications", True),
+            ("seed", 3.5),
+            ("grid.nx", 100.0),
+            ("grid.nt", "100"),
+        ],
+    )
+    def test_integer_fields_not_truncated(self, key, value):
+        spec = small_convergence_cfg(grid=SolverGrid(30.0, 100, 100)).to_dict()
+        *section, field = key.split(".")
+        (spec[section[0]] if section else spec)[field] = value
+        with pytest.raises(ValidationError, match=f"{key} must be an integer"):
+            ExperimentConfig.from_dict(spec)
+
+    def test_moment_check_needs_two_replications(self):
+        one = small_convergence_cfg(experiment="moment_check", n_values=(), replications=1)
+        assert one.violations() == ["moment_check needs at least 2 replications: a standard error needs two"]
+        assert small_convergence_cfg(experiment="moment_check", n_values=(), replications=2).violations() == []
+
     def test_malformed_dict(self):
         with pytest.raises(ValidationError):
             ExperimentConfig.from_dict({"experiment": "convergence"})
@@ -423,6 +448,20 @@ class TestCli:
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert "too narrow for the horizon" in err and "J(T)/(b - a)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"replications": 2.9}, "replications must be an integer"),
+            ({"experiment": "moment_check", "replications": 1}, "a standard error needs two"),
+        ],
+    )
+    def test_invalid_replications_exit_code(self, tmp_path, capsys, overrides, message):
+        spec = small_convergence_cfg().to_dict() | overrides
+        out = tmp_path / "out"
+        assert main(["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):

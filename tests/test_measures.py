@@ -14,7 +14,6 @@ from vsmhl import (
     density_grid,
     empirical,
     levy,
-    market_weights,
     quantile,
     ranked_vs_limit,
     sample,
@@ -208,29 +207,6 @@ class TestSupDistance:
         p = MeasurePath(np.array([0.0]), (m,))
         with pytest.raises(ValueError):
             sup_distance(p, p, "total_variation")
-
-
-class TestMarketWeights:
-    def test_examples(self):
-        assert np.allclose(market_weights([1.0, 1.0, 2.0]), [0.25, 0.25, 0.5])
-        assert np.array_equal(market_weights([5.0]), [1.0])
-
-    def test_normalization_on_random_inputs(self):
-        rng = np.random.default_rng(4)
-        for _ in range(1000):
-            w = market_weights(rng.uniform(0, 10, int(rng.integers(1, 20))))
-            assert abs(w.sum() - 1.0) <= 1e-12
-            assert w.min() >= 0.0
-
-    def test_scale_invariance(self):
-        pos = np.array([0.5, 2.0, 7.0])
-        assert np.allclose(market_weights(pos), market_weights(13.7 * pos), atol=1e-15)
-
-    def test_degenerate_input(self):
-        with pytest.raises(ValueError):
-            market_weights([0.0, 0.0])
-        with pytest.raises(ValueError):
-            market_weights([1.0, -0.5])
 
 
 class TestRankedVsLimit:

@@ -17,8 +17,6 @@ from vsmhl import (
     UniformLaw,
     ValidationError,
     euler_full_truncation,
-    log_growth_diagnostic,
-    mean_path,
     sample_initial,
     simulate_replications,
     simulate_system,
@@ -296,17 +294,10 @@ class TestStrongError:
 
 
 class TestMeanPath:
-    def test_elementwise_division(self):
-        grid = np.array([0.0, 1.0])
-        positions = np.array([[1.0, 2.0]] * 4)
-        totals = np.array([positions[:, 0].sum(), positions[:, 1].sum()])
-        paths = ParticlePaths(grid, positions, totals)
-        assert np.array_equal(mean_path(paths), [1.0, 2.0])
-
     def test_starts_at_initial_mean(self):
         params = ModelParams(2.0, 32, 1.0)
         paths = simulate_system(params, PointMass(1.0), 0.05, split_rng(51))
-        assert mean_path(paths)[0] == 1.0
+        assert paths.totals[0] / params.n_particles == 1.0
 
     def test_supremum_gap_shrinks_with_n(self):
         # the average position tracks e^{eta t / 2} better at larger N
@@ -317,28 +308,12 @@ class TestMeanPath:
             rngs = [split_rng(52, n, r) for r in range(reps)]
             for paths in simulate_replications(ModelParams(eta, n, 1.0), PointMass(1.0), 5e-3, rngs):
                 curve = np.exp(0.5 * eta * paths.time_grid)
-                sups.append(np.abs(mean_path(paths) - curve).max())
+                sups.append(np.abs(paths.totals / n - curve).max())
             meds[n] = np.median(sups)
         assert meds[1024] < meds[64]
 
 
 class TestLogGrowthDiagnostic:
-    def test_constant_path_gives_zero_increments(self):
-        grid = np.linspace(0.0, 1.0, 5)
-        positions = np.full((3, 5), 2.0)
-        totals = np.array([positions[:, j].sum() for j in range(5)])
-        paths = ParticlePaths(grid, positions, totals)
-        inc, wts = log_growth_diagnostic(paths, 0)
-        assert np.all(inc == 0.0)
-        assert np.allclose(wts, 1.0 / 3.0)
-
-    def test_single_e_fold_step(self):
-        grid = np.array([0.0, 1.0])
-        positions = np.array([[2.0, 2.0 * math.e]])
-        totals = np.array([positions[:, 0].sum(), positions[:, 1].sum()])
-        inc, _ = log_growth_diagnostic(ParticlePaths(grid, positions, totals), 0)
-        assert inc[0] == pytest.approx(1.0, rel=1e-14)
-
     def test_smaller_weight_grows_faster(self):
         # start one particle 10x larger; over many replications the smaller
         # particle's average log increment dominates, as the weight-scaled
@@ -354,13 +329,6 @@ class TestLogGrowthDiagnostic:
             small_mean.append(np.diff(logs[0]).mean())
             large_mean.append(np.diff(logs[1]).mean())
         assert np.mean(small_mean) > np.mean(large_mean)
-
-    def test_rejects_zero_values(self):
-        grid = np.array([0.0, 1.0])
-        positions = np.array([[0.0, 1.0], [1.0, 1.0]])
-        totals = np.array([positions[:, 0].sum(), positions[:, 1].sum()])
-        with pytest.raises(ValueError, match="positive"):
-            log_growth_diagnostic(ParticlePaths(grid, positions, totals), 0)
 
 
 class TestParticlePathsInvariants:

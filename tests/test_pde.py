@@ -4,7 +4,7 @@ from scipy.integrate import simpson
 from scipy.linalg import solve_banded
 
 import vsmhl.experiments as exp
-import vsmhl.pde as pde
+import vsmhl.measures as measures
 
 from vsmhl import (
     ConfigurationError,
@@ -231,7 +231,7 @@ class TestWeakResidual:
 
     def test_solver_path_matches_reference(self):
         grid = SolverGrid(30.0, 300, 200)
-        rows = pde._PAIR_BYTES // (8 * grid.nx)
+        rows = measures._PAIR_BYTES // (8 * grid.nx)
         n_nodes = grid.nt + 1
         assert rows < n_nodes and n_nodes % rows != 0  # several blocks, the last one partial
         traj = solve(PARAMS, LAW, grid)
@@ -262,6 +262,22 @@ class TestWeakResidual:
         assert_matches_reference(path, 1.5, 1.0, list(times) + [times[3] + 1e-12])
 
 
+class TestMeasurePath:
+    def test_pairings_equal_measure_expect(self):
+        x = np.linspace(0.0, 4.0, 81)
+        path_measures = (
+            Measure1D.from_atoms([0.5, 1.0, 2.5], [0.2, 0.5, 0.3]),
+            Measure1D.from_grid(x, np.exp(-x)),
+            Measure1D.from_grid(x[:61], np.full(61, 1.0 / 3.0)),  # uniform on [0, 3]
+        )
+        path = MeasurePath(np.array([0.0, 0.5, 1.0]), path_measures)
+        funcs = [g.f for g in function_bank()] + [g.df for g in function_bank()]
+        nodes = [2, 0, 1, 2]
+        got = path.pairings(funcs, nodes)
+        assert got.shape == (len(funcs), len(nodes))
+        assert got.tolist() == [[path_measures[k].expect(f) for k in nodes] for f in funcs]
+
+
 class TestGridPath:
     X = np.linspace(0.0, 2.0, 41)
 
@@ -274,7 +290,7 @@ class TestGridPath:
     def test_rows_equal_from_grid(self):
         grid = SolverGrid(30.0, 300, 200)
         traj = solve(PARAMS, LAW, grid)
-        assert len(traj.times) > pde._PAIR_BYTES // (8 * grid.nx)  # several normalization blocks
+        assert len(traj.times) > measures._PAIR_BYTES // (8 * grid.nx)  # several normalization blocks
         path = traj.measure_path()
         assert path.w.shape == traj.values.shape
         assert np.array_equal(path.times, traj.times) and np.array_equal(path.x, grid.centers())
@@ -282,6 +298,18 @@ class TestGridPath:
             assert np.array_equal(w, Measure1D.from_grid(grid.centers(), row).w)
             clipped = np.maximum(row, 0.0)  # the one-row normalization, written out
             assert np.array_equal(w, clipped / np.trapezoid(clipped, grid.centers()))
+
+    @pytest.mark.parametrize("nodes", [[0, 5, 109, 110, 200], list(range(200, -1, -1)), []])
+    def test_pairings_equal_from_grid_expect(self, nodes):
+        grid = SolverGrid(30.0, 300, 200)
+        assert measures._PAIR_BYTES // (8 * grid.nx) == 109  # rows per block
+        traj = solve(PARAMS, LAW, grid)
+        funcs = [g.f for g in function_bank()] + [g.d2f for g in function_bank()]
+        got = traj.measure_path().pairings(funcs, nodes)
+        assert got.shape == (len(funcs), len(nodes))
+        for j, k in enumerate(nodes):
+            m = Measure1D.from_grid(grid.centers(), traj.values[k])
+            assert got[:, j].tolist() == [m.expect(f) for f in funcs]
 
     def test_negative_roundoff_clipped(self):
         values = self.rows()
