@@ -19,7 +19,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import gamma as gamma_dist, kstest
 
 from . import __version__
 from .errors import ConfigurationError, ValidationError
@@ -45,6 +44,7 @@ from .model import (
     reject_unknown_keys,
     split_rng,
 )
+from .model import _integer, _is_integer, _number
 # simulate_system is not called here; perfbench/tracing.py wraps this name
 from .particles import ParticlePaths, simulate_replications, simulate_system, step_count  # noqa: F401
 from .pde import (
@@ -89,13 +89,6 @@ LAW_GRID_NODES = 4096
 STATE_BUDGET = 2**14
 
 
-def _integer(value, key: str) -> int:
-    """A JSON integer; floats, strings and booleans are refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -129,15 +122,19 @@ class ExperimentConfig:
                 )
         if not 0 < self.dt <= self.params.horizon:
             out.append("dt must lie in (0, horizon]")
-        if self.replications < 1:
+        if not _is_integer(self.replications):
+            out.append(f"replications must be an integer, got {self.replications!r}")
+        elif self.replications < 1:
             out.append("replications must be at least 1")
         elif self.experiment == "moment_check" and self.replications < 2:
             out.append("moment_check needs at least 2 replications: a standard error needs two")
-        if not 0 <= self.seed < 2**64:
-            out.append("seed must be a 64-bit unsigned integer")
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
+            out.append(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.metric not in ("levy", "wasserstein1"):
             out.append(f"unknown metric {self.metric!r}")
-        if self.experiment in ("convergence", "rank_check"):
+        if not all(_is_integer(n) for n in self.n_values):
+            out.append(f"n_values must be integers, got {list(self.n_values)!r}")
+        elif self.experiment in ("convergence", "rank_check"):
             if len(self.n_values) == 0:
                 out.append(f"{self.experiment} needs a nonempty n_values list")
             elif any(n < 1 for n in self.n_values) or any(
@@ -146,6 +143,8 @@ class ExperimentConfig:
                 out.append("n_values must be strictly increasing positive integers")
         if self.experiment == "pde_check" and self.grid is None:
             out.append("pde_check needs a grid")
+        sizes = () if self.grid is None else (("nx", self.grid.nx), ("nt", self.grid.nt))
+        out += [f"grid.{key} must be an integer, got {n!r}" for key, n in sizes if not _is_integer(n)]
         return out
 
     def to_dict(self) -> dict:
@@ -175,9 +174,9 @@ class ExperimentConfig:
             reject_unknown_keys(spec, [f.name for f in fields(cls)], "config")
             reject_unknown_keys(spec["params"], [f.name for f in fields(ModelParams)], "params")
             params = ModelParams(
-                eta=float(spec["params"]["eta"]),
+                eta=_number(spec["params"]["eta"], "params.eta"),
                 n_particles=_integer(spec["params"]["n_particles"], "params.n_particles"),
-                horizon=float(spec["params"]["horizon"]),
+                horizon=_number(spec["params"]["horizon"], "params.horizon"),
             )
             law = law_from_dict(spec["law"])
             grid = None
@@ -185,13 +184,15 @@ class ExperimentConfig:
                 g = spec["grid"]
                 reject_unknown_keys(g, [f.name for f in fields(SolverGrid)], "grid")
                 grid = SolverGrid(
-                    x_max=float(g["x_max"]), nx=_integer(g["nx"], "grid.nx"), nt=_integer(g["nt"], "grid.nt")
+                    x_max=_number(g["x_max"], "grid.x_max"),
+                    nx=_integer(g["nx"], "grid.nx"),
+                    nt=_integer(g["nt"], "grid.nt"),
                 )
             return cls(
                 experiment=str(spec["experiment"]),
                 params=params,
                 law=law,
-                dt=float(spec.get("dt", 1e-3)),
+                dt=_number(spec.get("dt", 1e-3), "dt"),
                 n_values=tuple(_integer(n, "n_values") for n in spec.get("n_values", ())),
                 replications=_integer(spec.get("replications", 1), "replications"),
                 seed=_integer(spec.get("seed", 0), "seed"),
@@ -314,9 +315,8 @@ def _law_measure(law: InitialLaw) -> Measure1D:
     if isinstance(law, DiscreteAtoms):
         return Measure1D.from_atoms(law.locations(), law.weights())
     if isinstance(law, GammaLaw):
-        hi = float(gamma_dist.ppf(1.0 - 1e-12, law.shape, scale=law.scale))
-        x = np.linspace(0.0, hi, LAW_GRID_NODES)
-        return Measure1D.from_grid(x, gamma_dist.pdf(x, law.shape, scale=law.scale))
+        x = np.linspace(0.0, law.ppf(1.0 - 1e-12), LAW_GRID_NODES)
+        return Measure1D.from_grid(x, law.pdf(x))
     x = np.linspace(law.a, law.b, LAW_GRID_NODES)
     return Measure1D.from_grid(x, np.full(LAW_GRID_NODES, 1.0 / (law.b - law.a)))
 
@@ -429,6 +429,8 @@ def run_pde_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
 
 
 def run_sampler_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+    from scipy.stats import kstest  # on first use: importing vsmhl does not load scipy.stats
+
     _require_valid(cfg, "sampler_check")
     ll = LimitLaw(cfg.params.eta, cfg.law)
     crit = KS_CRITICAL_1PCT / math.sqrt(SAMPLER_N)

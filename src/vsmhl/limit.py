@@ -36,9 +36,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 from scipy.special import gammaln, hyp1f1, logsumexp
-from scipy.stats import gamma as gamma_dist, ncx2
 
 from .bessel import log_modified_bessel_i
 from .errors import ValidationError
@@ -132,7 +130,7 @@ def _support_hi(law: InitialLaw) -> float:
         return float(law.locations().max())
     if isinstance(law, UniformLaw):
         return law.b
-    return float(gamma_dist.ppf(1.0 - 1e-15, law.shape, scale=law.scale))
+    return law.ppf(1.0 - 1e-15)
 
 
 def _log_gamma_mixture(eta: float, J: float, law: GammaLaw, y: np.ndarray) -> np.ndarray:
@@ -148,6 +146,8 @@ def _log_gamma_mixture(eta: float, J: float, law: GammaLaw, y: np.ndarray) -> np
 def _log_uniform_mixture(eta: float, J: float, law: UniformLaw, y: np.ndarray) -> np.ndarray:
     # ncx2 evaluates noncentrality 0 (a0 = 0) as the central chi-squared law;
     # see density() for the accuracy of the difference quotient
+    from scipy.stats import ncx2  # on first use: importing vsmhl skips scipy.stats
+
     z, df = 4.0 * y / J, 2.0 * eta - 2.0
     nc_a, nc_b = 4.0 * law.a / J, 4.0 * law.b / J
     lo = y <= 0.5 * (law.a + law.b)
@@ -221,7 +221,8 @@ class _CdfTable:
 
     Panel integrals in u = sqrt(y) are exact to roundoff; between edges a
     cubic Hermite spline with the density itself as the derivative keeps the
-    interpolation error near 1e-9 on the panel widths used here.
+    interpolation error near 1e-9 on the panel widths used here.  It equals
+    scipy's CubicHermiteSpline bit for bit (coefficients, interval, sum order).
     """
 
     def __init__(self, ll: LimitLaw, t: float):
@@ -241,10 +242,18 @@ class _CdfTable:
         self.y_edges = edges_u * edges_u
         self.F_edges = F
         f_edges = np.exp(_log_density(ll, J, self.y_edges))
-        self._interp = CubicHermiteSpline(self.y_edges, F, f_edges)
+        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(f_edges))):
+            raise ValueError("the limit density is not finite on the table edges")
+        dy = np.diff(self.y_edges)
+        slope = np.diff(F) / dy
+        t = (f_edges[:-1] + f_edges[1:] - 2 * slope) / dy
+        self._coef = (F[:-1], f_edges[:-1], (slope - f_edges[:-1]) / dy - t, t / dy)
 
     def cdf(self, y: np.ndarray) -> np.ndarray:
-        out = np.where(y >= self.y_hi, self.F_edges[-1], self._interp(np.minimum(y, self.y_hi)))
+        inner = np.minimum(y, self.y_hi)
+        i = np.clip(np.searchsorted(self.y_edges, inner, "right") - 1, 0, len(self.y_edges) - 2)
+        s, (c0, c1, c2, c3) = inner - self.y_edges[i], (c[i] for c in self._coef)
+        out = np.where(y >= self.y_hi, self.F_edges[-1], c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s))
         return np.clip(out, 0.0, 1.0)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import GridMismatchError
 from .limit import LimitLaw, quantile
@@ -75,7 +74,7 @@ class Measure1D:
         if xs.ndim != 1 or xs.shape != vals.shape or len(xs) < 2:
             raise ValueError("grid and values must be matching 1-D arrays")
         vals = GridPath([0.0], xs, vals[None]).w[0]  # a one-node path
-        cum = np.concatenate([[0.0], cumulative_trapezoid(vals, xs)])
+        cum = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (vals[1:] + vals[:-1]) / 2.0)])
         cum /= cum[-1]
         cum[-1] = 1.0
         return cls(cls.GRID, xs, vals, cum)

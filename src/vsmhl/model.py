@@ -11,8 +11,10 @@ to check against.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from sys import float_info
 
 import numpy as np
+from scipy.special import gammainc, gammaincinv, gammaln, xlogy
 
 from .errors import ValidationError
 
@@ -37,6 +39,24 @@ __all__ = [
 ATOM_WEIGHT_TOL = 1e-12
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(value, key: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused, not truncated."""
+    if not _is_integer(value):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    """A finite JSON number (integer or float) as a float; anything else is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= float_info.max:
+        raise ValidationError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def split_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for the worker identified by an integer key path.
 
@@ -58,8 +78,8 @@ class ModelParams:
         out = []
         if not self.eta > 1.0:
             out.append("eta must exceed 1")
-        if self.n_particles < 1:
-            out.append("n_particles must be at least 1")
+        if not (_is_integer(self.n_particles) and self.n_particles >= 1):
+            out.append(f"n_particles must be a positive integer, got {self.n_particles!r}")
         if not self.horizon > 0.0:
             out.append("horizon must be positive")
         return out
@@ -74,10 +94,20 @@ class PointMass:
 
 @dataclass(frozen=True)
 class GammaLaw:
-    """Gamma(shape k, scale theta); mean k*theta, second moment k(k+1)theta^2."""
+    """Gamma(shape k, scale theta), mean k*theta; pdf, cdf and ppf are scipy.stats.gamma's."""
 
     shape: float
     scale: float
+
+    def pdf(self, x) -> np.ndarray:
+        z = np.asarray(x, dtype=float) / self.scale
+        return np.exp(xlogy(self.shape - 1.0, z) - z - gammaln(self.shape)) / self.scale
+
+    def cdf(self, x) -> np.ndarray:
+        return gammainc(self.shape, np.asarray(x, dtype=float) / self.scale)
+
+    def ppf(self, q) -> float:
+        return float(gammaincinv(self.shape, q) * self.scale)
 
 
 @dataclass(frozen=True)
@@ -223,7 +253,8 @@ def law_from_dict(spec: dict) -> InitialLaw:
     reject_unknown_keys(spec, ["type", *names], f"'{tag}' law")
     try:
         if cls is DiscreteAtoms:
-            return DiscreteAtoms(tuple((float(l), float(w)) for l, w in spec["atoms"]))
-        return cls(*(float(spec[name]) for name in names))
+            atoms = ((_number(l, "law.atoms"), _number(w, "law.atoms")) for l, w in spec["atoms"])
+            return DiscreteAtoms(tuple(atoms))
+        return cls(*(_number(spec[name], f"law.{name}") for name in names))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed '{tag}' law: {exc}") from None

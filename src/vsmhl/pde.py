@@ -25,11 +25,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 from scipy.special import ndtr
-from scipy.stats import gamma as gamma_dist
 
 from .errors import ConfigurationError, ValidationError
 from .limit import LimitLaw, cdf
@@ -163,7 +161,7 @@ def _initial_cells(law: InitialLaw, grid: SolverGrid) -> np.ndarray:
         for loc, w in law.atoms:
             vals += w * _mollified_cells(loc, grid)
     elif isinstance(law, GammaLaw):
-        ce = gamma_dist.cdf(edges, law.shape, scale=law.scale)
+        ce = law.cdf(edges)
         vals = (ce[1:] - ce[:-1]) / dx
     elif isinstance(law, UniformLaw):
         overlap = np.minimum(edges[1:], law.b) - np.maximum(edges[:-1], law.a)
@@ -284,6 +282,29 @@ def _generator(g: TestFunction, eta: float) -> Callable[[np.ndarray], np.ndarray
     return lambda x: 0.5 * eta * g.df(x) + 0.5 * x * g.d2f(x)
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """scipy.integrate.simpson(y, x=x, axis=-1) bit for bit, for increasing 1-D x of
+    at least 3 points; an even count takes Cartwright's last-interval correction."""
+    n = len(x)
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
+    tmp = hsum / 6.0 * (
+        y[..., 0:stop:2] * (2.0 - 1.0 / h0divh1)
+        + y[..., 1 : stop + 1 : 2] * (hsum * (hsum / hprod))
+        + y[..., 2 : stop + 2 : 2] * (2.0 - h0divh1)
+    )
+    result = np.sum(tmp, axis=-1)
+    if n % 2 == 0:
+        a, b = h[-2:-1], h[-1:]  # one-element arrays, as scipy computes them
+        w1 = (2 * b**2 + 3 * a * b) / (6 * (b + a))
+        w2 = (b**2 + 3.0 * a * b) / (6 * a)
+        w3 = b**3 / (6 * a * (a + b))
+        result += w1 * y[..., -1] + w2 * y[..., -2] - w3 * y[..., -3]
+    return result
+
+
 def weak_residual(
     path: GridPath | MeasurePath,
     bank: list[TestFunction],
@@ -324,5 +345,5 @@ def weak_residual(
         if idx == 1:
             out[:, j] -= 0.5 * (integrand[:, 0] + integrand[:, 1]) * (s[1] - s[0])
         else:
-            out[:, j] -= simpson(integrand, x=s, axis=-1)
+            out[:, j] -= _simpson(integrand, s)
     return out

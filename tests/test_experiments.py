@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,75 @@ class TestConfig:
         (spec[section[0]] if section else spec)[field] = value
         with pytest.raises(ValidationError, match=f"{key} must be an integer"):
             ExperimentConfig.from_dict(spec)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("params.eta", "2.0"),
+            ("params.eta", True),
+            ("params.horizon", True),
+            ("params.horizon", None),
+            ("dt", "0.5"),
+            ("grid.x_max", "30"),
+            ("grid.x_max", [30.0]),
+            ("law.x0", "1"),
+            ("law.x0", False),
+            ("law.x0", float("nan")),
+            ("params.horizon", float("inf")),
+            ("dt", 10**400),
+        ],
+    )
+    def test_float_fields_need_numbers(self, key, value):
+        spec = small_convergence_cfg(grid=SolverGrid(30.0, 100, 100)).to_dict()
+        *section, field = key.split(".")
+        (spec[section[0]] if section else spec)[field] = value
+        with pytest.raises(ValidationError, match=f"{key} must be a finite number"):
+            ExperimentConfig.from_dict(spec)
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            {"type": "gamma", "shape": "2", "scale": 0.5},
+            {"type": "uniform", "a": 0.5, "b": True},
+            {"type": "atoms", "atoms": [[1.0, 0.5], ["2.0", 0.5]]},
+            {"type": "atoms", "atoms": [[1.0, 0.5], [2.0, True]]},
+        ],
+    )
+    def test_law_parameters_need_numbers(self, law):
+        spec = small_convergence_cfg().to_dict() | {"law": law}
+        with pytest.raises(ValidationError, match=r"law\.\w+ must be a finite number"):
+            ExperimentConfig.from_dict(spec)
+
+    def test_float_fields_take_json_integers(self):
+        spec = small_convergence_cfg(grid=SolverGrid(30.0, 100, 100)).to_dict()
+        spec["params"] |= {"eta": 2, "horizon": 1}
+        spec |= {"dt": 1, "law": {"type": "atoms", "atoms": [[1, 1]]}}
+        spec["grid"]["x_max"] = 30
+        cfg = ExperimentConfig.from_dict(spec)
+        assert (cfg.params.eta, cfg.params.horizon, cfg.dt, cfg.grid.x_max) == (2.0, 1.0, 1.0, 30.0)
+        assert cfg.law == DiscreteAtoms(((1.0, 1.0),)) and cfg.violations() == []
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"replications": 2.5}, "replications must be an integer, got 2.5"),
+            (
+                {"experiment": "moment_check", "n_values": (), "replications": 2.5},
+                "replications must be an integer, got 2.5",
+            ),
+            ({"replications": True}, "replications must be an integer, got True"),
+            ({"seed": 1.0}, "seed must be a 64-bit unsigned integer, got 1.0"),
+            ({"n_values": (16, 64.0)}, "n_values must be integers, got [16, 64.0]"),
+            ({"params": ModelParams(2.0, 8.0, 1.0)}, "n_particles must be a positive integer, got 8.0"),
+            ({"grid": SolverGrid(30.0, 100.5, 100)}, "grid.nx must be an integer, got 100.5"),
+            ({"grid": SolverGrid(30.0, 100, 200.0)}, "grid.nt must be an integer, got 200.0"),
+        ],
+    )
+    def test_python_built_config_checks_integers(self, overrides, message):
+        cfg = small_convergence_cfg(**overrides)
+        assert message in cfg.violations()
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            run_experiment(cfg)
 
     def test_moment_check_needs_two_replications(self):
         one = small_convergence_cfg(experiment="moment_check", n_values=(), replications=1)
@@ -462,6 +532,13 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_string_float_field_exit_code(self, tmp_path, capsys):
+        spec = small_convergence_cfg().to_dict() | {"dt": "0.02"}
+        out = tmp_path / "out"
+        assert main(["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out)]) == 2
+        assert "dt must be a finite number, got '0.02'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):

@@ -1,0 +1,100 @@
+"""The scipy routines vsmhl carries its own copy of, checked against scipy with ==.
+
+Importing vsmhl loads only scipy.special and scipy.linalg.lapack; the other
+scipy subpackages it used cost about 0.6 s of start-up per process.  Each
+copy must give scipy's result to the bit, so every output stays the same.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.integrate import cumulative_trapezoid, simpson
+from scipy.interpolate import CubicHermiteSpline
+from scipy.stats import gamma as gamma_dist
+
+import vsmhl.limit as limit
+from vsmhl import GammaLaw, LimitLaw, Measure1D, PointMass
+from vsmhl.pde import _simpson
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 98, 801])
+def test_simpson_equals_scipy(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 0.5
+        y = rng.normal(size=(5, n)) * np.exp(x)
+        assert np.array_equal(_simpson(y, x), simpson(y, x=x, axis=-1))
+
+
+def test_simpson_equals_scipy_on_analytic_time_grid():
+    # the geometric-then-uniform node layout weak_residual integrates over
+    s = np.concatenate([[0.0], np.geomspace(1e-4, 0.1, 25), np.linspace(0.1, 1.0, 73)[1:]])
+    y = np.exp(s)[None, :] * np.random.default_rng(1).normal(size=(5, 1))
+    for idx in (2, 3, 49, 50, len(s) - 1):
+        sub_y, sub_s = y[:, : idx + 1], s[: idx + 1]
+        assert np.array_equal(_simpson(sub_y, sub_s), simpson(sub_y, x=sub_s, axis=-1))
+
+
+@pytest.mark.parametrize(
+    "law, t",
+    [(PointMass(1.0), 1e-3), (PointMass(1.0), 0.5), (GammaLaw(2.0, 0.5), 0.05), (GammaLaw(0.7, 2.0), 1.0)],
+)
+def test_cdf_table_equals_cubic_hermite_spline(law, t):
+    ll = LimitLaw(2.0, law)
+    tab = limit._CdfTable(ll, t)
+    f_edges = np.exp(limit._log_density(ll, limit.time_change(ll, t), tab.y_edges))
+    spline = CubicHermiteSpline(tab.y_edges, tab.F_edges, f_edges)
+    rng = np.random.default_rng(7)
+    y = np.concatenate(
+        [
+            rng.uniform(0.0, tab.y_hi, 5000),
+            rng.uniform(0.0, tab.y_edges[len(tab.y_edges) // 50], 5000),
+            tab.y_edges,
+            [tab.y_hi, np.nextafter(tab.y_hi, 0.0), tab.y_hi * 1.5, 0.0],
+        ]
+    )
+    ref = np.clip(np.where(y >= tab.y_hi, tab.F_edges[-1], spline(np.minimum(y, tab.y_hi))), 0.0, 1.0)
+    assert np.array_equal(tab.cdf(y), ref)
+
+
+@pytest.mark.parametrize("shape, scale", [(2.0, 0.5), (0.7, 2.0), (1.0, 1.0), (35.5, 0.01)])
+def test_gamma_law_equals_scipy_stats(shape, scale):
+    law = GammaLaw(shape, scale)
+    for q in (1.0 - 1e-15, 1.0 - 1e-12, 0.5, 1e-9):
+        assert law.ppf(q) == float(gamma_dist.ppf(q, shape, scale=scale))
+    x = np.linspace(0.0, law.ppf(1.0 - 1e-12), 4096)
+    x = np.concatenate([x, np.random.default_rng(3).exponential(shape * scale, 1000)])
+    assert np.array_equal(law.pdf(x), gamma_dist.pdf(x, shape, scale=scale))
+    assert np.array_equal(law.cdf(x), gamma_dist.cdf(x, shape, scale=scale))
+
+
+def test_from_grid_equals_cumulative_trapezoid():
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4096):
+        x = np.cumsum(rng.uniform(0.01, 1.0, n))
+        vals = rng.uniform(0.5, 1.5, n)
+        vals /= np.trapezoid(vals, x)
+        m = Measure1D.from_grid(x, vals)
+        cum = np.concatenate([[0.0], cumulative_trapezoid(m.w, x)])  # m.w: vals normalized
+        cum /= cum[-1]
+        cum[-1] = 1.0
+        assert np.array_equal(m._cum, cum)
+
+
+def test_import_loads_only_light_scipy_subpackages():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, sys, vsmhl.cli; print(json.dumps(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    modules = json.loads(out)
+    heavy = ("scipy.stats", "scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.sparse")
+    assert [m for m in modules if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
+    assert "scipy.special" in modules and "scipy.linalg.lapack" in modules
