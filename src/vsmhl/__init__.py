@@ -35,6 +35,7 @@ from .limit import (
     density,
     density_grid,
     mean,
+    quadrature,
     quantile,
     sample,
     time_change,
@@ -49,6 +50,7 @@ from .measures import (
     GridPath,
     Measure1D,
     MeasurePath,
+    NodePath,
     empirical,
     levy,
     ranked_vs_limit,

@@ -89,8 +89,8 @@ def _asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     return total / np.sqrt(2.0 * math.pi * z)
 
 
-def log_modified_bessel_i(nu: float, z):
-    """log I_nu(z), computed without overflow for any z >= 0."""
+def log_modified_bessel_i(nu: float, z, scaled: bool = False):
+    """log I_nu(z), or log(e^{-z} I_nu(z)) when scaled, without overflow for any z >= 0."""
     zs = np.asarray(z, dtype=float)
     _check_args(nu, zs)
     scalar = zs.ndim == 0
@@ -98,9 +98,10 @@ def log_modified_bessel_i(nu: float, z):
     out = np.empty_like(zs)
     small = zs <= Z_SWITCH
     if np.any(small):
-        out[small] = _series_log(nu, zs[small])
+        out[small] = _series_log(nu, zs[small]) - (zs[small] if scaled else 0.0)
     if np.any(~small):
         zl = zs[~small]
-        out[~small] = zl + np.log(_asymptotic_scaled(nu, zl))
+        log_scaled = np.log(_asymptotic_scaled(nu, zl))
+        out[~small] = log_scaled if scaled else zl + log_scaled
     return float(out[0]) if scalar else out
 

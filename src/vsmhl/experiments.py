@@ -22,10 +22,11 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, ValidationError
-from .limit import LimitLaw, cdf, density, density_grid, sample, time_change
+from .limit import LimitLaw, cdf, density, density_grid, quadrature, sample, time_change
 from .measures import (
     Measure1D,
     MeasurePath,
+    NodePath,
     empirical,
     ranked_vs_limit,
     sup_distance,
@@ -82,7 +83,7 @@ UNIFORM_SPREAD_MAX = 1e10
 MOMENT_Z_FIRST = 3.0
 MOMENT_Z_SECOND = 4.0
 RANK_KEEP = (0.1, 0.9)  # central band of ranks summarized by rank_check
-# t = 0 grid of a gamma or uniform law; it stays at 4096 when pde_check's t > 0 grids use 6000
+# t = 0 grid of a gamma or uniform law on convergence's analytic path
 LAW_GRID_NODES = 4096
 # largest R * N state simulated as one chunk (at least one replication per
 # chunk); chosen by an in-process sweep over N and R recorded in CHANGES.md
@@ -322,14 +323,20 @@ def _law_measure(law: InitialLaw) -> Measure1D:
 
 
 @lru_cache(maxsize=8)
-def _analytic_path(ll: LimitLaw, times: tuple[float, ...], n_nodes: int = 4096) -> MeasurePath:
+def _analytic_path(ll: LimitLaw, times: tuple[float, ...]) -> MeasurePath:
     measures = []
     for t in times:
         if t == 0.0:
             measures.append(_law_measure(ll.law))
         else:
-            measures.append(Measure1D.from_grid(*density_grid(ll, t, n_nodes)))
+            measures.append(Measure1D.from_grid(*density_grid(ll, t)))
     return MeasurePath(np.array(times), tuple(measures))
+
+
+def _quadrature_path(ll: LimitLaw, horizon: float) -> NodePath:
+    """The limit law on _analytic_times(horizon), one panel quadrature per time."""
+    times = _analytic_times(horizon)
+    return NodePath(times, [quadrature(ll, float(t)) for t in times])
 
 
 def _snapshot_indices(n_steps: int) -> np.ndarray:
@@ -403,7 +410,7 @@ def run_pde_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     bank = test_function_bank()
     t_analytic = [frac * cfg.params.horizon for frac in fracs]
     t_pde = [float(traj.times[int(round(frac * grid.nt))]) for frac in fracs]
-    analytic = _analytic_path(ll, tuple(_analytic_times(cfg.params.horizon)), 6000)
+    analytic = _quadrature_path(ll, cfg.params.horizon)
     r_analytic = weak_residual(analytic, bank, cfg.params.eta, ll.m_lambda, t_analytic)
     r_pde = weak_residual(traj.measure_path(), bank, cfg.params.eta, ll.m_lambda, t_pde)
     residuals_ok = True

@@ -27,6 +27,18 @@ family (a = J/2, b = a + theta):
 
 Everything here is evaluated in log space so large Bessel arguments (small
 t, large y) do not overflow.
+
+``quadrature(ll, t)`` gives the law at t as nodes and weights, for pairing it
+with test functions: 8-point Gauss-Legendre panels in u = sqrt(y), each as
+wide as a quarter of the kernel scale sqrt(J) and at most 0.02.  They cover a
+range [y_lo, y_hi] with at most 1e-16 of the law beyond each end, by a
+Chernoff bound on the closed-form Laplace transform of every family,
+
+    log E[e^{sY}] = -eta log(1 - a s) + log M(s / (1 - a s)),
+
+M the initial law's moment generating function, taking the best s of a fixed
+grid.  The CDF table behind ``cdf`` and ``quantile`` is built from the same
+panels over ``_y_hi``'s wider range.
 """
 
 from __future__ import annotations
@@ -59,11 +71,17 @@ __all__ = [
     "quantile",
     "sample",
     "density_grid",
+    "quadrature",
     "log_modified_bessel_i",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _CHUNK = 1024
+TAIL_EPS = 1e-16  # mass a quadrature leaves beyond each end of its range, at most
+PANEL_WIDTH = 0.02  # widest quadrature panel in u = sqrt(y): resolves the test-function bank
+# most panels in one quadrature (8 nodes each): bounds the memory of a narrow
+# kernel over a wide law (a gamma law at t = 1e-4 takes 1900)
+MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -94,8 +112,14 @@ def mean(ll: LimitLaw, t: float) -> float:
     return ll.m_lambda * math.exp(0.5 * ll.eta * t)
 
 
-def _log_kernel(eta: float, J: float, x, y) -> np.ndarray:
-    """Log transition density from a single start x, broadcast over x and y."""
+def _log_kernel(eta: float, J: float, x, y, stable: bool = False) -> np.ndarray:
+    """Log transition density from a single start x, broadcast over x and y.
+
+    -2(x+y)/J and log I(z), z = 4 sqrt(xy)/J, nearly cancel when J is small,
+    which costs about 1e-16 z of relative accuracy (1e-11 at J = 1e-4, x = y
+    = 1).  stable sums -2(sqrt x - sqrt y)^2 / J and log(e^{-z} I(z)) instead,
+    free of that loss; density, cdf and their tables keep the first form.
+    """
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
     nu = eta - 1.0
     out = np.full(x.shape, -np.inf)
@@ -103,11 +127,12 @@ def _log_kernel(eta: float, J: float, x, y) -> np.ndarray:
     if np.any(both):
         xb, yb = x[both], y[both]
         z = 4.0 * np.sqrt(xb * yb) / J
+        exponent = (np.sqrt(xb) - np.sqrt(yb)) ** 2 if stable else xb + yb
         out[both] = (
             math.log(2.0 / J)
             + 0.5 * nu * (np.log(yb) - np.log(xb))
-            - 2.0 * (xb + yb) / J
-            + log_modified_bessel_i(nu, z)
+            - 2.0 * exponent / J
+            + log_modified_bessel_i(nu, z, scaled=stable)
         )
     central = (x == 0) & (y > 0)
     if np.any(central):
@@ -158,16 +183,17 @@ def _log_uniform_mixture(eta: float, J: float, law: UniformLaw, y: np.ndarray) -
         return np.log(np.maximum(diff, 0.0)) - math.log(law.b - law.a)
 
 
-def _log_kernel_mixture(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
+def _log_kernel_mixture(ll: LimitLaw, J: float, y: np.ndarray, stable: bool) -> np.ndarray:
     """Log density of a point-mass or atomic start on a 1-D block of points."""
     law = ll.law
     if isinstance(law, PointMass):
-        return _log_kernel(ll.eta, J, law.x0, y)
-    lk = _log_kernel(ll.eta, J, law.locations()[None, :], y[:, None])
+        return _log_kernel(ll.eta, J, law.x0, y, stable)
+    lk = _log_kernel(ll.eta, J, law.locations()[None, :], y[:, None], stable)
     return logsumexp(lk + np.log(law.weights())[None, :], axis=1)
 
 
-def _log_density(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
+def _log_density(ll: LimitLaw, J: float, y: np.ndarray, stable: bool = False) -> np.ndarray:
+    """Log limit density at clock J; stable is _log_kernel's, for the atomic laws."""
     if isinstance(ll.law, GammaLaw):
         return _log_gamma_mixture(ll.eta, J, ll.law, y)
     if isinstance(ll.law, UniformLaw):
@@ -175,7 +201,7 @@ def _log_density(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
     out = np.empty(y.shape)
     for start in range(0, len(y), _CHUNK):
         block = y[start : start + _CHUNK]
-        out[start : start + len(block)] = _log_kernel_mixture(ll, J, block)
+        out[start : start + len(block)] = _log_kernel_mixture(ll, J, block, stable)
     return out
 
 
@@ -216,6 +242,99 @@ def _y_hi(ll: LimitLaw, t: float) -> float:
     return max(mu + 45.0 * sd, x_hi + 0.5 * ll.eta * J + 45.0 * sd_hi, 16.0 * J)
 
 
+def _gl_panels(u_lo: float, u_hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Panel edges, the (n_panels, 8) Gauss-Legendre nodes and the half-width
+    of n_panels equal panels of [u_lo, u_hi] in u = sqrt(y)."""
+    edges_u = np.linspace(u_lo, u_hi, n_panels + 1)
+    centers = 0.5 * (edges_u[1:] + edges_u[:-1])
+    halfw = 0.5 * (edges_u[1] - edges_u[0])
+    return edges_u, centers[:, None] + halfw * _GL_NODES[None, :], halfw
+
+
+def _y_masses(f: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre terms of a density f in y = u*u (dy = 2u du), per node;
+    times the half-width they are the node weights of the panel rule."""
+    return f * 2.0 * u * _GL_WEIGHTS[None, :]
+
+
+def _log_mgf(ll: LimitLaw, J: float, s: np.ndarray) -> np.ndarray:
+    """log E[e^{sY}] of the law at clock J: -eta log(1 - a s) + log M(s / (1 - a s)),
+    a = J/2, M the initial law's moment generating function; finite for s
+    below the bound _tail_range keeps to."""
+    law, a = ll.law, 0.5 * J
+    r = s / (1.0 - a * s)
+    if isinstance(law, PointMass):
+        log_m = law.x0 * r
+    elif isinstance(law, DiscreteAtoms):
+        log_m = logsumexp(np.log(law.weights())[None, :] + r[:, None] * law.locations()[None, :], axis=1)
+    elif isinstance(law, GammaLaw):
+        log_m = -law.shape * np.log1p(-law.scale * r)
+    else:
+        # (e^{b0 r} - e^{a0 r}) / ((b0 - a0) r), with d = (b0 - a0) r never 0
+        d = (law.b - law.a) * r
+        log_m = law.a * r + np.maximum(d, 0.0) + np.log(-np.expm1(-np.abs(d)) / np.abs(d))
+    return -ll.eta * np.log1p(-a * s) + log_m
+
+
+# fractions of the largest admissible s tried by the Chernoff bound, logistic
+# in 97 steps so both q and 1 - q run from about 6e-6 to 1
+_S_FRACTIONS = 1.0 / (1.0 + np.exp(-np.linspace(-12.0, 12.0, 97)))
+
+
+def _tail_range(ll: LimitLaw, J: float) -> tuple[float, float]:
+    """[y_lo, y_hi] with at most TAIL_EPS of the law at clock J beyond each end.
+
+    Chernoff: P(Y >= y) <= exp(L(s) - s y) for s > 0 and P(Y <= y) <= the same
+    for s < 0, L = _log_mgf, so each s gives an end (L(s) - log TAIL_EPS) / s;
+    any s is valid, and the best over a fixed grid is taken.  s stays below
+    1 / (a + theta) for a gamma law and 1 / a otherwise, where L is finite.
+    """
+    theta = ll.law.scale if isinstance(ll.law, GammaLaw) else 0.0
+    s_max = 1.0 / (0.5 * J + theta)
+    s = s_max * np.concatenate([_S_FRACTIONS, -_S_FRACTIONS / (1.0 - _S_FRACTIONS)])
+    ends = (_log_mgf(ll, J, s) - math.log(TAIL_EPS)) / s
+    n = len(_S_FRACTIONS)
+    return max(float(ends[n:].max()), 0.0), float(ends[:n].min())
+
+
+def _panel_width(J: float) -> float:
+    """Widest panel in u: a quarter of the kernel scale sqrt(J), and at most
+    PANEL_WIDTH so the test-function bank is resolved too."""
+    return min(0.25 * math.sqrt(J), PANEL_WIDTH) if J > 0 else PANEL_WIDTH
+
+
+def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and weights w with sum(w g(y)) = E g(Y_t) for the limit law at t >= 0.
+
+    8-point Gauss-Legendre panels in u = sqrt(y), of width _panel_width(J)
+    (at most MAX_PANELS of them), cover the tail range [y_lo, y_hi] of
+    _tail_range, outside which each tail holds at most TAIL_EPS; each weight
+    is the density times dy at its node.
+    At t = 0 the initial law's own pieces are used: its atoms for a point mass
+    or atoms, panels over the gamma pdf, and panels over [a0, b0] for a uniform.
+    """
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    law = ll.law
+    if t == 0 and isinstance(law, PointMass):
+        return np.array([float(law.x0)]), np.array([1.0])
+    if t == 0 and isinstance(law, DiscreteAtoms):
+        return law.locations(), law.weights()
+    J = time_change(ll, t)
+    y_lo, y_hi = (law.a, law.b) if t == 0 and isinstance(law, UniformLaw) else _tail_range(ll, J)
+    u_lo, u_hi = math.sqrt(y_lo), math.sqrt(y_hi)
+    n_panels = min(max(1, math.ceil((u_hi - u_lo) / _panel_width(J))), MAX_PANELS)
+    _, u, halfw = _gl_panels(u_lo, u_hi, n_panels)
+    y = u * u
+    if t > 0:
+        f = np.exp(_log_density(ll, J, y.ravel(), stable=True)).reshape(y.shape)
+    elif isinstance(law, GammaLaw):
+        f = law.pdf(y)
+    else:
+        f = np.full(y.shape, 1.0 / (law.b - law.a))
+    return y.ravel(), (halfw * _y_masses(f, u)).ravel()
+
+
 class _CdfTable:
     """Cumulative table of the limit density, Hermite-interpolated in y.
 
@@ -230,13 +349,9 @@ class _CdfTable:
         y_hi = _y_hi(ll, t)
         u_max = math.sqrt(y_hi)
         h_u = max(min(math.sqrt(J) / 64.0, u_max / 128.0), u_max / 80000.0)
-        n_panels = math.ceil(u_max / h_u)
-        edges_u = np.linspace(0.0, u_max, n_panels + 1)
-        centers = 0.5 * (edges_u[1:] + edges_u[:-1])
-        halfw = 0.5 * (edges_u[1] - edges_u[0])
-        u = centers[:, None] + halfw * _GL_NODES[None, :]
+        edges_u, u, halfw = _gl_panels(0.0, u_max, math.ceil(u_max / h_u))
         f = np.exp(_log_density(ll, J, (u * u).ravel())).reshape(u.shape)
-        panel = halfw * np.sum(f * 2.0 * u * _GL_WEIGHTS[None, :], axis=1)
+        panel = halfw * np.sum(_y_masses(f, u), axis=1)
         F = np.concatenate([[0.0], np.cumsum(panel)])
         self.y_hi = y_hi
         self.y_edges = edges_u * edges_u

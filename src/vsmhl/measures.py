@@ -5,9 +5,9 @@ both expose a CDF, which is all the two metrics need.  Wasserstein-1 is the
 area between CDFs, computed exactly for the piecewise-constant /
 piecewise-linear representations used here.  The Levy metric is also exact:
 one sweep along the anti-diagonals x + y = s of the two completed CDF graphs.
-A path of measures over a time grid is either one Measure1D per node
-(MeasurePath) or, for densities that share one grid, one 2-D array with a row
-per node (GridPath).
+A path of measures over a time grid is one Measure1D per node (MeasurePath),
+one set of weighted nodes per node (NodePath), or, for densities that share
+one grid, one 2-D array with a row per node (GridPath).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .limit import LimitLaw, quantile
 __all__ = [
     "Measure1D",
     "MeasurePath",
+    "NodePath",
     "GridPath",
     "empirical",
     "wasserstein1",
@@ -107,12 +108,41 @@ class MeasurePath:
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("time grid must increase from 0")
 
+
+class NodePath:
+    """Weighted nodes, one set per node of a time grid: the measure at
+    times[k] is sum_j w_j delta(x_j) over set k, a quadrature rule or atoms.
+
+    The sets are stored concatenated, set k from starts[k] to starts[k + 1].
+    """
+
+    __slots__ = ("times", "x", "w", "starts")
+
+    def __init__(self, times, rules):
+        self.times = np.asarray(times, dtype=float)
+        if len(rules) != len(self.times) or len(self.times) == 0:
+            raise ValueError("need one node set per time node")
+        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
+            raise ValueError("time grid must increase from 0")
+        sizes = [len(x) for x, _ in rules]
+        if min(sizes) == 0 or any(np.shape(w) != (n,) for (_, w), n in zip(rules, sizes)):
+            raise ValueError("each node set needs matching nonempty 1-D nodes and weights")
+        self.x = np.concatenate([np.asarray(x, dtype=float) for x, _ in rules])
+        self.w = np.concatenate([np.asarray(w, dtype=float) for _, w in rules])
+        self.starts = np.concatenate([[0], np.cumsum(sizes)])
+
     def pairings(self, funcs, nodes) -> np.ndarray:
-        """Entry [i, j] is measures[nodes[j]].expect(funcs[i])."""
-        out = np.empty((len(funcs), len(nodes)))
-        for j, k in enumerate(nodes):
-            out[:, j] = [self.measures[k].expect(f) for f in funcs]
-        return out
+        """Entry [i, j] is sum(w * funcs[i](x)) over node set nodes[j]: each
+        function is evaluated once on the requested sets, concatenated, and
+        summed per set by np.add.reduceat."""
+        nodes = np.asarray(nodes, dtype=int)
+        if len(nodes) == 0:
+            return np.empty((len(funcs), 0))
+        sizes = self.starts[nodes + 1] - self.starts[nodes]
+        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        idx = np.repeat(self.starts[nodes] - offsets, sizes) + np.arange(sizes.sum())
+        x, w = self.x[idx], self.w[idx]
+        return np.array([np.add.reduceat(w * f(x), offsets) for f in funcs])
 
 
 class GridPath:

@@ -75,7 +75,7 @@ class ModelParams:
     horizon: float
 
     def violations(self) -> list[str]:
-        out = []
+        out = _non_finite((("eta", self.eta), ("horizon", self.horizon)))
         if not self.eta > 1.0:
             out.append("eta must exceed 1")
         if not (_is_integer(self.n_particles) and self.n_particles >= 1):
@@ -134,9 +134,26 @@ class DiscreteAtoms:
 InitialLaw = PointMass | GammaLaw | UniformLaw | DiscreteAtoms
 
 
+def _non_finite(named_values) -> list[str]:
+    """One message per (name, value) whose value is NaN or infinite."""
+    return [f"{name} must be finite, got {value!r}" for name, value in named_values if not np.isfinite(value)]
+
+
 def law_violations(law: InitialLaw) -> list[str]:
-    """Collect every violated invariant of the law (empty list means valid)."""
-    out: list[str] = []
+    """Collect every violated invariant of the law (empty list means valid).
+
+    A NaN or infinite parameter is reported alone: the comparisons below
+    would pass NaN in silence or misread it.
+    """
+    if isinstance(law, DiscreteAtoms):
+        values = [(f"atoms[{i}]", v) for i, atom in enumerate(law.atoms) for v in atom]
+    elif isinstance(law, (PointMass, GammaLaw, UniformLaw)):
+        values = [(f.name, getattr(law, f.name)) for f in fields(law)]
+    else:
+        values = []
+    out = _non_finite(values)
+    if out:
+        return out
     if isinstance(law, PointMass):
         if law.x0 < 0:
             out.append("point mass location must be nonnegative")

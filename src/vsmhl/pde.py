@@ -31,7 +31,7 @@ from scipy.special import ndtr
 
 from .errors import ConfigurationError, ValidationError
 from .limit import LimitLaw, cdf
-from .measures import GridPath, MeasurePath
+from .measures import GridPath, NodePath
 from .model import (
     DiscreteAtoms,
     GammaLaw,
@@ -306,7 +306,7 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def weak_residual(
-    path: GridPath | MeasurePath,
+    path: GridPath | NodePath,
     bank: list[TestFunction],
     eta: float,
     m_lambda: float,
@@ -318,11 +318,12 @@ def weak_residual(
     of m e^{eta s/2} (rho(s), (eta/2) g_i' + (x/2) g_i''), the integral taken
     by composite Simpson (one trapezoid on a single step) on the path's own
     time grid; every t_j must be a grid node.  The path is a GridPath (the
-    solver's densities, one row per node on one grid) or a MeasurePath (one
-    Measure1D per node, atoms or grids).  Its pairings pair each measure up to
-    the last requested node once with every (eta/2) g' + (x/2) g'', and each
-    t_j reads its own prefix of that table; g itself is paired only at 0 and
-    at the t_j.  All bad t_j are rejected before any pairing.
+    solver's densities, one row per node on one grid) or a NodePath (one set
+    of weighted nodes per node: the limit law's quadrature, or atoms).  Its
+    pairings pair each measure up to the last requested node once with every
+    (eta/2) g' + (x/2) g'', and each t_j reads its own prefix of that table;
+    g itself is paired only at 0 and at the t_j.  All bad t_j are rejected
+    before any pairing.
     """
     times = np.asarray(path.times, dtype=float)
     tol = 1e-9 * max(1.0, times[-1])

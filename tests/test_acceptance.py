@@ -121,7 +121,7 @@ def test_criterion_4_pde_vs_analytic(pde_runs):
 def test_criterion_5_weak_residuals(pde_runs):
     law = PointMass(1.0)
     ll = LimitLaw(2.0, law)
-    analytic = exp._analytic_path(ll, tuple(exp._analytic_times(1.0)), 6000)
+    analytic = exp._quadrature_path(ll, 1.0)
     traj, _ = pde_runs["coarse"]
     pde_path = traj.measure_path()
     worst_analytic = float(np.abs(weak_residual(analytic, function_bank(), 2.0, 1.0, TIMES)).max())

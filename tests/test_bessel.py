@@ -68,6 +68,17 @@ def test_scaled_variant_consistent_across_switch():
             assert direct == pytest.approx(float(sp.ive(nu, z)), rel=1e-12)
 
 
+def test_scaled_log_keeps_digits_at_large_argument():
+    # log I - z loses about 1e-16 z absolute; above the switch the scaled form
+    # never adds z, below it the series' own log I bounds the loss by 1e-14
+    z = np.array([0.0, 1.0, 49.0, 51.0, 1e3, 4e4, 1e6])
+    for nu in (0.0, 1.0, 2.5):
+        got = log_modified_bessel_i(nu, z, scaled=True)
+        with np.errstate(divide="ignore"):
+            want = np.log(sp.ive(nu, z))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+
 def test_log_variant_safe_where_plain_overflows():
     lg = log_modified_bessel_i(1.0, 800.0)
     assert math.isfinite(lg)

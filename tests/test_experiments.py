@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -182,6 +183,30 @@ class TestConfig:
         ],
     )
     def test_python_built_config_checks_integers(self, overrides, message):
+        cfg = small_convergence_cfg(**overrides)
+        assert message in cfg.violations()
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"params": ModelParams(math.nan, 16, 1.0)}, "eta must be finite, got nan"),
+            ({"params": ModelParams(math.inf, 16, 1.0)}, "eta must be finite, got inf"),
+            ({"params": ModelParams(2.0, 16, math.inf)}, "horizon must be finite, got inf"),
+            ({"params": ModelParams(2.0, 16, math.nan)}, "horizon must be finite, got nan"),
+            ({"law": PointMass(math.nan)}, "x0 must be finite, got nan"),
+            ({"law": PointMass(math.inf)}, "x0 must be finite, got inf"),
+            ({"law": GammaLaw(math.inf, 0.5)}, "shape must be finite, got inf"),
+            ({"law": GammaLaw(2.0, math.nan)}, "scale must be finite, got nan"),
+            ({"law": UniformLaw(math.nan, 2.0)}, "a must be finite, got nan"),
+            ({"law": UniformLaw(0.0, math.inf)}, "b must be finite, got inf"),
+            ({"law": DiscreteAtoms(((1.0, 0.5), (math.inf, 0.5)))}, "atoms[1] must be finite, got inf"),
+            ({"law": DiscreteAtoms(((1.0, math.nan), (2.0, 0.5)))}, "atoms[0] must be finite, got nan"),
+            ({"law": DiscreteAtoms(((-math.inf, 1.0),))}, "atoms[0] must be finite, got -inf"),
+        ],
+    )
+    def test_python_built_config_rejects_non_finite_floats(self, overrides, message):
         cfg = small_convergence_cfg(**overrides)
         assert message in cfg.violations()
         with pytest.raises(ConfigurationError, match=re.escape(message)):
@@ -418,15 +443,14 @@ class TestOtherRunners:
             counting("measure_path", pde.DensityTrajectory.measure_path),
         )
         monkeypatch.setattr(Measure1D, "from_grid", classmethod(recording_from_grid))
-        exp._analytic_path.cache_clear()
         cfg = ExperimentConfig(
             "pde_check", ModelParams(2.0, 1, 1.0), PointMass(1.0), grid=SolverGrid(30.0, 300, 16)
         )
         exp.run_pde_check(cfg)
-        assert calls == {"weak_residual": 2, "density_grid": 97, "measure_path": 1}
-        # the solver path is one GridPath: every Measure1D grid measure is one
-        # of the 97 analytic densities (6000 nodes; the solver grid has 300)
-        assert grid_sizes == [6000] * 97
+        assert calls == {"weak_residual": 2, "density_grid": 0, "measure_path": 1}
+        # the solver path is one GridPath and the analytic path one NodePath
+        # of panel quadratures, so no Measure1D grid measure is built
+        assert grid_sizes == []
 
     @pytest.mark.parametrize(
         "law",
@@ -434,12 +458,24 @@ class TestOtherRunners:
         ids=str,
     )
     def test_pde_check_builds_one_table(self, law):
-        # the solver's tail check reads one CDF; the 97 analytic grids read none
-        exp._analytic_path.cache_clear()
+        # the solver's tail check reads one CDF; the 97 analytic quadratures read none
         limit._table.cache_clear()
         cfg = ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), law, grid=SolverGrid(40.0, 400, 16))
         exp.run_pde_check(cfg)
         assert limit._table.cache_info().misses == 1
+
+    @pytest.mark.parametrize(
+        "law, x_max, nx",
+        [(GammaLaw(2.0, 0.5), 30.0, 1200), (DiscreteAtoms(((0.5, 0.3), (2.0, 0.7))), 40.0, 1600)],
+        ids=["gamma", "atoms"],
+    )
+    def test_pde_check_passes_beyond_point_mass(self, law, x_max, nx):
+        # the pde_point grid's dx and nt; the atoms' tail check needs x_max 40
+        cfg = ExperimentConfig("pde_check", ModelParams(2.0, 64, 1.0), law, grid=SolverGrid(x_max, nx, 800))
+        r = run_experiment(cfg)
+        assert r.passed and r.summary["residuals_ok"]
+        worst = max(abs(v) for check, _, _, v in r.rows if check == "residual_analytic")
+        assert worst <= exp.RESIDUAL_TOL_ANALYTIC == 1e-4
 
     def test_pde_check_coarse_grid_fails_threshold(self, tmp_path):
         cfg = ExperimentConfig(

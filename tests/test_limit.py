@@ -370,3 +370,76 @@ class TestDensityGrid:
         assert np.array_equal(f, density(ll, 0.3, y))
         with pytest.raises(ValueError):
             density_grid(ll, 0.0)
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("t", [0.0, 1e-4, 0.5, 1.0])
+    @pytest.mark.parametrize("law", FOUR_LAWS, ids=str)
+    def test_mass_and_mean(self, law, t):
+        ll = LimitLaw(2.0, law)
+        y, w = limit.quadrature(ll, t)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert abs(w @ y - mean(ll, t)) <= 1e-10
+
+    @pytest.mark.parametrize("t", [1e-4, 0.5, 1.0])
+    @pytest.mark.parametrize("law", FOUR_LAWS, ids=str)
+    def test_halving_the_panel_width(self, law, t, monkeypatch):
+        from vsmhl.pde import _generator, test_function_bank
+
+        bank = test_function_bank()
+        ll = LimitLaw(2.0, law)
+
+        def pairings(funcs):
+            y, w = limit.quadrature(ll, t)
+            return np.array([w @ f(y) for f in funcs])
+
+        coarse = [pairings([g.f for g in bank]), pairings([_generator(g, 2.0) for g in bank])]
+        monkeypatch.setattr(limit, "_panel_width", lambda J, width=limit._panel_width: 0.5 * width(J))
+        fine = [pairings([g.f for g in bank]), pairings([_generator(g, 2.0) for g in bank])]
+        assert np.abs(fine[0] - coarse[0]).max() <= 1e-10
+        # the bumps' generator terms are steep near the edges of their support:
+        # at PANEL_WIDTH they move by up to 2.5e-7, and by 1e-11 at half of it
+        assert np.abs(fine[1] - coarse[1]).max() <= 1e-6
+
+    @pytest.mark.parametrize("t", [1e-4, 0.5, 1.0])
+    @pytest.mark.parametrize("eta", [1.5, 2.0, 3.0])
+    def test_tail_ends_hold_against_exact_tails(self, eta, t):
+        from scipy.stats import gamma as gamma_dist
+
+        # a point mass: (J/4) times noncentral chi-squared, 2 eta degrees of freedom
+        ll = LimitLaw(eta, PointMass(1.0))
+        J = time_change(ll, t)
+        lo, hi = limit._tail_range(ll, J)
+        assert ncx2.cdf(4.0 * lo / J, 2.0 * eta, 4.0 / J) <= limit.TAIL_EPS
+        assert 1e-21 <= ncx2.sf(4.0 * hi / J, 2.0 * eta, 4.0 / J) <= limit.TAIL_EPS
+        # a gamma law of shape eta: Gamma(eta, scale J/2 + theta)
+        ll = LimitLaw(eta, GammaLaw(eta, 0.5))
+        J = time_change(ll, t)
+        lo, hi = limit._tail_range(ll, J)
+        scale = 0.5 * J + 0.5
+        assert gamma_dist.cdf(lo, eta, scale=scale) <= limit.TAIL_EPS
+        assert 1e-21 <= gamma_dist.sf(hi, eta, scale=scale) <= limit.TAIL_EPS
+
+    def test_panel_count_capped(self):
+        # a kernel of width 1e-6 over a gamma law would ask for 1.9e6 panels
+        ll = LimitLaw(2.0, GammaLaw(2.0, 0.5))
+        y, w = limit.quadrature(ll, 1e-12)
+        assert len(y) == 8 * limit.MAX_PANELS
+        assert abs(w.sum() - 1.0) <= 1e-12
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            limit.quadrature(LL_POINT, -1e-3)
+
+    def test_stable_kernel_at_small_clock(self):
+        # at J = 1e-4 the direct kernel's exponent cancels to ~1e-11 relative
+        J, x, y = 1e-4, 1.0, np.linspace(0.95, 1.05, 11)
+        mp.mp.dps = 40
+        ref = [
+            float(mp.log(2 / mp.mpf(J)) - 2 * (x + mp.mpf(v)) / J + mp.log(mp.besseli(1, 4 * mp.sqrt(x * mp.mpf(v)) / J)))
+            + 0.5 * math.log(v / x)
+            for v in y
+        ]
+        mp.mp.dps = 15
+        got = limit._log_kernel(2.0, J, x, y, stable=True)
+        assert np.abs(got - ref).max() <= 1e-13

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -15,6 +17,7 @@ from vsmhl import (
     Measure1D,
     MeasurePath,
     ModelParams,
+    NodePath,
     PointMass,
     SolverGrid,
     density,
@@ -172,18 +175,30 @@ class TestMollifiedStartLaw:
         assert atoms.locations() @ w == pytest.approx(1.0, abs=1e-2)
 
 
-def reference_residual(path, g, eta, m_lambda, t):
-    """The per-(g, t) formulation: one expect call per node, then Simpson."""
-    times = np.asarray(path.times, dtype=float)
+def measure_expect(path):
+    """Pairing of node k of a MeasurePath by Measure1D.expect."""
+    return lambda k, f: path.measures[k].expect(f)
+
+
+def node_expect(path):
+    """Pairing of node set k of a NodePath, one set at a time."""
+
+    def expect(k, f):
+        lo, hi = path.starts[k], path.starts[k + 1]
+        return float(np.add.reduceat(path.w[lo:hi] * f(path.x[lo:hi]), [0])[0])
+
+    return expect
+
+
+def reference_residual(times, expect, g, eta, m_lambda, t):
+    """The per-(g, t) formulation: one expect(k, f) call per node, then Simpson."""
+    times = np.asarray(times, dtype=float)
     idx = int(np.argmin(np.abs(times - t)))
-    lhs = path.measures[idx].expect(g.f) - path.measures[0].expect(g.f)
+    lhs = expect(idx, g.f) - expect(0, g.f)
     if idx == 0 or m_lambda == 0.0:
         return float(lhs)
     s = times[: idx + 1]
-    pairs = [
-        m.expect(lambda x: 0.5 * eta * g.df(x) + 0.5 * x * g.d2f(x))
-        for m in path.measures[: idx + 1]
-    ]
+    pairs = [expect(k, lambda x: 0.5 * eta * g.df(x) + 0.5 * x * g.d2f(x)) for k in range(idx + 1)]
     integrand = m_lambda * np.exp(0.5 * eta * s) * np.array(pairs)
     if idx == 1:
         rhs = 0.5 * (integrand[0] + integrand[1]) * (s[1] - s[0])
@@ -192,21 +207,19 @@ def reference_residual(path, g, eta, m_lambda, t):
     return float(lhs - rhs)
 
 
-def assert_matches_reference(path, eta, m_lambda, t_values, reference=None):
-    """weak_residual on path equals the per-(g, t) formulation on reference
-    (by default the path itself), entry for entry."""
+def assert_matches_reference(path, eta, m_lambda, t_values, expect):
+    """weak_residual on path equals the per-(g, t) formulation with the
+    pairings expect(k, f), entry for entry."""
     bank = function_bank()
     got = weak_residual(path, bank, eta, m_lambda, t_values)
     assert got.shape == (len(bank), len(t_values))
-    ref = path if reference is None else reference
-    want = [[reference_residual(ref, g, eta, m_lambda, t) for t in t_values] for g in bank]
+    want = [[reference_residual(path.times, expect, g, eta, m_lambda, t) for t in t_values] for g in bank]
     assert got.tolist() == want
 
 
 class TestWeakResidual:
     def test_zero_coefficient_constant_path(self):
-        m = Measure1D.from_atoms([1.0], [1.0])
-        path = MeasurePath(np.linspace(0.0, 1.0, 5), (m,) * 5)
+        path = NodePath(np.linspace(0.0, 1.0, 5), [([1.0], [1.0])] * 5)
         g = function_bank()[0]
         assert weak_residual(path, [g], 2.0, 0.0, [1.0]) == 0.0
 
@@ -215,8 +228,7 @@ class TestWeakResidual:
         [([2.0], "horizon"), ([0.5, 2.0], "horizon"), ([0.33], "node"), ([1.0, 0.33, 0.5], "node")],
     )
     def test_horizon_errors(self, t_values, match):
-        m = Measure1D.from_atoms([1.0], [1.0])
-        path = MeasurePath(np.linspace(0.0, 1.0, 5), (m,) * 5)
+        path = NodePath(np.linspace(0.0, 1.0, 5), [([1.0], [1.0])] * 5)
         g = function_bank()[0]
         with pytest.raises(ValueError, match=match):
             weak_residual(path, [g], 2.0, 1.0, t_values)
@@ -242,40 +254,57 @@ class TestWeakResidual:
         )
         t = path.times
         assert_matches_reference(
-            path, PARAMS.eta, 1.0, [t[0], t[1], t[2], t[rows], t[rows + 1], 1.0], per_node
+            path, PARAMS.eta, 1.0, [t[0], t[1], t[2], t[rows], t[rows + 1], 1.0], measure_expect(per_node)
         )
 
     def test_analytic_path_matches_reference(self):
         ll = LimitLaw(PARAMS.eta, LAW)
-        path = exp._analytic_path(ll, tuple(exp._analytic_times(1.0)), 6000)
+        path = exp._quadrature_path(ll, 1.0)
+        assert isinstance(path, NodePath)
         assert len(path.times) == 98
-        assert path.measures[0].kind == Measure1D.ATOMS
-        assert len({m.x[-1] for m in path.measures[1:]}) == 97  # no two grids alike
+        assert path.starts[1] == 1 and path.x[0] == 1.0 and path.w[0] == 1.0  # the point mass at t = 0
+        assert len({path.x[end - 1] for end in path.starts[2:]}) == 97  # no two node sets alike
         t = path.times
-        assert_matches_reference(path, PARAMS.eta, 1.0, [t[1], t[2], 0.5, t[70], 1.0])
+        assert_matches_reference(path, PARAMS.eta, 1.0, [t[1], t[2], 0.5, t[70], 1.0], node_expect(path))
 
     def test_atom_path_matches_reference(self):
         rng = np.random.default_rng(7)
         times = np.linspace(0.0, 1.0, 8)
-        measures = tuple(empirical(rng.gamma(2.0, 0.5 + k / 8.0, 50)) for k in range(8))
-        path = MeasurePath(times, measures)
-        assert_matches_reference(path, 1.5, 1.0, list(times) + [times[3] + 1e-12])
+        measures = [empirical(rng.gamma(2.0, 0.5 + k / 8.0, 50)) for k in range(8)]
+        path = NodePath(times, [(m.x, m.w) for m in measures])
+        assert_matches_reference(path, 1.5, 1.0, list(times) + [times[3] + 1e-12], node_expect(path))
 
 
-class TestMeasurePath:
-    def test_pairings_equal_measure_expect(self):
-        x = np.linspace(0.0, 4.0, 81)
-        path_measures = (
-            Measure1D.from_atoms([0.5, 1.0, 2.5], [0.2, 0.5, 0.3]),
-            Measure1D.from_grid(x, np.exp(-x)),
-            Measure1D.from_grid(x[:61], np.full(61, 1.0 / 3.0)),  # uniform on [0, 3]
-        )
-        path = MeasurePath(np.array([0.0, 0.5, 1.0]), path_measures)
+class TestNodePath:
+    SETS = [([0.5, 1.0, 2.5], [0.2, 0.5, 0.3]), ([0.25], [1.0]), (np.linspace(0.1, 4.0, 40), np.full(40, 0.025))]
+
+    def test_pairings_equal_per_set_sums(self):
+        path = NodePath(np.array([0.0, 0.5, 1.0]), self.SETS)
         funcs = [g.f for g in function_bank()] + [g.df for g in function_bank()]
         nodes = [2, 0, 1, 2]
         got = path.pairings(funcs, nodes)
         assert got.shape == (len(funcs), len(nodes))
-        assert got.tolist() == [[path_measures[k].expect(f) for k in nodes] for f in funcs]
+        assert got.tolist() == [[node_expect(path)(k, f) for k in nodes] for f in funcs]
+        for i, f in enumerate(funcs):
+            for j, k in enumerate(nodes):
+                x, w = map(np.asarray, self.SETS[k])
+                terms = w * f(x)
+                # any summation order is within n eps sum|terms| of the exact sum
+                assert abs(got[i, j] - math.fsum(terms)) <= len(x) * 2.0**-52 * np.abs(terms).sum()
+        assert path.pairings(funcs, []).shape == (len(funcs), 0)
+
+    @pytest.mark.parametrize(
+        "times, sets, match",
+        [
+            ([0.0, 1.0], SETS, "one node set per time"),
+            ([0.0, 1.0, 1.0], SETS, "time grid"),
+            ([0.0, 0.5, 1.0], [SETS[0], ([], []), SETS[2]], "nonempty"),
+            ([0.0, 0.5, 1.0], [SETS[0], ([0.25], [0.5, 0.5]), SETS[2]], "matching"),
+        ],
+    )
+    def test_rejects_bad_sets(self, times, sets, match):
+        with pytest.raises(ValueError, match=match):
+            NodePath(np.array(times), sets)
 
 
 class TestGridPath:

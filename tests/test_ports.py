@@ -98,3 +98,19 @@ def test_import_loads_only_light_scipy_subpackages():
     heavy = ("scipy.stats", "scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.sparse")
     assert [m for m in modules if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
     assert "scipy.special" in modules and "scipy.linalg.lapack" in modules
+
+
+def test_point_mass_pde_check_loads_no_heavy_scipy_subpackage():
+    # the analytic path's Chernoff range takes the best of a fixed grid of s,
+    # and its panels are summed in numpy: no optimizer and no integrator
+    script = (
+        "import json, sys\n"
+        "from vsmhl import ExperimentConfig, ModelParams, PointMass, SolverGrid, run_experiment\n"
+        "cfg = ExperimentConfig('pde_check', ModelParams(2.0, 1, 1.0), PointMass(1.0), grid=SolverGrid(30.0, 300, 16))\n"
+        "run_experiment(cfg)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.integrate")
+    assert [m for m in json.loads(out) if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
