@@ -58,7 +58,7 @@ GOLDEN = {
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=PointMass(1.0),
             grid=SolverGrid(30.0, 1200, 800),
         ),
-        "8c8b1ddf1c023123f30bfe6d587da368c0523e92823823355df6fd220d67bf7b",
+        "4c7ddac8b9a0a2356f6ba05a017e13123acd52c2252fc27f2cac19678353f890",
     ),
     "sampler_check": (
         dict(
