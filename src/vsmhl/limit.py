@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, hyp1f1, logsumexp
+from scipy.special import gammaln, hyp1f1, logsumexp, roots_jacobi
 
 from .bessel import log_modified_bessel_i
 from .errors import ValidationError
@@ -309,9 +309,10 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
     8-point Gauss-Legendre panels in u = sqrt(y), of width _panel_width(J)
     (at most MAX_PANELS of them), cover the tail range [y_lo, y_hi] of
     _tail_range, outside which each tail holds at most TAIL_EPS; each weight
-    is the density times dy at its node.
+    is the density (with _log_kernel's stable form) times dy at its node.
     At t = 0 the initial law's own pieces are used: its atoms for a point mass
-    or atoms, panels over the gamma pdf, and panels over [a0, b0] for a uniform.
+    or atoms, panels over the gamma pdf (Gauss-Jacobi with weight y^{k-1} on
+    the first), and panels over [a0, b0] for a uniform.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -332,7 +333,15 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
         f = law.pdf(y)
     else:
         f = np.full(y.shape, 1.0 / (law.b - law.a))
-    return y.ravel(), (halfw * _y_masses(f, u)).ravel()
+    w = halfw * _y_masses(f, u)
+    if t == 0 and isinstance(law, GammaLaw) and y_lo == 0.0:
+        # the pdf's factor y^{k-1} is not smooth at 0 (not even bounded for
+        # k < 1): on the first panel, Gauss-Jacobi in y with that weight
+        k, h = law.shape, (2.0 * halfw) ** 2
+        x, wj = roots_jacobi(len(_GL_NODES), 0.0, k - 1.0)
+        y[0] = 0.5 * h * (1.0 + x)
+        w[0] = (0.5 * h) ** k * wj * np.exp(-y[0] / law.scale - gammaln(k) - k * math.log(law.scale))
+    return y.ravel(), w.ravel()
 
 
 class _CdfTable:

@@ -124,9 +124,10 @@ class NodePath:
             raise ValueError("need one node set per time node")
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("time grid must increase from 0")
-        sizes = [len(x) for x, _ in rules]
-        if min(sizes) == 0 or any(np.shape(w) != (n,) for (_, w), n in zip(rules, sizes)):
+        shapes = [(np.shape(x), np.shape(w)) for x, w in rules]
+        if any(len(sx) != 1 or sx != sw or sx == (0,) for sx, sw in shapes):
             raise ValueError("each node set needs matching nonempty 1-D nodes and weights")
+        sizes = [sx[0] for sx, _ in shapes]
         self.x = np.concatenate([np.asarray(x, dtype=float) for x, _ in rules])
         self.w = np.concatenate([np.asarray(w, dtype=float) for _, w in rules])
         self.starts = np.concatenate([[0], np.cumsum(sizes)])

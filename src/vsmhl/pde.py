@@ -66,8 +66,8 @@ class SolverGrid:
     nt: int
 
     def __post_init__(self):
-        if not self.x_max > 0:
-            raise ValueError("x_max must be positive")
+        if not 0 < self.x_max < math.inf:
+            raise ValueError(f"x_max must be positive and finite, got {self.x_max!r}")
         if self.nx < 16 or self.nt < 16:
             raise ValueError("need at least 16 cells and 16 time steps")
 

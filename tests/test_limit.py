@@ -381,6 +381,14 @@ class TestQuadrature:
         assert abs(w.sum() - 1.0) <= 1e-12
         assert abs(w @ y - mean(ll, t)) <= 1e-10
 
+    @pytest.mark.parametrize("shape", [0.3, 0.7, 1.0, 35.5])
+    def test_gamma_start_of_any_shape(self, shape):
+        # below shape 1 the gamma pdf is unbounded at 0
+        ll = LimitLaw(2.0, GammaLaw(shape, 0.5))
+        y, w = limit.quadrature(ll, 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert abs(w @ y - mean(ll, 0.0)) <= 1e-10
+
     @pytest.mark.parametrize("t", [1e-4, 0.5, 1.0])
     @pytest.mark.parametrize("law", FOUR_LAWS, ids=str)
     def test_halving_the_panel_width(self, law, t, monkeypatch):
@@ -433,13 +441,14 @@ class TestQuadrature:
 
     def test_stable_kernel_at_small_clock(self):
         # at J = 1e-4 the direct kernel's exponent cancels to ~1e-11 relative
+        # (9.4e-12 here); the stable one is within its rounding of sqrt(y),
+        # about 2 (sqrt(y) - 1) eps / (J/4) ~ 1e-13
         J, x, y = 1e-4, 1.0, np.linspace(0.95, 1.05, 11)
-        mp.mp.dps = 40
-        ref = [
-            float(mp.log(2 / mp.mpf(J)) - 2 * (x + mp.mpf(v)) / J + mp.log(mp.besseli(1, 4 * mp.sqrt(x * mp.mpf(v)) / J)))
-            + 0.5 * math.log(v / x)
-            for v in y
-        ]
-        mp.mp.dps = 15
+        with mp.workdps(40):
+            ref = [
+                float(mp.log(2 / mp.mpf(J)) - 2 * (x + mp.mpf(v)) / J + mp.log(mp.besseli(1, 4 * mp.sqrt(x * mp.mpf(v)) / J)))
+                + 0.5 * math.log(v / x)
+                for v in y
+            ]
         got = limit._log_kernel(2.0, J, x, y, stable=True)
-        assert np.abs(got - ref).max() <= 1e-13
+        assert np.abs(got - ref).max() <= 4e-13

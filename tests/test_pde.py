@@ -40,8 +40,9 @@ class TestSolverGrid:
             SolverGrid(30.0, 8, 100)
         with pytest.raises(ValueError):
             SolverGrid(30.0, 100, 8)
-        with pytest.raises(ValueError):
-            SolverGrid(-1.0, 100, 100)
+        for x_max in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="x_max must be positive and finite"):
+                SolverGrid(x_max, 100, 100)
 
     def test_centers(self):
         g = SolverGrid(2.0, 16, 16)
