@@ -400,7 +400,7 @@ def quantile(ll: LimitLaw, t: float, p):
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     ps = np.asarray(p, dtype=float)
-    if np.any((ps <= 0) | (ps >= 1)):
+    if not np.all((ps > 0) & (ps < 1)):  # NaN fails both comparisons
         raise ValueError("p must lie strictly between 0 and 1")
     scalar = ps.ndim == 0
     pv = np.atleast_1d(ps).ravel()

@@ -6,8 +6,8 @@ area between CDFs, computed exactly for the piecewise-constant /
 piecewise-linear representations used here.  The Levy metric is also exact:
 one sweep along the anti-diagonals x + y = s of the two completed CDF graphs.
 A path of measures over a time grid is one Measure1D per node (MeasurePath),
-one set of weighted nodes per node (NodePath), or, for densities that share
-one grid, one 2-D array with a row per node (GridPath).
+one set of weighted nodes per node (NodePath), or, for cell masses on one
+shared grid of centres, one 2-D array with a row per node (GridPath).
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ __all__ = [
     "sup_distance",
     "ranked_vs_limit",
 ]
-
-_PAIR_BYTES = 2**18  # bytes per row block, _PAIR_BYTES // x.nbytes rows; keeps temporaries in cache
-
 
 class Measure1D:
     """A probability measure on [0, inf): weighted atoms or a grid density."""
@@ -74,7 +71,15 @@ class Measure1D:
         vals = np.asarray(values, dtype=float)
         if xs.ndim != 1 or xs.shape != vals.shape or len(xs) < 2:
             raise ValueError("grid and values must be matching 1-D arrays")
-        vals = GridPath([0.0], xs, vals[None]).w[0]  # a one-node path
+        if np.any(np.diff(xs) <= 0):
+            raise ValueError("grid must be strictly increasing")
+        if np.any(vals < -1e-12):
+            raise ValueError("density values must be nonnegative")
+        vals = np.maximum(vals, 0.0)
+        mass = np.trapezoid(vals, xs)
+        if abs(mass - 1.0) > 5e-2:  # coarse grids under-resolve narrow densities
+            raise ValueError(f"grid density mass {mass!r} is too far from 1")
+        vals /= mass
         cum = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (vals[1:] + vals[:-1]) / 2.0)])
         cum /= cum[-1]
         cum[-1] = 1.0
@@ -87,12 +92,6 @@ class Measure1D:
             cum = np.concatenate([[0.0], self._cum])
             return cum[idx]
         return np.clip(np.interp(qs, self.x, self._cum, left=0.0, right=1.0), 0.0, 1.0)
-
-    def expect(self, f) -> float:
-        """Pairing with a test function, integral of f against the measure."""
-        if self.kind == self.ATOMS:
-            return float(self.w @ f(self.x))
-        return float(np.trapezoid(self.w * f(self.x), self.x))
 
 
 @dataclass(frozen=True)
@@ -147,53 +146,36 @@ class NodePath:
 
 
 class GridPath:
-    """Densities on one shared grid x, one row of w per node of a time grid.
+    """Cell masses on one shared grid of centres x, one row of m per node of a
+    time grid: the measure at times[k] is sum_i m[k, i] delta(x_i).
 
-    Row k is the measure at times[k]: values[k] clipped at 0 and divided by
-    its own trapezoid mass.  Coarse grids under-resolve narrow densities, so a
-    few percent of mass error is accepted and renormalized away.  The checks
-    run once per path; the masses are reduced _PAIR_BYTES of rows at a time
-    and the rows divided in place, so the temporaries stay small.  A
-    Measure1D.from_grid measure is a one-node path, so each row equals
-    from_grid(x, values[k]).w bit for bit.
+    The rows are the masses a conservative scheme holds, taken as they are:
+    nothing is clipped, renormalized or absorbed.
     """
 
-    __slots__ = ("times", "x", "w")
+    __slots__ = ("times", "x", "m")
 
-    def __init__(self, times, x, values):
+    def __init__(self, times, x, masses):
         self.times = np.asarray(times, dtype=float)
         self.x = np.asarray(x, dtype=float)
-        vals = np.asarray(values, dtype=float)
-        if self.x.ndim != 1 or len(self.x) < 2 or vals.shape != (len(self.times), len(self.x)):
-            raise ValueError("need one row of grid values per time node")
+        self.m = np.asarray(masses, dtype=float)
+        if self.x.ndim != 1 or len(self.x) < 2 or self.m.shape != (len(self.times), len(self.x)):
+            raise ValueError("need one row of cell masses per time node")
         if len(self.times) == 0 or self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("time grid must increase from 0")
         if np.any(np.diff(self.x) <= 0):
             raise ValueError("grid must be strictly increasing")
-        if np.any(vals < -1e-12):
-            raise ValueError("density values must be nonnegative")
-        self.w = np.maximum(vals, 0.0)
-        step = max(1, _PAIR_BYTES // self.x.nbytes)
-        for k in range(0, len(self.w), step):
-            block = self.w[k : k + step]
-            mass = np.trapezoid(block, self.x, axis=1)
-            far = np.abs(mass - 1.0) > 5e-2
-            if far.any():
-                raise ValueError(f"grid density mass {mass[far.argmax()]!r} is too far from 1")
-            block /= mass[:, None]
+        if self.m.min() < -1e-12:
+            raise ValueError("cell masses must be nonnegative")
 
     def pairings(self, funcs, nodes) -> np.ndarray:
-        """Entry [i, j] is from_grid(x, values[nodes[j]]).expect(funcs[i]), bit
-        for bit: each function is evaluated once on the shared grid and reduced
-        against at most _PAIR_BYTES of the requested rows at a time."""
-        fx = [f(self.x) for f in funcs]
-        out = np.empty((len(funcs), len(nodes)))
-        step = max(1, _PAIR_BYTES // self.x.nbytes)
-        for k in range(0, len(nodes), step):
-            w = self.w[nodes[k : k + step]]
-            for i, fxi in enumerate(fx):
-                out[i, k : k + len(w)] = np.trapezoid(w * fxi, self.x, axis=1)
-        return out
+        """Entry [i, j] is sum(m[nodes[j]] * funcs[i](x)): each function is
+        evaluated once on the grid and one matrix product pairs every row, so
+        an entry does not depend on which other nodes are requested.  The
+        table comes back C-ordered, as NodePath's does, so that sums along its
+        rows run in one order."""
+        fx = np.array([f(self.x) for f in funcs])
+        return np.take(fx @ self.m.T, nodes, axis=1)
 
 
 def empirical(positions) -> Measure1D:

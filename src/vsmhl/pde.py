@@ -101,7 +101,7 @@ class DensityTrajectory:
         return self.values.sum(axis=1) * self.grid.dx()
 
     def measure_path(self) -> GridPath:
-        return GridPath(self.times, self.grid.centers(), self.values)
+        return GridPath(self.times, self.grid.centers(), self.values * self.grid.dx())
 
 
 def _advance(
@@ -317,18 +317,20 @@ def weak_residual(
     Entry [i, j] is (rho(t_j), g_i) - (rho(0), g_i) minus the time integral
     of m e^{eta s/2} (rho(s), (eta/2) g_i' + (x/2) g_i''), the integral taken
     by composite Simpson (one trapezoid on a single step) on the path's own
-    time grid; every t_j must be a grid node.  The path is a GridPath (the
-    solver's densities, one row per node on one grid) or a NodePath (one set
-    of weighted nodes per node: the limit law's quadrature, or atoms).  Its
-    pairings pair each measure up to the last requested node once with every
-    (eta/2) g' + (x/2) g'', and each t_j reads its own prefix of that table;
-    g itself is paired only at 0 and at the t_j.  All bad t_j are rejected
-    before any pairing.
+    time grid; every t_j must be a finite grid node.  The path is a GridPath
+    (the solver's cell masses, one row per node on one grid) or a NodePath
+    (one set of weighted nodes per node: the limit law's quadrature, or
+    atoms).  Its pairings pair each measure up to the last requested node
+    once with every (eta/2) g' + (x/2) g'', and each t_j reads its own prefix
+    of that table; g itself is paired only at 0 and at the t_j.  All bad t_j
+    are rejected before any pairing.
     """
     times = np.asarray(path.times, dtype=float)
     tol = 1e-9 * max(1.0, times[-1])
     nodes = []
     for t in t_values:
+        if not math.isfinite(t):
+            raise ValueError(f"t={t} is not finite")
         if t > times[-1] + tol:
             raise ValueError(f"t={t} exceeds the path horizon {times[-1]}")
         idx = int(np.argmin(np.abs(times - t)))

@@ -312,6 +312,10 @@ class TestCdfQuantile:
         with pytest.raises(ValueError):
             quantile(LL_POINT, 1.0, 1.0)
         with pytest.raises(ValueError):
+            quantile(LL_POINT, 1.0, float("nan"))
+        with pytest.raises(ValueError):
+            quantile(LL_POINT, 1.0, np.array([0.5, np.nan]))
+        with pytest.raises(ValueError):
             cdf(LL_POINT, -1.0, 1.0)
 
 

@@ -240,6 +240,19 @@ class TestMeasure1DValidation:
         with pytest.raises(ValueError):
             Measure1D.from_grid(x[::-1], np.ones(11))
 
+    def test_grid_mass_window_and_clipping(self):
+        x = np.linspace(0.0, 2.0, 41)
+        with pytest.raises(ValueError, match="grid density mass .* is too far from 1"):
+            Measure1D.from_grid(x, np.full(41, 0.45))  # trapezoid mass 0.9
+        vals = np.full(41, 0.51)  # trapezoid mass 1.02, renormalized
+        vals[7] = -1e-6
+        with pytest.raises(ValueError, match="nonnegative"):
+            Measure1D.from_grid(x, vals)
+        vals[7] = -1e-13  # roundoff, clipped
+        m = Measure1D.from_grid(x, vals)
+        clipped = np.maximum(vals, 0.0)
+        assert m.w[7] == 0.0 and np.array_equal(m.w, clipped / np.trapezoid(clipped, x))
+
     def test_grid_cdf_bounds(self):
         x = np.linspace(0, 2, 101)
         m = Measure1D.from_grid(x, np.full(101, 0.5))

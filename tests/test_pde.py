@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from scipy.integrate import simpson
 from scipy.linalg import solve_banded
 
 import vsmhl.experiments as exp
-import vsmhl.measures as measures
 
 from vsmhl import (
     ConfigurationError,
@@ -14,8 +14,6 @@ from vsmhl import (
     GammaLaw,
     GridPath,
     LimitLaw,
-    Measure1D,
-    MeasurePath,
     ModelParams,
     NodePath,
     PointMass,
@@ -28,7 +26,7 @@ from vsmhl import (
     weak_residual,
 )
 from vsmhl import test_function_bank as function_bank
-from vsmhl.pde import _advance
+from vsmhl.pde import _advance, _generator
 
 PARAMS = ModelParams(2.0, 1, 1.0)
 LAW = PointMass(1.0)
@@ -176,9 +174,17 @@ class TestMollifiedStartLaw:
         assert atoms.locations() @ w == pytest.approx(1.0, abs=1e-2)
 
 
-def measure_expect(path):
-    """Pairing of node k of a MeasurePath by Measure1D.expect."""
-    return lambda k, f: path.measures[k].expect(f)
+def grid_expect(path, func_lists):
+    """Pairing of node k of a GridPath, read from path.pairings over every
+    node for each list of functions, the lists weak_residual pairs.  A BLAS
+    matrix product fixes no summation order that a per-node sum repeats bit
+    for bit, so TestGridPath checks these entries against per-node cell-mass
+    sums within the rounding bound instead."""
+    table = {}
+    for funcs in func_lists:
+        for f, row in zip(funcs, path.pairings(funcs, range(len(path.times)))):
+            table[f(path.x).tobytes()] = row
+    return lambda k, f: float(table[f(path.x).tobytes()][k])
 
 
 def node_expect(path):
@@ -226,7 +232,13 @@ class TestWeakResidual:
 
     @pytest.mark.parametrize(
         "t_values, match",
-        [([2.0], "horizon"), ([0.5, 2.0], "horizon"), ([0.33], "node"), ([1.0, 0.33, 0.5], "node")],
+        [
+            ([2.0], "horizon"),
+            ([0.5, 2.0], "horizon"),
+            ([0.33], "node"),
+            ([1.0, 0.33, 0.5], "node"),
+            ([0.5, math.nan], "finite"),
+        ],
     )
     def test_horizon_errors(self, t_values, match):
         path = NodePath(np.linspace(0.0, 1.0, 5), [([1.0], [1.0])] * 5)
@@ -242,21 +254,29 @@ class TestWeakResidual:
         [[r]] = weak_residual(path, [g], PARAMS.eta, 1.0, [1.0])
         assert abs(r) < 1e-2
 
+    def test_solver_pairings_hold_one_copy(self):
+        # measure_path copies the cell values once, as masses; neither pairing
+        # may copy them again (indexing the rows by the requested nodes would)
+        grid = SolverGrid(30.0, 1200, 800)
+        traj = solve(PARAMS, LAW, grid)
+        budget = 1.5 * traj.values.nbytes
+        tracemalloc.start()
+        try:
+            weak_residual(traj.measure_path(), function_bank(), PARAMS.eta, 1.0, [0.5, 1.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+
     def test_solver_path_matches_reference(self):
         grid = SolverGrid(30.0, 300, 200)
-        rows = measures._PAIR_BYTES // (8 * grid.nx)
-        n_nodes = grid.nt + 1
-        assert rows < n_nodes and n_nodes % rows != 0  # several blocks, the last one partial
         traj = solve(PARAMS, LAW, grid)
         path = traj.measure_path()
         assert isinstance(path, GridPath)
-        per_node = MeasurePath(
-            traj.times, tuple(Measure1D.from_grid(grid.centers(), row) for row in traj.values)
-        )
+        bank = function_bank()
+        expect = grid_expect(path, [[g.f for g in bank], [_generator(g, PARAMS.eta) for g in bank]])
         t = path.times
-        assert_matches_reference(
-            path, PARAMS.eta, 1.0, [t[0], t[1], t[2], t[rows], t[rows + 1], 1.0], measure_expect(per_node)
-        )
+        assert_matches_reference(path, PARAMS.eta, 1.0, [t[0], t[1], t[2], t[109], t[110], 1.0], expect)
 
     def test_analytic_path_matches_reference(self):
         ll = LimitLaw(PARAMS.eta, LAW)
@@ -312,41 +332,39 @@ class TestGridPath:
     X = np.linspace(0.0, 2.0, 41)
 
     def rows(self, n=5):
-        """Positive rows whose masses lie within 3% of 1."""
-        rng = np.random.default_rng(3)
-        values = rng.uniform(0.2, 0.8, (n, len(self.X)))
-        return values * rng.uniform(0.97, 1.03, (n, 1)) / np.trapezoid(values, self.X)[:, None]
+        """Positive cell masses, each row summing to 1."""
+        masses = np.random.default_rng(3).uniform(0.2, 0.8, (n, len(self.X)))
+        return masses / masses.sum(axis=1, keepdims=True)
 
-    def test_rows_equal_from_grid(self):
+    def test_rows_are_cell_masses(self):
         grid = SolverGrid(30.0, 300, 200)
         traj = solve(PARAMS, LAW, grid)
-        assert len(traj.times) > measures._PAIR_BYTES // (8 * grid.nx)  # several normalization blocks
         path = traj.measure_path()
-        assert path.w.shape == traj.values.shape
         assert np.array_equal(path.times, traj.times) and np.array_equal(path.x, grid.centers())
-        for row, w in zip(traj.values, path.w):
-            assert np.array_equal(w, Measure1D.from_grid(grid.centers(), row).w)
-            clipped = np.maximum(row, 0.0)  # the one-row normalization, written out
-            assert np.array_equal(w, clipped / np.trapezoid(clipped, grid.centers()))
+        assert np.array_equal(path.m, traj.values * grid.dx())
+        assert np.abs(path.m.sum(axis=1) - 1.0).max() <= 1e-12  # the scheme's conserved mass
 
-    @pytest.mark.parametrize("nodes", [[0, 5, 109, 110, 200], list(range(200, -1, -1)), []])
-    def test_pairings_equal_from_grid_expect(self, nodes):
+    def test_rows_kept_as_given(self):
+        masses = self.rows()
+        masses[2, 7] = -1e-13  # roundoff is not clipped
+        masses[1] *= 0.9  # nor a row mass away from 1 renormalized
+        path = GridPath(np.arange(5.0), self.X, masses)
+        assert np.array_equal(path.m, masses)
+
+    @pytest.mark.parametrize("nodes", [[0, 5, 109, 110, 200], list(range(200, -1, -1)), range(201), []])
+    def test_pairings_equal_per_node_cell_mass_sums(self, nodes):
         grid = SolverGrid(30.0, 300, 200)
-        assert measures._PAIR_BYTES // (8 * grid.nx) == 109  # rows per block
-        traj = solve(PARAMS, LAW, grid)
+        path = solve(PARAMS, LAW, grid).measure_path()
         funcs = [g.f for g in function_bank()] + [g.d2f for g in function_bank()]
-        got = traj.measure_path().pairings(funcs, nodes)
+        got = path.pairings(funcs, nodes)
         assert got.shape == (len(funcs), len(nodes))
-        for j, k in enumerate(nodes):
-            m = Measure1D.from_grid(grid.centers(), traj.values[k])
-            assert got[:, j].tolist() == [m.expect(f) for f in funcs]
-
-    def test_negative_roundoff_clipped(self):
-        values = self.rows()
-        values[2, 7] = -1e-13
-        path = GridPath(np.arange(5.0), self.X, values)
-        assert path.w[2, 7] == 0.0
-        assert np.array_equal(path.w[2], Measure1D.from_grid(self.X, values[2]).w)
+        # one product over every row: an entry does not depend on the other nodes requested
+        assert np.array_equal(got, path.pairings(funcs, range(201))[:, list(nodes)])
+        for i, f in enumerate(funcs):
+            for j, k in enumerate(nodes):
+                terms = path.m[k] * f(path.x)
+                # any summation order is within n eps sum|terms| of the exact sum
+                assert abs(got[i, j] - math.fsum(terms)) <= len(terms) * 2.0**-52 * np.abs(terms).sum()
 
     def test_rejects_non_increasing_grid(self):
         x = self.X.copy()
@@ -355,19 +373,10 @@ class TestGridPath:
             GridPath(np.arange(5.0), x, self.rows())
 
     def test_rejects_negative_cell(self):
-        values = self.rows()
-        values[4, 3] = -1e-6
+        masses = self.rows()
+        masses[4, 3] = -1e-6
         with pytest.raises(ValueError, match="nonnegative"):
-            GridPath(np.arange(5.0), self.X, values)
-
-    def test_rejects_row_mass_far_from_one(self):
-        values = self.rows()
-        values[1] *= 0.9 / np.trapezoid(values[1], self.X)
-        with pytest.raises(ValueError, match="grid density mass .* is too far from 1") as path_err:
-            GridPath(np.arange(5.0), self.X, values)
-        with pytest.raises(ValueError) as row_err:
-            Measure1D.from_grid(self.X, values[1])
-        assert str(path_err.value) == str(row_err.value)
+            GridPath(np.arange(5.0), self.X, masses)
 
     def test_rejects_bad_shapes_and_times(self):
         with pytest.raises(ValueError, match="one row"):
