@@ -58,7 +58,7 @@ GOLDEN = {
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=PointMass(1.0),
             grid=SolverGrid(30.0, 1200, 800),
         ),
-        "4c7ddac8b9a0a2356f6ba05a017e13123acd52c2252fc27f2cac19678353f890",
+        "416acd8eb46b28bc42684397191699ccd488215541115eefaf5cc3ee1cc19f40",
     ),
     "sampler_check": (
         dict(
