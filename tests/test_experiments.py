@@ -479,8 +479,7 @@ class TestOtherRunners:
 
     @pytest.mark.parametrize("nx, nt", [(150, 100), (64, 32)])
     def test_pde_check_coarse_grid_fails_threshold(self, tmp_path, nx, nt):
-        # at 64/32 the trapezoid over the cell centres read 8% of mass lost;
-        # the cell masses are paired as the scheme holds them, so it reports
+        # 64/32 under-resolves the start so far that it must report, not raise
         cfg = ExperimentConfig(
             "pde_check",
             ModelParams(2.0, 1, 1.0),
