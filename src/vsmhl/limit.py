@@ -76,7 +76,10 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_CHUNK = 1024
+# most (point, atom) kernel values in one block of a point-mass or atomic
+# density: a point-mass quadrature (at most 4096 x 8 nodes) is one block, a
+# 580-atom law takes 112 points a block
+_KERNEL_BUDGET = 2**16
 TAIL_EPS = 1e-16  # mass a quadrature leaves beyond each end of its range, at most
 PANEL_WIDTH = 0.02  # widest quadrature panel in u = sqrt(y): resolves the test-function bank
 # most panels in one quadrature (8 nodes each): bounds the memory of a narrow
@@ -193,15 +196,16 @@ def _log_kernel_mixture(ll: LimitLaw, J: float, y: np.ndarray, stable: bool) -> 
 
 
 def _log_density(ll: LimitLaw, J: float, y: np.ndarray, stable: bool = False) -> np.ndarray:
-    """Log limit density at clock J; stable is _log_kernel's, for the atomic laws."""
+    """Log limit density at clock J; stable is _log_kernel's, for the atomic laws,
+    which take blocks of points holding at most _KERNEL_BUDGET kernel values."""
     if isinstance(ll.law, GammaLaw):
         return _log_gamma_mixture(ll.eta, J, ll.law, y)
     if isinstance(ll.law, UniformLaw):
         return _log_uniform_mixture(ll.eta, J, ll.law, y)
+    rows = max(1, _KERNEL_BUDGET // (1 if isinstance(ll.law, PointMass) else len(ll.law.atoms)))
     out = np.empty(y.shape)
-    for start in range(0, len(y), _CHUNK):
-        block = y[start : start + _CHUNK]
-        out[start : start + len(block)] = _log_kernel_mixture(ll, J, block, stable)
+    for start in range(0, len(y), rows):
+        out[start : start + rows] = _log_kernel_mixture(ll, J, y[start : start + rows], stable)
     return out
 
 

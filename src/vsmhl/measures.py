@@ -134,14 +134,19 @@ class NodePath:
     def pairings(self, funcs, nodes) -> np.ndarray:
         """Entry [i, j] is sum(w * funcs[i](x)) over node set nodes[j]: each
         function is evaluated once on the requested sets, concatenated, and
-        summed per set by np.add.reduceat."""
+        summed per set by np.add.reduceat.  A consecutive run of sets is read
+        as one slice of x and w, without a copy."""
         nodes = np.asarray(nodes, dtype=int)
         if len(nodes) == 0:
             return np.empty((len(funcs), 0))
-        sizes = self.starts[nodes + 1] - self.starts[nodes]
-        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        idx = np.repeat(self.starts[nodes] - offsets, sizes) + np.arange(sizes.sum())
-        x, w = self.x[idx], self.w[idx]
+        if np.array_equal(nodes, np.arange(nodes[0], nodes[0] + len(nodes))):
+            lo, hi = self.starts[nodes[0]], self.starts[nodes[-1] + 1]
+            x, w, offsets = self.x[lo:hi], self.w[lo:hi], self.starts[nodes] - lo
+        else:
+            sizes = self.starts[nodes + 1] - self.starts[nodes]
+            offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+            idx = np.repeat(self.starts[nodes] - offsets, sizes) + np.arange(sizes.sum())
+            x, w = self.x[idx], self.w[idx]
         return np.array([np.add.reduceat(w * f(x), offsets) for f in funcs])
 
 

@@ -223,51 +223,46 @@ def solve(
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A smooth test function with its first two derivatives in closed form."""
+    """A smooth test function; jet(x) is (g, g', g'') at x in closed form."""
 
     name: str
-    f: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
-    d2f: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    def f(self, x):
+        return self.jet(x)[0]
+
+    def df(self, x):
+        return self.jet(x)[1]
+
+    def d2f(self, x):
+        return self.jet(x)[2]
 
 
 def _gaussian(c: float, sigma: float) -> TestFunction:
-    def f(x):
-        return np.exp(-((x - c) ** 2) / (2.0 * sigma**2))
+    def jet(x):
+        d = x - c
+        e = np.exp(-(d**2) / (2.0 * sigma**2))
+        return e, -d / sigma**2 * e, ((d / sigma**2) ** 2 - 1.0 / sigma**2) * e
 
-    def df(x):
-        return -(x - c) / sigma**2 * f(x)
-
-    def d2f(x):
-        return (((x - c) / sigma**2) ** 2 - 1.0 / sigma**2) * f(x)
-
-    return TestFunction(f"gaussian(c={c},sigma={sigma})", f, df, d2f)
+    return TestFunction(f"gaussian(c={c},sigma={sigma})", jet)
 
 
 def _bump(c: float, w: float) -> TestFunction:
-    def _parts(x):
-        s = (np.asarray(x, dtype=float) - c) / w
+    def jet(x):
+        # evaluated on the support |x - c| < w only, zero elsewhere
+        x = np.asarray(x, dtype=float)
+        s = (x - c) / w
         inside = np.abs(s) < 1.0
-        s = np.where(inside, s, 0.0)
+        s = s[inside]
         one = 1.0 - s * s
-        return s, one, inside
-
-    def f(x):
-        s, one, inside = _parts(x)
-        return np.where(inside, np.exp(1.0 - 1.0 / one), 0.0)
-
-    def df(x):
-        s, one, inside = _parts(x)
-        phi1 = -2.0 * s / (w * one**2)
-        return np.where(inside, phi1 * np.exp(1.0 - 1.0 / one), 0.0)
-
-    def d2f(x):
-        s, one, inside = _parts(x)
         phi1 = -2.0 * s / (w * one**2)
         phi2 = -2.0 * (1.0 + 3.0 * s * s) / (w**2 * one**3)
-        return np.where(inside, (phi2 + phi1 * phi1) * np.exp(1.0 - 1.0 / one), 0.0)
+        e = np.exp(1.0 - 1.0 / one)
+        out = np.zeros((3, *x.shape))
+        out[:, inside] = e, phi1 * e, (phi2 + phi1 * phi1) * e
+        return out[0], out[1], out[2]
 
-    return TestFunction(f"bump(c={c},w={w})", f, df, d2f)
+    return TestFunction(f"bump(c={c},w={w})", jet)
 
 
 def test_function_bank() -> list[TestFunction]:
@@ -278,8 +273,13 @@ def test_function_bank() -> list[TestFunction]:
 
 
 def _generator(g: TestFunction, eta: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The spatial part of the weak form, (eta/2) g' + (x/2) g''."""
-    return lambda x: 0.5 * eta * g.df(x) + 0.5 * x * g.d2f(x)
+    """The spatial part of the weak form, (eta/2) g' + (x/2) g'', from one jet."""
+
+    def generator(x):
+        _, d1, d2 = g.jet(x)
+        return 0.5 * eta * d1 + 0.5 * x * d2
+
+    return generator
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:

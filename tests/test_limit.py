@@ -456,3 +456,40 @@ class TestQuadrature:
             ]
         got = limit._log_kernel(2.0, J, x, y, stable=True)
         assert np.abs(got - ref).max() <= 4e-13
+
+
+class TestKernelBlocks:
+    # at J = 0.1 a start x spans z = 4 sqrt(x y) / J over 0 to 40 sqrt(x y): up to
+    # 120 for x = 1 on y in [0, 9], across the Bessel series bands (z <= 10 and
+    # above) and the large-argument expansion (z > 50)
+    J = 0.1
+    Y = np.concatenate([np.linspace(0.0, 9.0, 1201), [0.0625, 1.5625, 1.5626]])
+
+    @pytest.mark.parametrize("budget", [limit._KERNEL_BUDGET, 999])
+    @pytest.mark.parametrize("stable", [False, True])
+    @pytest.mark.parametrize("law", [PointMass(1.0), DiscreteAtoms(((0.5, 0.3), (1.0, 0.5), (2.0, 0.2)))], ids=str)
+    def test_equals_one_point_per_call(self, law, stable, budget, monkeypatch):
+        z = 4.0 * np.sqrt(self.Y) / self.J
+        assert np.any(z <= 10) and np.any((z > 10) & (z <= 50)) and np.any(z > 50)
+        ll = LimitLaw(2.0, law)
+        single = [limit._log_density(ll, self.J, self.Y[i : i + 1], stable)[0] for i in range(len(self.Y))]
+        monkeypatch.setattr(limit, "_KERNEL_BUDGET", budget)
+        assert limit._log_density(ll, self.J, self.Y, stable).tolist() == single
+
+    def test_mollified_gamma_blocks_within_budget(self, monkeypatch):
+        from vsmhl import SolverGrid, mollified_start_law
+
+        grid = SolverGrid(40.0, 1200, 800)
+        ll = LimitLaw(2.0, mollified_start_law(GammaLaw(2.0, 0.5), grid))
+        assert len(ll.law.atoms) == 580
+        sizes = []
+        kernel = limit._log_kernel_mixture
+
+        def spy(ll, J, y, stable):
+            sizes.append(len(y))
+            return kernel(ll, J, y, stable)
+
+        monkeypatch.setattr(limit, "_log_kernel_mixture", spy)
+        density(ll, 0.5, grid.centers())
+        assert sum(sizes) == grid.nx and len(sizes) > 1
+        assert max(sizes) * 580 <= limit._KERNEL_BUDGET

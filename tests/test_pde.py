@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,62 @@ class TestBank:
             x = rng.uniform(0.05, 8.0, 100)
             fd = (g.df(x + h) - g.df(x - h)) / (2 * h)
             assert np.max(np.abs(fd - g.d2f(x))) < 1e-6
+
+
+def old_closed_forms(g):
+    """g, g' and g'' of a bank function as three separate closed forms, each
+    with its own exp: the forms the jets must reproduce bit for bit."""
+    kind, c, p = re.fullmatch(r"(\w+)\(c=([\d.]+),(?:sigma|w)=([\d.]+)\)", g.name).groups()
+    c, p = float(c), float(p)
+    if kind == "gaussian":
+        f = lambda x: np.exp(-((x - c) ** 2) / (2.0 * p**2))
+        df = lambda x: -(x - c) / p**2 * f(x)
+        d2f = lambda x: (((x - c) / p**2) ** 2 - 1.0 / p**2) * f(x)
+        return f, df, d2f
+
+    def parts(x):
+        s = (np.asarray(x, dtype=float) - c) / p
+        inside = np.abs(s) < 1.0
+        s = np.where(inside, s, 0.0)
+        one = 1.0 - s * s
+        return s, one, inside, -2.0 * s / (p * one**2), -2.0 * (1.0 + 3.0 * s * s) / (p**2 * one**3)
+
+    def f(x):
+        s, one, inside, _, _ = parts(x)
+        return np.where(inside, np.exp(1.0 - 1.0 / one), 0.0)
+
+    def df(x):
+        s, one, inside, phi1, _ = parts(x)
+        return np.where(inside, phi1 * np.exp(1.0 - 1.0 / one), 0.0)
+
+    def d2f(x):
+        s, one, inside, phi1, phi2 = parts(x)
+        return np.where(inside, (phi2 + phi1 * phi1) * np.exp(1.0 - 1.0 / one), 0.0)
+
+    return f, df, d2f
+
+
+# a fine grid with each bump's edges (0, 2 and 1, 5), their neighbouring
+# doubles and the centres added
+EDGES = np.array([0.0, 1.0, 2.0, 3.0, 5.0])
+JET_GRID = np.sort(np.concatenate([np.linspace(0.0, 30.0, 30001), EDGES, np.nextafter(EDGES, -1.0), np.nextafter(EDGES, 9.0)]))
+
+
+class TestJets:
+    @pytest.mark.parametrize("k", range(5))
+    def test_jet_equals_closed_forms(self, k):
+        g = function_bank()[k]
+        want = [fn(JET_GRID).tobytes() for fn in old_closed_forms(g)]
+        for got in (g.jet(JET_GRID), (g.f(JET_GRID), g.df(JET_GRID), g.d2f(JET_GRID))):
+            assert [part.tobytes() for part in got] == want
+        for x in (1.0, 2.5):  # scalars too
+            assert [float(part) for part in g.jet(x)] == [float(fn(x)) for fn in old_closed_forms(g)]
+
+    @pytest.mark.parametrize("eta", [2.0, 1.5])
+    def test_generator_equals_derivative_form(self, eta):
+        for g in function_bank():
+            want = 0.5 * eta * g.df(JET_GRID) + 0.5 * JET_GRID * g.d2f(JET_GRID)
+            assert np.array_equal(_generator(g, eta)(JET_GRID), want)
 
 
 class TestAdvance:
@@ -268,6 +325,20 @@ class TestWeakResidual:
             tracemalloc.stop()
         assert peak <= budget
 
+    def test_analytic_residual_peak_memory(self):
+        # the consecutive node sets are paired as views of x and w, and each
+        # jet shares one exp: the peak stays within 8 copies of the nodes
+        ll = LimitLaw(PARAMS.eta, LAW)
+        path = exp._quadrature_path(ll, 1.0)
+        bank = function_bank()
+        tracemalloc.start()
+        try:
+            weak_residual(path, bank, PARAMS.eta, ll.m_lambda, [0.5, 1.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * path.x.nbytes
+
     def test_solver_path_matches_reference(self):
         grid = SolverGrid(30.0, 300, 200)
         traj = solve(PARAMS, LAW, grid)
@@ -299,10 +370,10 @@ class TestWeakResidual:
 class TestNodePath:
     SETS = [([0.5, 1.0, 2.5], [0.2, 0.5, 0.3]), ([0.25], [1.0]), (np.linspace(0.1, 4.0, 40), np.full(40, 0.025))]
 
-    def test_pairings_equal_per_set_sums(self):
+    @pytest.mark.parametrize("nodes", [[2, 0, 1, 2], [0, 1, 2], [1, 2], [1], [0, 2]])
+    def test_pairings_equal_per_set_sums(self, nodes):
         path = NodePath(np.array([0.0, 0.5, 1.0]), self.SETS)
         funcs = [g.f for g in function_bank()] + [g.df for g in function_bank()]
-        nodes = [2, 0, 1, 2]
         got = path.pairings(funcs, nodes)
         assert got.shape == (len(funcs), len(nodes))
         assert got.tolist() == [[node_expect(path)(k, f) for k in nodes] for f in funcs]
