@@ -101,17 +101,20 @@ class LimitLaw:
         object.__setattr__(self, "m_lambda", moments(self.law)[0])
 
 
+def _check_t(t: float, positive: bool = False) -> None:
+    if not math.isfinite(t) or t < 0 or (positive and t == 0):
+        raise ValueError(f"t must be {'positive' if positive else 'nonnegative'} and finite, got {t}")
+
+
 def time_change(ll: LimitLaw, t: float) -> float:
     """Deterministic clock J(t) = (2 m / eta)(e^{eta t/2} - 1)."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _check_t(t)
     return 2.0 * ll.m_lambda / ll.eta * math.expm1(0.5 * ll.eta * t)
 
 
 def mean(ll: LimitLaw, t: float) -> float:
     """First moment of the limit measure at time t (exact closed form)."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _check_t(t)
     return ll.m_lambda * math.exp(0.5 * ll.eta * t)
 
 
@@ -210,10 +213,9 @@ def _log_density(ll: LimitLaw, J: float, y: np.ndarray, stable: bool = False) ->
 
 
 def _check_density_args(t: float, y: np.ndarray) -> None:
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if np.any(y < 0):
-        raise ValueError("y must be nonnegative")
+    _check_t(t, positive=True)
+    if not np.all(y >= 0):  # NaN fails the comparison
+        raise ValueError("y must be nonnegative, not NaN")
 
 
 def density(ll: LimitLaw, t: float, y):
@@ -318,8 +320,7 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
     or atoms, panels over the gamma pdf (Gauss-Jacobi with weight y^{k-1} on
     the first), and panels over [a0, b0] for a uniform.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _check_t(t)
     law = ll.law
     if t == 0 and isinstance(law, PointMass):
         return np.array([float(law.x0)]), np.array([1.0])
@@ -401,8 +402,7 @@ def cdf(ll: LimitLaw, t: float, y):
 
 def quantile(ll: LimitLaw, t: float, p):
     """Inverse of cdf(ll, t, .) on (0, 1), by bracketed bisection."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_t(t, positive=True)
     ps = np.asarray(p, dtype=float)
     if not np.all((ps > 0) & (ps < 1)):  # NaN fails both comparisons
         raise ValueError("p must lie strictly between 0 and 1")
@@ -428,8 +428,7 @@ def sample(ll: LimitLaw, t: float, n: int, rng: np.random.Generator) -> np.ndarr
     shape eta + K and scale J/2; this is the Poisson-mixture form of the
     scaled noncentral chi-squared and is valid for non-integer 2*eta.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_t(t, positive=True)
     if n < 1:
         raise ValueError("n must be at least 1")
     J = time_change(ll, t)

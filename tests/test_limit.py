@@ -458,6 +458,31 @@ class TestQuadrature:
         assert np.abs(got - ref).max() <= 4e-13
 
 
+NON_FINITE_T_CALLS = {
+    "time_change": lambda t: time_change(LL_POINT, t),
+    "mean": lambda t: mean(LL_POINT, t),
+    "density": lambda t: density(LL_POINT, t, 1.0),
+    "cdf": lambda t: cdf(LL_POINT, t, 1.0),
+    "quantile": lambda t: quantile(LL_POINT, t, 0.5),
+    "sample": lambda t: sample(LL_POINT, t, 3, split_rng(0)),
+    "quadrature": lambda t: limit.quadrature(LL_POINT, t),
+}
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_T_CALLS))
+    def test_rejects_non_finite_time(self, name, t):
+        with pytest.raises(ValueError, match=r"^t must be (positive|nonnegative) and finite"):
+            NON_FINITE_T_CALLS[name](t)
+
+    @pytest.mark.parametrize("y", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
+    @pytest.mark.parametrize("func", [density, cdf], ids=["density", "cdf"])
+    def test_rejects_nan_y(self, func, y):
+        with pytest.raises(ValueError, match="^y must be nonnegative, not NaN"):
+            func(LL_POINT, 1.0, y)
+
+
 class TestKernelBlocks:
     # at J = 0.1 a start x spans z = 4 sqrt(x y) / J over 0 to 40 sqrt(x y): up to
     # 120 for x = 1 on y in [0, 9], across the Bessel series bands (z <= 10 and
