@@ -337,7 +337,9 @@ def weak_residual(
         if abs(times[idx] - t) > tol:
             raise ValueError(f"t={t} is not a node of the path's time grid")
         nodes.append(idx)
-    paired = path.pairings([_generator(g, eta) for g in bank], range(max(nodes, default=-1) + 1))
+    generators = [_generator(g, eta) for g in bank]
+    # C order fixes the order in which _simpson sums a row, whatever the path returns
+    paired = np.ascontiguousarray(path.pairings(generators, range(max(nodes, default=-1) + 1)))
     at_nodes = path.pairings([g.f for g in bank], [0, *nodes])
     out = at_nodes[:, 1:] - at_nodes[:, :1]
     for j, idx in enumerate(nodes):

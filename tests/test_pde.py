@@ -339,6 +339,19 @@ class TestWeakResidual:
             tracemalloc.stop()
         assert peak <= 8 * path.x.nbytes
 
+    def test_table_layout_does_not_move_residuals(self):
+        path = solve(PARAMS, LAW, SolverGrid(30.0, 300, 200)).measure_path()
+
+        class FortranPath:
+            times = path.times
+
+            def pairings(self, funcs, nodes):
+                return np.asfortranarray(path.pairings(funcs, nodes))
+
+        t = [path.times[109], path.times[110], 1.0]
+        want = weak_residual(path, function_bank(), PARAMS.eta, 1.0, t)
+        assert weak_residual(FortranPath(), function_bank(), PARAMS.eta, 1.0, t).tolist() == want.tolist()
+
     def test_solver_path_matches_reference(self):
         grid = SolverGrid(30.0, 300, 200)
         traj = solve(PARAMS, LAW, grid)
