@@ -175,12 +175,12 @@ class GridPath:
 
     def pairings(self, funcs, nodes) -> np.ndarray:
         """Entry [i, j] is sum(m[nodes[j]] * funcs[i](x)): each function is
-        evaluated once on the grid and one matrix product pairs every row, so
-        an entry does not depend on which other nodes are requested.  The
-        table comes back C-ordered, as NodePath's does, so that sums along its
-        rows run in one order."""
+        evaluated once on the grid and one einsum pairs every row, so an entry
+        does not depend on which other nodes are requested, nor on the BLAS
+        build or its thread count.  The table comes back C-ordered, as
+        NodePath's does."""
         fx = np.array([f(self.x) for f in funcs])
-        return np.take(fx @ self.m.T, nodes, axis=1)
+        return np.take(np.einsum("fi,ki->fk", fx, self.m), nodes, axis=1)
 
 
 def empirical(positions) -> Measure1D:

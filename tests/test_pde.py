@@ -233,10 +233,10 @@ class TestMollifiedStartLaw:
 
 def grid_expect(path, func_lists):
     """Pairing of node k of a GridPath, read from path.pairings over every
-    node for each list of functions, the lists weak_residual pairs.  A BLAS
-    matrix product fixes no summation order that a per-node sum repeats bit
-    for bit, so TestGridPath checks these entries against per-node cell-mass
-    sums within the rounding bound instead."""
+    node for each list of functions, the lists weak_residual pairs.  The
+    einsum fixes no summation order that a per-node np.sum repeats bit for
+    bit, so TestGridPath checks these entries against per-node cell-mass sums
+    within the rounding bound instead."""
     table = {}
     for funcs in func_lists:
         for f, row in zip(funcs, path.pairings(funcs, range(len(path.times)))):
