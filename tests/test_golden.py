@@ -58,7 +58,7 @@ GOLDEN = {
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=PointMass(1.0),
             grid=SolverGrid(30.0, 1200, 800),
         ),
-        "416acd8eb46b28bc42684397191699ccd488215541115eefaf5cc3ee1cc19f40",
+        "5abdad6924ec240af38f18b6986a3fa1ae978e9e99f3791b336491692c85d7d8",
     ),
     "sampler_check": (
         dict(
