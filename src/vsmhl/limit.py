@@ -26,7 +26,8 @@ family (a = J/2, b = a + theta):
   a difference of CDFs below (a0 + b0)/2 and of survival functions above.
 
 Everything here is evaluated in log space so large Bessel arguments (small
-t, large y) do not overflow.
+t, large y) do not overflow, and the kernel pairs -2(sqrt x - sqrt y)^2 / J
+with log(e^{-z} I(z)) so that small t keeps its digits.
 
 ``quadrature(ll, t)`` gives the law at t as nodes and weights, for pairing it
 with test functions: 8-point Gauss-Legendre panels in u = sqrt(y), each as
@@ -96,8 +97,8 @@ class LimitLaw:
     m_lambda: float = field(init=False)
 
     def __post_init__(self):
-        if not self.eta > 1.0:
-            raise ValidationError("eta must exceed 1")
+        if not 1.0 < self.eta < math.inf:
+            raise ValidationError(f"eta must be finite and exceed 1, got {self.eta}")
         object.__setattr__(self, "m_lambda", moments(self.law)[0])
 
 
@@ -118,13 +119,13 @@ def mean(ll: LimitLaw, t: float) -> float:
     return ll.m_lambda * math.exp(0.5 * ll.eta * t)
 
 
-def _log_kernel(eta: float, J: float, x, y, stable: bool = False) -> np.ndarray:
+def _log_kernel(eta: float, J: float, x, y) -> np.ndarray:
     """Log transition density from a single start x, broadcast over x and y.
 
-    -2(x+y)/J and log I(z), z = 4 sqrt(xy)/J, nearly cancel when J is small,
-    which costs about 1e-16 z of relative accuracy (1e-11 at J = 1e-4, x = y
-    = 1).  stable sums -2(sqrt x - sqrt y)^2 / J and log(e^{-z} I(z)) instead,
-    free of that loss; density, cdf and their tables keep the first form.
+    The exponent is taken as -2(sqrt x - sqrt y)^2 / J + log(e^{-z} I(z)),
+    z = 4 sqrt(xy)/J: the direct -2(x+y)/J + log I(z) nearly cancels when J
+    is small, which loses about 1e-16 z of relative accuracy (1e-11 at
+    J = 1e-4, x = y = 1) and every digit once z passes 1e16.
     """
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
     nu = eta - 1.0
@@ -133,12 +134,11 @@ def _log_kernel(eta: float, J: float, x, y, stable: bool = False) -> np.ndarray:
     if np.any(both):
         xb, yb = x[both], y[both]
         z = 4.0 * np.sqrt(xb * yb) / J
-        exponent = (np.sqrt(xb) - np.sqrt(yb)) ** 2 if stable else xb + yb
         out[both] = (
             math.log(2.0 / J)
             + 0.5 * nu * (np.log(yb) - np.log(xb))
-            - 2.0 * exponent / J
-            + log_modified_bessel_i(nu, z, scaled=stable)
+            - 2.0 * (np.sqrt(xb) - np.sqrt(yb)) ** 2 / J
+            + log_modified_bessel_i(nu, z, scaled=True)
         )
     central = (x == 0) & (y > 0)
     if np.any(central):
@@ -189,18 +189,18 @@ def _log_uniform_mixture(eta: float, J: float, law: UniformLaw, y: np.ndarray) -
         return np.log(np.maximum(diff, 0.0)) - math.log(law.b - law.a)
 
 
-def _log_kernel_mixture(ll: LimitLaw, J: float, y: np.ndarray, stable: bool) -> np.ndarray:
+def _log_kernel_mixture(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
     """Log density of a point-mass or atomic start on a 1-D block of points."""
     law = ll.law
     if isinstance(law, PointMass):
-        return _log_kernel(ll.eta, J, law.x0, y, stable)
-    lk = _log_kernel(ll.eta, J, law.locations()[None, :], y[:, None], stable)
+        return _log_kernel(ll.eta, J, law.x0, y)
+    lk = _log_kernel(ll.eta, J, law.locations()[None, :], y[:, None])
     return logsumexp(lk + np.log(law.weights())[None, :], axis=1)
 
 
-def _log_density(ll: LimitLaw, J: float, y: np.ndarray, stable: bool = False) -> np.ndarray:
-    """Log limit density at clock J; stable is _log_kernel's, for the atomic laws,
-    which take blocks of points holding at most _KERNEL_BUDGET kernel values."""
+def _log_density(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
+    """Log limit density at clock J; the point-mass and atomic laws take blocks
+    of points holding at most _KERNEL_BUDGET kernel values."""
     if isinstance(ll.law, GammaLaw):
         return _log_gamma_mixture(ll.eta, J, ll.law, y)
     if isinstance(ll.law, UniformLaw):
@@ -208,14 +208,14 @@ def _log_density(ll: LimitLaw, J: float, y: np.ndarray, stable: bool = False) ->
     rows = max(1, _KERNEL_BUDGET // (1 if isinstance(ll.law, PointMass) else len(ll.law.atoms)))
     out = np.empty(y.shape)
     for start in range(0, len(y), rows):
-        out[start : start + rows] = _log_kernel_mixture(ll, J, y[start : start + rows], stable)
+        out[start : start + rows] = _log_kernel_mixture(ll, J, y[start : start + rows])
     return out
 
 
 def _check_density_args(t: float, y: np.ndarray) -> None:
     _check_t(t, positive=True)
-    if not np.all(y >= 0):  # NaN fails the comparison
-        raise ValueError("y must be nonnegative, not NaN")
+    if not np.all((y >= 0) & (y < math.inf)):  # NaN fails both comparisons
+        raise ValueError("y must be nonnegative and finite")
 
 
 def density(ll: LimitLaw, t: float, y):
@@ -315,7 +315,7 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
     8-point Gauss-Legendre panels in u = sqrt(y), of width _panel_width(J)
     (at most MAX_PANELS of them), cover the tail range [y_lo, y_hi] of
     _tail_range, outside which each tail holds at most TAIL_EPS; each weight
-    is the density (with _log_kernel's stable form) times dy at its node.
+    is the density times dy at its node.
     At t = 0 the initial law's own pieces are used: its atoms for a point mass
     or atoms, panels over the gamma pdf (Gauss-Jacobi with weight y^{k-1} on
     the first), and panels over [a0, b0] for a uniform.
@@ -333,7 +333,7 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
     _, u, halfw = _gl_panels(u_lo, u_hi, n_panels)
     y = u * u
     if t > 0:
-        f = np.exp(_log_density(ll, J, y.ravel(), stable=True)).reshape(y.shape)
+        f = np.exp(_log_density(ll, J, y.ravel())).reshape(y.shape)
     elif isinstance(law, GammaLaw):
         f = law.pdf(y)
     else:

@@ -119,6 +119,12 @@ class TestLimitLawType:
         with pytest.raises(ValidationError, match="eta"):
             LimitLaw(1.0, PointMass(1.0))
 
+    @pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan])
+    def test_eta_must_be_finite(self, eta):
+        # inf passes `eta > 1`, and the clock J would then be nan
+        with pytest.raises(ValidationError, match="^eta must be finite"):
+            LimitLaw(eta, PointMass(1.0))
+
 
 class TestTimeChange:
     def test_zero_time(self):
@@ -170,6 +176,16 @@ class TestDensity:
         ours = density(LL_POINT, 0.5, ys)
         ref = 4.0 / j_clock * ncx2.pdf(4.0 * ys / j_clock, 4.0, 4.0 / j_clock)
         assert np.allclose(ours, ref, rtol=1e-11)
+
+    @pytest.mark.parametrize("t", [1e-8, 1e-10, 1e-14, 1e-300])
+    def test_point_mass_at_small_t_against_mpmath(self, t):
+        # at y = x the kernel is (2/J) I_1(4/J) e^{-4/J}; the direct form
+        # -2(x+y)/J + log I(z) cancels to relative errors 2.8e-8, 7.2e-6, 1.2e-2
+        # and 1 - 2.5e-150 at these t
+        with mp.workdps(50):
+            J = mp.expm1(mp.mpf(t))  # (2 m / eta) expm1(eta t / 2) at eta = 2, m = 1
+            ref = float(2 / J * mp.besseli(1, 4 / J) * mp.exp(-4 / J))
+        assert density(LL_POINT, t, 1.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_zero_is_zero_for_eta_above_one(self):
         assert density(LL_POINT, 1.0, 0.0) == 0.0
@@ -443,10 +459,10 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="nonnegative"):
             limit.quadrature(LL_POINT, -1e-3)
 
-    def test_stable_kernel_at_small_clock(self):
-        # at J = 1e-4 the direct kernel's exponent cancels to ~1e-11 relative
-        # (9.4e-12 here); the stable one is within its rounding of sqrt(y),
-        # about 2 (sqrt(y) - 1) eps / (J/4) ~ 1e-13
+    def test_kernel_at_small_clock(self):
+        # at J = 1e-4 the direct kernel's exponent -2(x+y)/J + log I(z) cancels
+        # to ~1e-11 relative (9.4e-12 here); the kernel is within its rounding
+        # of sqrt(y), about 2 (sqrt(y) - 1) eps / (J/4) ~ 1e-13
         J, x, y = 1e-4, 1.0, np.linspace(0.95, 1.05, 11)
         with mp.workdps(40):
             ref = [
@@ -454,7 +470,7 @@ class TestQuadrature:
                 + 0.5 * math.log(v / x)
                 for v in y
             ]
-        got = limit._log_kernel(2.0, J, x, y, stable=True)
+        got = limit._log_kernel(2.0, J, x, y)
         assert np.abs(got - ref).max() <= 4e-13
 
 
@@ -476,11 +492,16 @@ class TestNonFiniteArguments:
         with pytest.raises(ValueError, match=r"^t must be (positive|nonnegative) and finite"):
             NON_FINITE_T_CALLS[name](t)
 
-    @pytest.mark.parametrize("y", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
+    @pytest.mark.parametrize(
+        "y", [math.nan, np.array([0.5, math.nan]), math.inf, np.array([0.5, math.inf])],
+        ids=["nan", "nan-array", "inf", "inf-array"],
+    )
     @pytest.mark.parametrize("func", [density, cdf], ids=["density", "cdf"])
-    def test_rejects_nan_y(self, func, y):
-        with pytest.raises(ValueError, match="^y must be nonnegative, not NaN"):
-            func(LL_POINT, 1.0, y)
+    @pytest.mark.parametrize("law", FOUR_LAWS, ids=str)
+    def test_rejects_non_finite_y(self, law, func, y):
+        # past this check +inf gives nan (point mass, gamma), 0.0 (uniform) or a cdf below 1
+        with pytest.raises(ValueError, match="^y must be nonnegative and finite"):
+            func(LimitLaw(2.0, law), 1.0, y)
 
 
 class TestKernelBlocks:
@@ -491,15 +512,14 @@ class TestKernelBlocks:
     Y = np.concatenate([np.linspace(0.0, 9.0, 1201), [0.0625, 1.5625, 1.5626]])
 
     @pytest.mark.parametrize("budget", [limit._KERNEL_BUDGET, 999])
-    @pytest.mark.parametrize("stable", [False, True])
     @pytest.mark.parametrize("law", [PointMass(1.0), DiscreteAtoms(((0.5, 0.3), (1.0, 0.5), (2.0, 0.2)))], ids=str)
-    def test_equals_one_point_per_call(self, law, stable, budget, monkeypatch):
+    def test_equals_one_point_per_call(self, law, budget, monkeypatch):
         z = 4.0 * np.sqrt(self.Y) / self.J
         assert np.any(z <= 10) and np.any((z > 10) & (z <= 50)) and np.any(z > 50)
         ll = LimitLaw(2.0, law)
-        single = [limit._log_density(ll, self.J, self.Y[i : i + 1], stable)[0] for i in range(len(self.Y))]
+        single = [limit._log_density(ll, self.J, self.Y[i : i + 1])[0] for i in range(len(self.Y))]
         monkeypatch.setattr(limit, "_KERNEL_BUDGET", budget)
-        assert limit._log_density(ll, self.J, self.Y, stable).tolist() == single
+        assert limit._log_density(ll, self.J, self.Y).tolist() == single
 
     def test_mollified_gamma_blocks_within_budget(self, monkeypatch):
         from vsmhl import SolverGrid, mollified_start_law
@@ -510,9 +530,9 @@ class TestKernelBlocks:
         sizes = []
         kernel = limit._log_kernel_mixture
 
-        def spy(ll, J, y, stable):
+        def spy(ll, J, y):
             sizes.append(len(y))
-            return kernel(ll, J, y, stable)
+            return kernel(ll, J, y)
 
         monkeypatch.setattr(limit, "_log_kernel_mixture", spy)
         density(ll, 0.5, grid.centers())
