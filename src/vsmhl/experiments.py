@@ -400,7 +400,7 @@ def run_pde_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     for k in t_indices:
         t = float(traj.times[k])
         for tag, lref in (("l1_vs_exact", ll), ("l1_vs_mollified", ll_moll)):
-            l1 = float(np.abs(traj.values[k] - density(lref, t, centers)).sum() * dx)
+            l1 = float(np.abs(traj.masses[k] / dx - density(lref, t, centers)).sum() * dx)
             rows.append(("l1", t, tag, l1))
             l1_values[(tag, k)] = l1
     drift = float(np.abs(traj.mass() - 1.0).max())

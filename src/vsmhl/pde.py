@@ -8,14 +8,15 @@ with c(t) = m e^{eta t / 2}, rewritten as a conservation law with flux
 
     F = (eta c / 2) rho - (c / 2) d(x rho)/dx
 
-on [0, x_max] with zero flux through both ends.  Cells are uniform, time
-stepping is backward Euler with the growing coefficient evaluated at the new
-level, and each step is one tridiagonal solve by LAPACK gtsv (Gaussian
-elimination with partial pivoting; Anderson et al., LAPACK Users' Guide,
-sec. 2.4).  The advective part of the flux is centered on every face where
-that keeps the system an M-matrix and taken from the left (donor) cell on the
-rest; the scheme conserves mass to solver precision and keeps cell values
-nonnegative.
+on [0, x_max] with zero flux through both ends.  Cells are uniform and the
+solver steps their masses m = rho dx.  Time stepping is backward Euler with
+the growing coefficient evaluated at the new level: the flux is c(t) times an
+operator that does not depend on t, assembled once per solve, and each step
+is one tridiagonal solve by LAPACK gtsv (Gaussian elimination with partial
+pivoting; Anderson et al., LAPACK Users' Guide, sec. 2.4).  The advective
+part of the flux is centered on every face where that keeps the system an
+M-matrix and taken from the left (donor) cell on the rest; the scheme
+conserves mass to solver precision and keeps cell masses nonnegative.
 """
 
 from __future__ import annotations
@@ -80,98 +81,88 @@ class SolverGrid:
 
 @dataclass(frozen=True)
 class DensityTrajectory:
-    """Cell-average densities at every time level of a solve."""
+    """Cell masses (density times dx) at every time level of a solve."""
 
     grid: SolverGrid
     times: np.ndarray
-    values: np.ndarray  # shape (nt + 1, nx)
+    masses: np.ndarray  # shape (nt + 1, nx)
 
     def __post_init__(self):
-        if self.values.shape != (len(self.times), self.grid.nx):
-            raise ValueError("values shape disagrees with grid and times")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("cell values must be finite")
-        if self.values.min() < -1e-12:
-            raise ValueError("cell values undershoot below -1e-12")
+        if self.masses.shape != (len(self.times), self.grid.nx):
+            raise ValueError("masses shape disagrees with grid and times")
+        if not np.all(np.isfinite(self.masses)):
+            raise ValueError("cell masses must be finite")
+        if self.masses.min() < -1e-12 * self.grid.dx():
+            raise ValueError("cell densities undershoot below -1e-12")
         drift = np.abs(self.mass() - 1.0).max()
         if drift > TRUNCATION_MASS_TOL:
             raise ValueError(f"discrete mass drifts by {drift:.3e}")
 
     def mass(self) -> np.ndarray:
-        return self.values.sum(axis=1) * self.grid.dx()
+        return self.masses.sum(axis=1)
 
     def measure_path(self) -> GridPath:
-        return GridPath(self.times, self.grid.centers(), self.values * self.grid.dx())
+        return GridPath(self.times, self.grid.centers(), self.masses)
 
 
-def _advance(
-    values: np.ndarray,
-    centers: np.ndarray,
-    dx: float,
-    dt: float,
-    coeff: float,
-    eta: float,
-) -> np.ndarray:
-    """One backward-Euler step with coefficient c = coeff held at the new level."""
-    nx = len(values)
-    a = 0.5 * eta * coeff
-    b = 0.5 * coeff
-    r = dt / dx
+def _operator(centers: np.ndarray, dx: float, eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower, main and upper diagonals of the flux operator per unit c dt / dx.
 
-    # interior faces f = j + 1/2 between cells j and j+1
+    Face j + 1/2 carries F = (eta c / 2) rho - (c / 2) d(x rho)/dx; its
+    advective part is centered where 0.25 eta <= 0.5 x_{j+1} / dx (the
+    M-matrix condition, the same for every c > 0) and donor elsewhere.
+    """
     x_left = centers[:-1]
     x_right = centers[1:]
-    centered = 0.5 * a <= (b / dx) * x_right if coeff > 0 else np.ones(nx - 1, bool)
-    adv_left = np.where(centered, 0.5 * a, a)
-    adv_right = np.where(centered, 0.5 * a, 0.0)
-    flux_left = adv_left + (b / dx) * x_left  # multiplies rho_j in F_{j+1/2}
-    flux_right = adv_right - (b / dx) * x_right  # multiplies rho_{j+1}
+    centered = 0.25 * eta <= (0.5 / dx) * x_right
+    flux_left = np.where(centered, 0.25 * eta, 0.5 * eta) + (0.5 / dx) * x_left  # times m_j
+    flux_right = np.where(centered, 0.25 * eta, 0.0) - (0.5 / dx) * x_right  # times m_{j+1}
+    diag = np.concatenate([flux_left, [0.0]]) - np.concatenate([[0.0], flux_right])
+    return -flux_left, diag, flux_right
 
-    diag = np.ones(nx)
-    diag[:-1] += r * flux_left
-    diag[1:] -= r * flux_right
-    upper = r * flux_right
-    lower = -r * flux_left
 
-    # the diagonals are temporaries, so gtsv may factor them in place
+def _advance(m: np.ndarray, op: tuple[np.ndarray, np.ndarray, np.ndarray], rc: float) -> np.ndarray:
+    """One backward-Euler step of the cell masses m: solve (I + rc A) m' = m,
+    A the _operator diagonals and rc = c dt / dx at the new level."""
+    lower, diag, upper = op
+    # the scaled diagonals are temporaries, so gtsv may factor them in place
     _, _, _, out, info = dgtsv(
-        lower, diag, upper, values, overwrite_dl=1, overwrite_d=1, overwrite_du=1
+        rc * lower, 1.0 + rc * diag, rc * upper, m, overwrite_dl=1, overwrite_d=1, overwrite_du=1
     )
     if info != 0:
         raise LinAlgError(f"tridiagonal solve failed: gtsv info {info}")
     return out
 
 
-def _mollified_cells(x0: float, grid: SolverGrid) -> np.ndarray:
-    """Cell averages of a narrow Gaussian replacing a point mass at x0."""
-    dx = grid.dx()
-    sigma = MOLLIFIER_WIDTH_CELLS * dx
+def _mollified_masses(x0: float, grid: SolverGrid) -> np.ndarray:
+    """Cell masses of a narrow Gaussian replacing a point mass at x0."""
+    sigma = MOLLIFIER_WIDTH_CELLS * grid.dx()
     edges = np.linspace(0.0, grid.x_max, grid.nx + 1)
     cdf_edges = ndtr((edges - x0) / sigma)
-    return (cdf_edges[1:] - cdf_edges[:-1]) / dx
+    return cdf_edges[1:] - cdf_edges[:-1]
 
 
-def _initial_cells(law: InitialLaw, grid: SolverGrid) -> np.ndarray:
-    dx = grid.dx()
+def _initial_masses(law: InitialLaw, grid: SolverGrid) -> np.ndarray:
+    """Cell masses of the initial law on the grid, scaled to unit sum."""
     edges = np.linspace(0.0, grid.x_max, grid.nx + 1)
     if isinstance(law, PointMass):
-        vals = _mollified_cells(law.x0, grid)
+        m = _mollified_masses(law.x0, grid)
     elif isinstance(law, DiscreteAtoms):
-        vals = np.zeros(grid.nx)
+        m = np.zeros(grid.nx)
         for loc, w in law.atoms:
-            vals += w * _mollified_cells(loc, grid)
+            m += w * _mollified_masses(loc, grid)
     elif isinstance(law, GammaLaw):
         ce = law.cdf(edges)
-        vals = (ce[1:] - ce[:-1]) / dx
+        m = ce[1:] - ce[:-1]
     elif isinstance(law, UniformLaw):
         overlap = np.minimum(edges[1:], law.b) - np.maximum(edges[:-1], law.a)
-        vals = np.maximum(overlap, 0.0) / (law.b - law.a) / dx
+        m = np.maximum(overlap, 0.0) / (law.b - law.a)
     else:
         raise ValidationError(f"unknown initial law type {type(law).__name__}")
-    mass = vals.sum() * dx
+    mass = m.sum()
     if mass <= 0:
         raise ConfigurationError("initial law has no mass on the grid")
-    return vals / mass
+    return m / mass
 
 
 def mollified_start_law(law: InitialLaw, grid: SolverGrid) -> DiscreteAtoms:
@@ -180,13 +171,9 @@ def mollified_start_law(law: InitialLaw, grid: SolverGrid) -> DiscreteAtoms:
     Lets the analytic density be started from exactly the data the solver
     starts from, which removes the mollification gap when comparing.
     """
-    vals = _initial_cells(law, grid)
-    w = vals * grid.dx()
-    keep = w > 0
-    w = w[keep]
-    w = w / w.sum()
-    locs = grid.centers()[keep]
-    return DiscreteAtoms(tuple((float(l), float(wt)) for l, wt in zip(locs, w)))
+    m = _initial_masses(law, grid)
+    keep = m > 0
+    return DiscreteAtoms(tuple((float(l), float(w)) for l, w in zip(grid.centers()[keep], m[keep])))
 
 
 def solve(
@@ -210,15 +197,15 @@ def solve(
             f"mass {tail:.3e} beyond x_max={grid.x_max} at the horizon exceeds {TRUNCATION_MASS_TOL}"
         )
     dx = grid.dx()
-    centers = grid.centers()
+    op = _operator(grid.centers(), dx, params.eta)
     times = np.linspace(0.0, params.horizon, grid.nt + 1)
-    dt = params.horizon / grid.nt
-    values = np.empty((grid.nt + 1, grid.nx))
-    values[0] = _initial_cells(law, grid)
+    r = params.horizon / grid.nt / dx
+    masses = np.empty((grid.nt + 1, grid.nx))
+    masses[0] = _initial_masses(law, grid)
     for k in range(grid.nt):
         coeff = ll.m_lambda * math.exp(0.5 * params.eta * times[k + 1])
-        values[k + 1] = _advance(values[k], centers, dx, dt, coeff, params.eta)
-    return DensityTrajectory(grid=grid, times=times, values=values)
+        masses[k + 1] = _advance(masses[k], op, coeff * r)
+    return DensityTrajectory(grid=grid, times=times, masses=masses)
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ def pde_runs():
     out = {}
     for tag, grid in (("coarse", coarse), ("fine", fine)):
         traj = solve(params, law, grid)
-        l1 = float(np.abs(traj.values[-1] - density(ll, 1.0, grid.centers())).sum() * grid.dx())
+        l1 = float(np.abs(traj.masses[-1] / grid.dx() - density(ll, 1.0, grid.centers())).sum() * grid.dx())
         out[tag] = (traj, l1)
     return out
 

@@ -27,7 +27,7 @@ from vsmhl import (
     weak_residual,
 )
 from vsmhl import test_function_bank as function_bank
-from vsmhl.pde import _advance, _generator
+from vsmhl.pde import _advance, _generator, _operator
 
 PARAMS = ModelParams(2.0, 1, 1.0)
 LAW = PointMass(1.0)
@@ -126,31 +126,66 @@ class TestJets:
             assert np.array_equal(_generator(g, eta)(JET_GRID), want)
 
 
+def random_step(seed):
+    """A random grid, masses and step: centers, dx, dt, coeff, eta, m."""
+    rng = np.random.default_rng(seed)
+    nx = int(rng.integers(16, 1300))
+    centers = np.sort(rng.uniform(0.0, 40.0, nx))
+    dx = float(rng.uniform(0.01, 0.5))
+    dt = float(rng.uniform(1e-4, 0.05))
+    coeff = float(rng.uniform(0.0, 10.0)) if seed else 0.0
+    eta = float(rng.uniform(1.01, 4.0))
+    return centers, dx, dt, coeff, eta, rng.uniform(0.0, 1.0, nx)
+
+
 class TestAdvance:
     def test_zero_coefficient_freezes_state(self):
         g = SolverGrid(10.0, 64, 16)
-        values = np.exp(-g.centers())
-        out = _advance(values, g.centers(), g.dx(), 0.01, 0.0, 2.0)
-        assert np.array_equal(out, values)
+        m = np.exp(-g.centers())
+        out = _advance(m, _operator(g.centers(), g.dx(), 2.0), 0.0)
+        assert np.array_equal(out, m)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_solve_banded(self, seed):
         # gtsv is the routine solve_banded((1, 1), ...) calls, so handing it the
-        # three diagonals directly must not change a bit
-        rng = np.random.default_rng(seed)
-        nx = int(rng.integers(16, 1300))
-        centers = np.sort(rng.uniform(0.0, 40.0, nx))
-        dx = float(rng.uniform(0.01, 0.5))
-        dt = float(rng.uniform(1e-4, 0.05))
-        coeff = float(rng.uniform(0.0, 10.0)) if seed else 0.0
-        eta = float(rng.uniform(1.01, 4.0))
-        values = rng.uniform(0.0, 1.0, nx)
-        want = banded_step(values, centers, dx, dt, coeff, eta)
-        assert np.array_equal(_advance(values, centers, dx, dt, coeff, eta), want)
+        # three diagonals of I + rc A directly must not change a bit
+        centers, dx, dt, coeff, eta, m = random_step(seed)
+        lower, diag, upper = _operator(centers, dx, eta)
+        rc = coeff * dt / dx
+        ab = np.zeros((3, len(m)))
+        ab[0, 1:] = rc * upper
+        ab[1] = 1.0 + rc * diag
+        ab[2, :-1] = rc * lower
+        assert np.array_equal(_advance(m, (lower, diag, upper), rc), solve_banded((1, 1), ab, m))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_step_assembly(self, seed):
+        # the operator built once agrees with the flux assembled from c at each
+        # step to the rounding of its different operation order
+        centers, dx, dt, coeff, eta, m = random_step(seed)
+        got = _advance(m, _operator(centers, dx, eta), coeff * dt / dx)
+        want = banded_step(m, centers, dx, dt, coeff, eta)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(m).max()
+
+    @pytest.mark.parametrize("eta", [1.01, 1.5, 2.0, 3.0, 3.7])
+    def test_face_choice_matches_per_step_rule(self, eta):
+        # a face is centered where 0.25 eta c <= (0.5 c / dx) x_{j+1}, for every
+        # c > 0 alike: the operator's upper diagonal holds the advective 0.25 eta there
+        # (the first face of a uniform grid ties at eta = 3; the random grid has both kinds)
+        rng = np.random.default_rng(int(100 * eta))
+        random_centers = np.sort(rng.uniform(0.0, 2.0, 400))
+        for centers, dx in [(SolverGrid(30.0, 1200, 16).centers(), 0.025), (random_centers, 0.37)]:
+            x_right = centers[1:]
+            centered = _operator(centers, dx, eta)[2] != -(0.5 / dx) * x_right
+            for c in np.concatenate([rng.uniform(0.0, 10.0, 200), [1e-300, 1e-12, 1.0, 10.0]]):
+                if c > 0:
+                    assert np.array_equal(centered, 0.5 * (0.5 * eta * c) <= (0.5 * c / dx) * x_right)
+        assert centered.any() and not centered.all()
 
 
 def banded_step(values, centers, dx, dt, coeff, eta):
-    """The backward-Euler step assembled as a band matrix for solve_banded.
+    """The backward-Euler step assembled from the fluxes at coefficient c =
+    coeff, face rule included, as a band matrix for solve_banded.
 
     The matrix is an M-matrix whose columns sum to 1, hence diagonally
     dominant by columns.
@@ -174,20 +209,20 @@ class TestSolve:
     def test_mass_conserved_and_positive(self):
         traj = solve(PARAMS, LAW, SolverGrid(30.0, 300, 200))
         assert np.abs(traj.mass() - 1.0).max() <= 1e-6
-        assert traj.values.min() >= -1e-12
+        assert traj.masses.min() >= -1e-12 * traj.grid.dx()
 
     def test_matches_analytic_density(self):
         grid = SolverGrid(30.0, 600, 400)
         traj = solve(PARAMS, LAW, grid)
         ll = LimitLaw(PARAMS.eta, LAW)
-        l1 = np.abs(traj.values[-1] - density(ll, 1.0, grid.centers())).sum() * grid.dx()
+        l1 = np.abs(traj.masses[-1] / grid.dx() - density(ll, 1.0, grid.centers())).sum() * grid.dx()
         assert l1 <= 1e-2
 
     def test_discrete_mean_tracks_analytic_mean(self):
         grid = SolverGrid(30.0, 1200, 800)
         traj = solve(PARAMS, LAW, grid)
         ll = LimitLaw(PARAMS.eta, LAW)
-        discrete_mean = float(traj.values[-1] @ grid.centers() * grid.dx())
+        discrete_mean = float(traj.masses[-1] @ grid.centers())
         assert discrete_mean == pytest.approx(mean(ll, 1.0), rel=1e-3)
 
     def test_refinement_improves_l1(self):
@@ -196,7 +231,7 @@ class TestSolve:
         for nx, nt in ((150, 100), (300, 200)):
             grid = SolverGrid(30.0, nx, nt)
             traj = solve(PARAMS, LAW, grid)
-            l1[nx] = np.abs(traj.values[-1] - density(ll, 1.0, grid.centers())).sum() * grid.dx()
+            l1[nx] = np.abs(traj.masses[-1] / grid.dx() - density(ll, 1.0, grid.centers())).sum() * grid.dx()
         assert l1[300] < l1[150]
 
     def test_gamma_initial_law(self):
@@ -205,7 +240,7 @@ class TestSolve:
         grid = SolverGrid(40.0, 800, 400)
         traj = solve(params, law, grid)
         ll = LimitLaw(params.eta, law)
-        l1 = np.abs(traj.values[-1] - density(ll, 1.0, grid.centers())).sum() * grid.dx()
+        l1 = np.abs(traj.masses[-1] / grid.dx() - density(ll, 1.0, grid.centers())).sum() * grid.dx()
         assert l1 <= 1e-2
         assert np.abs(traj.mass() - 1.0).max() <= 1e-6
 
@@ -312,11 +347,11 @@ class TestWeakResidual:
         assert abs(r) < 1e-2
 
     def test_solver_pairings_hold_one_copy(self):
-        # measure_path copies the cell values once, as masses; neither pairing
-        # may copy them again (indexing the rows by the requested nodes would)
+        # measure_path hands the solver's masses over without a copy, and neither
+        # pairing copies them (indexing the rows by the requested nodes would)
         grid = SolverGrid(30.0, 1200, 800)
         traj = solve(PARAMS, LAW, grid)
-        budget = 1.5 * traj.values.nbytes
+        budget = 0.1 * traj.masses.nbytes
         tracemalloc.start()
         try:
             weak_residual(traj.measure_path(), function_bank(), PARAMS.eta, 1.0, [0.5, 1.0])
@@ -425,7 +460,7 @@ class TestGridPath:
         traj = solve(PARAMS, LAW, grid)
         path = traj.measure_path()
         assert np.array_equal(path.times, traj.times) and np.array_equal(path.x, grid.centers())
-        assert np.array_equal(path.m, traj.values * grid.dx())
+        assert np.shares_memory(path.m, traj.masses) and np.array_equal(path.m, traj.masses)
         assert np.abs(path.m.sum(axis=1) - 1.0).max() <= 1e-12  # the scheme's conserved mass
 
     def test_rows_kept_as_given(self):
@@ -473,15 +508,27 @@ class TestDensityTrajectoryInvariants:
     def test_rejects_negative_cells(self):
         grid = SolverGrid(30.0, 16, 16)
         times = np.linspace(0.0, 1.0, 17)
-        values = np.full((17, 16), 1.0 / 30.0)
-        values[3, 5] = -1e-6
+        masses = np.full((17, 16), 1.0 / 16.0)
+        masses[3, 5] = -1e-6
         with pytest.raises(ValueError, match="undershoot"):
-            DensityTrajectory(grid, times, values)
+            DensityTrajectory(grid, times, masses)
+
+    def test_undershoot_bound_is_on_densities(self):
+        # a cell may hold a density down to -1e-12, a mass down to -1e-12 dx
+        grid = SolverGrid(30.0, 16, 16)
+        times = np.linspace(0.0, 1.0, 17)
+        masses = np.full((17, 16), 1.0 / 16.0)
+        masses[3] = 1.0 / 15.0
+        masses[3, 5] = -0.9e-12 * grid.dx()
+        DensityTrajectory(grid, times, masses)
+        masses[3, 5] = -1.1e-12 * grid.dx()
+        with pytest.raises(ValueError, match="undershoot"):
+            DensityTrajectory(grid, times, masses)
 
     def test_rejects_mass_drift(self):
         grid = SolverGrid(30.0, 16, 16)
         times = np.linspace(0.0, 1.0, 17)
-        values = np.full((17, 16), 1.0 / 30.0)
-        values[5] *= 1.1
+        masses = np.full((17, 16), 1.0 / 16.0)
+        masses[5] *= 1.1
         with pytest.raises(ValueError, match="mass"):
-            DensityTrajectory(grid, times, values)
+            DensityTrajectory(grid, times, masses)
