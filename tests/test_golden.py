@@ -30,7 +30,7 @@ GOLDEN = {
             experiment="convergence", params=ModelParams(2.0, 16, 1.0), law=PointMass(1.0),
             dt=0.01, n_values=(16, 64, 4096), replications=2, seed=101, metric="wasserstein1",
         ),
-        "58430b5c8b90de0c6905fa2836bf1487f2f5eb99ad2592c4f6bfe5ac24e8bc30",
+        "4b560c9dbc3f2369996fbedbcdcf482daf035e7fa7cc99b4d6aac6085db5d075",
     ),
     "convergence_gamma_levy": (
         dict(
@@ -58,7 +58,7 @@ GOLDEN = {
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=PointMass(1.0),
             grid=SolverGrid(30.0, 1200, 800),
         ),
-        "5abdad6924ec240af38f18b6986a3fa1ae978e9e99f3791b336491692c85d7d8",
+        "a87623401e8c399d8e29a72962f60e0f2b33917c5f5d8210c205c830f656e4fa",
     ),
     "sampler_check": (
         dict(
