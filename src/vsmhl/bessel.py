@@ -1,15 +1,18 @@
 r"""Logarithm of the modified Bessel function of the first kind, log I_nu(z),
-for nu >= 0 and z >= 0, computed without overflow for any z.
+for 0 <= nu <= NU_MAX and z >= 0, computed without overflow for any z.
 
-For z <= 50 the power series
+For z <= max(50, nu^2/2) the power series
 
     I_nu(z) = (z/2)^nu sum_k (z^2/4)^k / (k! Gamma(k + nu + 1))
 
-is summed to machine precision (all terms positive, no cancellation).  For
-z > 50 the large-argument expansion of e^{-z} I_nu(z) in powers of 1/z is
-used (https://dlmf.nist.gov/10.40), truncated at the first non-decreasing
-term; at z = 50 its optimal-truncation error is far below double precision
-for the orders used here.
+is summed to machine precision (all terms positive, no cancellation).  Above
+that the large-argument expansion of e^{-z} I_nu(z) in powers of 1/z is used
+(https://dlmf.nist.gov/10.40), truncated at the first non-decreasing term.
+Its k-th term is the (k-1)-th times (4 nu^2 - (2k-1)^2) / (8 k z), so below
+z = nu^2/2 the terms grow from the first one; from there on its
+optimal-truncation error is far below double precision.  At nu = NU_MAX the
+series sum at z = nu^2/2 is near 1e289, and past nu = 41 it overflows, so
+larger orders are rejected.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ import numpy as np
 __all__ = ["log_modified_bessel_i"]
 
 Z_SWITCH = 50.0
-_SERIES_MAX_TERMS = 600
+NU_MAX = 40.0  # largest order checked against mpmath
+_SERIES_MAX_TERMS = 600  # up to NU_MAX the series ends within 512 terms
 _ASYMPTOTIC_MAX_TERMS = 60
 
 
 def _check_args(nu: float, z: np.ndarray) -> None:
-    if nu < 0:
-        raise ValueError(f"order nu must be nonnegative, got {nu}")
+    if not 0 <= nu <= NU_MAX:
+        raise ValueError(f"order nu must lie in [0, {NU_MAX:g}], got {nu}")
     if np.any(z < 0):
         raise ValueError("argument z must be nonnegative")
 
@@ -67,11 +71,10 @@ def _series_log(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def _asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:
-    """e^{-z} I_nu(z) by the 1/z expansion; requires z large (z > Z_SWITCH).
+    """e^{-z} I_nu(z) by the 1/z expansion; requires z > max(Z_SWITCH, nu^2/2).
 
-    For z above Z_SWITCH and the moderate orders used here the terms shrink
-    monotonically well past double precision, so a plain truncated sum with a
-    divergence guard (optimal truncation) is enough.
+    There the terms shrink monotonically well past double precision, so a
+    plain truncated sum with a divergence guard (optimal truncation) is enough.
     """
     mu = 4.0 * nu * nu
     total = np.ones_like(z)
@@ -96,7 +99,7 @@ def log_modified_bessel_i(nu: float, z, scaled: bool = False):
     scalar = zs.ndim == 0
     zs = np.atleast_1d(zs)
     out = np.empty_like(zs)
-    small = zs <= Z_SWITCH
+    small = zs <= max(Z_SWITCH, 0.5 * nu * nu)
     if np.any(small):
         out[small] = _series_log(nu, zs[small]) - (zs[small] if scaled else 0.0)
     if np.any(~small):

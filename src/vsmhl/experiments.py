@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .bessel import NU_MAX
 from .errors import ConfigurationError, ValidationError
 from .limit import LimitLaw, cdf, density, density_grid, quadrature, sample, time_change
 from .measures import (
@@ -109,18 +110,9 @@ class ExperimentConfig:
             out.append(f"unknown experiment {self.experiment!r}")
         model_bad = self.params.violations() + law_violations(self.law)
         out += model_bad
-        if (
-            not model_bad
-            and isinstance(self.law, UniformLaw)
-            and self.experiment != "moment_check"  # the only one that never reads the limit law
-        ):
-            ll = LimitLaw(self.params.eta, self.law)
-            spread = time_change(ll, self.params.horizon) / (self.law.b - self.law.a)
-            if spread > UNIFORM_SPREAD_MAX:
-                out.append(
-                    f"uniform law too narrow for the horizon: J(T)/(b - a) = {spread:.3e} "
-                    f"exceeds {UNIFORM_SPREAD_MAX:.0e} (1e-6 relative density error)"
-                )
+        # moment_check is the only experiment that never reads the limit law
+        if not model_bad and self.experiment != "moment_check":
+            out += self._limit_law_violations()
         if not 0 < self.dt <= self.params.horizon:
             out.append("dt must lie in (0, horizon]")
         if not _is_integer(self.replications):
@@ -146,6 +138,27 @@ class ExperimentConfig:
             out.append("pde_check needs a grid")
         sizes = () if self.grid is None else (("nx", self.grid.nx), ("nt", self.grid.nt))
         out += [f"grid.{key} must be an integer, got {n!r}" for key, n in sizes if not _is_integer(n)]
+        return out
+
+    def _limit_law_violations(self) -> list[str]:
+        out = []
+        eta = self.params.eta
+        # pde_check reads the Bessel kernel for every law, through the solver's
+        # mollified start (an atomic law)
+        kernel = self.experiment == "pde_check" or isinstance(self.law, (PointMass, DiscreteAtoms))
+        if kernel and eta - 1.0 > NU_MAX:
+            out.append(
+                f"eta = {eta} exceeds {NU_MAX + 1:g}: the limit law's Bessel kernel has order "
+                f"eta - 1, verified up to {NU_MAX:g}"
+            )
+        if isinstance(self.law, UniformLaw):
+            ll = LimitLaw(eta, self.law)
+            spread = time_change(ll, self.params.horizon) / (self.law.b - self.law.a)
+            if spread > UNIFORM_SPREAD_MAX:
+                out.append(
+                    f"uniform law too narrow for the horizon: J(T)/(b - a) = {spread:.3e} "
+                    f"exceeds {UNIFORM_SPREAD_MAX:.0e} (1e-6 relative density error)"
+                )
         return out
 
     def to_dict(self) -> dict:

@@ -95,6 +95,25 @@ class TestConfig:
         wide = small_convergence_cfg(experiment=experiment, law=UniformLaw(0.5, 1.5), grid=grid)
         assert wide.violations() == []
 
+    @pytest.mark.parametrize("experiment", ["convergence", "pde_check", "sampler_check", "rank_check"])
+    @pytest.mark.parametrize("law", [PointMass(1.0), DiscreteAtoms(((0.5, 0.5), (1.5, 0.5)))], ids=str)
+    def test_bessel_order_past_verified_range(self, experiment, law):
+        # the kernel's order is eta - 1, and log_modified_bessel_i stops at NU_MAX = 40
+        grid = SolverGrid(30.0, 100, 100)
+        high = small_convergence_cfg(experiment=experiment, law=law, params=ModelParams(41.5, 16, 0.1), grid=grid)
+        assert any("Bessel kernel" in v for v in high.violations())
+        top = small_convergence_cfg(experiment=experiment, law=law, params=ModelParams(41.0, 16, 0.1), grid=grid)
+        assert top.violations() == []
+
+    @pytest.mark.parametrize("experiment", ["convergence", "pde_check", "moment_check"])
+    def test_bessel_order_checked_where_the_kernel_is_read(self, experiment):
+        # a gamma limit law reads no Bessel kernel, but pde_check's mollified start does
+        cfg = small_convergence_cfg(
+            experiment=experiment, law=GammaLaw(2.0, 0.5), params=ModelParams(41.5, 16, 0.1),
+            grid=SolverGrid(30.0, 100, 100),
+        )
+        assert any("Bessel kernel" in v for v in cfg.violations()) == (experiment == "pde_check")
+
     def test_uniform_width_not_checked_without_limit_law(self):
         cfg = small_convergence_cfg(experiment="moment_check", law=UniformLaw(1.0, 1.0 + 1e-11))
         assert cfg.violations() == []
@@ -477,6 +496,13 @@ class TestOtherRunners:
         worst = max(abs(v) for check, _, _, v in r.rows if check == "residual_analytic")
         assert worst <= exp.RESIDUAL_TOL_ANALYTIC == 1e-4
 
+    def test_pde_check_at_a_high_kernel_order_reports(self):
+        # eta 40: the kernel's order 39 once took the 1/z expansion just above
+        # z = 50, where its terms grow, and the table build died on NaN
+        cfg = ExperimentConfig("pde_check", ModelParams(40.0, 64, 0.1), PointMass(1.0), grid=SolverGrid(30.0, 300, 20))
+        r = run_experiment(cfg)
+        assert np.isfinite([row[3] for row in r.rows]).all()
+
     @pytest.mark.parametrize("nx, nt", [(150, 100), (64, 32)])
     def test_pde_check_coarse_grid_fails_threshold(self, tmp_path, nx, nt):
         # 64/32 under-resolves the start so far that it must report, not raise
@@ -557,6 +583,13 @@ class TestCli:
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert "too narrow for the horizon" in err and "J(T)/(b - a)" in err
+        assert not out.exists()
+
+    def test_bessel_order_exit_code(self, tmp_path, capsys):
+        spec = small_convergence_cfg(params=ModelParams(42.0, 16, 0.1)).to_dict()
+        out = tmp_path / "out"
+        assert main(["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out)]) == 2
+        assert "verified up to 40" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
