@@ -78,6 +78,11 @@ PDE_L1_TOL = 1e-2
 PDE_MASS_TOL = 1e-6
 RESIDUAL_TOL_ANALYTIC = 1e-4
 RESIDUAL_TOL_PDE = 5e-3
+# Gauss-Legendre nodes of the analytic weak residual's rule in time: in
+# sqrt(t) on [0, T/2], where the pairings are smooth in sqrt(t) (the kernel is
+# sqrt(J(t)) wide), and in t on [T/2, T]; set by the study in CHANGES.md
+TIME_NODES_SQRT = 24
+TIME_NODES_LATE = 12
 # largest J(T) / (b0 - a0) for a UniformLaw start: the difference quotient in
 # limit.density loses about 1e-16 of this ratio, 1e-6 relative at the bound
 UNIFORM_SPREAD_MAX = 1e10
@@ -312,16 +317,6 @@ def _collect(task, cfg: ExperimentConfig, groups: list[tuple[int, list[tuple]]],
     return rows
 
 
-def _analytic_times(horizon: float) -> np.ndarray:
-    """Time nodes for analytic measure paths: geometric near 0 (where the
-    density sharpens into the initial law), uniform after, with horizon/2 and
-    horizon as exact nodes."""
-    early = np.geomspace(1e-4 * horizon, 0.1 * horizon, 25)
-    mid = np.linspace(0.1 * horizon, 0.5 * horizon, 33)[1:]
-    late = np.linspace(0.5 * horizon, horizon, 41)[1:]
-    return np.concatenate([[0.0], early, mid, late])
-
-
 def _law_measure(law: InitialLaw) -> Measure1D:
     """The initial law itself as a comparable measure (time-zero snapshot)."""
     if isinstance(law, PointMass):
@@ -346,10 +341,26 @@ def _analytic_path(ll: LimitLaw, times: tuple[float, ...]) -> MeasurePath:
     return MeasurePath(np.array(times), tuple(measures))
 
 
+def _analytic_time_rule(horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Times and time weights of the analytic path's rule: Gauss-Legendre in
+    u = sqrt(t) on [0, horizon/2] (dt = 2u du) and in t on [horizon/2, horizon],
+    with the panel ends 0, horizon/2 and horizon as nodes of weight 0."""
+    half = 0.5 * horizon
+    x, w = np.polynomial.legendre.leggauss(TIME_NODES_SQRT)
+    r = 0.5 * math.sqrt(half)
+    u = r * (1.0 + x)
+    early, w_early = u * u, r * w * 2.0 * u
+    x, w = np.polynomial.legendre.leggauss(TIME_NODES_LATE)
+    late, w_late = half + 0.5 * half * (1.0 + x), 0.5 * half * w
+    times = np.concatenate([[0.0], early, [half], late, [horizon]])
+    weights = np.concatenate([[0.0], w_early, [0.0], w_late, [0.0]])
+    return times, weights
+
+
 def _quadrature_path(ll: LimitLaw, horizon: float) -> NodePath:
-    """The limit law on _analytic_times(horizon), one panel quadrature per time."""
-    times = _analytic_times(horizon)
-    return NodePath(times, [quadrature(ll, float(t)) for t in times])
+    """The limit law on _analytic_time_rule(horizon), one panel quadrature per time."""
+    times, weights = _analytic_time_rule(horizon)
+    return NodePath(times, [quadrature(ll, float(t)) for t in times], weights)
 
 
 def _snapshot_indices(n_steps: int) -> np.ndarray:

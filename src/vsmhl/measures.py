@@ -6,8 +6,9 @@ area between CDFs, computed exactly for the piecewise-constant /
 piecewise-linear representations used here.  The Levy metric is also exact:
 one sweep along the anti-diagonals x + y = s of the two completed CDF graphs.
 A path of measures over a time grid is one Measure1D per node (MeasurePath),
-one set of weighted nodes per node (NodePath), or, for cell masses on one
-shared grid of centres, one 2-D array with a row per node (GridPath).
+one set of weighted nodes per node with its own rule in time (NodePath), or,
+for cell masses on one shared grid of centres, one 2-D array with a row per
+node (GridPath).
 """
 
 from __future__ import annotations
@@ -113,16 +114,25 @@ class NodePath:
     times[k] is sum_j w_j delta(x_j) over set k, a quadrature rule or atoms.
 
     The sets are stored concatenated, set k from starts[k] to starts[k + 1].
+    time_weights is a rule in time made of open panels (Gauss rules, say):
+    the nodes inside a panel carry its weights and the panel ends weigh 0, so
+    the integral of h over [0, times[k]] at a panel end k is the sum of
+    time_weights[i] h(times[i]) over i < k.
     """
 
-    __slots__ = ("times", "x", "w", "starts")
+    __slots__ = ("times", "x", "w", "starts", "time_weights")
 
-    def __init__(self, times, rules):
+    def __init__(self, times, rules, time_weights):
         self.times = np.asarray(times, dtype=float)
+        self.time_weights = np.asarray(time_weights, dtype=float)
         if len(rules) != len(self.times) or len(self.times) == 0:
             raise ValueError("need one node set per time node")
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("time grid must increase from 0")
+        if self.time_weights.shape != self.times.shape or self.time_weights[0] != 0.0:
+            raise ValueError("need one time weight per time node, 0 at t = 0")
+        if not np.all((self.time_weights >= 0) & np.isfinite(self.time_weights)):
+            raise ValueError("time weights must be nonnegative and finite")
         shapes = [(np.shape(x), np.shape(w)) for x, w in rules]
         if any(len(sx) != 1 or sx != sw or sx == (0,) for sx, sw in shapes):
             raise ValueError("each node set needs matching nonempty 1-D nodes and weights")

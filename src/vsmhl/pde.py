@@ -302,15 +302,19 @@ def weak_residual(
     """Residuals of the integrated test-function identity, one per (g, t).
 
     Entry [i, j] is (rho(t_j), g_i) - (rho(0), g_i) minus the time integral
-    of m e^{eta s/2} (rho(s), (eta/2) g_i' + (x/2) g_i''), the integral taken
-    by composite Simpson (one trapezoid on a single step) on the path's own
-    time grid; every t_j must be a finite grid node.  The path is a GridPath
-    (the solver's cell masses, one row per node on one grid) or a NodePath
-    (one set of weighted nodes per node: the limit law's quadrature, or
-    atoms).  Its pairings pair each measure up to the last requested node
-    once with every (eta/2) g' + (x/2) g'', and each t_j reads its own prefix
-    of that table; g itself is paired only at 0 and at the t_j.  All bad t_j
-    are rejected before any pairing.
+    of m e^{eta s/2} (rho(s), (eta/2) g_i' + (x/2) g_i''), taken by the path's
+    own rule in time; every t_j must be a finite node of its time grid.  A
+    GridPath (the solver's cell masses, one row per node on one grid) takes
+    composite Simpson (one trapezoid on a single step) over its nodes.  A
+    NodePath (one set of weighted nodes per node: the limit law's quadrature,
+    or atoms) takes its time_weights, so each t_j must be one of its panel
+    ends.  The limit law's path integrates by Gauss-Legendre in sqrt(t) up to
+    T/2, where its pairings are smooth in sqrt(t) and not in t, and in t from
+    T/2 to T (experiments._analytic_time_rule).  The path's
+    pairings pair each measure up to the last requested node once with every
+    (eta/2) g' + (x/2) g'', and each t_j reads its own prefix of that table;
+    g itself is paired only at 0 and at the t_j.  All bad t_j are rejected
+    before any pairing.
     """
     times = np.asarray(path.times, dtype=float)
     tol = 1e-9 * max(1.0, times[-1])
@@ -323,9 +327,11 @@ def weak_residual(
         idx = int(np.argmin(np.abs(times - t)))
         if abs(times[idx] - t) > tol:
             raise ValueError(f"t={t} is not a node of the path's time grid")
+        if isinstance(path, NodePath) and path.time_weights[idx] != 0.0:
+            raise ValueError(f"t={t} is not a panel end of the path's rule in time")
         nodes.append(idx)
     generators = [_generator(g, eta) for g in bank]
-    # C order fixes the order in which _simpson sums a row, whatever the path returns
+    # C order fixes the order in which a row is summed, whatever the path returns
     paired = np.ascontiguousarray(path.pairings(generators, range(max(nodes, default=-1) + 1)))
     at_nodes = path.pairings([g.f for g in bank], [0, *nodes])
     out = at_nodes[:, 1:] - at_nodes[:, :1]
@@ -334,7 +340,9 @@ def weak_residual(
             continue
         s = times[: idx + 1]
         integrand = m_lambda * np.exp(0.5 * eta * s) * paired[:, : idx + 1]
-        if idx == 1:
+        if isinstance(path, NodePath):
+            out[:, j] -= np.sum(integrand * path.time_weights[: idx + 1], axis=1)
+        elif idx == 1:
             out[:, j] -= 0.5 * (integrand[:, 0] + integrand[:, 1]) * (s[1] - s[0])
         else:
             out[:, j] -= _simpson(integrand, s)

@@ -477,7 +477,7 @@ class TestOtherRunners:
         ids=str,
     )
     def test_pde_check_builds_one_table(self, law):
-        # the solver's tail check reads one CDF; the 97 analytic quadratures read none
+        # the solver's tail check reads one CDF; the 39 analytic quadratures read none
         limit._table.cache_clear()
         cfg = ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), law, grid=SolverGrid(40.0, 400, 16))
         exp.run_pde_check(cfg)
@@ -485,16 +485,24 @@ class TestOtherRunners:
 
     @pytest.mark.parametrize(
         "law, x_max, nx",
-        [(GammaLaw(2.0, 0.5), 30.0, 1200), (DiscreteAtoms(((0.5, 0.3), (2.0, 0.7))), 40.0, 1600)],
-        ids=["gamma", "atoms"],
+        [
+            (PointMass(1.0), 30.0, 1200),
+            (GammaLaw(2.0, 0.5), 30.0, 1200),
+            (UniformLaw(0.5, 1.5), 30.0, 1200),
+            (DiscreteAtoms(((0.5, 0.3), (2.0, 0.7))), 40.0, 1600),
+        ],
+        ids=["point", "gamma", "uniform", "atoms"],
     )
-    def test_pde_check_passes_beyond_point_mass(self, law, x_max, nx):
+    def test_pde_check_passes_for_each_law(self, law, x_max, nx):
         # the pde_point grid's dx and nt; the atoms' tail check needs x_max 40
         cfg = ExperimentConfig("pde_check", ModelParams(2.0, 64, 1.0), law, grid=SolverGrid(x_max, nx, 800))
         r = run_experiment(cfg)
         assert r.passed and r.summary["residuals_ok"]
         worst = max(abs(v) for check, _, _, v in r.rows if check == "residual_analytic")
         assert worst <= exp.RESIDUAL_TOL_ANALYTIC == 1e-4
+        # the Gauss rule in sqrt(t) leaves the time integral below 1e-6 (the
+        # composite Simpson rule it replaced left 2.5e-5 for the point mass)
+        assert worst <= 1e-6
 
     def test_pde_check_at_a_high_kernel_order_reports(self):
         # eta 40: the kernel's order 39 once took the 1/z expansion just above

@@ -19,6 +19,7 @@ from vsmhl import (
     NodePath,
     PointMass,
     SolverGrid,
+    UniformLaw,
     density,
     empirical,
     mean,
@@ -31,6 +32,9 @@ from vsmhl.pde import _advance, _generator, _operator
 
 PARAMS = ModelParams(2.0, 1, 1.0)
 LAW = PointMass(1.0)
+# a midpoint rule on [0, 0.5] and [0.5, 1]: the panel ends 0, 0.5 and 1 weigh 0
+MIDPOINT_TIMES = np.linspace(0.0, 1.0, 5)
+MIDPOINT_WEIGHTS = [0.0, 0.5, 0.0, 0.5, 0.0]
 
 
 class TestSolverGrid:
@@ -289,8 +293,9 @@ def node_expect(path):
     return expect
 
 
-def reference_residual(times, expect, g, eta, m_lambda, t):
-    """The per-(g, t) formulation: one expect(k, f) call per node, then Simpson."""
+def reference_residual(times, expect, g, eta, m_lambda, t, time_weights=None):
+    """The per-(g, t) formulation: one expect(k, f) call per node, then Simpson,
+    or the weighted sum of a NodePath's time_weights when they are given."""
     times = np.asarray(times, dtype=float)
     idx = int(np.argmin(np.abs(times - t)))
     lhs = expect(idx, g.f) - expect(0, g.f)
@@ -299,7 +304,9 @@ def reference_residual(times, expect, g, eta, m_lambda, t):
     s = times[: idx + 1]
     pairs = [expect(k, lambda x: 0.5 * eta * g.df(x) + 0.5 * x * g.d2f(x)) for k in range(idx + 1)]
     integrand = m_lambda * np.exp(0.5 * eta * s) * np.array(pairs)
-    if idx == 1:
+    if time_weights is not None:
+        rhs = np.sum(integrand * time_weights[: idx + 1])
+    elif idx == 1:
         rhs = 0.5 * (integrand[0] + integrand[1]) * (s[1] - s[0])
     else:
         rhs = simpson(integrand, x=s)
@@ -312,13 +319,14 @@ def assert_matches_reference(path, eta, m_lambda, t_values, expect):
     bank = function_bank()
     got = weak_residual(path, bank, eta, m_lambda, t_values)
     assert got.shape == (len(bank), len(t_values))
-    want = [[reference_residual(path.times, expect, g, eta, m_lambda, t) for t in t_values] for g in bank]
+    tw = path.time_weights if isinstance(path, NodePath) else None
+    want = [[reference_residual(path.times, expect, g, eta, m_lambda, t, tw) for t in t_values] for g in bank]
     assert got.tolist() == want
 
 
 class TestWeakResidual:
     def test_zero_coefficient_constant_path(self):
-        path = NodePath(np.linspace(0.0, 1.0, 5), [([1.0], [1.0])] * 5)
+        path = NodePath(MIDPOINT_TIMES, [([1.0], [1.0])] * 5, MIDPOINT_WEIGHTS)
         g = function_bank()[0]
         assert weak_residual(path, [g], 2.0, 0.0, [1.0]) == 0.0
 
@@ -330,10 +338,11 @@ class TestWeakResidual:
             ([0.33], "node"),
             ([1.0, 0.33, 0.5], "node"),
             ([0.5, math.nan], "finite"),
+            ([0.5, 0.75], "panel end"),
         ],
     )
     def test_horizon_errors(self, t_values, match):
-        path = NodePath(np.linspace(0.0, 1.0, 5), [([1.0], [1.0])] * 5)
+        path = NodePath(MIDPOINT_TIMES, [([1.0], [1.0])] * 5, MIDPOINT_WEIGHTS)
         g = function_bank()[0]
         with pytest.raises(ValueError, match=match):
             weak_residual(path, [g], 2.0, 1.0, t_values)
@@ -401,18 +410,50 @@ class TestWeakResidual:
         ll = LimitLaw(PARAMS.eta, LAW)
         path = exp._quadrature_path(ll, 1.0)
         assert isinstance(path, NodePath)
-        assert len(path.times) == 98
+        assert len(path.times) == 39
         assert path.starts[1] == 1 and path.x[0] == 1.0 and path.w[0] == 1.0  # the point mass at t = 0
-        assert len({path.x[end - 1] for end in path.starts[2:]}) == 97  # no two node sets alike
-        t = path.times
-        assert_matches_reference(path, PARAMS.eta, 1.0, [t[1], t[2], 0.5, t[70], 1.0], node_expect(path))
+        assert len({path.x[end - 1] for end in path.starts[2:]}) == 38  # no two node sets alike
+        assert_matches_reference(path, PARAMS.eta, 1.0, [0.0, 0.5, 1.0], node_expect(path))
+
+    @pytest.mark.parametrize("horizon", [0.5, 1.0, 2.0])
+    def test_analytic_time_rule(self, horizon):
+        times, weights = exp._analytic_time_rule(horizon)
+        n_early = exp.TIME_NODES_SQRT
+        assert len(times) == n_early + exp.TIME_NODES_LATE + 3
+        ends = np.flatnonzero(weights == 0.0)
+        assert ends.tolist() == [0, n_early + 1, len(times) - 1]
+        assert times[ends].tolist() == [0.0, 0.5 * horizon, horizon]
+        half, early = 0.5 * horizon, slice(0, n_early + 1)
+        # exact for polynomials in sqrt(t) up to degree 2 n_early - 1 on the first
+        # panel and in t up to degree 2 TIME_NODES_LATE - 1 on the second
+        for p in (0, 1, 2 * n_early - 1):
+            got = weights[early] @ times[early] ** (0.5 * p)
+            assert got == pytest.approx(half ** (1.0 + 0.5 * p) / (1.0 + 0.5 * p), rel=1e-13)
+        for p in (0, 1, 2 * exp.TIME_NODES_LATE - 1):
+            got = weights[n_early + 2 :] @ times[n_early + 2 :] ** p
+            assert got == pytest.approx((horizon ** (p + 1) - half ** (p + 1)) / (p + 1), rel=1e-13)
+
+    @pytest.mark.parametrize("law", [PointMass(1.0), GammaLaw(2.0, 0.5), UniformLaw(0.5, 1.5)], ids=str)
+    def test_doubling_the_time_rule(self, law, monkeypatch):
+        # the residual left at 24 + 12 nodes is the panel quadrature's, not the
+        # time rule's (DiscreteAtoms((0.5, 0.3), (2.0, 0.7)) moves by 2.4e-7)
+        ll = LimitLaw(PARAMS.eta, law)
+        bank = function_bank()
+        coarse = weak_residual(exp._quadrature_path(ll, 1.0), bank, PARAMS.eta, ll.m_lambda, [0.5, 1.0])
+        monkeypatch.setattr(exp, "TIME_NODES_SQRT", 2 * exp.TIME_NODES_SQRT)
+        monkeypatch.setattr(exp, "TIME_NODES_LATE", 2 * exp.TIME_NODES_LATE)
+        fine = weak_residual(exp._quadrature_path(ll, 1.0), bank, PARAMS.eta, ll.m_lambda, [0.5, 1.0])
+        assert np.abs(fine - coarse).max() <= 1e-7
 
     def test_atom_path_matches_reference(self):
         rng = np.random.default_rng(7)
-        times = np.linspace(0.0, 1.0, 8)
-        measures = [empirical(rng.gamma(2.0, 0.5 + k / 8.0, 50)) for k in range(8)]
-        path = NodePath(times, [(m.x, m.w) for m in measures])
-        assert_matches_reference(path, 1.5, 1.0, list(times) + [times[3] + 1e-12], node_expect(path))
+        times = np.linspace(0.0, 1.0, 9)
+        measures = [empirical(rng.gamma(2.0, 0.5 + k / 8.0, 50)) for k in range(9)]
+        # midpoint panels: the odd nodes weigh 0.25, the even ones end a panel
+        weights = np.where(np.arange(9) % 2 == 1, 0.25, 0.0)
+        path = NodePath(times, [(m.x, m.w) for m in measures], weights)
+        t_values = list(times[::2]) + [times[4] + 1e-12]
+        assert_matches_reference(path, 1.5, 1.0, t_values, node_expect(path))
 
 
 class TestNodePath:
@@ -420,7 +461,7 @@ class TestNodePath:
 
     @pytest.mark.parametrize("nodes", [[2, 0, 1, 2], [0, 1, 2], [1, 2], [1], [0, 2]])
     def test_pairings_equal_per_set_sums(self, nodes):
-        path = NodePath(np.array([0.0, 0.5, 1.0]), self.SETS)
+        path = NodePath(np.array([0.0, 0.5, 1.0]), self.SETS, [0.0, 1.0, 0.0])
         funcs = [g.f for g in function_bank()] + [g.df for g in function_bank()]
         got = path.pairings(funcs, nodes)
         assert got.shape == (len(funcs), len(nodes))
@@ -444,7 +485,21 @@ class TestNodePath:
     )
     def test_rejects_bad_sets(self, times, sets, match):
         with pytest.raises(ValueError, match=match):
-            NodePath(np.array(times), sets)
+            NodePath(np.array(times), sets, np.zeros(len(times)))
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            ([0.0, 1.0], "one time weight per time node"),
+            ([0.5, 0.5, 0.0], "0 at t = 0"),
+            ([0.0, -1.0, 0.0], "nonnegative"),
+            ([0.0, math.inf, 0.0], "finite"),
+            ([0.0, math.nan, 0.0], "finite"),
+        ],
+    )
+    def test_rejects_bad_time_weights(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            NodePath(np.array([0.0, 0.5, 1.0]), self.SETS, weights)
 
 
 class TestGridPath:

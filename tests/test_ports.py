@@ -33,8 +33,8 @@ def test_simpson_equals_scipy(n):
         assert np.array_equal(_simpson(y, x), simpson(y, x=x, axis=-1))
 
 
-def test_simpson_equals_scipy_on_analytic_time_grid():
-    # the geometric-then-uniform node layout weak_residual integrates over
+def test_simpson_equals_scipy_on_geometric_then_uniform_grid():
+    # a nonuniform layout, geometric then uniform, with both parities of node count
     s = np.concatenate([[0.0], np.geomspace(1e-4, 0.1, 25), np.linspace(0.1, 1.0, 73)[1:]])
     y = np.exp(s)[None, :] * np.random.default_rng(1).normal(size=(5, 1))
     for idx in (2, 3, 49, 50, len(s) - 1):
