@@ -58,7 +58,7 @@ GOLDEN = {
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=PointMass(1.0),
             grid=SolverGrid(30.0, 1200, 800),
         ),
-        "a87623401e8c399d8e29a72962f60e0f2b33917c5f5d8210c205c830f656e4fa",
+        "1b4434b0b3177725c865c9e62a5c4eef16d35ca787ab9b090e14939d9a1fe647",
     ),
     "sampler_check": (
         dict(
