@@ -95,24 +95,21 @@ class TestConfig:
         wide = small_convergence_cfg(experiment=experiment, law=UniformLaw(0.5, 1.5), grid=grid)
         assert wide.violations() == []
 
-    @pytest.mark.parametrize("experiment", ["convergence", "pde_check", "sampler_check", "rank_check"])
-    @pytest.mark.parametrize("law", [PointMass(1.0), DiscreteAtoms(((0.5, 0.5), (1.5, 0.5)))], ids=str)
+    @pytest.mark.parametrize("experiment", ["convergence", "pde_check", "sampler_check", "rank_check", "moment_check"])
+    @pytest.mark.parametrize(
+        "law", [PointMass(1.0), DiscreteAtoms(((0.5, 0.5), (1.5, 0.5))), GammaLaw(2.0, 0.5)], ids=str
+    )
     def test_bessel_order_past_verified_range(self, experiment, law):
-        # the kernel's order is eta - 1, and log_modified_bessel_i stops at NU_MAX = 40
+        # the kernel's order is eta - 1, and log_modified_bessel_i stops at NU_MAX = 40;
+        # a gamma limit law reads no kernel, but pde_check's mollified start does
+        reads_kernel = experiment == "pde_check" or (
+            experiment != "moment_check" and not isinstance(law, GammaLaw)
+        )
         grid = SolverGrid(30.0, 100, 100)
         high = small_convergence_cfg(experiment=experiment, law=law, params=ModelParams(41.5, 16, 0.1), grid=grid)
-        assert any("Bessel kernel" in v for v in high.violations())
+        assert any("Bessel kernel" in v for v in high.violations()) == reads_kernel
         top = small_convergence_cfg(experiment=experiment, law=law, params=ModelParams(41.0, 16, 0.1), grid=grid)
         assert top.violations() == []
-
-    @pytest.mark.parametrize("experiment", ["convergence", "pde_check", "moment_check"])
-    def test_bessel_order_checked_where_the_kernel_is_read(self, experiment):
-        # a gamma limit law reads no Bessel kernel, but pde_check's mollified start does
-        cfg = small_convergence_cfg(
-            experiment=experiment, law=GammaLaw(2.0, 0.5), params=ModelParams(41.5, 16, 0.1),
-            grid=SolverGrid(30.0, 100, 100),
-        )
-        assert any("Bessel kernel" in v for v in cfg.violations()) == (experiment == "pde_check")
 
     def test_uniform_width_not_checked_without_limit_law(self):
         cfg = small_convergence_cfg(experiment="moment_check", law=UniformLaw(1.0, 1.0 + 1e-11))
@@ -500,13 +497,13 @@ class TestOtherRunners:
         assert r.passed and r.summary["residuals_ok"]
         worst = max(abs(v) for check, _, _, v in r.rows if check == "residual_analytic")
         assert worst <= exp.RESIDUAL_TOL_ANALYTIC == 1e-4
-        # the Gauss rule in sqrt(t) leaves the time integral below 1e-6 (the
-        # composite Simpson rule it replaced left 2.5e-5 for the point mass)
+        # the time rule's share: the pairings are smooth in sqrt(t), and the
+        # Gauss rule in sqrt(t) follows them (composite Simpson in t read 2.5e-5)
         assert worst <= 1e-6
 
     def test_pde_check_at_a_high_kernel_order_reports(self):
-        # eta 40: the kernel's order 39 once took the 1/z expansion just above
-        # z = 50, where its terms grow, and the table build died on NaN
+        # eta 40: the kernel's order 39 needs the series up to z = 760.5; the
+        # 1/z expansion's terms still grow just above z = 50
         cfg = ExperimentConfig("pde_check", ModelParams(40.0, 64, 0.1), PointMass(1.0), grid=SolverGrid(30.0, 300, 20))
         r = run_experiment(cfg)
         assert np.isfinite([row[3] for row in r.rows]).all()
@@ -584,20 +581,20 @@ class TestCli:
         assert "--threads" in capsys.readouterr().err
         assert recorded_pools == [] and not out.exists()
 
-    def test_narrow_uniform_law_exit_code(self, tmp_path, capsys):
-        spec = small_convergence_cfg(law=UniformLaw(1.0, 1.0 + 1e-11)).to_dict()
+    @pytest.mark.parametrize(
+        "overrides, messages",
+        [
+            ({"law": UniformLaw(1.0, 1.0 + 1e-11)}, ["too narrow for the horizon", "J(T)/(b - a)"]),
+            ({"params": ModelParams(42.0, 16, 0.1)}, ["Bessel kernel", "verified up to 40"]),
+        ],
+    )
+    def test_limit_law_violation_exit_code(self, tmp_path, capsys, overrides, messages):
+        spec = small_convergence_cfg(**overrides).to_dict()
         out = tmp_path / "out"
         cfg = self.write_cfg(tmp_path, spec)
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "too narrow for the horizon" in err and "J(T)/(b - a)" in err
-        assert not out.exists()
-
-    def test_bessel_order_exit_code(self, tmp_path, capsys):
-        spec = small_convergence_cfg(params=ModelParams(42.0, 16, 0.1)).to_dict()
-        out = tmp_path / "out"
-        assert main(["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out)]) == 2
-        assert "verified up to 40" in capsys.readouterr().err
+        assert all(m in err for m in messages)
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -475,31 +475,22 @@ class TestNodePath:
         assert path.pairings(funcs, []).shape == (len(funcs), 0)
 
     @pytest.mark.parametrize(
-        "times, sets, match",
+        "times, sets, weights, match",
         [
-            ([0.0, 1.0], SETS, "one node set per time"),
-            ([0.0, 1.0, 1.0], SETS, "time grid"),
-            ([0.0, 0.5, 1.0], [SETS[0], ([], []), SETS[2]], "nonempty"),
-            ([0.0, 0.5, 1.0], [SETS[0], ([0.25], [0.5, 0.5]), SETS[2]], "matching"),
+            ([0.0, 1.0], SETS, [0.0, 0.0], "one node set per time"),
+            ([0.0, 1.0, 1.0], SETS, [0.0, 0.0, 0.0], "time grid"),
+            ([0.0, 0.5, 1.0], [SETS[0], ([], []), SETS[2]], [0.0, 0.0, 0.0], "nonempty"),
+            ([0.0, 0.5, 1.0], [SETS[0], ([0.25], [0.5, 0.5]), SETS[2]], [0.0, 0.0, 0.0], "matching"),
+            ([0.0, 0.5, 1.0], SETS, [0.0, 1.0], "one time weight per time node"),
+            ([0.0, 0.5, 1.0], SETS, [0.5, 0.5, 0.0], "0 at t = 0"),
+            ([0.0, 0.5, 1.0], SETS, [0.0, -1.0, 0.0], "nonnegative"),
+            ([0.0, 0.5, 1.0], SETS, [0.0, math.inf, 0.0], "finite"),
+            ([0.0, 0.5, 1.0], SETS, [0.0, math.nan, 0.0], "finite"),
         ],
     )
-    def test_rejects_bad_sets(self, times, sets, match):
+    def test_rejects_bad_sets(self, times, sets, weights, match):
         with pytest.raises(ValueError, match=match):
-            NodePath(np.array(times), sets, np.zeros(len(times)))
-
-    @pytest.mark.parametrize(
-        "weights, match",
-        [
-            ([0.0, 1.0], "one time weight per time node"),
-            ([0.5, 0.5, 0.0], "0 at t = 0"),
-            ([0.0, -1.0, 0.0], "nonnegative"),
-            ([0.0, math.inf, 0.0], "finite"),
-            ([0.0, math.nan, 0.0], "finite"),
-        ],
-    )
-    def test_rejects_bad_time_weights(self, weights, match):
-        with pytest.raises(ValueError, match=match):
-            NodePath(np.array([0.0, 0.5, 1.0]), self.SETS, weights)
+            NodePath(np.array(times), sets, weights)
 
 
 class TestGridPath:
