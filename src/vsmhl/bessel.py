@@ -11,7 +11,7 @@ that the large-argument expansion of e^{-z} I_nu(z) in powers of 1/z is used
 Its k-th term is the (k-1)-th times (4 nu^2 - (2k-1)^2) / (8 k z), so below
 z = nu^2/2 the terms grow from the first one; from there on its
 optimal-truncation error is far below double precision.  At nu = NU_MAX the
-series sum at z = nu^2/2 is near 1e289, and past nu = 41 it overflows, so
+series sum at z = nu^2/2 is near 1e289, and at nu = 41 it overflows, so
 larger orders are rejected.
 """
 

@@ -497,8 +497,8 @@ class TestOtherRunners:
         assert r.passed and r.summary["residuals_ok"]
         worst = max(abs(v) for check, _, _, v in r.rows if check == "residual_analytic")
         assert worst <= exp.RESIDUAL_TOL_ANALYTIC == 1e-4
-        # the time rule's share: the pairings are smooth in sqrt(t), and the
-        # Gauss rule in sqrt(t) follows them (composite Simpson in t read 2.5e-5)
+        # the pairings are smooth in sqrt(t), not in t, and the Gauss rule in
+        # sqrt(t) keeps the time integral's error below this
         assert worst <= 1e-6
 
     def test_pde_check_at_a_high_kernel_order_reports(self):
