@@ -87,34 +87,42 @@ def euler_full_truncation(eta: float, initial: np.ndarray, step: float, noise: n
     """Advance R independent copies of the coupled system over precomputed
     standard-normal noise.
 
-    ``initial`` has shape (R, N) and ``noise`` shape (R, n_steps, N); row r
-    of both belongs to replication r.  Returns the states, shape
-    (n_steps + 1, R, N), with the initial state at step 0.  Raises
-    DegenerateStateError if the total of any row ever hits exactly zero.
+    ``initial`` has shape (R, N) and is nonnegative; ``noise`` has shape
+    (R, n_steps, N), row r of both belonging to replication r.  Returns the
+    states, shape (n_steps + 1, R, N), with the initial state at step 0.
+    Raises DegenerateStateError if the total of any row ever hits exactly
+    zero.
     """
     reps, n_steps, n = noise.shape
     if initial.shape != (reps, n):
         raise ValueError("initial state and noise shapes disagree")
+    if (initial < 0).any():
+        raise ValueError("initial state must be nonnegative")
     sqrt_h = math.sqrt(step)
     states = np.empty((n_steps + 1, reps, n))
     states[0] = initial
+    s = np.ones((reps, 1))  # each row's total at the step being taken
     diff = np.empty((reps, n))  # scratch for the diffusion term
     for k in range(n_steps):
         y, y_next = states[k], states[k + 1]
-        s = y.sum(axis=1, keepdims=True)
-        if not s.all():
-            raise DegenerateStateError(k)
+        np.add.reduce(y, axis=1, keepdims=True, out=s)
         # in place, the one-row step max(y + drift + diff * noise, 0) with
-        # drift = (eta / 2N) S h and diff = sqrt(max(y, 0) S / N) sqrt(h),
-        # every operation in the same order
-        np.maximum(y, 0.0, out=diff)
-        diff *= s / n
+        # drift = (eta / 2N) S h and diff = sqrt(y S / N) sqrt(h), every
+        # operation in the same order; y >= 0, as the start is and each step
+        # clips
+        np.multiply(y, s / n, out=diff)
         np.sqrt(diff, out=diff)
         diff *= sqrt_h
         diff *= noise[:, k]
         np.add(y, (eta / (2.0 * n)) * s * step, out=y_next)
         y_next += diff
         np.maximum(y_next, 0.0, out=y_next)
+    # a zero total is absorbing (every position is 0 and stays 0), so a row
+    # whose total hit 0 at any step still has it at the last step taken; the
+    # first such step is looked up only then
+    if not s.all():
+        zero = (states[:n_steps].sum(axis=2) == 0.0).any(axis=1)
+        raise DegenerateStateError(int(np.argmax(zero)))
     return states
 
 

@@ -128,6 +128,9 @@ class TestSimulate:
     def test_euler_shapes_checked(self):
         with pytest.raises(ValueError, match="shapes"):
             euler_full_truncation(2.0, np.ones((2, 3)), 0.1, np.zeros((3, 2, 3)))
+        # each step reads y >= 0 unclipped, so a negative start is refused
+        with pytest.raises(ValueError, match="nonnegative"):
+            euler_full_truncation(2.0, np.array([[1.0, -1e-300, 3.0]]), 0.1, np.zeros((1, 2, 3)))
         with pytest.raises(ValueError, match="generator"):
             simulate_replications(ModelParams(2.0, 4, 1.0), PointMass(1.0), 0.1, [])
 
