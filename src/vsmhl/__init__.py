@@ -47,10 +47,9 @@ from .particles import (
     simulate_system,
 )
 from .measures import (
-    GridPath,
     Measure1D,
     MeasurePath,
-    NodePath,
+    WeakFormPath,
     empirical,
     levy,
     ranked_vs_limit,

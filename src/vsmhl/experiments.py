@@ -27,7 +27,7 @@ from .limit import LimitLaw, cdf, density, density_grid, quadrature, sample, tim
 from .measures import (
     Measure1D,
     MeasurePath,
-    NodePath,
+    WeakFormPath,
     empirical,
     ranked_vs_limit,
     sup_distance,
@@ -357,10 +357,20 @@ def _analytic_time_rule(horizon: float) -> tuple[np.ndarray, np.ndarray]:
     return times, weights
 
 
-def _quadrature_path(ll: LimitLaw, horizon: float) -> NodePath:
-    """The limit law on _analytic_time_rule(horizon), one panel quadrature per time."""
+def _quadrature_path(ll: LimitLaw, horizon: float) -> WeakFormPath:
+    """The limit law on _analytic_time_rule(horizon), one panel quadrature per
+    time, read at the panel ends horizon/2 and horizon.  The quadratures are
+    concatenated in time with their weights scaled by time weight times
+    c(t) = m e^{eta t/2}, so each end's time integral is a prefix of them."""
     times, weights = _analytic_time_rule(horizon)
-    return NodePath(times, [quadrature(ll, float(t)) for t in times], weights)
+    rules = [quadrature(ll, float(t)) for t in times]
+    scale = weights * ll.m_lambda * np.exp(0.5 * ll.eta * times)
+    x = np.concatenate([x for x, _ in rules])
+    w = np.concatenate([w * c for (_, w), c in zip(rules, scale)])
+    set_ends = np.cumsum([len(x) for x, _ in rules])  # node set k ends at set_ends[k]
+    ends = np.flatnonzero(weights == 0.0)[1:]
+    prefixes = [w[: set_ends[k - 1]] for k in ends]
+    return WeakFormPath(times[ends], rules[0], [rules[k] for k in ends], x[: set_ends[-2]], prefixes)
 
 
 def _snapshot_indices(n_steps: int) -> np.ndarray:
@@ -412,39 +422,35 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult
 def run_pde_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     _require_valid(cfg, "pde_check")
     grid = cfg.grid
-    traj = solve(cfg.params, cfg.law, grid)
+    traj = solve(cfg.params, cfg.law, grid, ends=(grid.nt // 2, grid.nt))
     ll = LimitLaw(cfg.params.eta, cfg.law)
     moll = mollified_start_law(cfg.law, grid)
     ll_moll = LimitLaw(cfg.params.eta, moll)
     centers = grid.centers()
     dx = grid.dx()
-    t_indices = [grid.nt // 2, grid.nt]
+    t_pde = [float(t) for t in traj.times[1:]]
     rows: list[tuple] = []
-    l1_values = {}
-    for k in t_indices:
-        t = float(traj.times[k])
+    l1 = {}
+    for t, m in zip(t_pde, traj.masses[1:]):
         for tag, lref in (("l1_vs_exact", ll), ("l1_vs_mollified", ll_moll)):
-            l1 = float(np.abs(traj.masses[k] / dx - density(lref, t, centers)).sum() * dx)
-            rows.append(("l1", t, tag, l1))
-            l1_values[(tag, k)] = l1
-    drift = float(np.abs(traj.mass() - 1.0).max())
-    rows.append(("mass", float(traj.times[-1]), "max_drift", drift))
+            l1[tag] = float(np.abs(m / dx - density(lref, t, centers)).sum() * dx)
+            rows.append(("l1", t, tag, l1[tag]))
+    final_l1 = l1["l1_vs_exact"]  # at the last level
+    drift = traj.max_drift
+    rows.append(("mass", t_pde[-1], "max_drift", drift))
 
-    fracs = (0.5, 1.0)
     bank = test_function_bank()
-    t_analytic = [frac * cfg.params.horizon for frac in fracs]
-    t_pde = [float(traj.times[int(round(frac * grid.nt))]) for frac in fracs]
+    t_analytic = [0.5 * cfg.params.horizon, cfg.params.horizon]
     analytic = _quadrature_path(ll, cfg.params.horizon)
-    r_analytic = weak_residual(analytic, bank, cfg.params.eta, ll.m_lambda, t_analytic)
-    r_pde = weak_residual(traj.measure_path(), bank, cfg.params.eta, ll.m_lambda, t_pde)
+    r_analytic = weak_residual(analytic, bank, cfg.params.eta, t_analytic)
+    r_pde = weak_residual(traj.measure_path(), bank, cfg.params.eta, t_pde)
     residuals_ok = True
     for i, g in enumerate(bank):
-        for j in range(len(fracs)):
+        for j in range(len(t_pde)):
             r_a, r_p = float(r_analytic[i, j]), float(r_pde[i, j])
             rows.append(("residual_analytic", t_analytic[j], g.name, r_a))
             rows.append(("residual_pde", t_pde[j], g.name, r_p))
             residuals_ok &= abs(r_a) <= RESIDUAL_TOL_ANALYTIC and abs(r_p) <= RESIDUAL_TOL_PDE
-    final_l1 = l1_values[("l1_vs_exact", grid.nt)]
     passed = final_l1 <= PDE_L1_TOL and drift <= PDE_MASS_TOL and residuals_ok
     return ExperimentResult(
         experiment="pde_check",

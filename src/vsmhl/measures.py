@@ -5,10 +5,9 @@ both expose a CDF, which is all the two metrics need.  Wasserstein-1 is the
 area between CDFs, computed exactly for the piecewise-constant /
 piecewise-linear representations used here.  The Levy metric is also exact:
 one sweep along the anti-diagonals x + y = s of the two completed CDF graphs.
-A path of measures over a time grid is one Measure1D per node (MeasurePath),
-one set of weighted nodes per node with its own rule in time (NodePath), or,
-for cell masses on one shared grid of centres, one 2-D array with a row per
-node (GridPath).
+A path of measures over a time grid is one Measure1D per node (MeasurePath);
+what the weak-form residual reads of a path, the measures at 0 and at a few
+end times and a time integral up to each end, is a WeakFormPath.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from .limit import LimitLaw, quantile
 __all__ = [
     "Measure1D",
     "MeasurePath",
-    "NodePath",
-    "GridPath",
+    "WeakFormPath",
     "empirical",
     "wasserstein1",
     "levy",
@@ -109,88 +107,31 @@ class MeasurePath:
             raise ValueError("time grid must increase from 0")
 
 
-class NodePath:
-    """Weighted nodes, one set per node of a time grid: the measure at
-    times[k] is sum_j w_j delta(x_j) over set k, a quadrature rule or atoms.
+@dataclass(frozen=True)
+class WeakFormPath:
+    """A path of measures mu_s as the integrated weak form reads it at a few
+    end times t_j > 0: mu_0, mu_{t_j}, and Lambda_j, the time integral of
+    c(s) mu_s over [0, t_j] by the path's own rule in time (c the forward
+    equation's coefficient).  start and each of stops is a weighted node set
+    (x, w), the measure sum_i w_i delta(x_i).  The time integrals share one
+    node set, integral_x: Lambda_j weighs its first len(integral_w[j]) nodes
+    by integral_w[j]."""
 
-    The sets are stored concatenated, set k from starts[k] to starts[k + 1].
-    time_weights is a rule in time made of open panels (Gauss rules, say):
-    the nodes inside a panel carry its weights and the panel ends weigh 0, so
-    the integral of h over [0, times[k]] at a panel end k is the sum of
-    time_weights[i] h(times[i]) over i < k.
-    """
+    ends: np.ndarray
+    start: tuple[np.ndarray, np.ndarray]
+    stops: list[tuple[np.ndarray, np.ndarray]]
+    integral_x: np.ndarray
+    integral_w: list[np.ndarray]
 
-    __slots__ = ("times", "x", "w", "starts", "time_weights")
-
-    def __init__(self, times, rules, time_weights):
-        self.times = np.asarray(times, dtype=float)
-        self.time_weights = np.asarray(time_weights, dtype=float)
-        if len(rules) != len(self.times) or len(self.times) == 0:
-            raise ValueError("need one node set per time node")
-        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("time grid must increase from 0")
-        if self.time_weights.shape != self.times.shape or self.time_weights[0] != 0.0:
-            raise ValueError("need one time weight per time node, 0 at t = 0")
-        if not np.all((self.time_weights >= 0) & np.isfinite(self.time_weights)):
-            raise ValueError("time weights must be nonnegative and finite")
-        shapes = [(np.shape(x), np.shape(w)) for x, w in rules]
-        if any(len(sx) != 1 or sx != sw or sx == (0,) for sx, sw in shapes):
-            raise ValueError("each node set needs matching nonempty 1-D nodes and weights")
-        sizes = [sx[0] for sx, _ in shapes]
-        self.x = np.concatenate([np.asarray(x, dtype=float) for x, _ in rules])
-        self.w = np.concatenate([np.asarray(w, dtype=float) for _, w in rules])
-        self.starts = np.concatenate([[0], np.cumsum(sizes)])
-
-    def pairings(self, funcs, nodes) -> np.ndarray:
-        """Entry [i, j] is sum(w * funcs[i](x)) over node set nodes[j]: each
-        function is evaluated once on the requested sets, concatenated, and
-        summed per set by np.add.reduceat.  A consecutive run of sets is read
-        as one slice of x and w, without a copy."""
-        nodes = np.asarray(nodes, dtype=int)
-        if len(nodes) == 0:
-            return np.empty((len(funcs), 0))
-        if np.array_equal(nodes, np.arange(nodes[0], nodes[0] + len(nodes))):
-            lo, hi = self.starts[nodes[0]], self.starts[nodes[-1] + 1]
-            x, w, offsets = self.x[lo:hi], self.w[lo:hi], self.starts[nodes] - lo
-        else:
-            sizes = self.starts[nodes + 1] - self.starts[nodes]
-            offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-            idx = np.repeat(self.starts[nodes] - offsets, sizes) + np.arange(sizes.sum())
-            x, w = self.x[idx], self.w[idx]
-        return np.array([np.add.reduceat(w * f(x), offsets) for f in funcs])
-
-
-class GridPath:
-    """Cell masses on one shared grid of centres x, one row of m per node of a
-    time grid: the measure at times[k] is sum_i m[k, i] delta(x_i).
-
-    The rows are the masses a conservative scheme holds, taken as they are:
-    nothing is clipped, renormalized or absorbed.
-    """
-
-    __slots__ = ("times", "x", "m")
-
-    def __init__(self, times, x, masses):
-        self.times = np.asarray(times, dtype=float)
-        self.x = np.asarray(x, dtype=float)
-        self.m = np.asarray(masses, dtype=float)
-        if self.x.ndim != 1 or len(self.x) < 2 or self.m.shape != (len(self.times), len(self.x)):
-            raise ValueError("need one row of cell masses per time node")
-        if len(self.times) == 0 or self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("time grid must increase from 0")
-        if np.any(np.diff(self.x) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if self.m.min() < -1e-12:
-            raise ValueError("cell masses must be nonnegative")
-
-    def pairings(self, funcs, nodes) -> np.ndarray:
-        """Entry [i, j] is sum(m[nodes[j]] * funcs[i](x)): each function is
-        evaluated once on the grid and one einsum pairs every row, so an entry
-        does not depend on which other nodes are requested, nor on the BLAS
-        build or its thread count.  The table comes back C-ordered, as
-        NodePath's does."""
-        fx = np.array([f(self.x) for f in funcs])
-        return np.take(np.einsum("fi,ki->fk", fx, self.m), nodes, axis=1)
+    def __post_init__(self):
+        if len(self.ends) == 0 or self.ends[0] <= 0 or np.any(np.diff(self.ends) <= 0):
+            raise ValueError("end times must be positive and strictly increasing")
+        if not len(self.stops) == len(self.integral_w) == len(self.ends):
+            raise ValueError("need one measure and one time integral per end time")
+        if any(np.ndim(x) != 1 or np.shape(x) != np.shape(w) for x, w in [self.start, *self.stops]):
+            raise ValueError("each node set needs matching 1-D nodes and weights")
+        if any(np.ndim(w) != 1 or len(w) > len(self.integral_x) for w in self.integral_w):
+            raise ValueError("each time integral weighs a prefix of integral_x")
 
 
 def empirical(positions) -> Measure1D:

@@ -16,7 +16,9 @@ is one tridiagonal solve by LAPACK gtsv (Gaussian elimination with partial
 pivoting; Anderson et al., LAPACK Users' Guide, sec. 2.4).  The advective
 part of the flux is centered on every face where that keeps the system an
 M-matrix and taken from the left (donor) cell on the rest; the scheme
-conserves mass to solver precision and keeps cell masses nonnegative.
+conserves mass to solver precision and keeps cell masses nonnegative.  A
+solve streams its levels: it keeps level 0 and the requested end levels, and
+the time integrals up to each end that the weak residual reads.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from scipy.special import ndtr
 
 from .errors import ConfigurationError, ValidationError
 from .limit import LimitLaw, cdf
-from .measures import GridPath, NodePath
+from .measures import WeakFormPath
 from .model import (
     DiscreteAtoms,
     GammaLaw,
@@ -81,28 +83,21 @@ class SolverGrid:
 
 @dataclass(frozen=True)
 class DensityTrajectory:
-    """Cell masses (density times dx) at every time level of a solve."""
+    """What a solve keeps: the cell masses (density times dx) at level 0 and
+    at each requested end level, and for each end the time integral of
+    c(t) m(t) from 0 to it, composite Simpson over the steps.  max_drift is
+    the largest |sum(m) - 1| over every level."""
 
     grid: SolverGrid
-    times: np.ndarray
-    masses: np.ndarray  # shape (nt + 1, nx)
+    times: np.ndarray  # level 0, then each end
+    masses: np.ndarray  # shape (1 + ends, nx)
+    integrals: np.ndarray  # shape (ends, nx)
+    max_drift: float
 
-    def __post_init__(self):
-        if self.masses.shape != (len(self.times), self.grid.nx):
-            raise ValueError("masses shape disagrees with grid and times")
-        if not np.all(np.isfinite(self.masses)):
-            raise ValueError("cell masses must be finite")
-        if self.masses.min() < -1e-12 * self.grid.dx():
-            raise ValueError("cell densities undershoot below -1e-12")
-        drift = np.abs(self.mass() - 1.0).max()
-        if drift > TRUNCATION_MASS_TOL:
-            raise ValueError(f"discrete mass drifts by {drift:.3e}")
-
-    def mass(self) -> np.ndarray:
-        return self.masses.sum(axis=1)
-
-    def measure_path(self) -> GridPath:
-        return GridPath(self.times, self.grid.centers(), self.masses)
+    def measure_path(self) -> WeakFormPath:
+        x = self.grid.centers()
+        stops = [(x, m) for m in self.masses[1:]]
+        return WeakFormPath(self.times[1:], (x, self.masses[0]), stops, x, list(self.integrals))
 
 
 def _operator(centers: np.ndarray, dx: float, eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,12 +171,48 @@ def mollified_start_law(law: InitialLaw, grid: SolverGrid) -> DiscreteAtoms:
     return DiscreteAtoms(tuple((float(l), float(w)) for l, w in zip(grid.centers()[keep], m[keep])))
 
 
+def _simpson_weight(k: int, n: int) -> float:
+    """Weight, in steps, of node k of n uniform nodes in the rule
+    scipy.integrate.simpson takes: the trapezoid on two nodes; otherwise
+    composite Simpson on the first n nodes, or on the first n - 1 plus
+    Cartwright's correction on the last interval when n is even."""
+    if n < 3:
+        return 0.5 if k < n == 2 else 0.0
+    last = n - 1 if n % 2 else n - 2
+    w = 0.0 if k > last else (1.0 if k in (0, last) else 4.0 if k % 2 else 2.0) / 3.0
+    if n % 2 == 0:
+        w += {n - 1: 5.0 / 12.0, n - 2: 2.0 / 3.0, n - 3: -1.0 / 12.0}.get(k, 0.0)
+    return w
+
+
+def _checked_drift(m: np.ndarray, k: int, dx: float) -> float:
+    """|sum(m) - 1| of the cell masses m at step k, once they pass the checks."""
+    total = m.sum()
+    if not math.isfinite(total):  # a NaN or infinite cell mass makes the sum so
+        raise ValueError(f"cell masses are not finite at step {k}")
+    if m.min() < -1e-12 * dx:
+        raise ValueError(f"cell densities undershoot below -1e-12 at step {k}")
+    drift = abs(total - 1.0)
+    if drift > TRUNCATION_MASS_TOL:
+        raise ValueError(f"discrete mass drifts by {drift:.3e} at step {k}")
+    return drift
+
+
 def solve(
     params: ModelParams,
     law: InitialLaw,
     grid: SolverGrid,
+    *,
+    ends=None,
 ) -> DensityTrajectory:
     """Solve the forward equation up to the horizon on the given grid.
+
+    ``ends`` lists the time levels to keep beside level 0, strictly
+    increasing within 1..nt (default: the last).  The solve streams: each
+    level is checked as it is made (finite, no cell density below -1e-12,
+    mass drift at most TRUNCATION_MASS_TOL; a failure raises ValueError
+    naming its step) and added into each end's time integral, and only the
+    kept levels outlive their step, so memory does not grow with nt.
 
     Raises ConfigurationError when the analytic law keeps more than
     TRUNCATION_MASS_TOL of its mass beyond x_max at the horizon, since a
@@ -190,6 +221,9 @@ def solve(
     bad = validate(params, law)
     if bad:
         raise ValidationError("; ".join(bad))
+    ends = (grid.nt,) if ends is None else tuple(ends)
+    if not ends or list(ends) != sorted(set(ends)) or ends[0] < 1 or ends[-1] > grid.nt:
+        raise ValueError(f"ends must increase strictly within levels 1..{grid.nt}, got {ends}")
     ll = LimitLaw(params.eta, law)
     tail = 1.0 - cdf(ll, params.horizon, grid.x_max)
     if tail > TRUNCATION_MASS_TOL:
@@ -198,14 +232,26 @@ def solve(
         )
     dx = grid.dx()
     op = _operator(grid.centers(), dx, params.eta)
-    times = np.linspace(0.0, params.horizon, grid.nt + 1)
-    r = params.horizon / grid.nt / dx
-    masses = np.empty((grid.nt + 1, grid.nx))
-    masses[0] = _initial_masses(law, grid)
-    for k in range(grid.nt):
-        coeff = ll.m_lambda * math.exp(0.5 * params.eta * times[k + 1])
-        masses[k + 1] = _advance(masses[k], op, coeff * r)
-    return DensityTrajectory(grid=grid, times=times, masses=masses)
+    dt = params.horizon / grid.nt
+    r = dt / dx
+    m = _initial_masses(law, grid)
+    scaled = np.empty_like(m)
+    integrals = np.zeros((len(ends), grid.nx))
+    times, kept, drift = [], [], 0.0
+    for k in range(grid.nt + 1):
+        t = params.horizon if k == grid.nt else k * dt  # np.linspace(0, horizon, nt + 1)[k]
+        coeff = ll.m_lambda * math.exp(0.5 * params.eta * t)
+        if k:
+            m = _advance(m, op, coeff * r)
+        drift = max(drift, _checked_drift(m, k, dx))
+        for row, end in zip(integrals, ends):
+            w = _simpson_weight(k, end + 1)
+            if w:
+                row += np.multiply(m, w * dt * coeff, out=scaled)
+        if k == 0 or k in ends:
+            times.append(t)
+            kept.append(m)
+    return DensityTrajectory(grid, np.array(times), np.array(kept), integrals, float(drift))
 
 
 @dataclass(frozen=True)
@@ -269,81 +315,32 @@ def _generator(g: TestFunction, eta: float) -> Callable[[np.ndarray], np.ndarray
     return generator
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """scipy.integrate.simpson(y, x=x, axis=-1) bit for bit, for increasing 1-D x of
-    at least 3 points; an even count takes Cartwright's last-interval correction."""
-    n = len(x)
-    stop = n - 2 if n % 2 else n - 3
-    h = np.diff(x)
-    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
-    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
-    tmp = hsum / 6.0 * (
-        y[..., 0:stop:2] * (2.0 - 1.0 / h0divh1)
-        + y[..., 1 : stop + 1 : 2] * (hsum * (hsum / hprod))
-        + y[..., 2 : stop + 2 : 2] * (2.0 - h0divh1)
-    )
-    result = np.sum(tmp, axis=-1)
-    if n % 2 == 0:
-        a, b = h[-2:-1], h[-1:]  # one-element arrays, as scipy computes them
-        w1 = (2 * b**2 + 3 * a * b) / (6 * (b + a))
-        w2 = (b**2 + 3.0 * a * b) / (6 * a)
-        w3 = b**3 / (6 * a * (a + b))
-        result += w1 * y[..., -1] + w2 * y[..., -2] - w3 * y[..., -3]
-    return result
+def _pair(f: Callable[[np.ndarray], np.ndarray], nodes: tuple[np.ndarray, np.ndarray]) -> float:
+    x, w = nodes
+    return float(np.sum(w * f(x)))
 
 
-def weak_residual(
-    path: GridPath | NodePath,
-    bank: list[TestFunction],
-    eta: float,
-    m_lambda: float,
-    t_values,
-) -> np.ndarray:
+def weak_residual(path: WeakFormPath, bank: list[TestFunction], eta: float, t_values) -> np.ndarray:
     """Residuals of the integrated test-function identity, one per (g, t).
 
-    Entry [i, j] is (rho(t_j), g_i) - (rho(0), g_i) minus the time integral
-    of m e^{eta s/2} (rho(s), (eta/2) g_i' + (x/2) g_i''), taken by the path's
-    own rule in time; every t_j must be a finite node of its time grid.  A
-    GridPath (the solver's cell masses, one row per node on one grid) takes
-    composite Simpson (one trapezoid on a single step) over its nodes.  A
-    NodePath (one set of weighted nodes per node: the limit law's quadrature,
-    or atoms) takes its time_weights, so each t_j must be one of its panel
-    ends.  The limit law's path integrates by Gauss-Legendre in sqrt(t) up to
-    T/2, where its pairings are smooth in sqrt(t) and not in t, and in t from
-    T/2 to T (experiments._analytic_time_rule).  The path's
-    pairings pair each measure up to the last requested node once with every
-    (eta/2) g' + (x/2) g'', and each t_j reads its own prefix of that table;
-    g itself is paired only at 0 and at the t_j.  All bad t_j are rejected
-    before any pairing.
+    Entry [i, j] is (mu_{t_j}, g_i) - (mu_0, g_i) - (Lambda_j, (eta/2) g_i' +
+    (x/2) g_i''), where Lambda_j is the path's time integral of c(s) mu_s over
+    [0, t_j] by its own rule in time: composite Simpson over the solver's
+    steps, or the analytic path's Gauss rule (experiments._analytic_time_rule).
+    Every t_j must be one of the path's end times; all are checked before any
+    pairing.  Each pairing is one sum over a node set, and each generator
+    term is evaluated once, on the time integrals' shared nodes.
     """
-    times = np.asarray(path.times, dtype=float)
-    tol = 1e-9 * max(1.0, times[-1])
-    nodes = []
-    for t in t_values:
-        if not math.isfinite(t):
-            raise ValueError(f"t={t} is not finite")
-        if t > times[-1] + tol:
-            raise ValueError(f"t={t} exceeds the path horizon {times[-1]}")
-        idx = int(np.argmin(np.abs(times - t)))
-        if abs(times[idx] - t) > tol:
-            raise ValueError(f"t={t} is not a node of the path's time grid")
-        if isinstance(path, NodePath) and path.time_weights[idx] != 0.0:
-            raise ValueError(f"t={t} is not a panel end of the path's rule in time")
-        nodes.append(idx)
-    generators = [_generator(g, eta) for g in bank]
-    # C order fixes the order in which a row is summed, whatever the path returns
-    paired = np.ascontiguousarray(path.pairings(generators, range(max(nodes, default=-1) + 1)))
-    at_nodes = path.pairings([g.f for g in bank], [0, *nodes])
-    out = at_nodes[:, 1:] - at_nodes[:, :1]
-    for j, idx in enumerate(nodes):
-        if idx == 0 or m_lambda == 0.0:
-            continue
-        s = times[: idx + 1]
-        integrand = m_lambda * np.exp(0.5 * eta * s) * paired[:, : idx + 1]
-        if isinstance(path, NodePath):
-            out[:, j] -= np.sum(integrand * path.time_weights[: idx + 1], axis=1)
-        elif idx == 1:
-            out[:, j] -= 0.5 * (integrand[:, 0] + integrand[:, 1]) * (s[1] - s[0])
-        else:
-            out[:, j] -= _simpson(integrand, s)
+    ends = path.ends
+    tol = 1e-9 * max(1.0, ends[-1])
+    cols = [int(np.argmin(np.abs(ends - t))) for t in t_values]
+    for t, j in zip(t_values, cols):
+        if not abs(ends[j] - t) <= tol:  # NaN fails too
+            raise ValueError(f"t={t} is not an end time of the path, {ends.tolist()}")
+    out = np.empty((len(bank), len(cols)))
+    for i, g in enumerate(bank):
+        at_start, generator = _pair(g.f, path.start), _generator(g, eta)(path.integral_x)
+        for c, j in enumerate(cols):
+            w = path.integral_w[j]
+            out[i, c] = _pair(g.f, path.stops[j]) - at_start - float(np.sum(w * generator[: len(w)]))
     return out

@@ -464,8 +464,8 @@ class TestOtherRunners:
         )
         exp.run_pde_check(cfg)
         assert calls == {"weak_residual": 2, "density_grid": 0, "measure_path": 1}
-        # the solver path is one GridPath and the analytic path one NodePath
-        # of panel quadratures, so no Measure1D grid measure is built
+        # the solver path holds cell masses and the analytic path panel
+        # quadratures, so no Measure1D grid measure is built
         assert grid_sizes == []
 
     @pytest.mark.parametrize(

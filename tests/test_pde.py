@@ -9,32 +9,30 @@ from scipy.linalg import solve_banded
 
 import vsmhl.experiments as exp
 
+import vsmhl.pde as pde
 from vsmhl import (
     ConfigurationError,
-    DensityTrajectory,
+    DiscreteAtoms,
     GammaLaw,
-    GridPath,
     LimitLaw,
     ModelParams,
-    NodePath,
     PointMass,
     SolverGrid,
     UniformLaw,
+    WeakFormPath,
     density,
     empirical,
     mean,
     mollified_start_law,
+    quadrature,
     solve,
     weak_residual,
 )
 from vsmhl import test_function_bank as function_bank
-from vsmhl.pde import _advance, _generator, _operator
+from vsmhl.pde import _advance, _generator, _initial_masses, _operator, _simpson_weight
 
 PARAMS = ModelParams(2.0, 1, 1.0)
 LAW = PointMass(1.0)
-# a midpoint rule on [0, 0.5] and [0.5, 1]: the panel ends 0, 0.5 and 1 weigh 0
-MIDPOINT_TIMES = np.linspace(0.0, 1.0, 5)
-MIDPOINT_WEIGHTS = [0.0, 0.5, 0.0, 0.5, 0.0]
 
 
 class TestSolverGrid:
@@ -212,7 +210,7 @@ def banded_step(values, centers, dx, dt, coeff, eta):
 class TestSolve:
     def test_mass_conserved_and_positive(self):
         traj = solve(PARAMS, LAW, SolverGrid(30.0, 300, 200))
-        assert np.abs(traj.mass() - 1.0).max() <= 1e-6
+        assert traj.max_drift <= 1e-6
         assert traj.masses.min() >= -1e-12 * traj.grid.dx()
 
     def test_matches_analytic_density(self):
@@ -246,7 +244,7 @@ class TestSolve:
         ll = LimitLaw(params.eta, law)
         l1 = np.abs(traj.masses[-1] / grid.dx() - density(ll, 1.0, grid.centers())).sum() * grid.dx()
         assert l1 <= 1e-2
-        assert np.abs(traj.mass() - 1.0).max() <= 1e-6
+        assert traj.max_drift <= 1e-6
 
     def test_truncation_precondition(self):
         with pytest.raises(ConfigurationError, match="x_max"):
@@ -270,150 +268,211 @@ class TestMollifiedStartLaw:
         assert atoms.locations() @ w == pytest.approx(1.0, abs=1e-2)
 
 
-def grid_expect(path, func_lists):
-    """Pairing of node k of a GridPath, read from path.pairings over every
-    node for each list of functions, the lists weak_residual pairs.  The
-    einsum fixes no summation order that a per-node np.sum repeats bit for
-    bit, so TestGridPath checks these entries against per-node cell-mass sums
-    within the rounding bound instead."""
-    table = {}
-    for funcs in func_lists:
-        for f, row in zip(funcs, path.pairings(funcs, range(len(path.times)))):
-            table[f(path.x).tobytes()] = row
-    return lambda k, f: float(table[f(path.x).tobytes()][k])
+def full_trajectory(params, law, grid):
+    """Every level of a solve, stepped the way solve steps, and the
+    coefficient c(t_k) at each level: the reference the streamed solve keeps
+    a few rows of."""
+    ll = LimitLaw(params.eta, law)
+    times = np.linspace(0.0, params.horizon, grid.nt + 1)
+    coeffs = ll.m_lambda * np.array([math.exp(0.5 * params.eta * t) for t in times])
+    dx = grid.dx()
+    op = _operator(grid.centers(), dx, params.eta)
+    levels = [_initial_masses(law, grid)]
+    for k in range(1, grid.nt + 1):
+        levels.append(_advance(levels[-1], op, coeffs[k] * (params.horizon / grid.nt / dx)))
+    return times, coeffs, np.array(levels)
 
 
-def node_expect(path):
-    """Pairing of node set k of a NodePath, one set at a time."""
+class TestStreamingSolve:
+    GRID = SolverGrid(30.0, 300, 200)
+    # node counts 2 (one trapezoid), 3, 110 (even: Cartwright's last interval), 111 and 201
+    ENDS = (1, 2, 109, 110, 200)
 
-    def expect(k, f):
-        lo, hi = path.starts[k], path.starts[k + 1]
-        return float(np.add.reduceat(path.w[lo:hi] * f(path.x[lo:hi]), [0])[0])
+    @pytest.mark.parametrize(
+        "law", [LAW, GammaLaw(2.0, 0.5), UniformLaw(0.5, 1.5), DiscreteAtoms(((0.5, 0.3), (1.5, 0.7)))], ids=str
+    )
+    def test_kept_levels_equal_the_full_trajectory(self, law):
+        times, _, levels = full_trajectory(PARAMS, law, self.GRID)
+        traj = solve(PARAMS, law, self.GRID, ends=self.ENDS)
+        kept = [0, *self.ENDS]
+        assert traj.times.tolist() == times[kept].tolist()
+        assert np.array_equal(traj.masses, levels[kept])
+        assert traj.max_drift == np.abs(levels.sum(axis=1) - 1.0).max()
+        # the default keeps the last level only
+        last = solve(PARAMS, law, self.GRID)
+        assert last.times.tolist() == [0.0, 1.0] and np.array_equal(last.masses, levels[[0, -1]])
 
-    return expect
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 110, 111, 801])
+    def test_simpson_weights_equal_scipy(self, n):
+        want = simpson(np.eye(n), dx=1.0, axis=-1) if n > 1 else [0.0]
+        assert [_simpson_weight(k, n) for k in range(n + 2)] == [*want, 0.0, 0.0]
+
+    @pytest.mark.parametrize("law", [LAW, GammaLaw(2.0, 0.5)], ids=str)
+    def test_residual_matches_full_trajectory_simpson(self, law):
+        # the reference pairs every level, then integrates the pairings in time
+        # by scipy's simpson (the trapezoid on two nodes); the solve sums the
+        # levels in time first, so the two agree to n eps sum|terms|
+        times, coeffs, levels = full_trajectory(PARAMS, law, self.GRID)
+        traj = solve(PARAMS, law, self.GRID, ends=self.ENDS)
+        x = self.GRID.centers()
+        bank = function_bank()
+        got = weak_residual(traj.measure_path(), bank, PARAMS.eta, times[list(self.ENDS)])
+        for i, g in enumerate(bank):
+            gx, lgx = g.f(x), _generator(g, PARAMS.eta)(x)
+            for j, end in enumerate(self.ENDS):
+                n = end + 1
+                integrand = coeffs[:n] * (levels[:n] @ lgx)
+                rule = simpson(integrand, x=times[:n]) if n > 2 else 0.5 * (integrand[0] + integrand[1]) * times[1]
+                want = levels[end] @ gx - levels[0] @ gx - rule
+                weights = np.array([abs(_simpson_weight(k, n)) for k in range(n)]) * times[1]
+                terms = np.abs(levels[end] * gx).sum() + np.abs(levels[0] * gx).sum()
+                terms += (weights * coeffs[:n]) @ np.abs(levels[:n] * lgx).sum(axis=1)
+                assert abs(got[i, j] - want) <= (n + 2) * len(x) * 2.0**-52 * terms, (g.name, end)
+
+    def test_peak_memory_does_not_grow_with_nt(self):
+        # only level 0, the kept ends, their time integrals and a few
+        # nx-vectors of scratch live at once, whatever the step count
+        peaks = {}
+        for nt in (200, 3200):
+            grid = SolverGrid(30.0, 300, nt)
+            solve(PARAMS, LAW, grid)  # the limit law's tail check fills its caches
+            tracemalloc.start()
+            try:
+                solve(PARAMS, LAW, grid)
+                _, peaks[nt] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[3200] - peaks[200]) < 3 * 300 * 8
+
+    @pytest.mark.parametrize(
+        "last, scale, match",
+        [
+            (math.nan, 1.0, "not finite"),
+            (-1.1e-12, 1.0, "undershoot"),
+            (None, 1.0 + 2e-6, "drifts"),
+            (-0.9e-12, 1.0, None),  # the bound is on densities: a mass down to -1e-12 dx passes
+        ],
+        ids=["nan", "undershoot", "drift", "within-bound"],
+    )
+    def test_each_level_is_checked_as_it_is_made(self, monkeypatch, last, scale, match):
+        steps = []
+
+        def advance(m, op, rc):
+            out = _advance(m, op, rc)
+            steps.append(len(steps) + 1)
+            if len(steps) == 7:  # spoil level 7, in the last cell (mass about 1e-64)
+                out *= scale
+                if last is not None:
+                    out[-1] = last * self.GRID.dx()
+            return out
+
+        monkeypatch.setattr(pde, "_advance", advance)
+        if match is None:
+            solve(PARAMS, LAW, self.GRID)
+            return
+        with pytest.raises(ValueError, match=f"{match}.* at step 7$"):
+            solve(PARAMS, LAW, self.GRID)
+        assert len(steps) == 7  # the solve stops at the bad level
+
+    @pytest.mark.parametrize("ends", [(), (0, 200), (100, 100), (150, 100), (201,)])
+    def test_rejects_bad_ends(self, ends):
+        with pytest.raises(ValueError, match="ends must increase strictly"):
+            solve(PARAMS, LAW, self.GRID, ends=ends)
+
+    def test_measure_path_hands_over_the_kept_rows(self):
+        traj = solve(PARAMS, LAW, self.GRID, ends=(100, 200))
+        path = traj.measure_path()
+        assert path.ends.tolist() == [0.5, 1.0]
+        assert np.shares_memory(path.start[1], traj.masses)
+        assert all(np.shares_memory(w, traj.masses) for _, w in path.stops)
+        assert all(np.shares_memory(w, traj.integrals) for w in path.integral_w)
+        assert np.array_equal(path.integral_x, self.GRID.centers())
 
 
-def reference_residual(times, expect, g, eta, m_lambda, t, time_weights=None):
-    """The per-(g, t) formulation: one expect(k, f) call per node, then Simpson,
-    or the weighted sum of a NodePath's time_weights when they are given."""
-    times = np.asarray(times, dtype=float)
-    idx = int(np.argmin(np.abs(times - t)))
-    lhs = expect(idx, g.f) - expect(0, g.f)
-    if idx == 0 or m_lambda == 0.0:
-        return float(lhs)
-    s = times[: idx + 1]
-    pairs = [expect(k, lambda x: 0.5 * eta * g.df(x) + 0.5 * x * g.d2f(x)) for k in range(idx + 1)]
-    integrand = m_lambda * np.exp(0.5 * eta * s) * np.array(pairs)
-    if time_weights is not None:
-        rhs = np.sum(integrand * time_weights[: idx + 1])
-    elif idx == 1:
-        rhs = 0.5 * (integrand[0] + integrand[1]) * (s[1] - s[0])
-    else:
-        rhs = simpson(integrand, x=s)
-    return float(lhs - rhs)
-
-
-def assert_matches_reference(path, eta, m_lambda, t_values, expect):
-    """weak_residual on path equals the per-(g, t) formulation with the
-    pairings expect(k, f), entry for entry."""
-    bank = function_bank()
-    got = weak_residual(path, bank, eta, m_lambda, t_values)
-    assert got.shape == (len(bank), len(t_values))
-    tw = path.time_weights if isinstance(path, NodePath) else None
-    want = [[reference_residual(path.times, expect, g, eta, m_lambda, t, tw) for t in t_values] for g in bank]
-    assert got.tolist() == want
+def atom_path():
+    """A hand-made path of atoms: empirical measures at 0 and at two ends,
+    and time integrals weighting a prefix of 30 shared atoms."""
+    rng = np.random.default_rng(7)
+    start, half, end = (empirical(rng.gamma(2.0, 0.5 + k / 4.0, 50)) for k in range(3))
+    x = np.sort(rng.uniform(0.0, 6.0, 30))
+    w = rng.uniform(0.0, 0.1, 30)
+    return WeakFormPath(np.array([0.5, 1.0]), (start.x, start.w), [(half.x, half.w), (end.x, end.w)], x, [w[:12], w])
 
 
 class TestWeakResidual:
-    def test_zero_coefficient_constant_path(self):
-        path = NodePath(MIDPOINT_TIMES, [([1.0], [1.0])] * 5, MIDPOINT_WEIGHTS)
-        g = function_bank()[0]
-        assert weak_residual(path, [g], 2.0, 0.0, [1.0]) == 0.0
+    def test_constant_path_without_integral(self):
+        one = (np.array([1.0]), np.array([1.0]))
+        path = WeakFormPath(np.array([1.0]), one, [one], np.array([1.0]), [np.array([0.0])])
+        assert weak_residual(path, function_bank(), 2.0, [1.0]).tolist() == [[0.0]] * 5
+
+    def test_atom_path_is_the_three_sums(self):
+        path = atom_path()
+        bank = function_bank()
+        eta = 1.5
+        got = weak_residual(path, bank, eta, [1.0, 0.5 + 1e-12, 0.5])
+        for i, g in enumerate(bank):
+            lg = _generator(g, eta)(path.integral_x)
+            for j, e in enumerate([1, 0, 0]):
+                (x0, w0), (x1, w1), w = path.start, path.stops[e], path.integral_w[e]
+                want = np.sum(w1 * g.f(x1)) - np.sum(w0 * g.f(x0)) - np.sum(w * lg[: len(w)])
+                assert got[i, j] == want
 
     @pytest.mark.parametrize(
-        "t_values, match",
-        [
-            ([2.0], "horizon"),
-            ([0.5, 2.0], "horizon"),
-            ([0.33], "node"),
-            ([1.0, 0.33, 0.5], "node"),
-            ([0.5, math.nan], "finite"),
-            ([0.5, 0.75], "panel end"),
-        ],
+        "t_values", [[2.0], [0.5, 2.0], [0.33], [1.0, 0.33, 0.5], [0.5, math.nan], [0.0], [math.inf]]
     )
-    def test_horizon_errors(self, t_values, match):
-        path = NodePath(MIDPOINT_TIMES, [([1.0], [1.0])] * 5, MIDPOINT_WEIGHTS)
-        g = function_bank()[0]
-        with pytest.raises(ValueError, match=match):
-            weak_residual(path, [g], 2.0, 1.0, t_values)
+    def test_rejects_t_off_the_ends_before_pairing(self, t_values):
+        def jet(x):
+            raise AssertionError("paired before every t was checked")
+
+        with pytest.raises(ValueError, match="not an end time"):
+            weak_residual(atom_path(), [pde.TestFunction("unpairable", jet)], 2.0, t_values)
 
     def test_pde_trajectory_residual_small(self):
         grid = SolverGrid(30.0, 600, 400)
         traj = solve(PARAMS, LAW, grid)
-        path = traj.measure_path()
         g = function_bank()[1]
-        [[r]] = weak_residual(path, [g], PARAMS.eta, 1.0, [1.0])
+        [[r]] = weak_residual(traj.measure_path(), [g], PARAMS.eta, [1.0])
         assert abs(r) < 1e-2
 
-    def test_solver_pairings_hold_one_copy(self):
-        # measure_path hands the solver's masses over without a copy, and neither
-        # pairing copies them (indexing the rows by the requested nodes would)
-        grid = SolverGrid(30.0, 1200, 800)
-        traj = solve(PARAMS, LAW, grid)
-        budget = 0.1 * traj.masses.nbytes
-        tracemalloc.start()
-        try:
-            weak_residual(traj.measure_path(), function_bank(), PARAMS.eta, 1.0, [0.5, 1.0])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= budget
-
     def test_analytic_residual_peak_memory(self):
-        # the consecutive node sets are paired as views of x and w, and each
-        # jet shares one exp: the peak stays within 8 copies of the nodes
+        # each generator is evaluated once on the shared nodes, each jet shares
+        # one exp, and the time integrals are views: the peak stays within 8
+        # copies of the nodes
         ll = LimitLaw(PARAMS.eta, LAW)
         path = exp._quadrature_path(ll, 1.0)
         bank = function_bank()
         tracemalloc.start()
         try:
-            weak_residual(path, bank, PARAMS.eta, ll.m_lambda, [0.5, 1.0])
+            weak_residual(path, bank, PARAMS.eta, [0.5, 1.0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * path.x.nbytes
-
-    def test_table_layout_does_not_move_residuals(self):
-        path = solve(PARAMS, LAW, SolverGrid(30.0, 300, 200)).measure_path()
-
-        class FortranPath:
-            times = path.times
-
-            def pairings(self, funcs, nodes):
-                return np.asfortranarray(path.pairings(funcs, nodes))
-
-        t = [path.times[109], path.times[110], 1.0]
-        want = weak_residual(path, function_bank(), PARAMS.eta, 1.0, t)
-        assert weak_residual(FortranPath(), function_bank(), PARAMS.eta, 1.0, t).tolist() == want.tolist()
-
-    def test_solver_path_matches_reference(self):
-        grid = SolverGrid(30.0, 300, 200)
-        traj = solve(PARAMS, LAW, grid)
-        path = traj.measure_path()
-        assert isinstance(path, GridPath)
-        bank = function_bank()
-        expect = grid_expect(path, [[g.f for g in bank], [_generator(g, PARAMS.eta) for g in bank]])
-        t = path.times
-        assert_matches_reference(path, PARAMS.eta, 1.0, [t[0], t[1], t[2], t[109], t[110], 1.0], expect)
+        assert peak <= 8 * path.integral_x.nbytes
 
     def test_analytic_path_matches_reference(self):
+        # the reference pairs each quadrature on its own and then sums the
+        # pairings with the time rule's weights; the path sums all nodes at
+        # once, so the two agree to n eps sum|terms|
         ll = LimitLaw(PARAMS.eta, LAW)
         path = exp._quadrature_path(ll, 1.0)
-        assert isinstance(path, NodePath)
-        assert len(path.times) == 39
-        assert path.starts[1] == 1 and path.x[0] == 1.0 and path.w[0] == 1.0  # the point mass at t = 0
-        assert len({path.x[end - 1] for end in path.starts[2:]}) == 38  # no two node sets alike
-        assert_matches_reference(path, PARAMS.eta, 1.0, [0.0, 0.5, 1.0], node_expect(path))
+        times, weights = exp._analytic_time_rule(1.0)
+        rules = [quadrature(ll, float(t)) for t in times]
+        assert path.ends.tolist() == [0.5, 1.0]
+        assert path.start[0].tolist() == [1.0] and path.start[1].tolist() == [1.0]  # the point mass at t = 0
+        assert len(path.integral_x) == sum(len(x) for x, _ in rules[:-1])
+        bank = function_bank()
+        got = weak_residual(path, bank, PARAMS.eta, [0.5, 1.0])
+        coeffs = ll.m_lambda * np.exp(0.5 * PARAMS.eta * times)
+        for i, g in enumerate(bank):
+            lg = _generator(g, PARAMS.eta)
+            for j, end in enumerate([exp.TIME_NODES_SQRT + 1, len(times) - 1]):
+                pairs = [np.sum(w * lg(x)) for x, w in rules[:end]]
+                at_end = np.sum(rules[end][1] * g.f(rules[end][0]))
+                want = at_end - 1.0 * g.f(1.0) - weights[:end] @ (coeffs[:end] * pairs)
+                terms = sum(tw * c * np.abs(w * lg(x)).sum() for (x, w), tw, c in zip(rules[:end], weights, coeffs))
+                terms += np.abs(rules[end][1] * g.f(rules[end][0])).sum() + abs(g.f(1.0))
+                n = sum(len(x) for x, _ in rules[: end + 1]) + 1
+                assert abs(got[i, j] - want) <= n * 2.0**-52 * terms, (g.name, end)
 
     @pytest.mark.parametrize("horizon", [0.5, 1.0, 2.0])
     def test_analytic_time_rule(self, horizon):
@@ -439,142 +498,29 @@ class TestWeakResidual:
         # time rule's (DiscreteAtoms((0.5, 0.3), (2.0, 0.7)) moves by 2.4e-7)
         ll = LimitLaw(PARAMS.eta, law)
         bank = function_bank()
-        coarse = weak_residual(exp._quadrature_path(ll, 1.0), bank, PARAMS.eta, ll.m_lambda, [0.5, 1.0])
+        coarse = weak_residual(exp._quadrature_path(ll, 1.0), bank, PARAMS.eta, [0.5, 1.0])
         monkeypatch.setattr(exp, "TIME_NODES_SQRT", 2 * exp.TIME_NODES_SQRT)
         monkeypatch.setattr(exp, "TIME_NODES_LATE", 2 * exp.TIME_NODES_LATE)
-        fine = weak_residual(exp._quadrature_path(ll, 1.0), bank, PARAMS.eta, ll.m_lambda, [0.5, 1.0])
+        fine = weak_residual(exp._quadrature_path(ll, 1.0), bank, PARAMS.eta, [0.5, 1.0])
         assert np.abs(fine - coarse).max() <= 1e-7
 
-    def test_atom_path_matches_reference(self):
-        rng = np.random.default_rng(7)
-        times = np.linspace(0.0, 1.0, 9)
-        measures = [empirical(rng.gamma(2.0, 0.5 + k / 8.0, 50)) for k in range(9)]
-        # midpoint panels: the odd nodes weigh 0.25, the even ones end a panel
-        weights = np.where(np.arange(9) % 2 == 1, 0.25, 0.0)
-        path = NodePath(times, [(m.x, m.w) for m in measures], weights)
-        t_values = list(times[::2]) + [times[4] + 1e-12]
-        assert_matches_reference(path, 1.5, 1.0, t_values, node_expect(path))
 
-
-class TestNodePath:
-    SETS = [([0.5, 1.0, 2.5], [0.2, 0.5, 0.3]), ([0.25], [1.0]), (np.linspace(0.1, 4.0, 40), np.full(40, 0.025))]
-
-    @pytest.mark.parametrize("nodes", [[2, 0, 1, 2], [0, 1, 2], [1, 2], [1], [0, 2]])
-    def test_pairings_equal_per_set_sums(self, nodes):
-        path = NodePath(np.array([0.0, 0.5, 1.0]), self.SETS, [0.0, 1.0, 0.0])
-        funcs = [g.f for g in function_bank()] + [g.df for g in function_bank()]
-        got = path.pairings(funcs, nodes)
-        assert got.shape == (len(funcs), len(nodes))
-        assert got.tolist() == [[node_expect(path)(k, f) for k in nodes] for f in funcs]
-        for i, f in enumerate(funcs):
-            for j, k in enumerate(nodes):
-                x, w = map(np.asarray, self.SETS[k])
-                terms = w * f(x)
-                # any summation order is within n eps sum|terms| of the exact sum
-                assert abs(got[i, j] - math.fsum(terms)) <= len(x) * 2.0**-52 * np.abs(terms).sum()
-        assert path.pairings(funcs, []).shape == (len(funcs), 0)
+class TestWeakFormPath:
+    SET = (np.array([0.5, 1.0, 2.5]), np.array([0.2, 0.5, 0.3]))
+    X = np.linspace(0.1, 4.0, 40)
 
     @pytest.mark.parametrize(
-        "times, sets, weights, match",
+        "ends, stops, integral_w, match",
         [
-            ([0.0, 1.0], SETS, [0.0, 0.0], "one node set per time"),
-            ([0.0, 1.0, 1.0], SETS, [0.0, 0.0, 0.0], "time grid"),
-            ([0.0, 0.5, 1.0], [SETS[0], ([], []), SETS[2]], [0.0, 0.0, 0.0], "nonempty"),
-            ([0.0, 0.5, 1.0], [SETS[0], ([0.25], [0.5, 0.5]), SETS[2]], [0.0, 0.0, 0.0], "matching"),
-            ([0.0, 0.5, 1.0], SETS, [0.0, 1.0], "one time weight per time node"),
-            ([0.0, 0.5, 1.0], SETS, [0.5, 0.5, 0.0], "0 at t = 0"),
-            ([0.0, 0.5, 1.0], SETS, [0.0, -1.0, 0.0], "nonnegative"),
-            ([0.0, 0.5, 1.0], SETS, [0.0, math.inf, 0.0], "finite"),
-            ([0.0, 0.5, 1.0], SETS, [0.0, math.nan, 0.0], "finite"),
+            ([], [], [], "end times"),
+            ([0.0, 1.0], [SET, SET], [X, X], "end times"),
+            ([1.0, 0.5], [SET, SET], [X, X], "end times"),
+            ([0.5, 1.0], [SET], [X, X], "one measure and one time integral"),
+            ([0.5, 1.0], [SET, SET], [X], "one measure and one time integral"),
+            ([1.0], [(np.array([0.25]), np.array([0.5, 0.5]))], [X], "matching"),
+            ([1.0], [SET], [np.ones(41)], "prefix"),
         ],
     )
-    def test_rejects_bad_sets(self, times, sets, weights, match):
+    def test_rejects_bad_sets(self, ends, stops, integral_w, match):
         with pytest.raises(ValueError, match=match):
-            NodePath(np.array(times), sets, weights)
-
-
-class TestGridPath:
-    X = np.linspace(0.0, 2.0, 41)
-
-    def rows(self, n=5):
-        """Positive cell masses, each row summing to 1."""
-        masses = np.random.default_rng(3).uniform(0.2, 0.8, (n, len(self.X)))
-        return masses / masses.sum(axis=1, keepdims=True)
-
-    def test_rows_are_cell_masses(self):
-        grid = SolverGrid(30.0, 300, 200)
-        traj = solve(PARAMS, LAW, grid)
-        path = traj.measure_path()
-        assert np.array_equal(path.times, traj.times) and np.array_equal(path.x, grid.centers())
-        assert np.shares_memory(path.m, traj.masses) and np.array_equal(path.m, traj.masses)
-        assert np.abs(path.m.sum(axis=1) - 1.0).max() <= 1e-12  # the scheme's conserved mass
-
-    def test_rows_kept_as_given(self):
-        masses = self.rows()
-        masses[2, 7] = -1e-13  # roundoff is not clipped
-        masses[1] *= 0.9  # nor a row mass away from 1 renormalized
-        path = GridPath(np.arange(5.0), self.X, masses)
-        assert np.array_equal(path.m, masses)
-
-    @pytest.mark.parametrize("nodes", [[0, 5, 109, 110, 200], list(range(200, -1, -1)), range(201), []])
-    def test_pairings_equal_per_node_cell_mass_sums(self, nodes):
-        grid = SolverGrid(30.0, 300, 200)
-        path = solve(PARAMS, LAW, grid).measure_path()
-        funcs = [g.f for g in function_bank()] + [g.d2f for g in function_bank()]
-        got = path.pairings(funcs, nodes)
-        assert got.shape == (len(funcs), len(nodes))
-        # one product over every row: an entry does not depend on the other nodes requested
-        assert np.array_equal(got, path.pairings(funcs, range(201))[:, list(nodes)])
-        for i, f in enumerate(funcs):
-            for j, k in enumerate(nodes):
-                terms = path.m[k] * f(path.x)
-                # any summation order is within n eps sum|terms| of the exact sum
-                assert abs(got[i, j] - math.fsum(terms)) <= len(terms) * 2.0**-52 * np.abs(terms).sum()
-
-    def test_rejects_non_increasing_grid(self):
-        x = self.X.copy()
-        x[10] = x[9]
-        with pytest.raises(ValueError, match="strictly increasing"):
-            GridPath(np.arange(5.0), x, self.rows())
-
-    def test_rejects_negative_cell(self):
-        masses = self.rows()
-        masses[4, 3] = -1e-6
-        with pytest.raises(ValueError, match="nonnegative"):
-            GridPath(np.arange(5.0), self.X, masses)
-
-    def test_rejects_bad_shapes_and_times(self):
-        with pytest.raises(ValueError, match="one row"):
-            GridPath(np.arange(4.0), self.X, self.rows())
-        with pytest.raises(ValueError, match="time grid"):
-            GridPath(np.array([0.0, 1.0, 1.0, 2.0, 3.0]), self.X, self.rows())
-
-
-class TestDensityTrajectoryInvariants:
-    def test_rejects_negative_cells(self):
-        grid = SolverGrid(30.0, 16, 16)
-        times = np.linspace(0.0, 1.0, 17)
-        masses = np.full((17, 16), 1.0 / 16.0)
-        masses[3, 5] = -1e-6
-        with pytest.raises(ValueError, match="undershoot"):
-            DensityTrajectory(grid, times, masses)
-
-    def test_undershoot_bound_is_on_densities(self):
-        # a cell may hold a density down to -1e-12, a mass down to -1e-12 dx
-        grid = SolverGrid(30.0, 16, 16)
-        times = np.linspace(0.0, 1.0, 17)
-        masses = np.full((17, 16), 1.0 / 16.0)
-        masses[3] = 1.0 / 15.0
-        masses[3, 5] = -0.9e-12 * grid.dx()
-        DensityTrajectory(grid, times, masses)
-        masses[3, 5] = -1.1e-12 * grid.dx()
-        with pytest.raises(ValueError, match="undershoot"):
-            DensityTrajectory(grid, times, masses)
-
-    def test_rejects_mass_drift(self):
-        grid = SolverGrid(30.0, 16, 16)
-        times = np.linspace(0.0, 1.0, 17)
-        masses = np.full((17, 16), 1.0 / 16.0)
-        masses[5] *= 1.1
-        with pytest.raises(ValueError, match="mass"):
-            DensityTrajectory(grid, times, masses)
+            WeakFormPath(np.array(ends), self.SET, stops, self.X, integral_w)

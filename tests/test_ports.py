@@ -13,33 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid, simpson
+from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicHermiteSpline
 from scipy.stats import gamma as gamma_dist
 
 import vsmhl.limit as limit
 from vsmhl import GammaLaw, LimitLaw, Measure1D, PointMass
-from vsmhl.pde import _simpson
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 98, 801])
-def test_simpson_equals_scipy(n):
-    rng = np.random.default_rng(n)
-    for _ in range(20):
-        x = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 0.5
-        y = rng.normal(size=(5, n)) * np.exp(x)
-        assert np.array_equal(_simpson(y, x), simpson(y, x=x, axis=-1))
-
-
-def test_simpson_equals_scipy_on_geometric_then_uniform_grid():
-    # a nonuniform layout, geometric then uniform, with both parities of node count
-    s = np.concatenate([[0.0], np.geomspace(1e-4, 0.1, 25), np.linspace(0.1, 1.0, 73)[1:]])
-    y = np.exp(s)[None, :] * np.random.default_rng(1).normal(size=(5, 1))
-    for idx in (2, 3, 49, 50, len(s) - 1):
-        sub_y, sub_s = y[:, : idx + 1], s[: idx + 1]
-        assert np.array_equal(_simpson(sub_y, sub_s), simpson(sub_y, x=sub_s, axis=-1))
 
 
 @pytest.mark.parametrize(
