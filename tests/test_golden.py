@@ -58,7 +58,7 @@ GOLDEN = {
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=PointMass(1.0),
             grid=SolverGrid(30.0, 1200, 800),
         ),
-        "1b4434b0b3177725c865c9e62a5c4eef16d35ca787ab9b090e14939d9a1fe647",
+        "e5daa1929f135a990befbbc614b092f25b5a7552293813313897fb4bb2db2ad4",
     ),
     "sampler_check": (
         dict(
