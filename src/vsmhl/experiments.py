@@ -341,10 +341,11 @@ def _analytic_path(ll: LimitLaw, times: tuple[float, ...]) -> MeasurePath:
     return MeasurePath(np.array(times), tuple(measures))
 
 
-def _analytic_time_rule(horizon: float) -> tuple[np.ndarray, np.ndarray]:
+def _analytic_time_rule(horizon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Times and time weights of the analytic path's rule: Gauss-Legendre in
     u = sqrt(t) on [0, horizon/2] (dt = 2u du) and in t on [horizon/2, horizon],
-    with the panel ends 0, horizon/2 and horizon as nodes of weight 0."""
+    with the panel ends 0, horizon/2 and horizon as nodes of weight 0; and the
+    indices of the ends horizon/2 and horizon among the times."""
     half = 0.5 * horizon
     x, w = np.polynomial.legendre.leggauss(TIME_NODES_SQRT)
     r = 0.5 * math.sqrt(half)
@@ -354,7 +355,7 @@ def _analytic_time_rule(horizon: float) -> tuple[np.ndarray, np.ndarray]:
     late, w_late = half + 0.5 * half * (1.0 + x), 0.5 * half * w
     times = np.concatenate([[0.0], early, [half], late, [horizon]])
     weights = np.concatenate([[0.0], w_early, [0.0], w_late, [0.0]])
-    return times, weights
+    return times, weights, np.array([len(early) + 1, len(times) - 1])
 
 
 def _quadrature_path(ll: LimitLaw, horizon: float) -> WeakFormPath:
@@ -362,13 +363,12 @@ def _quadrature_path(ll: LimitLaw, horizon: float) -> WeakFormPath:
     time, read at the panel ends horizon/2 and horizon.  The quadratures are
     concatenated in time with their weights scaled by time weight times
     c(t) = m e^{eta t/2}, so each end's time integral is a prefix of them."""
-    times, weights = _analytic_time_rule(horizon)
+    times, weights, ends = _analytic_time_rule(horizon)
     rules = [quadrature(ll, float(t)) for t in times]
     scale = weights * ll.m_lambda * np.exp(0.5 * ll.eta * times)
     x = np.concatenate([x for x, _ in rules])
     w = np.concatenate([w * c for (_, w), c in zip(rules, scale)])
     set_ends = np.cumsum([len(x) for x, _ in rules])  # node set k ends at set_ends[k]
-    ends = np.flatnonzero(weights == 0.0)[1:]
     prefixes = [w[: set_ends[k - 1]] for k in ends]
     return WeakFormPath(times[ends], rules[0], [rules[k] for k in ends], x[: set_ends[-2]], prefixes)
 
@@ -422,7 +422,7 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult
 def run_pde_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     _require_valid(cfg, "pde_check")
     grid = cfg.grid
-    traj = solve(cfg.params, cfg.law, grid, ends=(grid.nt // 2, grid.nt))
+    traj = solve(cfg.params, cfg.law, grid)
     ll = LimitLaw(cfg.params.eta, cfg.law)
     moll = mollified_start_law(cfg.law, grid)
     ll_moll = LimitLaw(cfg.params.eta, moll)

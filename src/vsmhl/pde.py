@@ -17,8 +17,8 @@ pivoting; Anderson et al., LAPACK Users' Guide, sec. 2.4).  The advective
 part of the flux is centered on every face where that keeps the system an
 M-matrix and taken from the left (donor) cell on the rest; the scheme
 conserves mass to solver precision and keeps cell masses nonnegative.  A
-solve streams its levels: it keeps level 0 and the requested end levels, and
-the time integrals up to each end that the weak residual reads.
+solve streams its levels: it keeps level 0, the middle level and the last,
+and the time integrals up to each of the two that the weak residual reads.
 """
 
 from __future__ import annotations
@@ -83,15 +83,15 @@ class SolverGrid:
 
 @dataclass(frozen=True)
 class DensityTrajectory:
-    """What a solve keeps: the cell masses (density times dx) at level 0 and
-    at each requested end level, and for each end the time integral of
+    """What a solve keeps: the cell masses (density times dx) at levels 0,
+    nt // 2 and nt, and for each of the two ends the time integral of
     c(t) m(t) from 0 to it, composite Simpson over the steps.  max_drift is
     the largest |sum(m) - 1| over every level."""
 
     grid: SolverGrid
-    times: np.ndarray  # level 0, then each end
-    masses: np.ndarray  # shape (1 + ends, nx)
-    integrals: np.ndarray  # shape (ends, nx)
+    times: np.ndarray  # levels 0, nt // 2 and nt
+    masses: np.ndarray  # shape (3, nx)
+    integrals: np.ndarray  # shape (2, nx), up to nt // 2 and up to nt
     max_drift: float
 
     def measure_path(self) -> WeakFormPath:
@@ -172,12 +172,10 @@ def mollified_start_law(law: InitialLaw, grid: SolverGrid) -> DiscreteAtoms:
 
 
 def _simpson_weight(k: int, n: int) -> float:
-    """Weight, in steps, of node k of n uniform nodes in the rule
-    scipy.integrate.simpson takes: the trapezoid on two nodes; otherwise
-    composite Simpson on the first n nodes, or on the first n - 1 plus
-    Cartwright's correction on the last interval when n is even."""
-    if n < 3:
-        return 0.5 if k < n == 2 else 0.0
+    """Weight, in steps, of node k of n >= 3 uniform nodes in the rule
+    scipy.integrate.simpson takes: composite Simpson on the n nodes, or on
+    the first n - 1 plus Cartwright's correction on the last interval when n
+    is even."""
     last = n - 1 if n % 2 else n - 2
     w = 0.0 if k > last else (1.0 if k in (0, last) else 4.0 if k % 2 else 2.0) / 3.0
     if n % 2 == 0:
@@ -198,21 +196,14 @@ def _checked_drift(m: np.ndarray, k: int, dx: float) -> float:
     return drift
 
 
-def solve(
-    params: ModelParams,
-    law: InitialLaw,
-    grid: SolverGrid,
-    *,
-    ends=None,
-) -> DensityTrajectory:
+def solve(params: ModelParams, law: InitialLaw, grid: SolverGrid) -> DensityTrajectory:
     """Solve the forward equation up to the horizon on the given grid.
 
-    ``ends`` lists the time levels to keep beside level 0, strictly
-    increasing within 1..nt (default: the last).  The solve streams: each
-    level is checked as it is made (finite, no cell density below -1e-12,
-    mass drift at most TRUNCATION_MASS_TOL; a failure raises ValueError
-    naming its step) and added into each end's time integral, and only the
-    kept levels outlive their step, so memory does not grow with nt.
+    The solve streams: each level is checked as it is made (finite, no cell
+    density below -1e-12, mass drift at most TRUNCATION_MASS_TOL; a failure
+    raises ValueError naming its step) and added into the time integrals up
+    to the ends nt // 2 and nt.  Only levels 0, nt // 2 and nt outlive their
+    step, so memory does not grow with nt.
 
     Raises ConfigurationError when the analytic law keeps more than
     TRUNCATION_MASS_TOL of its mass beyond x_max at the horizon, since a
@@ -221,9 +212,6 @@ def solve(
     bad = validate(params, law)
     if bad:
         raise ValidationError("; ".join(bad))
-    ends = (grid.nt,) if ends is None else tuple(ends)
-    if not ends or list(ends) != sorted(set(ends)) or ends[0] < 1 or ends[-1] > grid.nt:
-        raise ValueError(f"ends must increase strictly within levels 1..{grid.nt}, got {ends}")
     ll = LimitLaw(params.eta, law)
     tail = 1.0 - cdf(ll, params.horizon, grid.x_max)
     if tail > TRUNCATION_MASS_TOL:
@@ -236,6 +224,7 @@ def solve(
     r = dt / dx
     m = _initial_masses(law, grid)
     scaled = np.empty_like(m)
+    ends = (grid.nt // 2, grid.nt)
     integrals = np.zeros((len(ends), grid.nx))
     times, kept, drift = [], [], 0.0
     for k in range(grid.nt + 1):

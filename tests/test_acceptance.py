@@ -103,7 +103,7 @@ def pde_runs():
     ll = LimitLaw(2.0, law)
     out = {}
     for tag, grid in (("coarse", coarse), ("fine", fine)):
-        traj = solve(params, law, grid, ends=(grid.nt // 2, grid.nt))
+        traj = solve(params, law, grid)
         l1 = float(np.abs(traj.masses[-1] / grid.dx() - density(ll, 1.0, grid.centers())).sum() * grid.dx())
         out[tag] = (traj, l1)
     return out
