@@ -38,8 +38,9 @@ Chernoff bound on the closed-form Laplace transform of every family,
     log E[e^{sY}] = -eta log(1 - a s) + log M(s / (1 - a s)),
 
 M the initial law's moment generating function, taking the best s of a fixed
-grid.  The CDF table behind ``cdf`` and ``quantile`` is built from the same
-panels over ``_y_hi``'s wider range.
+grid.  ``cdf`` and ``quantile`` read the same panels: at the panel ends the
+running sum of the weights, and inside a panel the integral of the degree-7
+polynomial through its 8 node values, so the law at t has one discretization.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, hyp1f1, logsumexp, roots_jacobi
@@ -76,7 +78,8 @@ __all__ = [
     "log_modified_bessel_i",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_LEG, _POLY = np.polynomial.legendre, np.polynomial.polynomial
+_GL_NODES, _GL_WEIGHTS = _LEG.leggauss(8)
 # most (point, atom) kernel values in one block of a point-mass or atomic
 # density: a point-mass quadrature (at most 4096 x 8 nodes) is one block, a
 # 580-atom law takes 112 points a block
@@ -236,7 +239,7 @@ def density(ll: LimitLaw, t: float, y):
 
 
 def _y_hi(ll: LimitLaw, t: float) -> float:
-    """Upper end of the tabulated range: 45 standard deviations past the mean,
+    """Upper end of density_grid's range: 45 standard deviations past the mean,
     both of the whole law and of a start at the top of its support."""
     J = time_change(ll, t)
     m1, m2 = moments(ll.law)
@@ -246,21 +249,6 @@ def _y_hi(ll: LimitLaw, t: float) -> float:
     x_hi = _support_hi(ll.law)
     sd_hi = math.sqrt(x_hi * J + 0.25 * ll.eta * J * J)
     return max(mu + 45.0 * sd, x_hi + 0.5 * ll.eta * J + 45.0 * sd_hi, 16.0 * J)
-
-
-def _gl_panels(u_lo: float, u_hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Panel edges, the (n_panels, 8) Gauss-Legendre nodes and the half-width
-    of n_panels equal panels of [u_lo, u_hi] in u = sqrt(y)."""
-    edges_u = np.linspace(u_lo, u_hi, n_panels + 1)
-    centers = 0.5 * (edges_u[1:] + edges_u[:-1])
-    halfw = 0.5 * (edges_u[1] - edges_u[0])
-    return edges_u, centers[:, None] + halfw * _GL_NODES[None, :], halfw
-
-
-def _y_masses(f: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre terms of a density f in y = u*u (dy = 2u du), per node;
-    times the half-width they are the node weights of the panel rule."""
-    return f * 2.0 * u * _GL_WEIGHTS[None, :]
 
 
 def _log_mgf(ll: LimitLaw, J: float, s: np.ndarray) -> np.ndarray:
@@ -309,6 +297,39 @@ def _panel_width(J: float) -> float:
     return min(0.25 * math.sqrt(J), PANEL_WIDTH) if J > 0 else PANEL_WIDTH
 
 
+class _Panels(NamedTuple):
+    """8-point Gauss-Legendre panels in u = sqrt(y): the n + 1 panel ends in u,
+    the half-width, the (n, 8) nodes y and g = f(y) dy/du = 2 u f(y) at them."""
+
+    edges_u: np.ndarray
+    halfw: float
+    y: np.ndarray
+    g: np.ndarray
+
+    def weights(self) -> np.ndarray:
+        return self.halfw * (self.g * _GL_WEIGHTS[None, :])
+
+
+def _panels(ll: LimitLaw, t: float) -> _Panels:
+    """Panels of width _panel_width(J), at most MAX_PANELS of them, over the
+    tail range of the law at t (over [a0, b0] for a uniform law at t = 0)."""
+    law, J = ll.law, time_change(ll, t)
+    y_lo, y_hi = (law.a, law.b) if t == 0 and isinstance(law, UniformLaw) else _tail_range(ll, J)
+    u_lo, u_hi = math.sqrt(y_lo), math.sqrt(y_hi)
+    n_panels = min(max(1, math.ceil((u_hi - u_lo) / _panel_width(J))), MAX_PANELS)
+    edges_u = np.linspace(u_lo, u_hi, n_panels + 1)
+    halfw = 0.5 * (edges_u[1] - edges_u[0])
+    u = 0.5 * (edges_u[1:] + edges_u[:-1])[:, None] + halfw * _GL_NODES[None, :]
+    y = u * u
+    if t > 0:
+        f = np.exp(_log_density(ll, J, y.ravel())).reshape(y.shape)
+    elif isinstance(law, GammaLaw):
+        f = law.pdf(y)
+    else:
+        f = np.full(y.shape, 1.0 / (law.b - law.a))
+    return _Panels(edges_u, halfw, y, f * 2.0 * u)
+
+
 def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes y and weights w with sum(w g(y)) = E g(Y_t) for the limit law at t >= 0.
 
@@ -326,99 +347,76 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
         return np.array([float(law.x0)]), np.array([1.0])
     if t == 0 and isinstance(law, DiscreteAtoms):
         return law.locations(), law.weights()
-    J = time_change(ll, t)
-    y_lo, y_hi = (law.a, law.b) if t == 0 and isinstance(law, UniformLaw) else _tail_range(ll, J)
-    u_lo, u_hi = math.sqrt(y_lo), math.sqrt(y_hi)
-    n_panels = min(max(1, math.ceil((u_hi - u_lo) / _panel_width(J))), MAX_PANELS)
-    _, u, halfw = _gl_panels(u_lo, u_hi, n_panels)
-    y = u * u
-    if t > 0:
-        f = np.exp(_log_density(ll, J, y.ravel())).reshape(y.shape)
-    elif isinstance(law, GammaLaw):
-        f = law.pdf(y)
-    else:
-        f = np.full(y.shape, 1.0 / (law.b - law.a))
-    w = halfw * _y_masses(f, u)
-    if t == 0 and isinstance(law, GammaLaw) and y_lo == 0.0:
+    p = _panels(ll, t)
+    y, w = p.y, p.weights()
+    if t == 0 and isinstance(law, GammaLaw) and p.edges_u[0] == 0.0:
         # the pdf's factor y^{k-1} is not smooth at 0 (not even bounded for
         # k < 1): on the first panel, Gauss-Jacobi in y with that weight
-        k, h = law.shape, (2.0 * halfw) ** 2
+        k, h = law.shape, (2.0 * p.halfw) ** 2
         x, wj = roots_jacobi(len(_GL_NODES), 0.0, k - 1.0)
         y[0] = 0.5 * h * (1.0 + x)
         w[0] = (0.5 * h) ** k * wj * np.exp(-y[0] / law.scale - gammaln(k) - k * math.log(law.scale))
     return y.ravel(), w.ravel()
 
 
-class _CdfTable:
-    """Cumulative table of the limit density, Hermite-interpolated in y.
-
-    Panel integrals in u = sqrt(y) are exact to roundoff; between edges a
-    cubic Hermite spline with the density itself as the derivative keeps the
-    interpolation error near 1e-9 on the panel widths used here.  It equals
-    scipy's CubicHermiteSpline bit for bit (coefficients, interval, sum order).
-    """
-
-    def __init__(self, ll: LimitLaw, t: float):
-        J = time_change(ll, t)
-        y_hi = _y_hi(ll, t)
-        u_max = math.sqrt(y_hi)
-        h_u = max(min(math.sqrt(J) / 64.0, u_max / 128.0), u_max / 80000.0)
-        edges_u, u, halfw = _gl_panels(0.0, u_max, math.ceil(u_max / h_u))
-        f = np.exp(_log_density(ll, J, (u * u).ravel())).reshape(u.shape)
-        panel = halfw * np.sum(_y_masses(f, u), axis=1)
-        F = np.concatenate([[0.0], np.cumsum(panel)])
-        self.y_hi = y_hi
-        self.y_edges = edges_u * edges_u
-        self.F_edges = F
-        f_edges = np.exp(_log_density(ll, J, self.y_edges))
-        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(f_edges))):
-            raise ValueError("the limit density is not finite on the table edges")
-        dy = np.diff(self.y_edges)
-        slope = np.diff(F) / dy
-        t = (f_edges[:-1] + f_edges[1:] - 2 * slope) / dy
-        self._coef = (F[:-1], f_edges[:-1], (slope - f_edges[:-1]) / dy - t, t / dy)
-
-    def cdf(self, y: np.ndarray) -> np.ndarray:
-        inner = np.minimum(y, self.y_hi)
-        i = np.clip(np.searchsorted(self.y_edges, inner, "right") - 1, 0, len(self.y_edges) - 2)
-        s, (c0, c1, c2, c3) = inner - self.y_edges[i], (c[i] for c in self._coef)
-        out = np.where(y >= self.y_hi, self.F_edges[-1], c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s))
-        return np.clip(out, 0.0, 1.0)
+# antiderivatives from -1 of the Lagrange basis l_i = W_i sum_{k<8} (k + 1/2) P_k(x_i) P_k
+# on the Gauss nodes, as (9, 8) monomial coefficients (row k for x^k); column i is W_i at 1
+_LAGRANGE_INTEGRALS = np.column_stack([_LEG.leg2poly(c) for c in _LEG.legint(
+    (_LEG.legvander(_GL_NODES, 7) * (np.arange(8) + 0.5) * _GL_WEIGHTS[:, None]).T, lbnd=-1, axis=0).T])
 
 
 @lru_cache(maxsize=64)
-def _table(ll: LimitLaw, t: float) -> _CdfTable:
-    return _CdfTable(ll, t)
+def _panel_cdf(ll: LimitLaw, t: float) -> tuple[_Panels, np.ndarray, np.ndarray]:
+    """quadrature's panels at t > 0, the CDF at their ends (the running sum of
+    the weights) and, as (9, n) monomial coefficients in x in [-1, 1], its rise
+    across each panel: halfw times the integral from -1 of the degree-7
+    polynomial through the panel's 8 node values g."""
+    p = _panels(ll, t)
+    F_edges = np.concatenate([[0.0], np.cumsum(np.sum(p.weights(), axis=1))])
+    if not np.all(np.isfinite(F_edges)):
+        raise ValueError("the limit density is not finite on the quadrature nodes")
+    return p, F_edges, p.halfw * (_LAGRANGE_INTEGRALS @ p.g.T)
 
 
 def cdf(ll: LimitLaw, t: float, y):
-    """Cumulative distribution of the limit measure at time t > 0."""
+    """Cumulative distribution of the limit measure at time t > 0; 0 below the
+    quadrature's range and its total weight above it."""
     ys = np.asarray(y, dtype=float)
     _check_density_args(t, ys)
-    scalar = ys.ndim == 0
-    out = _table(ll, t).cdf(np.atleast_1d(ys).ravel())
-    return float(out[0]) if scalar else out.reshape(ys.shape)
+    p, F_edges, coef = _panel_cdf(ll, t)
+    u = np.sqrt(np.atleast_1d(ys).ravel())
+    i = np.clip(np.searchsorted(p.edges_u, u, "right") - 1, 0, len(F_edges) - 2)
+    x = (u - 0.5 * (p.edges_u[i] + p.edges_u[i + 1])) / p.halfw
+    out = np.where(u >= p.edges_u[-1], F_edges[-1], F_edges[i] + _POLY.polyval(x, coef[:, i], tensor=False))
+    out = np.clip(np.where(u <= p.edges_u[0], 0.0, out), 0.0, 1.0)
+    return float(out[0]) if ys.ndim == 0 else out.reshape(ys.shape)
 
 
 def quantile(ll: LimitLaw, t: float, p):
-    """Inverse of cdf(ll, t, .) on (0, 1), by bracketed bisection."""
+    """Inverse of cdf(ll, t, .) on (0, 1): bracketed Newton in x on the panel
+    polynomial that holds p, from linear interpolation between its ends."""
     _check_t(t, positive=True)
     ps = np.asarray(p, dtype=float)
     if not np.all((ps > 0) & (ps < 1)):  # NaN fails both comparisons
         raise ValueError("p must lie strictly between 0 and 1")
-    scalar = ps.ndim == 0
+    pan, F_edges, coef = _panel_cdf(ll, t)
     pv = np.atleast_1d(ps).ravel()
-    tab = _table(ll, t)
-    idx = np.clip(np.searchsorted(tab.F_edges, pv), 1, len(tab.F_edges) - 1)
-    lo = tab.y_edges[idx - 1]
-    hi = tab.y_edges[idx]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = tab.cdf(mid) < pv
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
-    return float(out[0]) if scalar else out.reshape(ps.shape)
+    i = np.clip(np.searchsorted(F_edges, pv) - 1, 0, len(F_edges) - 2)
+    c, dc, r = coef[:, i], _POLY.polyder(coef[:, i]), pv - F_edges[i]
+    lo, hi, tol = np.full(len(pv), -1.0), np.full(len(pv), 1.0), 4.0 * np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # r > 0 exceeds a panel's mass (even an empty one's) only past F_edges[-1]: x stays at 1
+        x = np.clip(2.0 * r / (F_edges[i + 1] - F_edges[i]) - 1.0, -1.0, 1.0)
+        for _ in range(64):
+            val = _POLY.polyval(x, c, tensor=False) - r
+            lo, hi = np.where(val < 0, x, lo), np.where(val < 0, hi, x)
+            if np.all((np.abs(val) <= tol) | (hi - lo <= tol)):
+                break
+            step = x - val / _POLY.polyval(x, dc, tensor=False)
+            # a converged step lands on its bracket's end, so the test is not strict
+            x = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+    y = (0.5 * (pan.edges_u[i] + pan.edges_u[i + 1]) + pan.halfw * x) ** 2
+    return float(y[0]) if ps.ndim == 0 else y.reshape(ps.shape)
 
 
 def sample(ll: LimitLaw, t: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -438,7 +436,7 @@ def sample(ll: LimitLaw, t: float, n: int, rng: np.random.Generator) -> np.ndarr
 
 
 def density_grid(ll: LimitLaw, t: float, n_nodes: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Evenly spaced grid on [0, y_hi], the range of the CDF table at t, with
-    density values; only the closed-form upper end is computed, no table."""
+    """Evenly spaced grid on [0, _y_hi(ll, t)] with the density at its nodes;
+    it builds no CDF."""
     y = np.linspace(0.0, _y_hi(ll, t), n_nodes)
     return y, density(ll, t, y)

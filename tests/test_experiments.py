@@ -473,12 +473,12 @@ class TestOtherRunners:
         [PointMass(1.0), DiscreteAtoms(((0.5, 0.5), (1.5, 0.5))), GammaLaw(2.0, 0.5), UniformLaw(0.5, 1.5)],
         ids=str,
     )
-    def test_pde_check_builds_one_table(self, law):
+    def test_pde_check_builds_one_cdf(self, law):
         # the solver's tail check reads one CDF; the 39 analytic quadratures read none
-        limit._table.cache_clear()
+        limit._panel_cdf.cache_clear()
         cfg = ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), law, grid=SolverGrid(40.0, 400, 16))
         exp.run_pde_check(cfg)
-        assert limit._table.cache_info().misses == 1
+        assert limit._panel_cdf.cache_info().misses == 1
 
     @pytest.mark.parametrize(
         "law, x_max, nx",

@@ -277,7 +277,7 @@ class TestClosedFormMixtures:
             raise AssertionError("Bessel kernel evaluated for a closed-form law")
 
         monkeypatch.setattr(limit, "log_modified_bessel_i", boom)
-        limit._table.cache_clear()
+        limit._panel_cdf.cache_clear()
         ll = LimitLaw(2.0, law)
         density(ll, 0.3, np.linspace(0.0, 5.0, 11))
         cdf(ll, 0.3, 1.0)
@@ -292,7 +292,45 @@ class TestCdfQuantile:
         j_clock = time_change(LL_POINT, 1.0)
         ys = np.linspace(0.05, 15.0, 30)
         ref = ncx2.cdf(4.0 * ys / j_clock, 4.0, 4.0 / j_clock)
-        assert np.allclose(cdf(LL_POINT, 1.0, ys), ref, atol=1e-8)
+        # 4.4e-16 here; the Hermite table this CDF replaced was off by 2e-9
+        assert np.abs(cdf(LL_POINT, 1.0, ys) - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("t", [1e-8, 1e-10])
+    def test_small_t_against_scipy_ncx2(self, t):
+        # the kernel is sqrt(J) ~ 1e-5 wide: 1.5e-12 and 2.1e-11 here, and 5.3e-6
+        # and 2.9e-2 for the Hermite table this CDF replaced
+        j_clock = time_change(LL_POINT, t)
+        ys = 1.0 + 8.0 * math.sqrt(j_clock) * np.linspace(-1.0, 1.0, 41)
+        ref = ncx2.cdf(4.0 * ys / j_clock, 4.0, 4.0 / j_clock)
+        assert np.abs(cdf(LL_POINT, t, ys) - ref).max() <= 1.4e-9
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0])
+    @pytest.mark.parametrize("law", FOUR_LAWS, ids=str)
+    def test_panel_ends_equal_quadrature_sums(self, law, t):
+        ll = LimitLaw(2.0, law)
+        y, w = limit.quadrature(ll, t)
+        sums = np.concatenate([[0.0], np.cumsum(w.reshape(-1, 8).sum(axis=1))])
+        ends = limit._panel_cdf(ll, t)[0].edges_u ** 2
+        assert len(ends) == len(sums) and ends[0] < y[0] and y[-1] < ends[-1]
+        assert np.abs(cdf(ll, t, ends) - sums).max() <= 2e-14
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0])
+    @pytest.mark.parametrize("law", FOUR_LAWS, ids=str)
+    def test_against_finer_gauss_legendre(self, law, t):
+        # 16-point Gauss-Legendre in u = sqrt(y) from 0, on panels a quarter as
+        # wide as the kernel's sqrt(J)/4 (and at most 0.005), split at each y
+        ll = LimitLaw(2.0, law)
+        y_nodes, _ = limit.quadrature(ll, t)
+        ys = np.linspace(y_nodes[0], y_nodes[-1], 201)
+        h = min(0.0625 * math.sqrt(time_change(ll, t)), 0.005)
+        cuts = np.unique(np.concatenate([np.arange(0.0, math.sqrt(ys[-1]), h), np.sqrt(ys)]))
+        x, wx = np.polynomial.legendre.leggauss(16)
+        halfw = 0.5 * np.diff(cuts)
+        u = 0.5 * (cuts[1:] + cuts[:-1])[:, None] + halfw[:, None] * x
+        pieces = halfw * np.sum(density(ll, t, u * u) * 2.0 * u * wx, axis=1)
+        ref = np.concatenate([[0.0], np.cumsum(pieces)])[np.searchsorted(cuts, np.sqrt(ys))]
+        # at most 1.6e-12 (point mass at t = 1e-3); the Hermite table was off by up to 3e-9
+        assert np.abs(cdf(ll, t, ys) - ref).max() <= 1e-11
 
     def test_cdf_monotone_and_reaches_one(self):
         ys = np.linspace(0.0, 60.0, 500)
@@ -304,12 +342,14 @@ class TestCdfQuantile:
         # Markov keeps only 1/10 of the mass beyond ten times the mean
         assert cdf(LL_POINT, 1.0, 10.0 * mean(LL_POINT, 1.0)) >= 0.99
 
-    def test_quantile_round_trip(self):
+    @pytest.mark.parametrize("law", FOUR_LAWS, ids=str)
+    def test_quantile_round_trip(self, law):
+        ll = LimitLaw(2.0, law)
         ps = np.linspace(0.02, 0.98, 49)
-        qs = quantile(LL_POINT, 1.0, ps)
-        assert np.max(np.abs(cdf(LL_POINT, 1.0, qs) - ps)) < 1e-8
+        qs = quantile(ll, 1.0, ps)
+        assert np.max(np.abs(cdf(ll, 1.0, qs) - ps)) <= 1e-12
         y = 2.0
-        assert quantile(LL_POINT, 1.0, cdf(LL_POINT, 1.0, y)) == pytest.approx(y, abs=1e-6)
+        assert quantile(ll, 1.0, cdf(ll, 1.0, y)) == pytest.approx(y, abs=1e-12)
 
     def test_quantile_monotone(self):
         q25, q50, q75 = quantile(LL_POINT, 1.0, np.array([0.25, 0.5, 0.75]))
@@ -382,12 +422,12 @@ class TestWeakContinuityAtZero:
 
 class TestDensityGrid:
     @pytest.mark.parametrize("law", FOUR_LAWS, ids=str)
-    def test_builds_no_table(self, law):
+    def test_builds_no_cdf(self, law):
         ll = LimitLaw(2.0, law)
-        limit._table.cache_clear()
+        limit._panel_cdf.cache_clear()
         y, f = density_grid(ll, 0.3, 64)
-        assert limit._table.cache_info().currsize == 0
-        assert y[0] == 0.0 and y[-1] == limit._CdfTable(ll, 0.3).y_hi
+        assert limit._panel_cdf.cache_info().currsize == 0
+        assert y[0] == 0.0 and y[-1] == limit._y_hi(ll, 0.3)
         assert np.array_equal(f, density(ll, 0.3, y))
         with pytest.raises(ValueError):
             density_grid(ll, 0.0)

@@ -14,35 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicHermiteSpline
 from scipy.stats import gamma as gamma_dist
 
-import vsmhl.limit as limit
-from vsmhl import GammaLaw, LimitLaw, Measure1D, PointMass
+from vsmhl import GammaLaw, Measure1D
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-@pytest.mark.parametrize(
-    "law, t",
-    [(PointMass(1.0), 1e-3), (PointMass(1.0), 0.5), (GammaLaw(2.0, 0.5), 0.05), (GammaLaw(0.7, 2.0), 1.0)],
-)
-def test_cdf_table_equals_cubic_hermite_spline(law, t):
-    ll = LimitLaw(2.0, law)
-    tab = limit._CdfTable(ll, t)
-    f_edges = np.exp(limit._log_density(ll, limit.time_change(ll, t), tab.y_edges))
-    spline = CubicHermiteSpline(tab.y_edges, tab.F_edges, f_edges)
-    rng = np.random.default_rng(7)
-    y = np.concatenate(
-        [
-            rng.uniform(0.0, tab.y_hi, 5000),
-            rng.uniform(0.0, tab.y_edges[len(tab.y_edges) // 50], 5000),
-            tab.y_edges,
-            [tab.y_hi, np.nextafter(tab.y_hi, 0.0), tab.y_hi * 1.5, 0.0],
-        ]
-    )
-    ref = np.clip(np.where(y >= tab.y_hi, tab.F_edges[-1], spline(np.minimum(y, tab.y_hi))), 0.0, 1.0)
-    assert np.array_equal(tab.cdf(y), ref)
 
 
 @pytest.mark.parametrize("shape, scale", [(2.0, 0.5), (0.7, 2.0), (1.0, 1.0), (35.5, 0.01)])
