@@ -51,7 +51,7 @@ GOLDEN = {
             experiment="rank_check", params=ModelParams(2.0, 16, 1.0), law=GammaLaw(2.0, 0.5),
             dt=0.01, n_values=(64, 8192), replications=2, seed=104,
         ),
-        "6f5809ec5486a0aae584ccffe7eb299780fad89fb7bf03f3b043520ed038d2eb",
+        "eaee5fc1118dedc25ee1955916cc08d84494ede2d2eeed024e98976cb77dc46f",
     ),
     "pde_check": (
         dict(
@@ -65,7 +65,7 @@ GOLDEN = {
             experiment="sampler_check", params=ModelParams(2.0, 16, 1.0), law=GammaLaw(2.0, 0.5),
             seed=105,
         ),
-        "40d4d5eb08952098489773f1e5266770dbadeee50135101f6d3c5355511f71f5",
+        "4ef4e77ab1fe3bfd1855bbab1e776689d8ea878ee7c2307308b69c1052532f18",
     ),
 }
 
