@@ -359,23 +359,23 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
     return y.ravel(), w.ravel()
 
 
-# antiderivatives from -1 of the Lagrange basis l_i = W_i sum_{k<8} (k + 1/2) P_k(x_i) P_k
-# on the Gauss nodes, as (9, 8) monomial coefficients (row k for x^k); column i is W_i at 1
-_LAGRANGE_INTEGRALS = np.column_stack([_LEG.leg2poly(c) for c in _LEG.legint(
-    (_LEG.legvander(_GL_NODES, 7) * (np.arange(8) + 0.5) * _GL_WEIGHTS[:, None]).T, lbnd=-1, axis=0).T])
+# the Lagrange basis l_i = W_i sum_{k<8} (k + 1/2) P_k(x_i) P_k on the Gauss nodes in Legendre
+# coefficients, and its antiderivatives from -1 in monomials (row k: x^k); column i is W_i at 1
+_lagrange = (_LEG.legvander(_GL_NODES, 7) * (np.arange(8) + 0.5) * _GL_WEIGHTS[:, None]).T
+_LAGRANGE_INTEGRALS = np.column_stack([_LEG.leg2poly(c) for c in _LEG.legint(_lagrange, lbnd=-1, axis=0).T])
 
 
 @lru_cache(maxsize=64)
-def _panel_cdf(ll: LimitLaw, t: float) -> tuple[_Panels, np.ndarray, np.ndarray]:
-    """quadrature's panels at t > 0, the CDF at their ends (the running sum of
-    the weights) and, as (9, n) monomial coefficients in x in [-1, 1], its rise
-    across each panel: halfw times the integral from -1 of the degree-7
-    polynomial through the panel's 8 node values g."""
+def _panel_cdf(ll: LimitLaw, t: float) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """quadrature's panel ends in u and half-width at t > 0, the CDF at the
+    ends (the running sum of the weights) and, as (9, n) monomial coefficients
+    in x in [-1, 1], its rise across each panel: halfw times the integral from
+    -1 of the degree-7 polynomial through the panel's 8 node values g."""
     p = _panels(ll, t)
     F_edges = np.concatenate([[0.0], np.cumsum(np.sum(p.weights(), axis=1))])
     if not np.all(np.isfinite(F_edges)):
         raise ValueError("the limit density is not finite on the quadrature nodes")
-    return p, F_edges, p.halfw * (_LAGRANGE_INTEGRALS @ p.g.T)
+    return p.edges_u, p.halfw, F_edges, p.halfw * (_LAGRANGE_INTEGRALS @ p.g.T)
 
 
 def cdf(ll: LimitLaw, t: float, y):
@@ -383,12 +383,12 @@ def cdf(ll: LimitLaw, t: float, y):
     quadrature's range and its total weight above it."""
     ys = np.asarray(y, dtype=float)
     _check_density_args(t, ys)
-    p, F_edges, coef = _panel_cdf(ll, t)
+    edges_u, halfw, F_edges, coef = _panel_cdf(ll, t)
     u = np.sqrt(np.atleast_1d(ys).ravel())
-    i = np.clip(np.searchsorted(p.edges_u, u, "right") - 1, 0, len(F_edges) - 2)
-    x = (u - 0.5 * (p.edges_u[i] + p.edges_u[i + 1])) / p.halfw
-    out = np.where(u >= p.edges_u[-1], F_edges[-1], F_edges[i] + _POLY.polyval(x, coef[:, i], tensor=False))
-    out = np.clip(np.where(u <= p.edges_u[0], 0.0, out), 0.0, 1.0)
+    i = np.clip(np.searchsorted(edges_u, u, "right") - 1, 0, len(F_edges) - 2)
+    x = (u - 0.5 * (edges_u[i] + edges_u[i + 1])) / halfw
+    out = np.where(u >= edges_u[-1], F_edges[-1], F_edges[i] + _POLY.polyval(x, coef[:, i], tensor=False))
+    out = np.clip(np.where(u <= edges_u[0], 0.0, out), 0.0, 1.0)
     return float(out[0]) if ys.ndim == 0 else out.reshape(ys.shape)
 
 
@@ -399,7 +399,7 @@ def quantile(ll: LimitLaw, t: float, p):
     ps = np.asarray(p, dtype=float)
     if not np.all((ps > 0) & (ps < 1)):  # NaN fails both comparisons
         raise ValueError("p must lie strictly between 0 and 1")
-    pan, F_edges, coef = _panel_cdf(ll, t)
+    edges_u, halfw, F_edges, coef = _panel_cdf(ll, t)
     pv = np.atleast_1d(ps).ravel()
     i = np.clip(np.searchsorted(F_edges, pv) - 1, 0, len(F_edges) - 2)
     c, dc, r = coef[:, i], _POLY.polyder(coef[:, i]), pv - F_edges[i]
@@ -415,7 +415,7 @@ def quantile(ll: LimitLaw, t: float, p):
             step = x - val / _POLY.polyval(x, dc, tensor=False)
             # a converged step lands on its bracket's end, so the test is not strict
             x = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-    y = (0.5 * (pan.edges_u[i] + pan.edges_u[i + 1]) + pan.halfw * x) ** 2
+    y = (0.5 * (edges_u[i] + edges_u[i + 1]) + halfw * x) ** 2
     return float(y[0]) if ps.ndim == 0 else y.reshape(ps.shape)
 
 

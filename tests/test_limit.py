@@ -310,7 +310,7 @@ class TestCdfQuantile:
         ll = LimitLaw(2.0, law)
         y, w = limit.quadrature(ll, t)
         sums = np.concatenate([[0.0], np.cumsum(w.reshape(-1, 8).sum(axis=1))])
-        ends = limit._panel_cdf(ll, t)[0].edges_u ** 2
+        ends = limit._panel_cdf(ll, t)[0] ** 2
         assert len(ends) == len(sums) and ends[0] < y[0] and y[-1] < ends[-1]
         assert np.abs(cdf(ll, t, ends) - sums).max() <= 2e-14
 
