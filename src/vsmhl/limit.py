@@ -81,9 +81,10 @@ __all__ = [
 _LEG, _POLY = np.polynomial.legendre, np.polynomial.polynomial
 _GL_NODES, _GL_WEIGHTS = _LEG.leggauss(8)
 # most (point, atom) kernel values in one block of a point-mass or atomic
-# density: a point-mass quadrature (at most 4096 x 8 nodes) is one block, a
-# 580-atom law takes 112 points a block
-_KERNEL_BUDGET = 2**16
+# density, and most nodes in one block of pde.weak_residual's generator: a
+# point-mass quadrature (at most 4096 x 8 nodes) takes two blocks, a 580-atom
+# law 28 points a block.  Each block's temporaries stay near 128 kB apiece
+_KERNEL_BUDGET = 2**14
 TAIL_EPS = 1e-16  # mass a quadrature leaves beyond each end of its range, at most
 PANEL_WIDTH = 0.02  # widest quadrature panel in u = sqrt(y): resolves the test-function bank
 # most panels in one quadrature (8 nodes each): bounds the memory of a narrow
@@ -312,7 +313,8 @@ class _Panels(NamedTuple):
 
 def _panels(ll: LimitLaw, t: float) -> _Panels:
     """Panels of width _panel_width(J), at most MAX_PANELS of them, over the
-    tail range of the law at t (over [a0, b0] for a uniform law at t = 0)."""
+    tail range of the law at t (over [a0, b0] for a uniform law at t = 0).
+    Raises ValueError if the density is not finite on every node."""
     law, J = ll.law, time_change(ll, t)
     y_lo, y_hi = (law.a, law.b) if t == 0 and isinstance(law, UniformLaw) else _tail_range(ll, J)
     u_lo, u_hi = math.sqrt(y_lo), math.sqrt(y_hi)
@@ -327,6 +329,8 @@ def _panels(ll: LimitLaw, t: float) -> _Panels:
         f = law.pdf(y)
     else:
         f = np.full(y.shape, 1.0 / (law.b - law.a))
+    if not np.all(np.isfinite(f)):
+        raise ValueError("the limit density is not finite on the quadrature nodes")
     return _Panels(edges_u, halfw, y, f * 2.0 * u)
 
 
@@ -336,7 +340,8 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
     8-point Gauss-Legendre panels in u = sqrt(y), of width _panel_width(J)
     (at most MAX_PANELS of them), cover the tail range [y_lo, y_hi] of
     _tail_range, outside which each tail holds at most TAIL_EPS; each weight
-    is the density times dy at its node.
+    is the density times dy at its node.  Like cdf and quantile, it raises
+    ValueError where the density is not finite on a node.
     At t = 0 the initial law's own pieces are used: its atoms for a point mass
     or atoms, panels over the gamma pdf (Gauss-Jacobi with weight y^{k-1} on
     the first), and panels over [a0, b0] for a uniform.
@@ -373,8 +378,6 @@ def _panel_cdf(ll: LimitLaw, t: float) -> tuple[np.ndarray, float, np.ndarray, n
     -1 of the degree-7 polynomial through the panel's 8 node values g."""
     p = _panels(ll, t)
     F_edges = np.concatenate([[0.0], np.cumsum(np.sum(p.weights(), axis=1))])
-    if not np.all(np.isfinite(F_edges)):
-        raise ValueError("the limit density is not finite on the quadrature nodes")
     return p.edges_u, p.halfw, F_edges, p.halfw * (_LAGRANGE_INTEGRALS @ p.g.T)
 
 

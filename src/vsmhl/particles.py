@@ -14,10 +14,11 @@ generator, in the same order as a run of that replication alone, and every
 row is reduced over its own contiguous N values, so each row equals the
 one-replication run bit for bit.
 
-The simulation streams: noise is drawn in blocks of steps, the state is
-carried from block to block, and only the states at the requested step
-indices (the snapshot nodes) are kept, so memory grows with R times N times
-the number of nodes, not with the number of steps.
+The simulation streams: noise is drawn in blocks of steps, one (R, N) state
+is stepped in place through every block, and it is copied out only at the
+requested step indices (the snapshot nodes).  No array of per-step states is
+built, so memory grows with R times N times the number of nodes, not with
+the number of steps or the block width.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ __all__ = [
 ]
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-# standard normals per noise block: the block's noise and its states take
-# about 2 MB each, whatever R and N are (down to one step per block)
+# standard normals per noise block: the block's noise takes about 2 MB,
+# whatever R and N are (down to one step per block)
 _NOISE_BUDGET = 2**18
 
 
@@ -83,28 +84,26 @@ def step_count(horizon: float, dt: float) -> int:
     return max(int(round(horizon / dt)), 1)
 
 
-def euler_full_truncation(eta: float, initial: np.ndarray, step: float, noise: np.ndarray) -> np.ndarray:
-    """Advance R independent copies of the coupled system over precomputed
-    standard-normal noise.
+def euler_full_truncation(eta: float, y: np.ndarray, step: float, noise: np.ndarray) -> None:
+    """Advance R independent copies of the coupled system in place over
+    precomputed standard-normal noise.
 
-    ``initial`` has shape (R, N) and is nonnegative; ``noise`` has shape
-    (R, n_steps, N), row r of both belonging to replication r.  Returns the
-    states, shape (n_steps + 1, R, N), with the initial state at step 0.
-    Raises DegenerateStateError if the total of any row ever hits exactly
-    zero.
+    ``y`` has shape (R, N) and is nonnegative; ``noise`` has shape
+    (R, n_steps, N), row r of both belonging to replication r.  On return
+    ``y`` holds the states after the n_steps steps.  Raises
+    DegenerateStateError if the total of any row ever hits exactly zero at a
+    step taken; its step counts from the start of this call.
     """
     reps, n_steps, n = noise.shape
-    if initial.shape != (reps, n):
+    if y.shape != (reps, n):
         raise ValueError("initial state and noise shapes disagree")
-    if (initial < 0).any():
+    if (y < 0).any():
         raise ValueError("initial state must be nonnegative")
     sqrt_h = math.sqrt(step)
-    states = np.empty((n_steps + 1, reps, n))
-    states[0] = initial
-    s = np.ones((reps, 1))  # each row's total at the step being taken
+    totals = np.empty((n_steps, reps, 1))  # [k, r]: row r's total at the k-th step taken
     diff = np.empty((reps, n))  # scratch for the diffusion term
     for k in range(n_steps):
-        y, y_next = states[k], states[k + 1]
+        s = totals[k]
         np.add.reduce(y, axis=1, keepdims=True, out=s)
         # in place, the one-row step max(y + drift + diff * noise, 0) with
         # drift = (eta / 2N) S h and diff = sqrt(y S / N) sqrt(h), every
@@ -114,16 +113,13 @@ def euler_full_truncation(eta: float, initial: np.ndarray, step: float, noise: n
         np.sqrt(diff, out=diff)
         diff *= sqrt_h
         diff *= noise[:, k]
-        np.add(y, (eta / (2.0 * n)) * s * step, out=y_next)
-        y_next += diff
-        np.maximum(y_next, 0.0, out=y_next)
-    # a zero total is absorbing (every position is 0 and stays 0), so a row
-    # whose total hit 0 at any step still has it at the last step taken; the
-    # first such step is looked up only then
-    if not s.all():
-        zero = (states[:n_steps].sum(axis=2) == 0.0).any(axis=1)
-        raise DegenerateStateError(int(np.argmax(zero)))
-    return states
+        y += (eta / (2.0 * n)) * s * step
+        y += diff
+        np.maximum(y, 0.0, out=y)
+    # checked once per call: a zero total is absorbing (every position is 0
+    # and stays 0), so the steps taken past it change nothing
+    if not totals.all():
+        raise DegenerateStateError(int(np.argmax((totals == 0.0).any(axis=(1, 2)))))
 
 
 def _checked_nodes(nodes, n_steps: int) -> np.ndarray:
@@ -151,7 +147,9 @@ def simulate_replications(
     at the horizon.  ``nodes`` lists the step indices to keep, strictly
     increasing from 0; None keeps every step.  Replication r is a function of
     rngs[r] alone, equal to simulate_system on that generator, and neither
-    the draws nor the kept states depend on ``nodes``.
+    the draws nor the kept states depend on ``nodes``.  Besides the noise
+    block and the kept states, memory holds the stepped state and a few
+    vectors of its size: no per-block array of states.
     """
     bad = validate(params, law)
     if bad:
@@ -174,22 +172,24 @@ def simulate_replications(
     # block is contiguous, as Generator.standard_normal(out=) requires
     noise = np.empty((reps, min(max(_NOISE_BUDGET // (reps * n), 1), n_steps), n))
     kept = np.empty((reps, len(nodes), n))  # [r, j]: row r's state at step nodes[j]
-    j = 0
     y = np.array([sample_initial(law, n, rng) for rng in rngs])
+    kept[:, 0] = y  # nodes[0] is step 0
+    j = 1
     for start in range(0, n_steps, noise.shape[1]):
         block = noise[:, : n_steps - start]
         for rng, row in zip(rngs, block):
             rng.standard_normal(out=row)
-        try:
-            # states at steps start .. start + block width
-            states = euler_full_truncation(params.eta, y, h, block)
-        except DegenerateStateError as exc:
-            raise DegenerateStateError(start + exc.step) from None
-        while j < len(nodes) and nodes[j] < start + len(states):
-            kept[:, j] = states[nodes[j] - start]
-            j += 1
-        y = states[-1].copy()
-        del states  # let the next block reuse its memory
+        # step y in place to each node inside the block, then to its end
+        stop, at = start + block.shape[1], start
+        for to in [*nodes[(start < nodes) & (nodes < stop)], stop]:
+            try:
+                euler_full_truncation(params.eta, y, h, block[:, at - start : to - start])
+            except DegenerateStateError as exc:
+                raise DegenerateStateError(at + exc.step) from None
+            at = to
+            if j < len(nodes) and nodes[j] == at:
+                kept[:, j] = y
+                j += 1
     grid = np.linspace(0.0, params.horizon, n_steps + 1)[nodes]
     return [ParticlePaths(time_grid=grid, positions=row.T, totals=_column_sums(row.T)) for row in kept]
 

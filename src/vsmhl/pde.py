@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dgtsv
 from scipy.special import ndtr
 
 from .errors import ConfigurationError, ValidationError
-from .limit import LimitLaw, cdf
+from .limit import _KERNEL_BUDGET, LimitLaw, cdf
 from .measures import WeakFormPath
 from .model import (
     DiscreteAtoms,
@@ -318,7 +318,8 @@ def weak_residual(path: WeakFormPath, bank: list[TestFunction], eta: float, t_va
     steps, or the analytic path's Gauss rule (experiments._analytic_time_rule).
     Every t_j must be one of the path's end times; all are checked before any
     pairing.  Each pairing is one sum over a node set, and each generator
-    term is evaluated once, on the time integrals' shared nodes.
+    term is evaluated once, on the time integrals' shared nodes, in blocks of
+    _KERNEL_BUDGET nodes so the jets' temporaries stay small.
     """
     ends = path.ends
     tol = 1e-9 * max(1.0, ends[-1])
@@ -326,9 +327,13 @@ def weak_residual(path: WeakFormPath, bank: list[TestFunction], eta: float, t_va
     for t, j in zip(t_values, cols):
         if not abs(ends[j] - t) <= tol:  # NaN fails too
             raise ValueError(f"t={t} is not an end time of the path, {ends.tolist()}")
+    x = path.integral_x
+    generator = np.empty(len(x))
     out = np.empty((len(bank), len(cols)))
     for i, g in enumerate(bank):
-        at_start, generator = _pair(g.f, path.start), _generator(g, eta)(path.integral_x)
+        at_start, lg = _pair(g.f, path.start), _generator(g, eta)
+        for start in range(0, len(x), _KERNEL_BUDGET):
+            generator[start : start + _KERNEL_BUDGET] = lg(x[start : start + _KERNEL_BUDGET])
         for c, j in enumerate(cols):
             w = path.integral_w[j]
             out[i, c] = _pair(g.f, path.stops[j]) - at_start - float(np.sum(w * generator[: len(w)]))

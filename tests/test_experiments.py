@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,14 +377,19 @@ class TestConvergence:
         monkeypatch.setattr(exp, "simulate_replications", recording_simulate)
         n = 4096
         exp._convergence_task(small_convergence_cfg(dt=0.01), n, [(n, 0), (n, 1)])  # 100 steps
-        block = particles._NOISE_BUDGET // (2 * n)
-        assert euler_calls == [(2, block, n)] * (100 // block) + [(2, 100 % block, n)]
+        # the engine steps each noise block in pieces that end at the
+        # snapshot nodes 12, 25, 38, 50, 62, 75, 88 and at the block's end:
+        # two rows take blocks of 32 steps, one row blocks of 64
+        assert particles._NOISE_BUDGET // (2 * n) == 32
+        widths = [12, 13, 7] + [6, 12, 12, 2] + [11, 13, 8] + [4]
+        assert euler_calls == [(2, w, n) for w in widths]
         [(n_kept, nodes, rows)] = kept
         assert n_kept == n
-        assert list(nodes) == list(exp._snapshot_indices(100))
+        assert list(nodes) == list(exp._snapshot_indices(100)) == [0, 12, 25, 38, 50, 62, 75, 88, 100]
         euler_calls.clear()
         paths = exp.simulate_system(ModelParams(2.0, n, 1.0), PointMass(1.0), 0.01, exp.split_rng(0), nodes)
-        assert euler_calls == [(1, 64, n), (1, 36, n)]
+        widths = [12, 13, 13, 12, 12, 2] + [11, 13, 12]
+        assert euler_calls == [(1, w, n) for w in widths]
         for p in [paths, *rows]:
             assert isinstance(p, particles.ParticlePaths)
             assert type(p.positions) is np.ndarray
@@ -479,6 +485,26 @@ class TestOtherRunners:
         cfg = ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), law, grid=SolverGrid(40.0, 400, 16))
         exp.run_pde_check(cfg)
         assert limit._panel_cdf.cache_info().misses == 1
+
+    def test_pde_check_peak_memory(self):
+        # the pde_point config from a cold CDF cache.  The analytic path holds
+        # its 56,729 time-integral nodes and weights (0.9 MB); the weak
+        # residual adds its generator values and their product with the
+        # weights (0.9 MB) and one block's jet temporaries, budgeted as 12
+        # arrays of _KERNEL_BUDGET values (1.6 MB; a bump's jet makes about
+        # 10); a block of the mollified law's density holds less.  That is
+        # 3.4 MB; kernel blocks of 2**16 values took the peak to 7.9 MB
+        cfg = ExperimentConfig("pde_check", ModelParams(2.0, 64, 1.0), PointMass(1.0), grid=SolverGrid(30.0, 1200, 800))
+        assert 12 * 8 * limit._KERNEL_BUDGET <= 1.6e6
+        limit._panel_cdf.cache_clear()
+        tracemalloc.start()
+        try:
+            r = exp.run_pde_check(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.passed
+        assert peak < 4e6
 
     @pytest.mark.parametrize(
         "law, x_max, nx",

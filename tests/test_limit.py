@@ -501,6 +501,24 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="nonnegative"):
             limit.quadrature(LL_POINT, -1e-3)
 
+    @pytest.mark.parametrize("func", [limit.quadrature, cdf, quantile], ids=["quadrature", "cdf", "quantile"])
+    def test_non_finite_density_refused(self, func):
+        # at t = 1e-10 scipy's ncx2.cdf does not converge at noncentrality
+        # 4 a0 / J ~ 2e10: boost warns and it returns NaN at 5 of the 32,768
+        # nodes; pytest turns warnings into errors, so they are caught here
+        ll = LimitLaw(2.0, UniformLaw(0.5, 1.5))
+        args = (ll, 1e-10) if func is limit.quadrature else (ll, 1e-10, 0.5)
+        with pytest.warns(RuntimeWarning, match="^Error in function .*Series"):
+            with pytest.raises(ValueError, match="^the limit density is not finite on the quadrature nodes$"):
+                func(*args)
+
+    def test_uniform_at_1e_9_stays_finite(self):
+        # MAX_PANELS binds under so narrow a kernel: the mass reads 1 - 4.6e-10
+        y, w = limit.quadrature(LimitLaw(2.0, UniformLaw(0.5, 1.5)), 1e-9)
+        assert len(w) == 8 * limit.MAX_PANELS
+        assert np.all(np.isfinite(w))
+        assert abs(w.sum() - 1.0) <= 1e-9
+
     def test_kernel_at_small_clock(self):
         # at J = 1e-4 the direct kernel's exponent -2(x+y)/J + log I(z) cancels
         # to ~1e-11 relative (9.4e-12 here); the kernel is within its rounding
@@ -562,6 +580,23 @@ class TestKernelBlocks:
         single = [limit._log_density(ll, self.J, self.Y[i : i + 1])[0] for i in range(len(self.Y))]
         monkeypatch.setattr(limit, "_KERNEL_BUDGET", budget)
         assert limit._log_density(ll, self.J, self.Y).tolist() == single
+
+    @pytest.mark.parametrize(
+        "law, x_max, atoms", [(PointMass(1.0), 30.0, 57), (GammaLaw(2.0, 0.5), 40.0, 580)], ids=["point", "gamma"]
+    )
+    def test_mollified_density_independent_of_budget(self, law, x_max, atoms, monkeypatch):
+        # pde_check's l1_vs_mollified rows on the pde_point grid (point mass)
+        # and on the gamma grid: the same bits at any block size
+        from vsmhl import SolverGrid, mollified_start_law
+
+        grid = SolverGrid(x_max, 1200, 800)
+        ll = LimitLaw(2.0, mollified_start_law(law, grid))
+        assert len(ll.law.atoms) == atoms
+        got = []
+        for budget in (2**16, 2**14, 2**8):
+            monkeypatch.setattr(limit, "_KERNEL_BUDGET", budget)
+            got.append([density(ll, t, grid.centers()).tolist() for t in (0.5, 1.0)])
+        assert got[0] == got[1] == got[2]
 
     def test_mollified_gamma_blocks_within_budget(self, monkeypatch):
         from vsmhl import SolverGrid, mollified_start_law

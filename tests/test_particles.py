@@ -49,8 +49,17 @@ def reference_1d_euler(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) 
 
 
 def euler_single_row(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) -> np.ndarray:
-    """euler_full_truncation on a single replication; positions (N, n_steps + 1)."""
-    return euler_full_truncation(eta, y0[None], h, noise[None])[:, 0].T
+    """euler_full_truncation on a single replication, called once per step;
+    positions (N, n_steps + 1).  One call over all the steps must end in the
+    same state, bit for bit."""
+    y, whole = y0[None].copy(), y0[None].copy()
+    states = [y0]
+    for k in range(len(noise)):
+        euler_full_truncation(eta, y, h, noise[None, k : k + 1])
+        states.append(y[0].copy())
+    euler_full_truncation(eta, whole, h, noise[None])
+    assert np.array_equal(whole, y)
+    return np.array(states).T
 
 
 class TestSimulate:
@@ -224,6 +233,27 @@ class TestStreaming:
         assert paths.positions.shape == (100_000, 3)
         assert peak < 32e6
 
+    def test_memory_holds_no_block_of_states(self):
+        # one row of N = 16384 over 100 steps, kept at 3 nodes: the engine
+        # holds the noise block (16 steps), the kept states and a few state
+        # vectors (the start as drawn and stacked, the stepped state, the
+        # diffusion scratch).  A per-block state array, (16 + 1) states, would
+        # add 2.2 MB; the bound leaves room for 4 state vectors
+        n, steps = 16384, 100
+        width = particles._NOISE_BUDGET // n
+        assert width == 16
+        noise, kept, state = 8 * width * n, 8 * 3 * n, 8 * n
+        tracemalloc.start()
+        try:
+            [paths] = simulate_replications(
+                ModelParams(2.0, n, 1.0), PointMass(1.0), 1 / steps, [split_rng(75)], [0, 50, 100]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert paths.positions.shape == (n, 3)
+        assert peak < noise + kept + 4 * state
+
 
 class TestReplications:
     STEPS = 40
@@ -324,8 +354,12 @@ class TestLogGrowthDiagnostic:
         eta, reps, steps = 4.0, 500, 50
         small_mean, large_mean = [], []
         noise = np.array([split_rng(61, r).standard_normal((steps, 2)) for r in range(reps)])
-        states = euler_full_truncation(eta, np.tile([1.0, 10.0], (reps, 1)), 1e-3, noise)
-        for positions in states.transpose(1, 2, 0):  # one (2, steps + 1) path per replication
+        y = np.tile([1.0, 10.0], (reps, 1))
+        states = [y.copy()]
+        for k in range(steps):  # y is stepped in place: copy it after each step
+            euler_full_truncation(eta, y, 1e-3, noise[:, k : k + 1])
+            states.append(y.copy())
+        for positions in np.array(states).transpose(1, 2, 0):  # one (2, steps + 1) path per replication
             if positions.min() <= 0:
                 continue
             logs = np.log(positions)

@@ -447,6 +447,23 @@ class TestWeakResidual:
             tracemalloc.stop()
         assert peak <= 8 * path.integral_x.nbytes
 
+    @pytest.mark.parametrize("budget", [pde._KERNEL_BUDGET, 2**8])
+    def test_blocked_generator_equals_one_shot(self, budget, monkeypatch):
+        # the pde_point analytic path: the generator is filled in blocks of the
+        # kernel budget, and each residual equals the one with every jet
+        # evaluated on all of the path's nodes at once, bit for bit
+        path = exp._quadrature_path(LimitLaw(PARAMS.eta, LAW), 1.0)
+        assert len(path.integral_x) > 3 * pde._KERNEL_BUDGET
+        bank = function_bank()
+        monkeypatch.setattr(pde, "_KERNEL_BUDGET", budget)
+        got = weak_residual(path, bank, PARAMS.eta, [0.5, 1.0])
+        for i, g in enumerate(bank):
+            lg = _generator(g, PARAMS.eta)(path.integral_x)
+            for j, w in enumerate(path.integral_w):
+                (x0, w0), (x1, w1) = path.start, path.stops[j]
+                want = float(np.sum(w1 * g.f(x1))) - float(np.sum(w0 * g.f(x0))) - float(np.sum(w * lg[: len(w)]))
+                assert got[i, j] == want
+
     def test_analytic_path_matches_reference(self):
         # the reference pairs each quadrature on its own and then sums the
         # pairings with the time rule's weights; the path sums all nodes at
