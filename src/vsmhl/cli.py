@@ -1,7 +1,8 @@
 """Command-line entry point: ``vsmhl run --config <path> [options]``.
 
-Exit codes: 0 on success, 2 on config validation failure, 3 when --assert is
-given and the experiment's pass criterion fails.
+Exit codes: 0 on success, 2 on config validation failure or an output
+directory that cannot be written, 3 when --assert is given and the
+experiment's pass criterion fails.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def main(argv=None) -> int:
         result = run_experiment(cfg, out_dir=out_dir, threads=args.threads)
     except (ValidationError, ConfigurationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     status = "PASS" if result.passed else "FAIL"
     print(f"{cfg.experiment}: {status} ({len(result.rows)} rows -> {out_dir})")

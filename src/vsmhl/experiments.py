@@ -37,7 +37,6 @@ from .model import (
     GammaLaw,
     InitialLaw,
     ModelParams,
-    PointMass,
     UniformLaw,
     law_from_dict,
     law_to_dict,
@@ -150,7 +149,7 @@ class ExperimentConfig:
         eta = self.params.eta
         # pde_check reads the Bessel kernel for every law, through the solver's
         # mollified start (an atomic law)
-        kernel = self.experiment == "pde_check" or isinstance(self.law, (PointMass, DiscreteAtoms))
+        kernel = self.experiment == "pde_check" or isinstance(self.law, DiscreteAtoms)
         if kernel and eta - 1.0 > NU_MAX:
             out.append(
                 f"eta = {eta} exceeds {NU_MAX + 1:g}: the limit law's Bessel kernel has order "
@@ -319,8 +318,6 @@ def _collect(task, cfg: ExperimentConfig, groups: list[tuple[int, list[tuple]]],
 
 def _law_measure(law: InitialLaw) -> Measure1D:
     """The initial law itself as a comparable measure (time-zero snapshot)."""
-    if isinstance(law, PointMass):
-        return Measure1D.from_atoms([law.x0], [1.0])
     if isinstance(law, DiscreteAtoms):
         return Measure1D.from_atoms(law.locations(), law.weights())
     if isinstance(law, GammaLaw):
@@ -590,26 +587,27 @@ def write_results(result: ExperimentResult, cfg: ExperimentConfig, out_dir) -> d
 def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentResult:
     """Validate, run and (when out_dir is given) persist one experiment.
 
-    On a mid-run failure a manifest with the completed rows is written before
-    the original error propagates.
+    out_dir is created before the run, so an OSError for a directory that
+    cannot be made comes before any work.  On a mid-run failure a manifest
+    with the completed rows is written before the original error propagates.
     """
     bad = cfg.violations()
     if bad:
         raise ConfigurationError("; ".join(bad))
     runner = _RUNNERS[cfg.experiment]
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     try:
         result = runner(cfg, threads=threads)
     except ExperimentFailure as failure:
         if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
             manifest = {
                 "experiment": cfg.experiment,
                 "error": repr(failure.cause),
                 "completed_rows": [list(r) for r in failure.partial_rows],
                 "failed_task": list(failure.failed_task),
             }
-            (out / "failure_manifest.json").write_text(
+            (Path(out_dir) / "failure_manifest.json").write_text(
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n"
             )
         raise failure.cause

@@ -14,7 +14,8 @@ freedom and noncentrality 4x/J.  The density of a single start point x is
 and the full density is its mixture over the initial law, exact for each
 family (a = J/2, b = a + theta):
 
-* ``PointMass(x0)``: the kernel itself; ``DiscreteAtoms``: its log-sum-exp.
+* ``DiscreteAtoms``: the kernel's log-sum-exp over the atoms; the kernel
+  itself for one atom, which is what ``PointMass(x0)`` is.
 * ``GammaLaw(k, theta)``: the mixed BESQ Laplace transform
   (1 + a s)^{k-eta} (1 + b s)^{-k} (Revuz & Yor, Continuous Martingales and
   Brownian Motion, ch. XI) inverts, by Kummer's function
@@ -59,7 +60,6 @@ from .model import (
     DiscreteAtoms,
     GammaLaw,
     InitialLaw,
-    PointMass,
     UniformLaw,
     moments,
     sample_initial,
@@ -80,10 +80,10 @@ __all__ = [
 
 _LEG, _POLY = np.polynomial.legendre, np.polynomial.polynomial
 _GL_NODES, _GL_WEIGHTS = _LEG.leggauss(8)
-# most (point, atom) kernel values in one block of a point-mass or atomic
-# density, and most nodes in one block of pde.weak_residual's generator: a
-# point-mass quadrature (at most 4096 x 8 nodes) takes two blocks, a 580-atom
-# law 28 points a block.  Each block's temporaries stay near 128 kB apiece
+# most (point, atom) kernel values in one block of an atomic density, and most
+# nodes in one block of pde.weak_residual's generator: a one-atom quadrature
+# (at most 4096 x 8 nodes) takes two blocks, a 580-atom law 28 points a block.
+# Each block's temporaries stay near 128 kB apiece
 _KERNEL_BUDGET = 2**14
 TAIL_EPS = 1e-16  # mass a quadrature leaves beyond each end of its range, at most
 PANEL_WIDTH = 0.02  # widest quadrature panel in u = sqrt(y): resolves the test-function bank
@@ -159,8 +159,6 @@ def _log_kernel(eta: float, J: float, x, y) -> np.ndarray:
 
 def _support_hi(law: InitialLaw) -> float:
     """Upper end of the initial law's support; all but ~1e-15 of a gamma law."""
-    if isinstance(law, PointMass):
-        return law.x0
     if isinstance(law, DiscreteAtoms):
         return float(law.locations().max())
     if isinstance(law, UniformLaw):
@@ -194,22 +192,24 @@ def _log_uniform_mixture(eta: float, J: float, law: UniformLaw, y: np.ndarray) -
 
 
 def _log_kernel_mixture(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
-    """Log density of a point-mass or atomic start on a 1-D block of points."""
+    """Log density of an atomic start on a 1-D block of points: the log-sum-exp
+    over the atoms of log weight plus log kernel; one atom skips logsumexp."""
     law = ll.law
-    if isinstance(law, PointMass):
-        return _log_kernel(ll.eta, J, law.x0, y)
+    if len(law.atoms) == 1:
+        ((x0, w0),) = law.atoms
+        return _log_kernel(ll.eta, J, x0, y) + math.log(w0)
     lk = _log_kernel(ll.eta, J, law.locations()[None, :], y[:, None])
     return logsumexp(lk + np.log(law.weights())[None, :], axis=1)
 
 
 def _log_density(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
-    """Log limit density at clock J; the point-mass and atomic laws take blocks
-    of points holding at most _KERNEL_BUDGET kernel values."""
+    """Log limit density at clock J; an atomic law takes blocks of points
+    holding at most _KERNEL_BUDGET kernel values."""
     if isinstance(ll.law, GammaLaw):
         return _log_gamma_mixture(ll.eta, J, ll.law, y)
     if isinstance(ll.law, UniformLaw):
         return _log_uniform_mixture(ll.eta, J, ll.law, y)
-    rows = max(1, _KERNEL_BUDGET // (1 if isinstance(ll.law, PointMass) else len(ll.law.atoms)))
+    rows = max(1, _KERNEL_BUDGET // len(ll.law.atoms))
     out = np.empty(y.shape)
     for start in range(0, len(y), rows):
         out[start : start + rows] = _log_kernel_mixture(ll, J, y[start : start + rows])
@@ -228,7 +228,7 @@ def density(ll: LimitLaw, t: float, y):
     For a ``UniformLaw(a0, b0)`` start the closed form is a difference
     quotient, so its relative error is about 1e-16 J(t) / (b0 - a0): 1e-10 at
     J / (b0 - a0) = 1e6, and no correct digit near 1e16.  A very narrow
-    uniform law or a long horizon should use ``PointMass`` or
+    uniform law or a long horizon should use a point mass or
     ``DiscreteAtoms`` instead.  The same holds for ``cdf`` and ``quantile``.
     """
     ys = np.asarray(y, dtype=float)
@@ -258,8 +258,10 @@ def _log_mgf(ll: LimitLaw, J: float, s: np.ndarray) -> np.ndarray:
     below the bound _tail_range keeps to."""
     law, a = ll.law, 0.5 * J
     r = s / (1.0 - a * s)
-    if isinstance(law, PointMass):
-        log_m = law.x0 * r
+    if isinstance(law, DiscreteAtoms) and len(law.atoms) == 1:
+        # one atom skips logsumexp, which costs 7x the rest of _tail_range
+        ((x0, w0),) = law.atoms
+        log_m = math.log(w0) + x0 * r
     elif isinstance(law, DiscreteAtoms):
         log_m = logsumexp(np.log(law.weights())[None, :] + r[:, None] * law.locations()[None, :], axis=1)
     elif isinstance(law, GammaLaw):
@@ -342,14 +344,12 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
     _tail_range, outside which each tail holds at most TAIL_EPS; each weight
     is the density times dy at its node.  Like cdf and quantile, it raises
     ValueError where the density is not finite on a node.
-    At t = 0 the initial law's own pieces are used: its atoms for a point mass
-    or atoms, panels over the gamma pdf (Gauss-Jacobi with weight y^{k-1} on
-    the first), and panels over [a0, b0] for a uniform.
+    At t = 0 the initial law's own pieces are used: its atoms for an atomic
+    law (a point mass is one atom), panels over the gamma pdf (Gauss-Jacobi
+    with weight y^{k-1} on the first), and panels over [a0, b0] for a uniform.
     """
     _check_t(t)
     law = ll.law
-    if t == 0 and isinstance(law, PointMass):
-        return np.array([float(law.x0)]), np.array([1.0])
     if t == 0 and isinstance(law, DiscreteAtoms):
         return law.locations(), law.weights()
     p = _panels(ll, t)

@@ -86,13 +86,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class PointMass:
-    """Unit mass at a single point x0 >= 0."""
-
-    x0: float
-
-
-@dataclass(frozen=True)
 class GammaLaw:
     """Gamma(shape k, scale theta), mean k*theta; pdf, cdf and ppf are scipy.stats.gamma's."""
 
@@ -131,7 +124,26 @@ class DiscreteAtoms:
         return np.array([a[1] for a in self.atoms], dtype=float)
 
 
-InitialLaw = PointMass | GammaLaw | UniformLaw | DiscreteAtoms
+class PointMass(DiscreteAtoms):
+    """Unit mass at a single point x0 >= 0: the one-atom DiscreteAtoms."""
+
+    def __init__(self, x0: float):
+        super().__init__(((x0, 1.0),))
+
+    @property
+    def x0(self) -> float:
+        return self.atoms[0][0]
+
+    def __repr__(self) -> str:
+        return f"PointMass(x0={self.x0!r})"
+
+
+InitialLaw = GammaLaw | UniformLaw | DiscreteAtoms  # PointMass is a DiscreteAtoms
+
+
+def _param_names(cls) -> list[str]:
+    """The parameters a law's JSON form and messages name: x0 for a point mass."""
+    return ["x0"] if issubclass(cls, PointMass) else [f.name for f in fields(cls)]
 
 
 def _non_finite(named_values) -> list[str]:
@@ -145,21 +157,16 @@ def law_violations(law: InitialLaw) -> list[str]:
     A NaN or infinite parameter is reported alone: the comparisons below
     would pass NaN in silence or misread it.
     """
-    if isinstance(law, DiscreteAtoms):
+    if isinstance(law, (PointMass, GammaLaw, UniformLaw)):
+        values = [(name, getattr(law, name)) for name in _param_names(type(law))]
+    elif isinstance(law, DiscreteAtoms):
         values = [(f"atoms[{i}]", v) for i, atom in enumerate(law.atoms) for v in atom]
-    elif isinstance(law, (PointMass, GammaLaw, UniformLaw)):
-        values = [(f.name, getattr(law, f.name)) for f in fields(law)]
     else:
         values = []
     out = _non_finite(values)
     if out:
         return out
-    if isinstance(law, PointMass):
-        if law.x0 < 0:
-            out.append("point mass location must be nonnegative")
-        elif law.x0 == 0:
-            out.append("m_lambda must be positive")
-    elif isinstance(law, GammaLaw):
+    if isinstance(law, GammaLaw):
         if not law.shape > 0:
             out.append("gamma shape must be positive")
         if not law.scale > 0:
@@ -197,8 +204,6 @@ def require_valid_law(law: InitialLaw) -> None:
 def moments(law: InitialLaw) -> tuple[float, float]:
     """Closed-form first and second moments (m1, m2) of the law."""
     require_valid_law(law)
-    if isinstance(law, PointMass):
-        return law.x0, law.x0**2
     if isinstance(law, GammaLaw):
         k, th = law.shape, law.scale
         return k * th, k * (k + 1.0) * th**2
@@ -218,12 +223,12 @@ def sample_initial(law: InitialLaw, n: int, rng: np.random.Generator) -> np.ndar
     require_valid_law(law)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if isinstance(law, PointMass):
-        return np.full(n, float(law.x0))
     if isinstance(law, GammaLaw):
         return rng.gamma(law.shape, law.scale, size=n)
     if isinstance(law, UniformLaw):
         return rng.uniform(law.a, law.b, size=n)
+    if len(law.atoms) == 1:  # no draw: the generator is left as it was
+        return np.full(n, law.locations()[0])
     return rng.choice(law.locations(), size=n, p=law.weights())
 
 
@@ -245,9 +250,9 @@ def law_to_dict(law: InitialLaw) -> dict:
     tag = _LAW_TAGS.get(type(law))
     if tag is None:
         raise ValidationError(f"unknown initial law type {type(law).__name__}")
-    if isinstance(law, DiscreteAtoms):
+    if tag == "atoms":
         return {"type": tag, "atoms": [[loc, w] for loc, w in law.atoms]}
-    return {"type": tag, **{f.name: getattr(law, f.name) for f in fields(law)}}
+    return {"type": tag, **{name: getattr(law, name) for name in _param_names(type(law))}}
 
 
 def reject_unknown_keys(spec: dict, known, where: str) -> None:
@@ -266,7 +271,7 @@ def law_from_dict(spec: dict) -> InitialLaw:
     cls = next((c for c, known in _LAW_TAGS.items() if known == tag), None)
     if cls is None:
         raise ValidationError(f"unknown initial law type tag {tag!r}")
-    names = [f.name for f in fields(cls)]
+    names = _param_names(cls)
     reject_unknown_keys(spec, ["type", *names], f"'{tag}' law")
     try:
         if cls is DiscreteAtoms:

@@ -74,10 +74,6 @@ class ParticlePaths:
         if not np.array_equal(self.totals, _column_sums(self.positions)):
             raise ValueError("totals must equal the per-node particle sums exactly")
 
-    @property
-    def horizon(self) -> float:
-        return float(self.time_grid[-1])
-
 
 def step_count(horizon: float, dt: float) -> int:
     """Number of uniform steps over [0, horizon]: round(horizon / dt), at least 1."""

@@ -40,7 +40,6 @@ from .model import (
     GammaLaw,
     InitialLaw,
     ModelParams,
-    PointMass,
     UniformLaw,
     validate,
 )
@@ -140,9 +139,7 @@ def _mollified_masses(x0: float, grid: SolverGrid) -> np.ndarray:
 def _initial_masses(law: InitialLaw, grid: SolverGrid) -> np.ndarray:
     """Cell masses of the initial law on the grid, scaled to unit sum."""
     edges = np.linspace(0.0, grid.x_max, grid.nx + 1)
-    if isinstance(law, PointMass):
-        m = _mollified_masses(law.x0, grid)
-    elif isinstance(law, DiscreteAtoms):
+    if isinstance(law, DiscreteAtoms):
         m = np.zeros(grid.nx)
         for loc, w in law.atoms:
             m += w * _mollified_masses(loc, grid)
@@ -252,12 +249,6 @@ class TestFunction:
 
     def f(self, x):
         return self.jet(x)[0]
-
-    def df(self, x):
-        return self.jet(x)[1]
-
-    def d2f(self, x):
-        return self.jet(x)[2]
 
 
 def _gaussian(c: float, sigma: float) -> TestFunction:

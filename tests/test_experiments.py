@@ -644,6 +644,16 @@ class TestCli:
         assert "dt must be a finite number, got '0.02'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_output_dir_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setitem(exp._RUNNERS, "convergence", lambda cfg, threads: calls.append(cfg))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = self.write_cfg(tmp_path, small_convergence_cfg().to_dict())
+        assert main(["run", "--config", cfg, "--output-dir", str(blocker / "sub")]) == 2
+        assert "cannot write output" in capsys.readouterr().err
+        assert calls == []
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -45,3 +45,23 @@ def test_package_imports_only_listed_names():
         if name not in exported(importlib.import_module(f"vsmhl.{mod}"))
     ]
     assert stale == []
+
+
+def test_only_model_names_point_mass():
+    # a point mass is the one-atom DiscreteAtoms: only model.py (which defines
+    # it) and __init__.py (which exports it) may tell the two apart
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    naming = [
+        path.name
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name not in ("model.py", "__init__.py") and "PointMass" in names(ast.parse(path.read_text()))
+    ]
+    assert naming == []

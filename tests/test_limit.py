@@ -615,3 +615,41 @@ class TestKernelBlocks:
         density(ll, 0.5, grid.centers())
         assert sum(sizes) == grid.nx and len(sizes) > 1
         assert max(sizes) * 580 <= limit._KERNEL_BUDGET
+
+
+class TestPointMassIsOneAtom:
+    """PointMass(x0) is the one-atom DiscreteAtoms: every limit-law function
+    gives the same bits for both spellings."""
+
+    @staticmethod
+    def pair(x0):
+        return PointMass(x0), DiscreteAtoms(((x0, 1.0),))
+
+    @pytest.mark.parametrize("x0", [0.5, 1.0, 2.0])
+    def test_limit_law_functions_agree(self, x0):
+        point, atom = (LimitLaw(2.0, law) for law in self.pair(x0))
+        y = np.linspace(0.0, 12.0, 301)
+        p = np.array([1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6])
+        for fn, args in (
+            (density, (0.5, y)),
+            (cdf, (0.5, y)),
+            (quantile, (0.5, p)),
+            (limit.quadrature, (0.0,)),
+            (limit.quadrature, (0.5,)),
+        ):
+            got = [fn(ll, *args) for ll in (point, atom)]
+            assert np.array_equal(got[0], got[1]), fn.__name__
+        J = time_change(point, 0.5)
+        assert limit._tail_range(point, J) == limit._tail_range(atom, J)
+        assert moments(point.law) == moments(atom.law)
+
+    @pytest.mark.parametrize("x0", [0.5, 1.0, 2.0])
+    def test_pde_check_agrees(self, x0):
+        from vsmhl import ExperimentConfig, ModelParams, SolverGrid, mollified_start_law, run_experiment
+
+        grid = SolverGrid(30.0, 300, 100)
+        point, atom = self.pair(x0)
+        assert mollified_start_law(point, grid) == mollified_start_law(atom, grid)
+        rows = [run_experiment(ExperimentConfig("pde_check", ModelParams(2.0, 64, 0.5), law, grid=grid)).rows
+                for law in (point, atom)]
+        assert rows[0] == rows[1]

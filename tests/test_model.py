@@ -65,6 +65,13 @@ class TestSampling:
         out = sample_initial(PointMass(2.0), 3, split_rng(0))
         assert np.array_equal(out, [2.0, 2.0, 2.0])
 
+    def test_one_atom_draws_nothing(self):
+        rng = split_rng(0)
+        before = rng.bit_generator.state
+        out = sample_initial(DiscreteAtoms(((2.0, 1.0),)), 3, rng)
+        assert np.array_equal(out, [2.0, 2.0, 2.0])
+        assert rng.bit_generator.state == before
+
     def test_gamma_lln_mean(self):
         draws = sample_initial(GammaLaw(2.0, 0.5), 10**5, split_rng(1))
         se = draws.std(ddof=1) / math.sqrt(len(draws))
@@ -110,6 +117,12 @@ class TestValidate:
         out = validate(ModelParams(2.0, 10, 1.0), PointMass(0.0))
         assert "m_lambda must be positive" in out
 
+    def test_point_mass_is_one_atom(self):
+        law = PointMass(2.0)
+        assert isinstance(law, DiscreteAtoms) and law.atoms == ((2.0, 1.0),)
+        assert validate(ModelParams(2.0, 10, 1.0), PointMass(-1.0)) == ["atom locations must be nonnegative"]
+        assert validate(ModelParams(2.0, 10, 1.0), PointMass(math.nan)) == ["x0 must be finite, got nan"]
+
     def test_collects_every_violation(self):
         out = validate(ModelParams(0.5, 0, -1.0), UniformLaw(-1.0, -2.0))
         assert len(out) >= 4
@@ -123,6 +136,12 @@ class TestSerialization:
     @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: type(l).__name__)
     def test_round_trip(self, law):
         assert law_from_dict(law_to_dict(law)) == law
+
+    def test_point_mass_keeps_its_tag(self):
+        assert law_to_dict(PointMass(2.0)) == {"type": "point_mass", "x0": 2.0}
+        law = law_from_dict({"type": "point_mass", "x0": 2})
+        assert type(law) is PointMass and law.x0 == 2.0 and repr(law) == "PointMass(x0=2.0)"
+        assert law_to_dict(law) == {"type": "point_mass", "x0": 2.0}
 
     def test_example_schema(self):
         law = law_from_dict({"type": "gamma", "shape": 2, "scale": 0.5})
