@@ -49,7 +49,6 @@ from .particles import (
 from .measures import (
     Measure1D,
     MeasurePath,
-    WeakFormPath,
     empirical,
     levy,
     ranked_vs_limit,
@@ -60,7 +59,9 @@ from .pde import (
     DensityTrajectory,
     SolverGrid,
     TestFunction,
+    WeakFormPath,
     mollified_start_law,
+    quadrature_path,
     solve,
     test_function_bank,
     weak_residual,

@@ -47,6 +47,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if not isinstance(spec, dict):
+        print("config error: config must be a JSON object", file=sys.stderr)
+        return EXIT_CONFIG
     if args.seed is not None:
         spec["seed"] = args.seed
     if args.output_dir is not None:

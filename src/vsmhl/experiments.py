@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -23,15 +23,8 @@ import numpy as np
 from . import __version__
 from .bessel import NU_MAX
 from .errors import ConfigurationError, ValidationError
-from .limit import LimitLaw, cdf, density, density_grid, quadrature, sample, time_change
-from .measures import (
-    Measure1D,
-    MeasurePath,
-    WeakFormPath,
-    empirical,
-    ranked_vs_limit,
-    sup_distance,
-)
+from .limit import LimitLaw, cdf, density, density_grid, sample, time_change
+from .measures import Measure1D, MeasurePath, empirical, ranked_vs_limit, sup_distance
 from .model import (
     DiscreteAtoms,
     GammaLaw,
@@ -51,6 +44,7 @@ from .particles import ParticlePaths, simulate_replications, simulate_system, st
 from .pde import (
     SolverGrid,
     mollified_start_law,
+    quadrature_path,
     solve,
     test_function_bank,
     weak_residual,
@@ -77,11 +71,6 @@ PDE_L1_TOL = 1e-2
 PDE_MASS_TOL = 1e-6
 RESIDUAL_TOL_ANALYTIC = 1e-4
 RESIDUAL_TOL_PDE = 5e-3
-# Gauss-Legendre nodes of the analytic weak residual's rule in time: in
-# sqrt(t) on [0, T/2], where the pairings are smooth in sqrt(t) (the kernel is
-# sqrt(J(t)) wide), and in t on [T/2, T]; set by the study in CHANGES.md
-TIME_NODES_SQRT = 24
-TIME_NODES_LATE = 12
 # largest J(T) / (b0 - a0) for a UniformLaw start: the difference quotient in
 # limit.density loses about 1e-16 of this ratio, 1e-6 relative at the bound
 UNIFORM_SPREAD_MAX = 1e10
@@ -129,6 +118,8 @@ class ExperimentConfig:
             out.append(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.metric not in ("levy", "wasserstein1"):
             out.append(f"unknown metric {self.metric!r}")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            out.append(f"output_dir must be a string, got {self.output_dir!r}")
         if not all(_is_integer(n) for n in self.n_values):
             out.append(f"n_values must be integers, got {list(self.n_values)!r}")
         elif self.experiment in ("convergence", "rank_check"):
@@ -168,11 +159,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         out = {
             "experiment": self.experiment,
-            "params": {
-                "eta": self.params.eta,
-                "n_particles": self.params.n_particles,
-                "horizon": self.params.horizon,
-            },
+            "params": asdict(self.params),
             "law": law_to_dict(self.law),
             "dt": self.dt,
             "n_values": list(self.n_values),
@@ -181,15 +168,16 @@ class ExperimentConfig:
             "metric": self.metric,
         }
         if self.grid is not None:
-            out["grid"] = {"x_max": self.grid.x_max, "nx": self.grid.nx, "nt": self.grid.nt}
+            out["grid"] = asdict(self.grid)
         if self.output_dir is not None:
             out["output_dir"] = self.output_dir
         return out
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ExperimentConfig":
+        defaults = {f.name: f.default for f in fields(cls)}
         try:
-            reject_unknown_keys(spec, [f.name for f in fields(cls)], "config")
+            reject_unknown_keys(spec, defaults, "config")
             reject_unknown_keys(spec["params"], [f.name for f in fields(ModelParams)], "params")
             params = ModelParams(
                 eta=_number(spec["params"]["eta"], "params.eta"),
@@ -210,13 +198,13 @@ class ExperimentConfig:
                 experiment=str(spec["experiment"]),
                 params=params,
                 law=law,
-                dt=_number(spec.get("dt", 1e-3), "dt"),
-                n_values=tuple(_integer(n, "n_values") for n in spec.get("n_values", ())),
-                replications=_integer(spec.get("replications", 1), "replications"),
-                seed=_integer(spec.get("seed", 0), "seed"),
+                dt=_number(spec.get("dt", defaults["dt"]), "dt"),
+                n_values=tuple(_integer(n, "n_values") for n in spec.get("n_values", defaults["n_values"])),
+                replications=_integer(spec.get("replications", defaults["replications"]), "replications"),
+                seed=_integer(spec.get("seed", defaults["seed"]), "seed"),
                 grid=grid,
-                output_dir=spec.get("output_dir"),
-                metric=str(spec.get("metric", "wasserstein1")),
+                output_dir=spec.get("output_dir", defaults["output_dir"]),
+                metric=str(spec.get("metric", defaults["metric"])),
             )
         except ValidationError:
             raise
@@ -338,38 +326,6 @@ def _analytic_path(ll: LimitLaw, times: tuple[float, ...]) -> MeasurePath:
     return MeasurePath(np.array(times), tuple(measures))
 
 
-def _analytic_time_rule(horizon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times and time weights of the analytic path's rule: Gauss-Legendre in
-    u = sqrt(t) on [0, horizon/2] (dt = 2u du) and in t on [horizon/2, horizon],
-    with the panel ends 0, horizon/2 and horizon as nodes of weight 0; and the
-    indices of the ends horizon/2 and horizon among the times."""
-    half = 0.5 * horizon
-    x, w = np.polynomial.legendre.leggauss(TIME_NODES_SQRT)
-    r = 0.5 * math.sqrt(half)
-    u = r * (1.0 + x)
-    early, w_early = u * u, r * w * 2.0 * u
-    x, w = np.polynomial.legendre.leggauss(TIME_NODES_LATE)
-    late, w_late = half + 0.5 * half * (1.0 + x), 0.5 * half * w
-    times = np.concatenate([[0.0], early, [half], late, [horizon]])
-    weights = np.concatenate([[0.0], w_early, [0.0], w_late, [0.0]])
-    return times, weights, np.array([len(early) + 1, len(times) - 1])
-
-
-def _quadrature_path(ll: LimitLaw, horizon: float) -> WeakFormPath:
-    """The limit law on _analytic_time_rule(horizon), one panel quadrature per
-    time, read at the panel ends horizon/2 and horizon.  The quadratures are
-    concatenated in time with their weights scaled by time weight times
-    c(t) = m e^{eta t/2}, so each end's time integral is a prefix of them."""
-    times, weights, ends = _analytic_time_rule(horizon)
-    rules = [quadrature(ll, float(t)) for t in times]
-    scale = weights * ll.m_lambda * np.exp(0.5 * ll.eta * times)
-    x = np.concatenate([x for x, _ in rules])
-    w = np.concatenate([w * c for (_, w), c in zip(rules, scale)])
-    set_ends = np.cumsum([len(x) for x, _ in rules])  # node set k ends at set_ends[k]
-    prefixes = [w[: set_ends[k - 1]] for k in ends]
-    return WeakFormPath(times[ends], rules[0], [rules[k] for k in ends], x[: set_ends[-2]], prefixes)
-
-
 def _snapshot_indices(n_steps: int) -> np.ndarray:
     idx = np.round(np.linspace(0, n_steps, SNAPSHOT_COUNT)).astype(int)
     return np.unique(idx)
@@ -437,16 +393,16 @@ def run_pde_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     rows.append(("mass", t_pde[-1], "max_drift", drift))
 
     bank = test_function_bank()
-    t_analytic = [0.5 * cfg.params.horizon, cfg.params.horizon]
-    analytic = _quadrature_path(ll, cfg.params.horizon)
-    r_analytic = weak_residual(analytic, bank, cfg.params.eta, t_analytic)
-    r_pde = weak_residual(traj.measure_path(), bank, cfg.params.eta, t_pde)
+    analytic = quadrature_path(ll, cfg.params.horizon)
+    r_analytic = weak_residual(analytic, bank, cfg.params.eta)
+    pde_path = traj.measure_path()
+    r_pde = weak_residual(pde_path, bank, cfg.params.eta)
     residuals_ok = True
     for i, g in enumerate(bank):
-        for j in range(len(t_pde)):
+        for j, (t_a, t_p) in enumerate(zip(analytic.ends, pde_path.ends)):
             r_a, r_p = float(r_analytic[i, j]), float(r_pde[i, j])
-            rows.append(("residual_analytic", t_analytic[j], g.name, r_a))
-            rows.append(("residual_pde", t_pde[j], g.name, r_p))
+            rows.append(("residual_analytic", float(t_a), g.name, r_a))
+            rows.append(("residual_pde", float(t_p), g.name, r_p))
             residuals_ok &= abs(r_a) <= RESIDUAL_TOL_ANALYTIC and abs(r_p) <= RESIDUAL_TOL_PDE
     passed = final_l1 <= PDE_L1_TOL and drift <= PDE_MASS_TOL and residuals_ok
     return ExperimentResult(

@@ -5,9 +5,7 @@ both expose a CDF, which is all the two metrics need.  Wasserstein-1 is the
 area between CDFs, computed exactly for the piecewise-constant /
 piecewise-linear representations used here.  The Levy metric is also exact:
 one sweep along the anti-diagonals x + y = s of the two completed CDF graphs.
-A path of measures over a time grid is one Measure1D per node (MeasurePath);
-what the weak-form residual reads of a path, the measures at 0 and at a few
-end times and a time integral up to each end, is a WeakFormPath.
+A path of measures over a time grid is one Measure1D per node (MeasurePath).
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from .limit import LimitLaw, quantile
 __all__ = [
     "Measure1D",
     "MeasurePath",
-    "WeakFormPath",
     "empirical",
     "wasserstein1",
     "levy",
@@ -105,33 +102,6 @@ class MeasurePath:
             raise ValueError("need one measure per time node")
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("time grid must increase from 0")
-
-
-@dataclass(frozen=True)
-class WeakFormPath:
-    """A path of measures mu_s as the integrated weak form reads it at a few
-    end times t_j > 0: mu_0, mu_{t_j}, and Lambda_j, the time integral of
-    c(s) mu_s over [0, t_j] by the path's own rule in time (c the forward
-    equation's coefficient).  start and each of stops is a weighted node set
-    (x, w), the measure sum_i w_i delta(x_i).  The time integrals share one
-    node set, integral_x: Lambda_j weighs its first len(integral_w[j]) nodes
-    by integral_w[j]."""
-
-    ends: np.ndarray
-    start: tuple[np.ndarray, np.ndarray]
-    stops: list[tuple[np.ndarray, np.ndarray]]
-    integral_x: np.ndarray
-    integral_w: list[np.ndarray]
-
-    def __post_init__(self):
-        if len(self.ends) == 0 or self.ends[0] <= 0 or np.any(np.diff(self.ends) <= 0):
-            raise ValueError("end times must be positive and strictly increasing")
-        if not len(self.stops) == len(self.integral_w) == len(self.ends):
-            raise ValueError("need one measure and one time integral per end time")
-        if any(np.ndim(x) != 1 or np.shape(x) != np.shape(w) for x, w in [self.start, *self.stops]):
-            raise ValueError("each node set needs matching 1-D nodes and weights")
-        if any(np.ndim(w) != 1 or len(w) > len(self.integral_x) for w in self.integral_w):
-            raise ValueError("each time integral weighs a prefix of integral_x")
 
 
 def empirical(positions) -> Measure1D:

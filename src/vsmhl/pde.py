@@ -19,6 +19,13 @@ M-matrix and taken from the left (donor) cell on the rest; the scheme
 conserves mass to solver precision and keeps cell masses nonnegative.  A
 solve streams its levels: it keeps level 0, the middle level and the last,
 and the time integrals up to each of the two that the weak residual reads.
+
+The weak form lives here too.  A WeakFormPath is what the integrated
+test-function identity reads of a path of measures: the measure at 0 and at
+a few end times, and a time integral up to each end.  The solver's path
+(DensityTrajectory.measure_path) integrates by Simpson over the steps, the
+limit law's (quadrature_path) by a Gauss rule over panel quadratures, and
+weak_residual pairs either path with a bank of test functions.
 """
 
 from __future__ import annotations
@@ -33,8 +40,7 @@ from scipy.linalg.lapack import dgtsv
 from scipy.special import ndtr
 
 from .errors import ConfigurationError, ValidationError
-from .limit import _KERNEL_BUDGET, LimitLaw, cdf
-from .measures import WeakFormPath
+from .limit import _KERNEL_BUDGET, LimitLaw, cdf, quadrature
 from .model import (
     DiscreteAtoms,
     GammaLaw,
@@ -47,8 +53,10 @@ from .model import (
 __all__ = [
     "SolverGrid",
     "DensityTrajectory",
+    "WeakFormPath",
     "TestFunction",
     "solve",
+    "quadrature_path",
     "weak_residual",
     "test_function_bank",
     "mollified_start_law",
@@ -57,6 +65,11 @@ __all__ = [
 
 TRUNCATION_MASS_TOL = 1e-6
 MOLLIFIER_WIDTH_CELLS = 2.0
+# Gauss-Legendre nodes of the analytic weak residual's rule in time: in
+# sqrt(t) on [0, T/2], where the pairings are smooth in sqrt(t) (the kernel is
+# sqrt(J(t)) wide), and in t on [T/2, T]; set by the study in CHANGES.md
+TIME_NODES_SQRT = 24
+TIME_NODES_LATE = 12
 
 
 @dataclass(frozen=True)
@@ -78,6 +91,33 @@ class SolverGrid:
 
     def centers(self) -> np.ndarray:
         return (np.arange(self.nx) + 0.5) * self.dx()
+
+
+@dataclass(frozen=True)
+class WeakFormPath:
+    """A path of measures mu_s as the integrated weak form reads it at a few
+    end times t_j > 0: mu_0, mu_{t_j}, and Lambda_j, the time integral of
+    c(s) mu_s over [0, t_j] by the path's own rule in time (c the forward
+    equation's coefficient).  start and each of stops is a weighted node set
+    (x, w), the measure sum_i w_i delta(x_i).  The time integrals share one
+    node set, integral_x: Lambda_j weighs its first len(integral_w[j]) nodes
+    by integral_w[j]."""
+
+    ends: np.ndarray
+    start: tuple[np.ndarray, np.ndarray]
+    stops: list[tuple[np.ndarray, np.ndarray]]
+    integral_x: np.ndarray
+    integral_w: list[np.ndarray]
+
+    def __post_init__(self):
+        if len(self.ends) == 0 or self.ends[0] <= 0 or np.any(np.diff(self.ends) <= 0):
+            raise ValueError("end times must be positive and strictly increasing")
+        if not len(self.stops) == len(self.integral_w) == len(self.ends):
+            raise ValueError("need one measure and one time integral per end time")
+        if any(np.ndim(x) != 1 or np.shape(x) != np.shape(w) for x, w in [self.start, *self.stops]):
+            raise ValueError("each node set needs matching 1-D nodes and weights")
+        if any(np.ndim(w) != 1 or len(w) > len(self.integral_x) for w in self.integral_w):
+            raise ValueError("each time integral weighs a prefix of integral_x")
 
 
 @dataclass(frozen=True)
@@ -300,32 +340,56 @@ def _pair(f: Callable[[np.ndarray], np.ndarray], nodes: tuple[np.ndarray, np.nda
     return float(np.sum(w * f(x)))
 
 
-def weak_residual(path: WeakFormPath, bank: list[TestFunction], eta: float, t_values) -> np.ndarray:
-    """Residuals of the integrated test-function identity, one per (g, t).
+def _analytic_time_rule(horizon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times and time weights of the analytic path's rule: Gauss-Legendre in
+    u = sqrt(t) on [0, horizon/2] (dt = 2u du) and in t on [horizon/2, horizon],
+    with the panel ends 0, horizon/2 and horizon as nodes of weight 0; and the
+    indices of the ends horizon/2 and horizon among the times."""
+    half = 0.5 * horizon
+    x, w = np.polynomial.legendre.leggauss(TIME_NODES_SQRT)
+    r = 0.5 * math.sqrt(half)
+    u = r * (1.0 + x)
+    early, w_early = u * u, r * w * 2.0 * u
+    x, w = np.polynomial.legendre.leggauss(TIME_NODES_LATE)
+    late, w_late = half + 0.5 * half * (1.0 + x), 0.5 * half * w
+    times = np.concatenate([[0.0], early, [half], late, [horizon]])
+    weights = np.concatenate([[0.0], w_early, [0.0], w_late, [0.0]])
+    return times, weights, np.array([len(early) + 1, len(times) - 1])
+
+
+def quadrature_path(ll: LimitLaw, horizon: float) -> WeakFormPath:
+    """The limit law on _analytic_time_rule(horizon), one panel quadrature per
+    time, read at the panel ends horizon/2 and horizon.  The quadratures are
+    concatenated in time with their weights scaled by time weight times
+    c(t) = m e^{eta t/2}, so each end's time integral is a prefix of them."""
+    times, weights, ends = _analytic_time_rule(horizon)
+    rules = [quadrature(ll, float(t)) for t in times]
+    scale = weights * ll.m_lambda * np.exp(0.5 * ll.eta * times)
+    x = np.concatenate([x for x, _ in rules])
+    w = np.concatenate([w * c for (_, w), c in zip(rules, scale)])
+    set_ends = np.cumsum([len(x) for x, _ in rules])  # node set k ends at set_ends[k]
+    prefixes = [w[: set_ends[k - 1]] for k in ends]
+    return WeakFormPath(times[ends], rules[0], [rules[k] for k in ends], x[: set_ends[-2]], prefixes)
+
+
+def weak_residual(path: WeakFormPath, bank: list[TestFunction], eta: float) -> np.ndarray:
+    """Residuals of the integrated test-function identity, one per (g, end).
 
     Entry [i, j] is (mu_{t_j}, g_i) - (mu_0, g_i) - (Lambda_j, (eta/2) g_i' +
-    (x/2) g_i''), where Lambda_j is the path's time integral of c(s) mu_s over
-    [0, t_j] by its own rule in time: composite Simpson over the solver's
-    steps, or the analytic path's Gauss rule (experiments._analytic_time_rule).
-    Every t_j must be one of the path's end times; all are checked before any
-    pairing.  Each pairing is one sum over a node set, and each generator
-    term is evaluated once, on the time integrals' shared nodes, in blocks of
-    _KERNEL_BUDGET nodes so the jets' temporaries stay small.
+    (x/2) g_i''), t_j = path.ends[j], where Lambda_j is the path's time
+    integral of c(s) mu_s over [0, t_j] by its own rule in time: composite
+    Simpson over the solver's steps, or the analytic path's Gauss rule
+    (_analytic_time_rule).  Each pairing is one sum over a node set, and each
+    generator term is evaluated once, on the time integrals' shared nodes, in
+    blocks of _KERNEL_BUDGET nodes so the jets' temporaries stay small.
     """
-    ends = path.ends
-    tol = 1e-9 * max(1.0, ends[-1])
-    cols = [int(np.argmin(np.abs(ends - t))) for t in t_values]
-    for t, j in zip(t_values, cols):
-        if not abs(ends[j] - t) <= tol:  # NaN fails too
-            raise ValueError(f"t={t} is not an end time of the path, {ends.tolist()}")
     x = path.integral_x
     generator = np.empty(len(x))
-    out = np.empty((len(bank), len(cols)))
+    out = np.empty((len(bank), len(path.ends)))
     for i, g in enumerate(bank):
         at_start, lg = _pair(g.f, path.start), _generator(g, eta)
         for start in range(0, len(x), _KERNEL_BUDGET):
             generator[start : start + _KERNEL_BUDGET] = lg(x[start : start + _KERNEL_BUDGET])
-        for c, j in enumerate(cols):
-            w = path.integral_w[j]
-            out[i, c] = _pair(g.f, path.stops[j]) - at_start - float(np.sum(w * generator[: len(w)]))
+        for j, (stop, w) in enumerate(zip(path.stops, path.integral_w)):
+            out[i, j] = _pair(g.f, stop) - at_start - float(np.sum(w * generator[: len(w)]))
     return out

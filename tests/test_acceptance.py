@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import vsmhl.experiments as exp
 from vsmhl import (
     ExperimentConfig,
     GammaLaw,
@@ -24,6 +23,7 @@ from vsmhl import (
     density,
     levy,
     mean,
+    quadrature_path,
     run_experiment,
     sample,
     solve,
@@ -121,11 +121,12 @@ def test_criterion_4_pde_vs_analytic(pde_runs):
 def test_criterion_5_weak_residuals(pde_runs):
     law = PointMass(1.0)
     ll = LimitLaw(2.0, law)
-    analytic = exp._quadrature_path(ll, 1.0)
+    analytic = quadrature_path(ll, 1.0)
     traj, _ = pde_runs["coarse"]
     pde_path = traj.measure_path()
-    worst_analytic = float(np.abs(weak_residual(analytic, function_bank(), 2.0, TIMES)).max())
-    worst_pde = float(np.abs(weak_residual(pde_path, function_bank(), 2.0, TIMES)).max())
+    assert analytic.ends.tolist() == pde_path.ends.tolist() == list(TIMES)
+    worst_analytic = float(np.abs(weak_residual(analytic, function_bank(), 2.0)).max())
+    worst_pde = float(np.abs(weak_residual(pde_path, function_bank(), 2.0)).max())
     ok = worst_analytic <= 1e-4 and worst_pde <= 5e-3
     report(5, ok, f"analytic residual {worst_analytic:.2e} (tol 1e-4), pde residual {worst_pde:.2e} (tol 5e-3)")
 

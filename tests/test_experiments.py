@@ -69,12 +69,18 @@ class TestConfig:
         cfg = small_convergence_cfg(grid=SolverGrid(30.0, 100, 100), output_dir="out")
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_omitted_keys_take_the_field_defaults(self):
+        cfg = ExperimentConfig("sampler_check", ModelParams(2.0, 1, 1.0), PointMass(1.0))
+        spec = {key: cfg.to_dict()[key] for key in ("experiment", "params", "law")}
+        assert ExperimentConfig.from_dict(spec) == cfg
+
     def test_violations(self):
-        cfg = small_convergence_cfg(n_values=(64, 16), replications=0, metric="hausdorff")
+        cfg = small_convergence_cfg(n_values=(64, 16), replications=0, metric="hausdorff", output_dir=5)
         bad = cfg.violations()
         assert any("n_values" in v for v in bad)
         assert any("replications" in v for v in bad)
         assert any("metric" in v for v in bad)
+        assert "output_dir must be a string, got 5" in bad
 
     def test_pde_check_needs_grid(self):
         cfg = small_convergence_cfg(experiment="pde_check", n_values=())
@@ -656,6 +662,28 @@ class TestCli:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("output_dir", [5, 2.5, True, ["out"], {"dir": "out"}], ids=repr)
+    def test_non_string_output_dir_exit_code(self, tmp_path, capsys, monkeypatch, output_dir):
+        calls = []
+        monkeypatch.setitem(exp._RUNNERS, "sampler_check", lambda cfg, threads: calls.append(cfg))
+        spec = {
+            "experiment": "sampler_check",
+            "params": {"eta": 2.0, "n_particles": 1, "horizon": 1.0},
+            "law": {"type": "point_mass", "x0": 1.0},
+            "output_dir": output_dir,
+        }
+        assert main(["run", "--config", self.write_cfg(tmp_path, spec)]) == 2
+        assert capsys.readouterr().err == f"config error: output_dir must be a string, got {output_dir!r}\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("override", [[], ["--seed", "3"], ["--output-dir", "out"]], ids=repr)
+    @pytest.mark.parametrize("spec", [[1, 2], "convergence", 5, None], ids=repr)
+    def test_non_object_config_exit_code(self, tmp_path, capsys, monkeypatch, spec, override):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", self.write_cfg(tmp_path, spec), *override]) == 2
+        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+        assert not (tmp_path / "out").exists() and not (tmp_path / "vsmhl_out").exists()
 
     @pytest.mark.parametrize("nx, nt", [(150, 100), (64, 32)])
     def test_assert_failure_exit_code(self, tmp_path, nx, nt):

@@ -47,21 +47,39 @@ def test_package_imports_only_listed_names():
     assert stale == []
 
 
+def names(path: Path):
+    """Every name the module's source uses, binds or imports."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
 def test_only_model_names_point_mass():
     # a point mass is the one-atom DiscreteAtoms: only model.py (which defines
     # it) and __init__.py (which exports it) may tell the two apart
-    def names(tree):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                yield node.id
-            elif isinstance(node, ast.Attribute):
-                yield node.attr
-            elif isinstance(node, ast.alias):
-                yield node.name
-
     naming = [
         path.name
         for path in sorted(PACKAGE_DIR.glob("*.py"))
-        if path.name not in ("model.py", "__init__.py") and "PointMass" in names(ast.parse(path.read_text()))
+        if path.name not in ("model.py", "__init__.py") and "PointMass" in names(path)
     ]
     assert naming == []
+
+
+def test_weak_form_lives_in_pde():
+    # the weak-form path, its analytic time rule and its builder are pde.py's:
+    # pde.py imports nothing from measures, and neither measures.py nor
+    # experiments.py names the path type or the time rule
+    imported = []
+    for node in ast.walk(ast.parse((PACKAGE_DIR / "pde.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [getattr(node, "module", None), *(alias.name for alias in node.names)]
+    assert [m for m in imported if m and m.split(".")[-1] == "measures"] == []
+    for module in ("measures.py", "experiments.py"):
+        weak_form = {"WeakFormPath", "_analytic_time_rule"}
+        named = {n for n in names(PACKAGE_DIR / module) if n in weak_form or n.startswith("TIME_NODES_")}
+        assert named == set(), module
+

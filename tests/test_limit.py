@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from scipy.special import ive
 from scipy.stats import ncx2
 
-import vsmhl.experiments as exp
 import vsmhl.limit as limit
+import vsmhl.pde as pde
 from vsmhl import (
     DiscreteAtoms,
     GammaLaw,
@@ -435,7 +435,7 @@ class TestDensityGrid:
 
 class TestQuadrature:
     # the smallest time node of pde_check's analytic rule at T = 1, near 3e-6
-    @pytest.mark.parametrize("t", [0.0, float(exp._analytic_time_rule(1.0)[0][1]), 1e-4, 0.5, 1.0])
+    @pytest.mark.parametrize("t", [0.0, float(pde._analytic_time_rule(1.0)[0][1]), 1e-4, 0.5, 1.0])
     @pytest.mark.parametrize("law", FOUR_LAWS, ids=str)
     def test_mass_and_mean(self, law, t):
         ll = LimitLaw(2.0, law)

@@ -369,21 +369,13 @@ class TestLogGrowthDiagnostic:
 
 
 class TestParticlePathsInvariants:
-    def test_rejects_mismatched_totals(self):
-        grid = np.array([0.0, 1.0])
-        positions = np.ones((2, 2))
-        with pytest.raises(ValueError, match="totals"):
-            ParticlePaths(grid, positions, np.array([2.0, 2.0001]))
-
     def test_rejects_negative_positions(self):
         grid = np.array([0.0, 1.0])
         positions = np.array([[1.0, -0.1]])
-        totals = np.array([1.0, -0.1])
         with pytest.raises(ValueError, match="nonnegative"):
-            ParticlePaths(grid, positions, totals)
+            ParticlePaths(grid, positions)
 
     def test_rejects_bad_grid(self):
         positions = np.ones((1, 2))
-        totals = np.array([1.0, 1.0])
         with pytest.raises(ValueError, match="grid"):
-            ParticlePaths(np.array([0.5, 1.0]), positions, totals)
+            ParticlePaths(np.array([0.5, 1.0]), positions)

@@ -7,8 +7,6 @@ import pytest
 from scipy.integrate import simpson
 from scipy.linalg import solve_banded
 
-import vsmhl.experiments as exp
-
 import vsmhl.pde as pde
 from vsmhl import (
     ConfigurationError,
@@ -25,6 +23,7 @@ from vsmhl import (
     mean,
     mollified_start_law,
     quadrature,
+    quadrature_path,
     solve,
     weak_residual,
 )
@@ -319,7 +318,7 @@ class TestStreamingSolve:
         traj = solve(PARAMS, law, grid)
         x = grid.centers()
         bank = function_bank()
-        got = weak_residual(traj.measure_path(), bank, PARAMS.eta, times[[101, 202]])
+        got = weak_residual(traj.measure_path(), bank, PARAMS.eta)
         for i, g in enumerate(bank):
             gx, lgx = g.f(x), _generator(g, PARAMS.eta)(x)
             for j, end in enumerate([101, 202]):
@@ -402,35 +401,26 @@ class TestWeakResidual:
     def test_constant_path_without_integral(self):
         one = (np.array([1.0]), np.array([1.0]))
         path = WeakFormPath(np.array([1.0]), one, [one], np.array([1.0]), [np.array([0.0])])
-        assert weak_residual(path, function_bank(), 2.0, [1.0]).tolist() == [[0.0]] * 5
+        assert weak_residual(path, function_bank(), 2.0).tolist() == [[0.0]] * 5
 
     def test_atom_path_is_the_three_sums(self):
         path = atom_path()
         bank = function_bank()
         eta = 1.5
-        got = weak_residual(path, bank, eta, [1.0, 0.5 + 1e-12, 0.5])
+        got = weak_residual(path, bank, eta)
+        assert got.shape == (len(bank), len(path.ends))
         for i, g in enumerate(bank):
             lg = _generator(g, eta)(path.integral_x)
-            for j, e in enumerate([1, 0, 0]):
-                (x0, w0), (x1, w1), w = path.start, path.stops[e], path.integral_w[e]
+            for j in range(len(path.ends)):
+                (x0, w0), (x1, w1), w = path.start, path.stops[j], path.integral_w[j]
                 want = np.sum(w1 * g.f(x1)) - np.sum(w0 * g.f(x0)) - np.sum(w * lg[: len(w)])
                 assert got[i, j] == want
-
-    @pytest.mark.parametrize(
-        "t_values", [[2.0], [0.5, 2.0], [0.33], [1.0, 0.33, 0.5], [0.5, math.nan], [0.0], [math.inf]]
-    )
-    def test_rejects_t_off_the_ends_before_pairing(self, t_values):
-        def jet(x):
-            raise AssertionError("paired before every t was checked")
-
-        with pytest.raises(ValueError, match="not an end time"):
-            weak_residual(atom_path(), [pde.TestFunction("unpairable", jet)], 2.0, t_values)
 
     def test_pde_trajectory_residual_small(self):
         grid = SolverGrid(30.0, 600, 400)
         traj = solve(PARAMS, LAW, grid)
         g = function_bank()[1]
-        [[r]] = weak_residual(traj.measure_path(), [g], PARAMS.eta, [1.0])
+        [[_, r]] = weak_residual(traj.measure_path(), [g], PARAMS.eta)
         assert abs(r) < 1e-2
 
     def test_analytic_residual_peak_memory(self):
@@ -438,11 +428,11 @@ class TestWeakResidual:
         # one exp, and the time integrals are views: the peak stays within 8
         # copies of the nodes
         ll = LimitLaw(PARAMS.eta, LAW)
-        path = exp._quadrature_path(ll, 1.0)
+        path = quadrature_path(ll, 1.0)
         bank = function_bank()
         tracemalloc.start()
         try:
-            weak_residual(path, bank, PARAMS.eta, [0.5, 1.0])
+            weak_residual(path, bank, PARAMS.eta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -453,11 +443,11 @@ class TestWeakResidual:
         # the pde_point analytic path: the generator is filled in blocks of the
         # kernel budget, and each residual equals the one with every jet
         # evaluated on all of the path's nodes at once, bit for bit
-        path = exp._quadrature_path(LimitLaw(PARAMS.eta, LAW), 1.0)
+        path = quadrature_path(LimitLaw(PARAMS.eta, LAW), 1.0)
         assert len(path.integral_x) > 3 * pde._KERNEL_BUDGET
         bank = function_bank()
         monkeypatch.setattr(pde, "_KERNEL_BUDGET", budget)
-        got = weak_residual(path, bank, PARAMS.eta, [0.5, 1.0])
+        got = weak_residual(path, bank, PARAMS.eta)
         for i, g in enumerate(bank):
             lg = _generator(g, PARAMS.eta)(path.integral_x)
             for j, w in enumerate(path.integral_w):
@@ -470,18 +460,18 @@ class TestWeakResidual:
         # pairings with the time rule's weights; the path sums all nodes at
         # once, so the two agree to n eps sum|terms|
         ll = LimitLaw(PARAMS.eta, LAW)
-        path = exp._quadrature_path(ll, 1.0)
-        times, weights, _ = exp._analytic_time_rule(1.0)
+        path = quadrature_path(ll, 1.0)
+        times, weights, _ = pde._analytic_time_rule(1.0)
         rules = [quadrature(ll, float(t)) for t in times]
         assert path.ends.tolist() == [0.5, 1.0]
         assert path.start[0].tolist() == [1.0] and path.start[1].tolist() == [1.0]  # the point mass at t = 0
         assert len(path.integral_x) == sum(len(x) for x, _ in rules[:-1])
         bank = function_bank()
-        got = weak_residual(path, bank, PARAMS.eta, [0.5, 1.0])
+        got = weak_residual(path, bank, PARAMS.eta)
         coeffs = ll.m_lambda * np.exp(0.5 * PARAMS.eta * times)
         for i, g in enumerate(bank):
             lg = _generator(g, PARAMS.eta)
-            for j, end in enumerate([exp.TIME_NODES_SQRT + 1, len(times) - 1]):
+            for j, end in enumerate([pde.TIME_NODES_SQRT + 1, len(times) - 1]):
                 pairs = [np.sum(w * lg(x)) for x, w in rules[:end]]
                 at_end = np.sum(rules[end][1] * g.f(rules[end][0]))
                 want = at_end - 1.0 * g.f(1.0) - weights[:end] @ (coeffs[:end] * pairs)
@@ -492,9 +482,9 @@ class TestWeakResidual:
 
     @pytest.mark.parametrize("horizon", [0.5, 1.0, 2.0])
     def test_analytic_time_rule(self, horizon):
-        times, weights, ends = exp._analytic_time_rule(horizon)
-        n_early = exp.TIME_NODES_SQRT
-        assert len(times) == n_early + exp.TIME_NODES_LATE + 3
+        times, weights, ends = pde._analytic_time_rule(horizon)
+        n_early = pde.TIME_NODES_SQRT
+        assert len(times) == n_early + pde.TIME_NODES_LATE + 3
         assert ends.tolist() == [n_early + 1, len(times) - 1]
         assert np.flatnonzero(weights == 0.0).tolist() == [0, *ends]
         assert times[[0, *ends]].tolist() == [0.0, 0.5 * horizon, horizon]
@@ -504,7 +494,7 @@ class TestWeakResidual:
         for p in (0, 1, 2 * n_early - 1):
             got = weights[early] @ times[early] ** (0.5 * p)
             assert got == pytest.approx(half ** (1.0 + 0.5 * p) / (1.0 + 0.5 * p), rel=1e-13)
-        for p in (0, 1, 2 * exp.TIME_NODES_LATE - 1):
+        for p in (0, 1, 2 * pde.TIME_NODES_LATE - 1):
             got = weights[n_early + 2 :] @ times[n_early + 2 :] ** p
             assert got == pytest.approx((horizon ** (p + 1) - half ** (p + 1)) / (p + 1), rel=1e-13)
 
@@ -514,10 +504,10 @@ class TestWeakResidual:
         # time rule's (DiscreteAtoms((0.5, 0.3), (2.0, 0.7)) moves by 2.4e-7)
         ll = LimitLaw(PARAMS.eta, law)
         bank = function_bank()
-        coarse = weak_residual(exp._quadrature_path(ll, 1.0), bank, PARAMS.eta, [0.5, 1.0])
-        monkeypatch.setattr(exp, "TIME_NODES_SQRT", 2 * exp.TIME_NODES_SQRT)
-        monkeypatch.setattr(exp, "TIME_NODES_LATE", 2 * exp.TIME_NODES_LATE)
-        fine = weak_residual(exp._quadrature_path(ll, 1.0), bank, PARAMS.eta, [0.5, 1.0])
+        coarse = weak_residual(quadrature_path(ll, 1.0), bank, PARAMS.eta)
+        monkeypatch.setattr(pde, "TIME_NODES_SQRT", 2 * pde.TIME_NODES_SQRT)
+        monkeypatch.setattr(pde, "TIME_NODES_LATE", 2 * pde.TIME_NODES_LATE)
+        fine = weak_residual(quadrature_path(ll, 1.0), bank, PARAMS.eta)
         assert np.abs(fine - coarse).max() <= 1e-7
 
 
