@@ -52,7 +52,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, hyp1f1, logsumexp, roots_jacobi
+import scipy
 
 from .bessel import log_modified_bessel_i
 from .errors import ValidationError
@@ -170,8 +170,8 @@ def _log_gamma_mixture(eta: float, J: float, law: GammaLaw, y: np.ndarray) -> np
     k, a = law.shape, 0.5 * J
     b = a + law.scale
     p, x = eta - k, y * (law.scale / (a * b))
-    m = hyp1f1(p, eta, -x)
-    log_norm = gammaln(eta) + p * math.log(a) + k * math.log(b)
+    m = scipy.special.hyp1f1(p, eta, -x)
+    log_norm = scipy.special.gammaln(eta) + p * math.log(a) + k * math.log(b)
     with np.errstate(divide="ignore"):
         return (eta - 1.0) * np.log(y) - y / b + np.log(m) - log_norm
 
@@ -199,7 +199,7 @@ def _log_kernel_mixture(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
         ((x0, w0),) = law.atoms
         return _log_kernel(ll.eta, J, x0, y) + math.log(w0)
     lk = _log_kernel(ll.eta, J, law.locations()[None, :], y[:, None])
-    return logsumexp(lk + np.log(law.weights())[None, :], axis=1)
+    return scipy.special.logsumexp(lk + np.log(law.weights())[None, :], axis=1)
 
 
 def _log_density(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
@@ -263,7 +263,9 @@ def _log_mgf(ll: LimitLaw, J: float, s: np.ndarray) -> np.ndarray:
         ((x0, w0),) = law.atoms
         log_m = math.log(w0) + x0 * r
     elif isinstance(law, DiscreteAtoms):
-        log_m = logsumexp(np.log(law.weights())[None, :] + r[:, None] * law.locations()[None, :], axis=1)
+        log_m = scipy.special.logsumexp(
+            np.log(law.weights())[None, :] + r[:, None] * law.locations()[None, :], axis=1
+        )
     elif isinstance(law, GammaLaw):
         log_m = -law.shape * np.log1p(-law.scale * r)
     else:
@@ -358,9 +360,10 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
         # the pdf's factor y^{k-1} is not smooth at 0 (not even bounded for
         # k < 1): on the first panel, Gauss-Jacobi in y with that weight
         k, h = law.shape, (2.0 * p.halfw) ** 2
-        x, wj = roots_jacobi(len(_GL_NODES), 0.0, k - 1.0)
+        x, wj = scipy.special.roots_jacobi(len(_GL_NODES), 0.0, k - 1.0)
         y[0] = 0.5 * h * (1.0 + x)
-        w[0] = (0.5 * h) ** k * wj * np.exp(-y[0] / law.scale - gammaln(k) - k * math.log(law.scale))
+        log_gamma_k = scipy.special.gammaln(k)
+        w[0] = (0.5 * h) ** k * wj * np.exp(-y[0] / law.scale - log_gamma_k - k * math.log(law.scale))
     return y.ravel(), w.ravel()
 
 

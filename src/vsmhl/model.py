@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from sys import float_info
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, gammaln, xlogy
+import scipy
 
 from .errors import ValidationError
 
@@ -94,13 +94,14 @@ class GammaLaw:
 
     def pdf(self, x) -> np.ndarray:
         z = np.asarray(x, dtype=float) / self.scale
-        return np.exp(xlogy(self.shape - 1.0, z) - z - gammaln(self.shape)) / self.scale
+        log_pdf = scipy.special.xlogy(self.shape - 1.0, z) - z - scipy.special.gammaln(self.shape)
+        return np.exp(log_pdf) / self.scale
 
     def cdf(self, x) -> np.ndarray:
-        return gammainc(self.shape, np.asarray(x, dtype=float) / self.scale)
+        return scipy.special.gammainc(self.shape, np.asarray(x, dtype=float) / self.scale)
 
     def ppf(self, q) -> float:
-        return float(gammaincinv(self.shape, q) * self.scale)
+        return float(scipy.special.gammaincinv(self.shape, q) * self.scale)
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,10 @@ def law_to_dict(law: InitialLaw) -> dict:
 
 
 def reject_unknown_keys(spec: dict, known, where: str) -> None:
-    """Raise ValidationError naming every key of spec that is not in known."""
+    """Raise ValidationError if spec is not a dict (a JSON object), or naming
+    every key of spec that is not in known."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {spec!r}")
     unknown = sorted(str(key) for key in set(spec) - set(known))
     if unknown:
         raise ValidationError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")

@@ -36,8 +36,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
-from scipy.special import ndtr
+import scipy
 
 from .errors import ConfigurationError, ValidationError
 from .limit import _KERNEL_BUDGET, LimitLaw, cdf, quadrature
@@ -160,7 +159,7 @@ def _advance(m: np.ndarray, op: tuple[np.ndarray, np.ndarray, np.ndarray], rc: f
     A the _operator diagonals and rc = c dt / dx at the new level."""
     lower, diag, upper = op
     # the scaled diagonals are temporaries, so gtsv may factor them in place
-    _, _, _, out, info = dgtsv(
+    _, _, _, out, info = scipy.linalg.lapack.dgtsv(
         rc * lower, 1.0 + rc * diag, rc * upper, m, overwrite_dl=1, overwrite_d=1, overwrite_du=1
     )
     if info != 0:
@@ -172,7 +171,7 @@ def _mollified_masses(x0: float, grid: SolverGrid) -> np.ndarray:
     """Cell masses of a narrow Gaussian replacing a point mass at x0."""
     sigma = MOLLIFIER_WIDTH_CELLS * grid.dx()
     edges = np.linspace(0.0, grid.x_max, grid.nx + 1)
-    cdf_edges = ndtr((edges - x0) / sigma)
+    cdf_edges = scipy.special.ndtr((edges - x0) / sigma)
     return cdf_edges[1:] - cdf_edges[:-1]
 
 

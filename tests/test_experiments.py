@@ -685,6 +685,28 @@ class TestCli:
         assert capsys.readouterr().err == "config error: config must be a JSON object\n"
         assert not (tmp_path / "out").exists() and not (tmp_path / "vsmhl_out").exists()
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("params", [1, 2]), ("params", "eta"), ("params", None),
+            ("grid", "nx"), ("grid", [30.0, 64, 32]), ("grid", 5),
+        ],
+        ids=repr,
+    )
+    def test_non_object_section_exit_code(self, tmp_path, capsys, monkeypatch, section, value):
+        calls = []
+        monkeypatch.setitem(exp._RUNNERS, "pde_check", lambda cfg, threads: calls.append(cfg))
+        spec = {
+            "experiment": "pde_check",
+            "params": {"eta": 2.0, "n_particles": 1, "horizon": 1.0},
+            "law": {"type": "point_mass", "x0": 1.0},
+            "grid": {"x_max": 30.0, "nx": 64, "nt": 32},
+        } | {section: value}
+        out = tmp_path / "out"
+        assert main(["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {section} must be a JSON object, got {value!r}\n"
+        assert calls == [] and not out.exists()
+
     @pytest.mark.parametrize("nx, nt", [(150, 100), (64, 32)])
     def test_assert_failure_exit_code(self, tmp_path, nx, nt):
         cfg = self.write_cfg(

@@ -1,8 +1,16 @@
-"""The scipy routines vsmhl carries its own copy of, checked against scipy with ==.
+"""The scipy routines vsmhl carries its own copy of, checked against scipy with
+==, and the scipy subpackages each run loads.
 
-Importing vsmhl loads only scipy.special and scipy.linalg.lapack; the other
-scipy subpackages it used cost about 0.6 s of start-up per process.  Each
-copy must give scipy's result to the bit, so every output stays the same.
+Each copy must give scipy's result to the bit, so every output stays the
+same; importing the subpackage it came from would cost about 0.6 s of
+start-up per process, and scipy.stats about 1 s.
+
+Importing vsmhl loads scipy itself and none of its subpackages: the modules
+name scipy.special and scipy.linalg.lapack by attribute, which scipy loads on
+first use.  A moment_check never reads the limit law and loads neither.
+Every other experiment loads both while its config is validated, so the run
+itself, and any worker forked for it, loads no scipy module.  scipy.stats
+loads only for a UniformLaw limit law (its ncx2 CDF).
 """
 
 import json
@@ -15,10 +23,45 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.stats import gamma as gamma_dist
+from scipy.stats import kstest
 
-from vsmhl import GammaLaw, Measure1D
+from vsmhl import (
+    DiscreteAtoms,
+    ExperimentConfig,
+    GammaLaw,
+    LimitLaw,
+    Measure1D,
+    ModelParams,
+    PointMass,
+    SolverGrid,
+    UniformLaw,
+    cdf,
+    law_to_dict,
+    sample,
+    split_rng,
+)
+from vsmhl.experiments import SAMPLER_N, _ks_statistic
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+LAWS = [PointMass(1.0), GammaLaw(2.0, 0.5), UniformLaw(0.5, 1.5), DiscreteAtoms(((0.5, 0.3), (2.0, 0.7)))]
+# what neither the import nor a moment_check loads: the limit law's two
+# subpackages, scipy.stats, and scipy's array-API layer under all three (about
+# 0.3 s: it pulls in numpy.f2py, numpy.testing and numpy.ma)
+LAZY_SCIPY = ("scipy.special", "scipy.linalg", "scipy.stats", "scipy._lib._array_api")
+
+
+def loaded(modules, packages) -> list[str]:
+    """The modules that are one of the packages or inside one."""
+    return [m for m in modules if m in packages or m.startswith(tuple(p + "." for p in packages))]
+
+
+def run_python(script: str, *args: str) -> dict:
+    """The JSON object a script prints as its last line, run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 @pytest.mark.parametrize("shape, scale", [(2.0, 0.5), (0.7, 2.0), (1.0, 1.0), (35.5, 0.01)])
@@ -45,29 +88,105 @@ def test_from_grid_equals_cumulative_trapezoid():
         assert np.array_equal(m._cum, cum)
 
 
-def test_import_loads_only_light_scipy_subpackages():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", "import json, sys, vsmhl.cli; print(json.dumps(sorted(sys.modules)))"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    modules = json.loads(out)
-    heavy = ("scipy.stats", "scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.sparse")
-    assert [m for m in modules if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
-    assert "scipy.special" in modules and "scipy.linalg.lapack" in modules
+@pytest.mark.parametrize("law", LAWS, ids=repr)
+def test_ks_statistic_equals_kstest(law):
+    ll = LimitLaw(2.0, law)
+    for j, t in enumerate((0.5, 1.0)):
+        draws = sample(ll, t, SAMPLER_N, split_rng(5, j))
+        F = lambda y: cdf(ll, t, y)  # noqa: E731
+        assert _ks_statistic(draws, F) == kstest(draws, F).statistic
 
 
-def test_point_mass_pde_check_loads_no_heavy_scipy_subpackage():
-    # the analytic path's Chernoff range takes the best of a fixed grid of s,
-    # and its panels are summed in numpy: no optimizer and no integrator
-    script = (
-        "import json, sys\n"
-        "from vsmhl import ExperimentConfig, ModelParams, PointMass, SolverGrid, run_experiment\n"
-        "cfg = ExperimentConfig('pde_check', ModelParams(2.0, 1, 1.0), PointMass(1.0), grid=SolverGrid(30.0, 300, 16))\n"
-        "run_experiment(cfg)\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
-    heavy = ("scipy.stats", "scipy.optimize", "scipy.integrate")
-    assert [m for m in json.loads(out) if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
+def test_import_loads_no_scipy_subpackage():
+    modules = run_python("import json, sys, vsmhl.cli; print(json.dumps(sorted(sys.modules)))")
+    assert "scipy" in modules
+    assert loaded(modules, LAZY_SCIPY) == []
+    heavy = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.sparse")
+    assert loaded(modules, heavy) == []
+
+
+MOMENT_CHECK_CLI = """
+import json, sys
+from vsmhl import cli
+code = cli.main(["run", "--config", sys.argv[1], "--output-dir", sys.argv[2]])
+print(json.dumps({"exit": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize("law", LAWS, ids=repr)
+def test_moment_check_loads_no_scipy_subpackage(tmp_path, law):
+    spec = {
+        "experiment": "moment_check",
+        "params": {"eta": 2.0, "n_particles": 64, "horizon": 1.0},
+        "law": law_to_dict(law),
+        "dt": 0.1,
+        "replications": 4,
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(spec))
+    out = run_python(MOMENT_CHECK_CLI, str(tmp_path / "cfg.json"), str(tmp_path / "out"))
+    assert out["exit"] == 0 and (tmp_path / "out" / "moment_check.csv").exists()
+    # the benchmark reads scipy's version from sys.modules after every run
+    assert "scipy" in out["modules"]
+    assert loaded(out["modules"], LAZY_SCIPY) == []
+
+
+RUN_AFTER_VALIDATION = """
+import json, sys
+import vsmhl.experiments as exp
+cfg = exp.ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+assert cfg.violations() == []
+validated = set(sys.modules)
+
+
+def new_scipy():
+    return sorted(m for m in set(sys.modules) - validated if m.split(".")[0] == "scipy")
+
+
+real_run_chunk = exp._run_chunk
+
+
+def checked_run_chunk(*args):
+    # runs in each forked pool worker, or in this process when serial
+    result = real_run_chunk(*args)
+    assert new_scipy() == [], new_scipy()
+    return result
+
+
+exp._run_chunk = checked_run_chunk
+exp.run_experiment(cfg, threads=int(sys.argv[2]))
+print(json.dumps({"validated": sorted(validated), "run": new_scipy()}))
+"""
+
+AFTER_VALIDATION_RUNS = [
+    pytest.param(
+        ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), PointMass(1.0), grid=SolverGrid(30.0, 300, 16)),
+        1,
+        id="pde_check-point",
+    ),
+    pytest.param(
+        ExperimentConfig(
+            "convergence", ModelParams(2.0, 16, 1.0), GammaLaw(2.0, 0.5),
+            dt=0.05, n_values=(16, 64), replications=2, metric="levy",
+        ),
+        2,
+        id="convergence-gamma-threads2",
+    ),
+    pytest.param(
+        ExperimentConfig("rank_check", ModelParams(2.0, 16, 1.0), LAWS[3], dt=0.05, n_values=(16, 64), replications=2),
+        1,
+        id="rank_check-atoms",
+    ),
+    pytest.param(ExperimentConfig("sampler_check", ModelParams(2.0, 1, 1.0), LAWS[0]), 1, id="sampler_check-point"),
+    pytest.param(ExperimentConfig("sampler_check", ModelParams(2.0, 1, 1.0), LAWS[1]), 1, id="sampler_check-gamma"),
+]
+
+
+@pytest.mark.parametrize("cfg, threads", AFTER_VALIDATION_RUNS)
+def test_run_loads_nothing_validation_did_not(cfg, threads):
+    # in a fresh process: in this one, earlier tests have loaded every module
+    out = run_python(RUN_AFTER_VALIDATION, json.dumps(cfg.to_dict()), str(threads))
+    assert out["run"] == []
+    assert "scipy.special" in out["validated"] and "scipy.linalg.lapack" in out["validated"]
+    # no optimizer, integrator or interpolator; scipy.stats only for a uniform law's ncx2
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.sparse")
+    assert loaded(out["validated"], heavy) == []
