@@ -26,7 +26,6 @@ from .model import (
     moments,
     sample_initial,
     split_rng,
-    validate,
 )
 from .bessel import log_modified_bessel_i
 from .limit import (

@@ -56,15 +56,11 @@ def main(argv=None) -> int:
         spec["output_dir"] = args.output_dir
     try:
         cfg = ExperimentConfig.from_dict(spec)
-        bad = cfg.violations()
-        if bad:
-            for violation in bad:
-                print(f"config error: {violation}", file=sys.stderr)
-            return EXIT_CONFIG
         out_dir = cfg.output_dir if cfg.output_dir is not None else "vsmhl_out"
         result = run_experiment(cfg, out_dir=out_dir, threads=args.threads)
     except (ValidationError, ConfigurationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        for violation in exc.args:
+            print(f"config error: {violation}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)

@@ -1,11 +1,18 @@
 """Shared exception types."""
 
 
-class ValidationError(ValueError):
+class _Violations(ValueError):
+    """Each argument is one violated check; the message joins them with '; '."""
+
+    def __str__(self) -> str:
+        return "; ".join(map(str, self.args))
+
+
+class ValidationError(_Violations):
     """A model parameter or initial law violates one of its invariants."""
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(_Violations):
     """An experiment or solver configuration cannot be run as requested."""
 
 

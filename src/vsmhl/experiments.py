@@ -7,6 +7,12 @@ config, package version, seed and a pass/fail summary.  The replications of
 one N run in chunks, each chunk simulated as one (R, N) state; every
 replication keeps its own random stream, so the rows do not depend on how
 the replications are chunked.
+
+An ExperimentConfig checks itself when it is built, after its params, law
+and grid have checked themselves, and raises ConfigurationError listing
+every violation it finds; a runner only checks that the config is of its
+kind.  A config bad in several of these objects reports the first one built
+(params, law, grid, then the config itself).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -33,14 +39,19 @@ from .model import (
     UniformLaw,
     law_from_dict,
     law_to_dict,
-    law_violations,
     moments,
     reject_unknown_keys,
     split_rng,
 )
-from .model import _integer, _is_integer, _number
+from .model import _floats, _is_integer
 # simulate_system is not called here; perfbench/tracing.py wraps this name
-from .particles import ParticlePaths, simulate_replications, simulate_system, step_count  # noqa: F401
+from .particles import (  # noqa: F401
+    ParticlePaths,
+    float_range_violations,
+    simulate_replications,
+    simulate_system,
+    step_count,
+)
 from .pde import (
     SolverGrid,
     mollified_start_law,
@@ -97,16 +108,13 @@ class ExperimentConfig:
     output_dir: str | None = None
     metric: str = "wasserstein1"
 
-    def violations(self) -> list[str]:
+    def __post_init__(self):
         out = []
         if self.experiment not in EXPERIMENT_KINDS:
             out.append(f"unknown experiment {self.experiment!r}")
-        model_bad = self.params.violations() + law_violations(self.law)
-        out += model_bad
-        # moment_check is the only experiment that never reads the limit law
-        if not model_bad and self.experiment != "moment_check":
-            out += self._limit_law_violations()
-        if not 0 < self.dt <= self.params.horizon:
+        bad_dt = _floats(self, "dt")
+        out += bad_dt
+        if not bad_dt and not 0 < self.dt <= self.params.horizon:
             out.append("dt must lie in (0, horizon]")
         if not _is_integer(self.replications):
             out.append(f"replications must be an integer, got {self.replications!r}")
@@ -120,20 +128,28 @@ class ExperimentConfig:
             out.append(f"unknown metric {self.metric!r}")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             out.append(f"output_dir must be a string, got {self.output_dir!r}")
-        if not all(_is_integer(n) for n in self.n_values):
-            out.append(f"n_values must be integers, got {list(self.n_values)!r}")
-        elif self.experiment in ("convergence", "rank_check"):
-            if len(self.n_values) == 0:
-                out.append(f"{self.experiment} needs a nonempty n_values list")
-            elif any(n < 1 for n in self.n_values) or any(
-                b <= a for a, b in zip(self.n_values, self.n_values[1:])
-            ):
-                out.append("n_values must be strictly increasing positive integers")
+        ns = self.n_values
+        n_max = self.params.n_particles  # the run's largest N, unless n_values sets it
+        if not (isinstance(ns, (list, tuple)) and all(_is_integer(n) for n in ns)):
+            out.append(f"n_values must be integers, got {list(ns) if isinstance(ns, tuple) else ns!r}")
+        else:
+            object.__setattr__(self, "n_values", tuple(ns))
+            if self.experiment in ("convergence", "rank_check"):
+                if len(ns) == 0:
+                    out.append(f"{self.experiment} needs a nonempty n_values list")
+                elif ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+                    out.append("n_values must be strictly increasing positive integers")
+                else:
+                    n_max = ns[-1]
         if self.experiment == "pde_check" and self.grid is None:
             out.append("pde_check needs a grid")
-        sizes = () if self.grid is None else (("nx", self.grid.nx), ("nt", self.grid.nt))
-        out += [f"grid.{key} must be an integer, got {n!r}" for key, n in sizes if not _is_integer(n)]
-        return out
+        too_large = float_range_violations(replace(self.params, n_particles=n_max), self.law)
+        out += too_large
+        # moment_check is the only experiment that never reads the limit law
+        if not too_large and self.experiment != "moment_check":
+            out += self._limit_law_violations()
+        if out:
+            raise ConfigurationError(*out)
 
     def _limit_law_violations(self) -> list[str]:
         # load what every limit-law run reads in set-up, before any worker forks
@@ -179,40 +195,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ExperimentConfig":
-        defaults = {f.name: f.default for f in fields(cls)}
+        """The config a JSON object describes.  Unknown keys, a section that
+        is not an object and a missing key raise ValidationError; every value
+        is checked by the object it builds."""
+
+        def section(key: str, kind) -> list:
+            """The fields of kind, in order, read from the JSON object spec[key]."""
+            reject_unknown_keys(spec[key], [f.name for f in fields(kind)], key)
+            return [spec[key][f.name] for f in fields(kind)]
+
+        reject_unknown_keys(spec, [f.name for f in fields(cls)], "config")
         try:
-            reject_unknown_keys(spec, defaults, "config")
-            reject_unknown_keys(spec["params"], [f.name for f in fields(ModelParams)], "params")
-            params = ModelParams(
-                eta=_number(spec["params"]["eta"], "params.eta"),
-                n_particles=_integer(spec["params"]["n_particles"], "params.n_particles"),
-                horizon=_number(spec["params"]["horizon"], "params.horizon"),
-            )
+            params = ModelParams(*section("params", ModelParams))
             law = law_from_dict(spec["law"])
-            grid = None
-            if spec.get("grid") is not None:
-                g = spec["grid"]
-                reject_unknown_keys(g, [f.name for f in fields(SolverGrid)], "grid")
-                grid = SolverGrid(
-                    x_max=_number(g["x_max"], "grid.x_max"),
-                    nx=_integer(g["nx"], "grid.nx"),
-                    nt=_integer(g["nt"], "grid.nt"),
-                )
-            return cls(
-                experiment=str(spec["experiment"]),
-                params=params,
-                law=law,
-                dt=_number(spec.get("dt", defaults["dt"]), "dt"),
-                n_values=tuple(_integer(n, "n_values") for n in spec.get("n_values", defaults["n_values"])),
-                replications=_integer(spec.get("replications", defaults["replications"]), "replications"),
-                seed=_integer(spec.get("seed", defaults["seed"]), "seed"),
-                grid=grid,
-                output_dir=spec.get("output_dir", defaults["output_dir"]),
-                metric=str(spec.get("metric", defaults["metric"])),
-            )
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
+            grid = None if spec.get("grid") is None else SolverGrid(*section("grid", SolverGrid))
+            rest = {k: v for k, v in spec.items() if k not in ("experiment", "params", "law", "grid")}
+            return cls(spec["experiment"], params, law, grid=grid, **rest)
+        except KeyError as exc:
             raise ValidationError(f"malformed experiment config: {exc}") from None
 
 
@@ -236,10 +235,7 @@ class ExperimentFailure(RuntimeError):
         self.failed_task = failed_task
 
 
-def _require_valid(cfg: ExperimentConfig, kind: str) -> None:
-    bad = cfg.violations()
-    if bad:
-        raise ConfigurationError("; ".join(bad))
+def _require_kind(cfg: ExperimentConfig, kind: str) -> None:
     if cfg.experiment != kind:
         raise ConfigurationError(f"config is for {cfg.experiment!r}, not {kind!r}")
 
@@ -346,7 +342,7 @@ def _simulate(cfg: ExperimentConfig, n: int, nodes, keys: list[tuple]) -> list[P
 def _over_n_values(cfg: ExperimentConfig, kind: str, task, threads: int) -> tuple[list, dict, bool]:
     """Run task(cfg, n, keys) over every N's (n, rep) keys; return its (n, rep, value)
     rows, their median per N keyed by str(N), and whether the medians strictly fall."""
-    _require_valid(cfg, kind)
+    _require_kind(cfg, kind)
     groups = [(n, [(n, rep) for rep in range(cfg.replications)]) for n in cfg.n_values]
     rows = _collect(task, cfg, groups, threads)
     medians = [float(np.median([v for rn, _, v in rows if rn == n])) for n in cfg.n_values]
@@ -377,7 +373,7 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult
 
 
 def run_pde_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    _require_valid(cfg, "pde_check")
+    _require_kind(cfg, "pde_check")
     grid = cfg.grid
     traj = solve(cfg.params, cfg.law, grid)
     ll = LimitLaw(cfg.params.eta, cfg.law)
@@ -432,7 +428,7 @@ def _ks_statistic(draws: np.ndarray, cdf_of) -> float:
 
 
 def run_sampler_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    _require_valid(cfg, "sampler_check")
+    _require_kind(cfg, "sampler_check")
     ll = LimitLaw(cfg.params.eta, cfg.law)
     crit = KS_CRITICAL_1PCT / math.sqrt(SAMPLER_N)
     rows = []
@@ -452,26 +448,25 @@ def run_sampler_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResu
     )
 
 
-def _moment_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[float, float]]:
+def _moment_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[float, float, float]]:
     n_steps = step_count(cfg.params.horizon, cfg.dt)
     nodes = np.unique([0, n_steps // 2, n_steps])  # with one step the middle is step 0
-    return [(float(p.totals[-2]), float(p.totals[-1])) for p in _simulate(cfg, n, nodes, keys)]
+    paths = _simulate(cfg, n, nodes, keys)
+    return [(float(p.time_grid[-2]), float(p.totals[-2]), float(p.totals[-1])) for p in paths]
 
 
 def run_moment_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    _require_valid(cfg, "moment_check")
+    _require_kind(cfg, "moment_check")
     n = cfg.params.n_particles
     m1, m2 = moments(cfg.law)
     es0 = n * m1
     es0_sq = n * m2 + n * (n - 1) * m1 * m1
     keys = [(rep,) for rep in range(cfg.replications)]
-    pairs = _collect(_moment_task, cfg, [(n, keys)], threads)
-    totals = np.array(pairs)  # (R, 2): columns mid, final
-    n_steps = step_count(cfg.params.horizon, cfg.dt)
-    t_mid = (n_steps // 2) * (cfg.params.horizon / n_steps)
+    # (R, 3): the middle time of the kept grid, the totals there and at T
+    totals = np.array(_collect(_moment_task, cfg, [(n, keys)], threads))
     rows = []
     all_ok = True
-    for col, t in ((0, t_mid), (1, cfg.params.horizon)):
+    for col, t in ((1, float(totals[0, 0])), (2, cfg.params.horizon)):
         s = totals[:, col]
         for moment, data, target, z_tol in (
             (1, s, es0 * math.exp(0.5 * cfg.params.eta * t), MOMENT_Z_FIRST),
@@ -552,15 +547,12 @@ def write_results(result: ExperimentResult, cfg: ExperimentConfig, out_dir) -> d
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentResult:
-    """Validate, run and (when out_dir is given) persist one experiment.
+    """Run and (when out_dir is given) persist one experiment.
 
     out_dir is created before the run, so an OSError for a directory that
     cannot be made comes before any work.  On a mid-run failure a manifest
     with the completed rows is written before the original error propagates.
     """
-    bad = cfg.violations()
-    if bad:
-        raise ConfigurationError("; ".join(bad))
     runner = _RUNNERS[cfg.experiment]
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)

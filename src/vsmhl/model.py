@@ -6,12 +6,20 @@ slowed-down clock.  Initial positions are drawn i.i.d. from a law on [0, inf)
 with finite first two moments and strictly positive mean; four analytically
 tractable families are supported so every experiment has closed-form moments
 to check against.
+
+Each of these objects checks its fields when it is built and raises
+ValidationError listing every violated one, so an object that exists is
+valid and no function checks it again.  While a float field is not a finite
+number, the range checks on the object's floats are skipped: they would pass
+a NaN in silence or misread it.  Float fields are stored as floats, so a
+JSON ``2`` reads as ``2.0``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
-from sys import float_info
+from numbers import Real
 
 import numpy as np
 import scipy
@@ -27,9 +35,6 @@ __all__ = [
     "InitialLaw",
     "moments",
     "sample_initial",
-    "validate",
-    "law_violations",
-    "require_valid_law",
     "law_to_dict",
     "law_from_dict",
     "reject_unknown_keys",
@@ -43,18 +48,27 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _integer(value, key: str) -> int:
-    """A JSON integer; floats, strings and booleans are refused, not truncated."""
-    if not _is_integer(value):
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return value
+def _is_number(value) -> bool:
+    """A finite real number (numpy's included); a boolean, a string or a NaN is not one."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past float range
+        return False
 
 
-def _number(value, key: str) -> float:
-    """A finite JSON number (integer or float) as a float; anything else is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= float_info.max:
-        raise ValidationError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
+def _floats(obj, *names: str) -> list[str]:
+    """Store each named field of the frozen dataclass obj as a float; one
+    message per field that is not a finite number."""
+    out = []
+    for name in names:
+        value = getattr(obj, name)
+        if _is_number(value):
+            object.__setattr__(obj, name, float(value))
+        else:
+            out.append(f"{name} must be a finite number, got {value!r}")
+    return out
 
 
 def split_rng(seed: int, *key: int) -> np.random.Generator:
@@ -74,15 +88,17 @@ class ModelParams:
     n_particles: int
     horizon: float
 
-    def violations(self) -> list[str]:
-        out = _non_finite((("eta", self.eta), ("horizon", self.horizon)))
-        if not self.eta > 1.0:
-            out.append("eta must exceed 1")
+    def __post_init__(self):
+        out = _floats(self, "eta", "horizon")
+        if not out:
+            if not self.eta > 1.0:
+                out.append("eta must exceed 1")
+            if not self.horizon > 0.0:
+                out.append("horizon must be positive")
         if not (_is_integer(self.n_particles) and self.n_particles >= 1):
             out.append(f"n_particles must be a positive integer, got {self.n_particles!r}")
-        if not self.horizon > 0.0:
-            out.append("horizon must be positive")
-        return out
+        if out:
+            raise ValidationError(*out)
 
 
 @dataclass(frozen=True)
@@ -91,6 +107,13 @@ class GammaLaw:
 
     shape: float
     scale: float
+
+    def __post_init__(self):
+        out = _floats(self, "shape", "scale")
+        if not out:
+            out = [f"gamma {name} must be positive" for name in ("shape", "scale") if not getattr(self, name) > 0]
+        if out:
+            raise ValidationError(*out)
 
     def pdf(self, x) -> np.ndarray:
         z = np.asarray(x, dtype=float) / self.scale
@@ -111,12 +134,49 @@ class UniformLaw:
     a: float
     b: float
 
+    def __post_init__(self):
+        out = _floats(self, "a", "b")
+        if not out:
+            if self.a < 0:
+                out.append("uniform support must be contained in [0, inf)")
+            if not self.a < self.b:
+                out.append("uniform law requires a < b")
+        if out:
+            raise ValidationError(*out)
+
 
 @dataclass(frozen=True)
 class DiscreteAtoms:
     """Finitely many atoms ((location, weight), ...); weights sum to 1."""
 
     atoms: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        try:
+            atoms = tuple((loc, w) for loc, w in self.atoms)
+        except (TypeError, ValueError):
+            raise ValidationError(f"atoms must be (location, weight) pairs, got {self.atoms!r}") from None
+        if not atoms:
+            raise ValidationError("atom list must be nonempty")
+        out = [
+            f"{'x0' if isinstance(self, PointMass) else f'atoms[{i}]'} must be a finite number, got {v!r}"
+            for i, atom in enumerate(atoms)
+            for v in atom
+            if not _is_number(v)
+        ]
+        if not out:
+            object.__setattr__(self, "atoms", tuple((float(loc), float(w)) for loc, w in atoms))
+            locs, wts = self.locations(), self.weights()
+            if np.any(locs < 0):
+                out.append("atom locations must be nonnegative")
+            if np.any(wts <= 0):
+                out.append("atom weights must be positive")
+            if abs(wts.sum() - 1.0) > ATOM_WEIGHT_TOL:
+                out.append("atom weights must sum to 1")
+            if not out and float(wts @ locs) <= 0:
+                out.append("m_lambda must be positive")
+        if out:
+            raise ValidationError(*out)
 
     def locations(self) -> np.ndarray:
         return np.array([a[0] for a in self.atoms], dtype=float)
@@ -143,68 +203,12 @@ InitialLaw = GammaLaw | UniformLaw | DiscreteAtoms  # PointMass is a DiscreteAto
 
 
 def _param_names(cls) -> list[str]:
-    """The parameters a law's JSON form and messages name: x0 for a point mass."""
+    """The parameters a law's JSON form names: x0 for a point mass."""
     return ["x0"] if issubclass(cls, PointMass) else [f.name for f in fields(cls)]
-
-
-def _non_finite(named_values) -> list[str]:
-    """One message per (name, value) whose value is NaN or infinite."""
-    return [f"{name} must be finite, got {value!r}" for name, value in named_values if not np.isfinite(value)]
-
-
-def law_violations(law: InitialLaw) -> list[str]:
-    """Collect every violated invariant of the law (empty list means valid).
-
-    A NaN or infinite parameter is reported alone: the comparisons below
-    would pass NaN in silence or misread it.
-    """
-    if isinstance(law, (PointMass, GammaLaw, UniformLaw)):
-        values = [(name, getattr(law, name)) for name in _param_names(type(law))]
-    elif isinstance(law, DiscreteAtoms):
-        values = [(f"atoms[{i}]", v) for i, atom in enumerate(law.atoms) for v in atom]
-    else:
-        values = []
-    out = _non_finite(values)
-    if out:
-        return out
-    if isinstance(law, GammaLaw):
-        if not law.shape > 0:
-            out.append("gamma shape must be positive")
-        if not law.scale > 0:
-            out.append("gamma scale must be positive")
-    elif isinstance(law, UniformLaw):
-        if law.a < 0:
-            out.append("uniform support must be contained in [0, inf)")
-        if not law.a < law.b:
-            out.append("uniform law requires a < b")
-    elif isinstance(law, DiscreteAtoms):
-        if len(law.atoms) == 0:
-            out.append("atom list must be nonempty")
-        else:
-            locs, wts = law.locations(), law.weights()
-            if np.any(locs < 0):
-                out.append("atom locations must be nonnegative")
-            if np.any(wts <= 0):
-                out.append("atom weights must be positive")
-            if abs(wts.sum() - 1.0) > ATOM_WEIGHT_TOL:
-                out.append("atom weights must sum to 1")
-            if not out and float(wts @ locs) <= 0:
-                out.append("m_lambda must be positive")
-    else:
-        out.append(f"unknown initial law type {type(law).__name__}")
-    return out
-
-
-def require_valid_law(law: InitialLaw) -> None:
-    """Raise ValidationError naming the failed invariants, if any."""
-    bad = law_violations(law)
-    if bad:
-        raise ValidationError("; ".join(bad))
 
 
 def moments(law: InitialLaw) -> tuple[float, float]:
     """Closed-form first and second moments (m1, m2) of the law."""
-    require_valid_law(law)
     if isinstance(law, GammaLaw):
         k, th = law.shape, law.scale
         return k * th, k * (k + 1.0) * th**2
@@ -221,7 +225,6 @@ def sample_initial(law: InitialLaw, n: int, rng: np.random.Generator) -> np.ndar
     Deterministic for a fixed generator state; callers that need independent
     streams should hand each call its own spawned generator.
     """
-    require_valid_law(law)
     if n < 1:
         raise ValueError("n must be at least 1")
     if isinstance(law, GammaLaw):
@@ -231,11 +234,6 @@ def sample_initial(law: InitialLaw, n: int, rng: np.random.Generator) -> np.ndar
     if len(law.atoms) == 1:  # no draw: the generator is left as it was
         return np.full(n, law.locations()[0])
     return rng.choice(law.locations(), size=n, p=law.weights())
-
-
-def validate(params: ModelParams, law: InitialLaw) -> list[str]:
-    """Report every violated invariant of the pair; empty list means ok."""
-    return params.violations() + law_violations(law)
 
 
 _LAW_TAGS = {
@@ -278,9 +276,7 @@ def law_from_dict(spec: dict) -> InitialLaw:
     names = _param_names(cls)
     reject_unknown_keys(spec, ["type", *names], f"'{tag}' law")
     try:
-        if cls is DiscreteAtoms:
-            atoms = ((_number(l, "law.atoms"), _number(w, "law.atoms")) for l, w in spec["atoms"])
-            return DiscreteAtoms(tuple(atoms))
-        return cls(*(_number(spec[name], f"law.{name}") for name in names))
-    except (KeyError, TypeError, ValueError) as exc:
+        values = [spec[name] for name in names]
+    except KeyError as exc:
         raise ValidationError(f"malformed '{tag}' law: {exc}") from None
+    return cls(*values)

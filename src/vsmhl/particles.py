@@ -28,14 +28,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateStateError, ValidationError
-from .model import InitialLaw, ModelParams, moments, sample_initial, validate
+from .errors import ConfigurationError, DegenerateStateError
+from .model import InitialLaw, ModelParams, moments, sample_initial
 
 __all__ = [
     "ParticlePaths",
     "simulate_system",
     "simulate_replications",
     "euler_full_truncation",
+    "float_range_violations",
     "step_count",
 ]
 
@@ -117,6 +118,15 @@ def euler_full_truncation(eta: float, y: np.ndarray, step: float, noise: np.ndar
         raise DegenerateStateError(int(np.argmax((totals == 0.0).any(axis=(1, 2)))))
 
 
+def float_range_violations(params: ModelParams, law: InitialLaw) -> list[str]:
+    """One message if the expected total N m1 e^{eta T / 2} of the system comes
+    within a factor e^10 of the largest float, else none."""
+    m1, _ = moments(law)
+    if 0.5 * params.eta * params.horizon + math.log(max(params.n_particles * m1, 1.0)) > _LOG_FLOAT_MAX - 10:
+        return ["expected total grows past float range over this horizon; shrink horizon or eta"]
+    return []
+
+
 def _checked_nodes(nodes, n_steps: int) -> np.ndarray:
     if nodes is None:
         return np.arange(n_steps + 1)
@@ -146,16 +156,11 @@ def simulate_replications(
     block and the kept states, memory holds the stepped state and a few
     vectors of its size: no per-block array of states.
     """
-    bad = validate(params, law)
-    if bad:
-        raise ValidationError("; ".join(bad))
     if not 0 < dt <= params.horizon:
         raise ValueError(f"dt must lie in (0, horizon], got {dt}")
-    m1, _ = moments(law)
-    if 0.5 * params.eta * params.horizon + math.log(max(params.n_particles * m1, 1.0)) > _LOG_FLOAT_MAX - 10:
-        raise ConfigurationError(
-            "expected total grows past float range over this horizon; shrink horizon or eta"
-        )
+    bad = float_range_violations(params, law)
+    if bad:
+        raise ConfigurationError(*bad)
     if len(rngs) == 0:
         raise ValueError("rngs must hold at least one generator")
     n_steps = step_count(params.horizon, dt)

@@ -38,16 +38,9 @@ import numpy as np
 from numpy.linalg import LinAlgError
 import scipy
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError
 from .limit import _KERNEL_BUDGET, LimitLaw, cdf, quadrature
-from .model import (
-    DiscreteAtoms,
-    GammaLaw,
-    InitialLaw,
-    ModelParams,
-    UniformLaw,
-    validate,
-)
+from .model import DiscreteAtoms, GammaLaw, InitialLaw, ModelParams, _floats, _is_integer
 
 __all__ = [
     "SolverGrid",
@@ -73,17 +66,26 @@ TIME_NODES_LATE = 12
 
 @dataclass(frozen=True)
 class SolverGrid:
-    """Uniform computational grid: nx cells on [0, x_max], nt time steps."""
+    """Uniform computational grid: nx cells on [0, x_max], nt time steps.
+
+    Built only from valid fields: ConfigurationError lists every one that is not.
+    """
 
     x_max: float
     nx: int
     nt: int
 
     def __post_init__(self):
-        if not 0 < self.x_max < math.inf:
-            raise ValueError(f"x_max must be positive and finite, got {self.x_max!r}")
-        if self.nx < 16 or self.nt < 16:
-            raise ValueError("need at least 16 cells and 16 time steps")
+        out = _floats(self, "x_max")
+        if not out and not self.x_max > 0:
+            out.append(f"x_max must be positive, got {self.x_max!r}")
+        out += [
+            f"{name} must be an integer of at least 16, got {n!r}"
+            for name, n in (("nx", self.nx), ("nt", self.nt))
+            if not (_is_integer(n) and n >= 16)
+        ]
+        if out:
+            raise ConfigurationError(*out)
 
     def dx(self) -> float:
         return self.x_max / self.nx
@@ -185,11 +187,9 @@ def _initial_masses(law: InitialLaw, grid: SolverGrid) -> np.ndarray:
     elif isinstance(law, GammaLaw):
         ce = law.cdf(edges)
         m = ce[1:] - ce[:-1]
-    elif isinstance(law, UniformLaw):
+    else:  # a UniformLaw
         overlap = np.minimum(edges[1:], law.b) - np.maximum(edges[:-1], law.a)
         m = np.maximum(overlap, 0.0) / (law.b - law.a)
-    else:
-        raise ValidationError(f"unknown initial law type {type(law).__name__}")
     mass = m.sum()
     if mass <= 0:
         raise ConfigurationError("initial law has no mass on the grid")
@@ -245,9 +245,6 @@ def solve(params: ModelParams, law: InitialLaw, grid: SolverGrid) -> DensityTraj
     TRUNCATION_MASS_TOL of its mass beyond x_max at the horizon, since a
     zero-flux box that small would distort the solution.
     """
-    bad = validate(params, law)
-    if bad:
-        raise ValidationError("; ".join(bad))
     ll = LimitLaw(params.eta, law)
     tail = 1.0 - cdf(ll, params.horizon, grid.x_max)
     if tail > TRUNCATION_MASS_TOL:

@@ -1,6 +1,4 @@
 import json
-import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -75,16 +73,18 @@ class TestConfig:
         assert ExperimentConfig.from_dict(spec) == cfg
 
     def test_violations(self):
-        cfg = small_convergence_cfg(n_values=(64, 16), replications=0, metric="hausdorff", output_dir=5)
-        bad = cfg.violations()
+        with pytest.raises(ConfigurationError) as info:
+            small_convergence_cfg(n_values=(64, 16), replications=0, metric="hausdorff", output_dir=5)
+        bad = info.value.args
         assert any("n_values" in v for v in bad)
         assert any("replications" in v for v in bad)
         assert any("metric" in v for v in bad)
         assert "output_dir must be a string, got 5" in bad
+        assert str(info.value) == "; ".join(bad)
 
     def test_pde_check_needs_grid(self):
-        cfg = small_convergence_cfg(experiment="pde_check", n_values=())
-        assert any("grid" in v for v in cfg.violations())
+        with pytest.raises(ConfigurationError, match="pde_check needs a grid"):
+            small_convergence_cfg(experiment="pde_check", n_values=())
 
     @pytest.mark.parametrize("section", [None, "params", "grid", "law"])
     def test_unknown_key_rejected(self, section):
@@ -97,10 +97,9 @@ class TestConfig:
     def test_uniform_law_too_narrow_for_horizon(self, experiment):
         # J(1) = e - 1 at eta 2 and mean 1, so a width of 1e-11 puts J/(b - a) near 1.7e11
         grid = SolverGrid(30.0, 100, 100)
-        narrow = small_convergence_cfg(experiment=experiment, law=UniformLaw(1.0, 1.0 + 1e-11), grid=grid)
-        assert any("too narrow" in v for v in narrow.violations())
-        wide = small_convergence_cfg(experiment=experiment, law=UniformLaw(0.5, 1.5), grid=grid)
-        assert wide.violations() == []
+        with pytest.raises(ConfigurationError, match="too narrow"):
+            small_convergence_cfg(experiment=experiment, law=UniformLaw(1.0, 1.0 + 1e-11), grid=grid)
+        small_convergence_cfg(experiment=experiment, law=UniformLaw(0.5, 1.5), grid=grid)
 
     @pytest.mark.parametrize("experiment", ["convergence", "pde_check", "sampler_check", "rank_check", "moment_check"])
     @pytest.mark.parametrize(
@@ -113,72 +112,19 @@ class TestConfig:
             experiment != "moment_check" and not isinstance(law, GammaLaw)
         )
         grid = SolverGrid(30.0, 100, 100)
-        high = small_convergence_cfg(experiment=experiment, law=law, params=ModelParams(41.5, 16, 0.1), grid=grid)
-        assert any("Bessel kernel" in v for v in high.violations()) == reads_kernel
-        top = small_convergence_cfg(experiment=experiment, law=law, params=ModelParams(41.0, 16, 0.1), grid=grid)
-        assert top.violations() == []
+
+        def build(eta):
+            return small_convergence_cfg(experiment=experiment, law=law, params=ModelParams(eta, 16, 0.1), grid=grid)
+
+        if reads_kernel:
+            with pytest.raises(ConfigurationError, match="Bessel kernel"):
+                build(41.5)
+        else:
+            build(41.5)
+        build(41.0)
 
     def test_uniform_width_not_checked_without_limit_law(self):
-        cfg = small_convergence_cfg(experiment="moment_check", law=UniformLaw(1.0, 1.0 + 1e-11))
-        assert cfg.violations() == []
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("params.n_particles", 64.9),
-            ("n_values", [16.7, 64.2]),
-            ("n_values", ["16", "64"]),
-            ("replications", 2.9),
-            ("replications", True),
-            ("seed", 3.5),
-            ("grid.nx", 100.0),
-            ("grid.nt", "100"),
-        ],
-    )
-    def test_integer_fields_not_truncated(self, key, value):
-        spec = small_convergence_cfg(grid=SolverGrid(30.0, 100, 100)).to_dict()
-        *section, field = key.split(".")
-        (spec[section[0]] if section else spec)[field] = value
-        with pytest.raises(ValidationError, match=f"{key} must be an integer"):
-            ExperimentConfig.from_dict(spec)
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("params.eta", "2.0"),
-            ("params.eta", True),
-            ("params.horizon", True),
-            ("params.horizon", None),
-            ("dt", "0.5"),
-            ("grid.x_max", "30"),
-            ("grid.x_max", [30.0]),
-            ("law.x0", "1"),
-            ("law.x0", False),
-            ("law.x0", float("nan")),
-            ("params.horizon", float("inf")),
-            ("dt", 10**400),
-        ],
-    )
-    def test_float_fields_need_numbers(self, key, value):
-        spec = small_convergence_cfg(grid=SolverGrid(30.0, 100, 100)).to_dict()
-        *section, field = key.split(".")
-        (spec[section[0]] if section else spec)[field] = value
-        with pytest.raises(ValidationError, match=f"{key} must be a finite number"):
-            ExperimentConfig.from_dict(spec)
-
-    @pytest.mark.parametrize(
-        "law",
-        [
-            {"type": "gamma", "shape": "2", "scale": 0.5},
-            {"type": "uniform", "a": 0.5, "b": True},
-            {"type": "atoms", "atoms": [[1.0, 0.5], ["2.0", 0.5]]},
-            {"type": "atoms", "atoms": [[1.0, 0.5], [2.0, True]]},
-        ],
-    )
-    def test_law_parameters_need_numbers(self, law):
-        spec = small_convergence_cfg().to_dict() | {"law": law}
-        with pytest.raises(ValidationError, match=r"law\.\w+ must be a finite number"):
-            ExperimentConfig.from_dict(spec)
+        small_convergence_cfg(experiment="moment_check", law=UniformLaw(1.0, 1.0 + 1e-11))
 
     def test_float_fields_take_json_integers(self):
         spec = small_convergence_cfg(grid=SolverGrid(30.0, 100, 100)).to_dict()
@@ -187,66 +133,18 @@ class TestConfig:
         spec["grid"]["x_max"] = 30
         cfg = ExperimentConfig.from_dict(spec)
         assert (cfg.params.eta, cfg.params.horizon, cfg.dt, cfg.grid.x_max) == (2.0, 1.0, 1.0, 30.0)
-        assert cfg.law == DiscreteAtoms(((1.0, 1.0),)) and cfg.violations() == []
-
-    @pytest.mark.parametrize(
-        "overrides, message",
-        [
-            ({"replications": 2.5}, "replications must be an integer, got 2.5"),
-            (
-                {"experiment": "moment_check", "n_values": (), "replications": 2.5},
-                "replications must be an integer, got 2.5",
-            ),
-            ({"replications": True}, "replications must be an integer, got True"),
-            ({"seed": 1.0}, "seed must be a 64-bit unsigned integer, got 1.0"),
-            ({"n_values": (16, 64.0)}, "n_values must be integers, got [16, 64.0]"),
-            ({"params": ModelParams(2.0, 8.0, 1.0)}, "n_particles must be a positive integer, got 8.0"),
-            ({"grid": SolverGrid(30.0, 100.5, 100)}, "grid.nx must be an integer, got 100.5"),
-            ({"grid": SolverGrid(30.0, 100, 200.0)}, "grid.nt must be an integer, got 200.0"),
-        ],
-    )
-    def test_python_built_config_checks_integers(self, overrides, message):
-        cfg = small_convergence_cfg(**overrides)
-        assert message in cfg.violations()
-        with pytest.raises(ConfigurationError, match=re.escape(message)):
-            run_experiment(cfg)
-
-    @pytest.mark.parametrize(
-        "overrides, message",
-        [
-            ({"params": ModelParams(math.nan, 16, 1.0)}, "eta must be finite, got nan"),
-            ({"params": ModelParams(math.inf, 16, 1.0)}, "eta must be finite, got inf"),
-            ({"params": ModelParams(2.0, 16, math.inf)}, "horizon must be finite, got inf"),
-            ({"params": ModelParams(2.0, 16, math.nan)}, "horizon must be finite, got nan"),
-            ({"law": PointMass(math.nan)}, "x0 must be finite, got nan"),
-            ({"law": PointMass(math.inf)}, "x0 must be finite, got inf"),
-            ({"law": GammaLaw(math.inf, 0.5)}, "shape must be finite, got inf"),
-            ({"law": GammaLaw(2.0, math.nan)}, "scale must be finite, got nan"),
-            ({"law": UniformLaw(math.nan, 2.0)}, "a must be finite, got nan"),
-            ({"law": UniformLaw(0.0, math.inf)}, "b must be finite, got inf"),
-            ({"law": DiscreteAtoms(((1.0, 0.5), (math.inf, 0.5)))}, "atoms[1] must be finite, got inf"),
-            ({"law": DiscreteAtoms(((1.0, math.nan), (2.0, 0.5)))}, "atoms[0] must be finite, got nan"),
-            ({"law": DiscreteAtoms(((-math.inf, 1.0),))}, "atoms[0] must be finite, got -inf"),
-        ],
-    )
-    def test_python_built_config_rejects_non_finite_floats(self, overrides, message):
-        cfg = small_convergence_cfg(**overrides)
-        assert message in cfg.violations()
-        with pytest.raises(ConfigurationError, match=re.escape(message)):
-            run_experiment(cfg)
+        assert all(type(v) is float for v in (cfg.params.eta, cfg.params.horizon, cfg.dt, cfg.grid.x_max))
+        assert cfg.law == DiscreteAtoms(((1.0, 1.0),)) and cfg.to_dict()["law"]["atoms"] == [[1.0, 1.0]]
 
     def test_moment_check_needs_two_replications(self):
-        one = small_convergence_cfg(experiment="moment_check", n_values=(), replications=1)
-        assert one.violations() == ["moment_check needs at least 2 replications: a standard error needs two"]
-        assert small_convergence_cfg(experiment="moment_check", n_values=(), replications=2).violations() == []
+        with pytest.raises(ConfigurationError) as info:
+            small_convergence_cfg(experiment="moment_check", n_values=(), replications=1)
+        assert info.value.args == ("moment_check needs at least 2 replications: a standard error needs two",)
+        small_convergence_cfg(experiment="moment_check", n_values=(), replications=2)
 
     def test_malformed_dict(self):
         with pytest.raises(ValidationError):
             ExperimentConfig.from_dict({"experiment": "convergence"})
-
-    def test_invalid_config_rejected_at_run(self):
-        with pytest.raises(ConfigurationError):
-            run_experiment(small_convergence_cfg(replications=0))
 
     def test_wrong_experiment_tag(self):
         with pytest.raises(ConfigurationError):
@@ -602,8 +500,8 @@ class TestCli:
             },
         )
         assert main(["run", "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert "eta" in err and "m_lambda" in err
+        # params are built before the law, so only their violation is reported
+        assert capsys.readouterr().err == "config error: eta must exceed 1\n"
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_thread_count_below_one_rejected(self, tmp_path, capsys, recorded_pools, threads):
@@ -616,12 +514,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "overrides, messages",
         [
-            ({"law": UniformLaw(1.0, 1.0 + 1e-11)}, ["too narrow for the horizon", "J(T)/(b - a)"]),
-            ({"params": ModelParams(42.0, 16, 0.1)}, ["Bessel kernel", "verified up to 40"]),
+            ({"law": {"type": "uniform", "a": 1.0, "b": 1.0 + 1e-11}}, ["too narrow for the horizon", "J(T)/(b - a)"]),
+            ({"params": {"eta": 42.0, "n_particles": 16, "horizon": 0.1}}, ["Bessel kernel", "verified up to 40"]),
         ],
     )
     def test_limit_law_violation_exit_code(self, tmp_path, capsys, overrides, messages):
-        spec = small_convergence_cfg(**overrides).to_dict()
+        spec = small_convergence_cfg().to_dict() | overrides
         out = tmp_path / "out"
         cfg = self.write_cfg(tmp_path, spec)
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
@@ -642,6 +540,39 @@ class TestCli:
         assert main(["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, horizon",
+        [("rank_check", 700.0), ("sampler_check", 720.0), ("pde_check", 720.0), ("moment_check", 700.0)],
+    )
+    def test_horizon_past_float_range_exit_code(self, tmp_path, capsys, recorded_pools, experiment, horizon):
+        # N m1 e^{eta T / 2} within e^10 of the float range: refused before any
+        # work, where the pool or limit.time_change would fail mid-run
+        spec = {
+            "experiment": experiment,
+            "params": {"eta": 2.0, "n_particles": 4, "horizon": horizon},
+            "law": {"type": "point_mass", "x0": 1.0},
+            "dt": 1.0,
+            "n_values": [4, 8],
+            "replications": 2,
+            "grid": {"x_max": 30.0, "nx": 64, "nt": 32},
+        }
+        out = tmp_path / "out"
+        args = ["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out), "--threads", "2"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "config error: expected total grows past float range over this horizon; shrink horizon or eta\n"
+        )
+        assert recorded_pools == [] and not out.exists()
+
+    def test_sampler_check_below_float_range_passes(self, tmp_path):
+        spec = {
+            "experiment": "sampler_check",
+            "params": {"eta": 2.0, "n_particles": 4, "horizon": 690.0},
+            "law": {"type": "point_mass", "x0": 1.0},
+            "seed": 3,
+        }
+        assert main(["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(tmp_path / "out")]) == 0
 
     def test_string_float_field_exit_code(self, tmp_path, capsys):
         spec = small_convergence_cfg().to_dict() | {"dt": "0.02"}

@@ -108,13 +108,14 @@ class TestLimitLawType:
         assert LimitLaw(1.5, law).m_lambda == moments(law)[0]
 
     @pytest.mark.parametrize(
-        "law",
-        [PointMass(-1.0), DiscreteAtoms(((0.5, 0.5), (1.5, 0.6))), GammaLaw(0.0, 0.5), UniformLaw(1.5, 0.5)],
+        "cls, args",
+        [(PointMass, (-1.0,)), (DiscreteAtoms, (((0.5, 0.5), (1.5, 0.6)),)), (GammaLaw, (0.0, 0.5)), (UniformLaw, (1.5, 0.5))],
         ids=str,
     )
-    def test_invalid_law_rejected(self, law):
+    def test_invalid_law_rejected(self, cls, args):
+        # an invalid law is refused when it is built, so no LimitLaw can hold one
         with pytest.raises(ValidationError):
-            LimitLaw(2.0, law)
+            LimitLaw(2.0, cls(*args))
 
     def test_eta_must_exceed_one(self):
         with pytest.raises(ValidationError, match="eta"):

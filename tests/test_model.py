@@ -17,7 +17,6 @@ from vsmhl import (
     moments,
     sample_initial,
     split_rng,
-    validate,
 )
 
 ALL_LAWS = [
@@ -55,9 +54,9 @@ class TestMoments:
 
     def test_rejects_invalid_law(self):
         with pytest.raises(ValidationError, match="m_lambda"):
-            moments(PointMass(0.0))
+            PointMass(0.0)
         with pytest.raises(ValidationError, match="support"):
-            moments(UniformLaw(-1.0, 2.0))
+            UniformLaw(-1.0, 2.0)
 
 
 class TestSampling:
@@ -107,29 +106,51 @@ class TestSampling:
 
 class TestValidate:
     def test_ok(self):
-        assert validate(ModelParams(2.0, 10, 1.0), PointMass(1.0)) == []
+        assert ModelParams(2.0, 10, 1.0) == ModelParams(2, 10, 1)
+        assert type(ModelParams(2, 10, 1).eta) is float
+        # numpy reals are numbers too, stored as floats
+        assert ModelParams(np.float32(2.0), 10, np.int64(1)) == ModelParams(2.0, 10, 1.0)
+        assert PointMass(np.float32(1.5)).atoms == ((1.5, 1.0),)
 
     def test_eta_boundary(self):
-        out = validate(ModelParams(1.0, 10, 1.0), PointMass(1.0))
-        assert out == ["eta must exceed 1"]
+        with pytest.raises(ValidationError) as info:
+            ModelParams(1.0, 10, 1.0)
+        assert info.value.args == ("eta must exceed 1",)
 
     def test_degenerate_point_mass(self):
-        out = validate(ModelParams(2.0, 10, 1.0), PointMass(0.0))
-        assert "m_lambda must be positive" in out
+        with pytest.raises(ValidationError, match="m_lambda must be positive"):
+            PointMass(0.0)
 
     def test_point_mass_is_one_atom(self):
         law = PointMass(2.0)
         assert isinstance(law, DiscreteAtoms) and law.atoms == ((2.0, 1.0),)
-        assert validate(ModelParams(2.0, 10, 1.0), PointMass(-1.0)) == ["atom locations must be nonnegative"]
-        assert validate(ModelParams(2.0, 10, 1.0), PointMass(math.nan)) == ["x0 must be finite, got nan"]
+        with pytest.raises(ValidationError) as info:
+            PointMass(-1.0)
+        assert info.value.args == ("atom locations must be nonnegative",)
+        with pytest.raises(ValidationError) as info:
+            PointMass(math.nan)
+        assert info.value.args == ("x0 must be a finite number, got nan",)
 
     def test_collects_every_violation(self):
-        out = validate(ModelParams(0.5, 0, -1.0), UniformLaw(-1.0, -2.0))
-        assert len(out) >= 4
+        with pytest.raises(ValidationError) as params:
+            ModelParams(0.5, 0, -1.0)
+        with pytest.raises(ValidationError) as law:
+            UniformLaw(-1.0, -2.0)
+        assert len(params.value.args) == 3 and len(law.value.args) == 2
+        assert str(law.value) == "uniform support must be contained in [0, inf); uniform law requires a < b"
 
     def test_atom_weights_must_sum_to_one(self):
-        out = validate(ModelParams(2.0, 1, 1.0), DiscreteAtoms(((1.0, 0.6), (2.0, 0.5))))
-        assert any("sum to 1" in v for v in out)
+        with pytest.raises(ValidationError, match="sum to 1"):
+            DiscreteAtoms(((1.0, 0.6), (2.0, 0.5)))
+
+    def test_errors_pickle_with_their_violations(self):
+        import pickle
+
+        with pytest.raises(ValidationError) as info:
+            ModelParams(0.5, 0, -1.0)
+        again = pickle.loads(pickle.dumps(info.value))
+        assert type(again) is ValidationError and again.args == info.value.args
+        assert str(again) == str(info.value)
 
 
 class TestSerialization:

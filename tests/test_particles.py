@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import vsmhl.particles as particles
+from vsmhl.experiments import MOMENT_Z_FIRST, MOMENT_Z_SECOND
 from vsmhl import (
     ConfigurationError,
     DegenerateStateError,
@@ -17,6 +18,7 @@ from vsmhl import (
     UniformLaw,
     ValidationError,
     euler_full_truncation,
+    moments,
     sample_initial,
     simulate_replications,
     simulate_system,
@@ -300,6 +302,27 @@ class TestMomentIdentities:
         target2 = (n + n * (n - 1)) * math.exp((eta + 1.0 / n) * 1.0)
         se2 = sq.std(ddof=1) / math.sqrt(reps)
         assert abs(sq.mean() - target2) < 4 * se2
+
+    @pytest.mark.parametrize("law", [PointMass(1.0), GammaLaw(2.0, 0.5)], ids=repr)
+    def test_discrete_time_oracle(self, law):
+        # one Euler step multiplies E[S] by 1 + eta h / 2 and E[S^2] by
+        # (1 + eta h / 2)^2 + h / N (the noise adds sum_i Y_i S h / N = S^2 h / N),
+        # so after n steps the totals' moments are exact up to truncation at 0,
+        # which at eta 2, T 1 does not show.  The continuous targets, exp(eta T / 2)
+        # and exp((eta + 1/N) T), are off by the scheme's O(h) bias and fail here
+        eta, n, horizon, dt, reps = 2.0, 64, 1.0, 0.05, 4000
+        steps = round(horizon / dt)
+        m1, m2 = moments(law)
+        s0, s0_sq = n * m1, n * m2 + n * (n - 1) * m1 * m1
+        rngs = [split_rng(5, r) for r in range(reps)]
+        paths = simulate_replications(ModelParams(eta, n, horizon), law, dt, rngs, nodes=[0, steps])
+        s = np.array([p.totals[-1] for p in paths])
+        discrete = (s0 * (1 + 0.5 * eta * dt) ** steps, s0_sq * ((1 + 0.5 * eta * dt) ** 2 + dt / n) ** steps)
+        continuous = (s0 * math.exp(0.5 * eta * horizon), s0_sq * math.exp((eta + 1.0 / n) * horizon))
+        for data, exact, limit, tol in zip((s, s * s), discrete, continuous, (MOMENT_Z_FIRST, MOMENT_Z_SECOND)):
+            se = data.std(ddof=1) / math.sqrt(reps)
+            assert abs(data.mean() - exact) / se <= tol
+            assert abs(data.mean() - limit) / se > 4.0
 
 
 class TestStrongError:

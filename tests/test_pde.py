@@ -40,8 +40,10 @@ class TestSolverGrid:
             SolverGrid(30.0, 8, 100)
         with pytest.raises(ValueError):
             SolverGrid(30.0, 100, 8)
-        for x_max in (-1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="x_max must be positive and finite"):
+        with pytest.raises(ConfigurationError, match="^x_max must be positive, got -1.0$"):
+            SolverGrid(-1.0, 100, 100)
+        for x_max in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="^x_max must be a finite number"):
                 SolverGrid(x_max, 100, 100)
 
     def test_centers(self):
