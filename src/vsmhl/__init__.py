@@ -40,7 +40,6 @@ from .limit import (
     time_change,
 )
 from .particles import (
-    ParticlePaths,
     euler_full_truncation,
     simulate_replications,
     simulate_system,

@@ -46,7 +46,6 @@ from .model import (
 from .model import _floats, _is_integer
 # simulate_system is not called here; perfbench/tracing.py wraps this name
 from .particles import (  # noqa: F401
-    ParticlePaths,
     float_range_violations,
     simulate_replications,
     simulate_system,
@@ -331,9 +330,10 @@ def _snapshot_indices(n_steps: int) -> np.ndarray:
     return np.unique(idx)
 
 
-def _simulate(cfg: ExperimentConfig, n: int, nodes, keys: list[tuple]) -> list[ParticlePaths]:
+def _simulate(cfg: ExperimentConfig, n: int, nodes, keys: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     """The n-particle system of cfg kept at the given step nodes, one
-    replication per stream key, replication i drawn from split_rng(cfg.seed, *keys[i])."""
+    replication per stream key, replication i drawn from split_rng(cfg.seed, *keys[i]):
+    the kept times and the (len(keys), len(nodes), n) kept states."""
     params = ModelParams(cfg.params.eta, n, cfg.params.horizon)
     rngs = [split_rng(cfg.seed, *key) for key in keys]
     return simulate_replications(params, cfg.law, cfg.dt, rngs, nodes)
@@ -352,11 +352,11 @@ def _over_n_values(cfg: ExperimentConfig, kind: str, task, threads: int) -> tupl
 
 def _convergence_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[int, int, float]]:
     nodes = _snapshot_indices(step_count(cfg.params.horizon, cfg.dt))
-    ll = LimitLaw(cfg.params.eta, cfg.law)
+    times, states = _simulate(cfg, n, nodes, keys)
+    analytic = _analytic_path(LimitLaw(cfg.params.eta, cfg.law), tuple(float(t) for t in times))
     rows = []
-    for (_, rep), paths in zip(keys, _simulate(cfg, n, nodes, keys)):
-        analytic = _analytic_path(ll, tuple(float(t) for t in paths.time_grid))
-        emp = MeasurePath(paths.time_grid, tuple(empirical(col) for col in paths.positions.T))
+    for (_, rep), snapshots in zip(keys, states):
+        emp = MeasurePath(times, tuple(empirical(y) for y in snapshots))
         rows.append((n, rep, sup_distance(emp, analytic, cfg.metric)))
     return rows
 
@@ -450,9 +450,10 @@ def run_sampler_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
 def _moment_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[float, float, float]]:
     n_steps = step_count(cfg.params.horizon, cfg.dt)
-    nodes = np.unique([0, n_steps // 2, n_steps])  # with one step the middle is step 0
-    paths = _simulate(cfg, n, nodes, keys)
-    return [(float(p.time_grid[-2]), float(p.totals[-2]), float(p.totals[-1])) for p in paths]
+    # with one step the middle is step 0
+    times, states = _simulate(cfg, n, [n_steps // 2, n_steps], keys)
+    middle, end = states.sum(axis=-1).T
+    return [(float(times[0]), float(a), float(b)) for a, b in zip(middle, end)]
 
 
 def run_moment_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -491,10 +492,10 @@ def _rank_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[i
     ll = LimitLaw(cfg.params.eta, cfg.law)
     lo = max(int(math.ceil(RANK_KEEP[0] * n)), 1)
     hi = max(int(math.floor(RANK_KEEP[1] * n)), lo)
-    nodes = [0, step_count(cfg.params.horizon, cfg.dt)]
+    _, states = _simulate(cfg, n, [step_count(cfg.params.horizon, cfg.dt)], keys)
     rows = []
-    for (_, rep), paths in zip(keys, _simulate(cfg, n, nodes, keys)):
-        table = ranked_vs_limit(paths.positions[:, -1], ll, cfg.params.horizon)
+    for (_, rep), (final,) in zip(keys, states):
+        table = ranked_vs_limit(final, ll, cfg.params.horizon)
         rows.append((n, rep, float(np.mean(table[lo - 1 : hi, 3]))))
     return rows
 

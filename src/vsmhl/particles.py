@@ -16,15 +16,16 @@ one-replication run bit for bit.
 
 The simulation streams: noise is drawn in blocks of steps, one (R, N) state
 is stepped in place through every block, and it is copied out only at the
-requested step indices (the snapshot nodes).  No array of per-step states is
-built, so memory grows with R times N times the number of nodes, not with
-the number of steps or the block width.
+requested step indices (the snapshot nodes), into one (R, nodes, N) array
+that the run returns as it is.  No array of per-step states is built, so
+memory grows with R times N times the number of nodes, not with the number
+of steps or the block width.  The totals S at node j are
+states[..., j, :].sum(axis=-1), each row summed over its contiguous N values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .errors import ConfigurationError, DegenerateStateError
 from .model import InitialLaw, ModelParams, moments, sample_initial
 
 __all__ = [
-    "ParticlePaths",
     "simulate_system",
     "simulate_replications",
     "euler_full_truncation",
@@ -44,35 +44,6 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # standard normals per noise block: the block's noise takes about 2 MB,
 # whatever R and N are (down to one step per block)
 _NOISE_BUDGET = 2**18
-
-
-def _column_sums(positions: np.ndarray) -> np.ndarray:
-    # per-column 1-D sums; bit-identical to summing the contiguous state
-    # vector of each step, unlike positions.sum(axis=0)
-    return np.array([positions[:, j].sum() for j in range(positions.shape[1])])
-
-
-@dataclass(frozen=True)
-class ParticlePaths:
-    """Positions of all particles at the snapshot times, plus their totals.
-
-    The snapshot times are the nodes of a uniform step grid that the
-    simulation kept: every step, or the step indices the caller asked for.
-    """
-
-    time_grid: np.ndarray
-    positions: np.ndarray  # shape (N, len(time_grid))
-    totals: np.ndarray = field(init=False)  # the per-node particle sums
-
-    def __post_init__(self):
-        n, g = self.positions.shape
-        if self.time_grid.shape != (g,):
-            raise ValueError("time_grid and positions shapes disagree")
-        if self.time_grid[0] != 0.0 or np.any(np.diff(self.time_grid) <= 0):
-            raise ValueError("time grid must increase from 0")
-        if np.any(self.positions < 0):
-            raise ValueError("positions must be nonnegative")
-        object.__setattr__(self, "totals", _column_sums(self.positions))
 
 
 def step_count(horizon: float, dt: float) -> int:
@@ -128,13 +99,11 @@ def float_range_violations(params: ModelParams, law: InitialLaw) -> list[str]:
 
 
 def _checked_nodes(nodes, n_steps: int) -> np.ndarray:
-    if nodes is None:
-        return np.arange(n_steps + 1)
     nodes = np.asarray(nodes)
     if nodes.ndim != 1 or nodes.size == 0 or not np.issubdtype(nodes.dtype, np.integer):
         raise ValueError("nodes must be a nonempty 1-D array of step indices")
-    if nodes[0] != 0 or nodes[-1] > n_steps or np.any(np.diff(nodes) <= 0):
-        raise ValueError(f"nodes must increase strictly from 0 and stay within {n_steps} steps")
+    if nodes[0] < 0 or nodes[-1] > n_steps or np.any(np.diff(nodes) <= 0):
+        raise ValueError(f"nodes must increase strictly within [0, {n_steps}]")
     return nodes
 
 
@@ -143,18 +112,19 @@ def simulate_replications(
     law: InitialLaw,
     dt: float,
     rngs: list[np.random.Generator],
-    nodes=None,
-) -> list[ParticlePaths]:
+    nodes,
+) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one replication per generator, all stepped as one (R, N) state.
 
     The step grid is uniform with step_count(T, dt) steps, so the actual step
     is the closest divisor-step to the requested dt and the grid ends exactly
     at the horizon.  ``nodes`` lists the step indices to keep, strictly
-    increasing from 0; None keeps every step.  Replication r is a function of
-    rngs[r] alone, equal to simulate_system on that generator, and neither
-    the draws nor the kept states depend on ``nodes``.  Besides the noise
-    block and the kept states, memory holds the stepped state and a few
-    vectors of its size: no per-block array of states.
+    increasing within [0, step_count(T, dt)].  Returns the kept times and the
+    kept states, shape (R, len(nodes), N): states[r, j] is row r at step
+    nodes[j].  Row r is a function of rngs[r] alone, and neither the draws
+    nor the kept states depend on ``nodes``.  Besides the noise block and the
+    kept states, memory holds the stepped state and a few vectors of its
+    size: no per-block array of states.
     """
     if not 0 < dt <= params.horizon:
         raise ValueError(f"dt must lie in (0, horizon], got {dt}")
@@ -173,8 +143,10 @@ def simulate_replications(
     noise = np.empty((reps, min(max(_NOISE_BUDGET // (reps * n), 1), n_steps), n))
     kept = np.empty((reps, len(nodes), n))  # [r, j]: row r's state at step nodes[j]
     y = np.array([sample_initial(law, n, rng) for rng in rngs])
-    kept[:, 0] = y  # nodes[0] is step 0
-    j = 1
+    j = 0
+    if nodes[0] == 0:
+        kept[:, 0] = y
+        j = 1
     for start in range(0, n_steps, noise.shape[1]):
         block = noise[:, : n_steps - start]
         for rng, row in zip(rngs, block):
@@ -190,21 +162,19 @@ def simulate_replications(
             if j < len(nodes) and nodes[j] == at:
                 kept[:, j] = y
                 j += 1
-    grid = np.linspace(0.0, params.horizon, n_steps + 1)[nodes]
-    return [ParticlePaths(time_grid=grid, positions=row.T) for row in kept]
+    return np.linspace(0.0, params.horizon, n_steps + 1)[nodes], kept
 
 
+# No experiment calls simulate_system: it stays because perfbench/tracing.py
+# looks the name up in vsmhl.experiments when it installs its spans.
 def simulate_system(
     params: ModelParams,
     law: InitialLaw,
     dt: float,
     rng: np.random.Generator,
-    nodes=None,
-) -> ParticlePaths:
-    """Simulate one replication; deterministic for a fixed generator state.
-
-    The one-row call of simulate_replications, with the same step grid and
-    ``nodes``.
-    """
-    return simulate_replications(params, law, dt, [rng], nodes)[0]
-
+    nodes,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One replication, the one-row call of simulate_replications: the kept
+    times and that row's kept states, shape (len(nodes), N)."""
+    times, states = simulate_replications(params, law, dt, [rng], nodes)
+    return times, states[0]

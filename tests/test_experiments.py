@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,7 +197,7 @@ class TestConvergence:
         real = exp.simulate_replications
         seen = []  # generator states in the order replications first arrive
 
-        def failing(params, law, dt, rngs, nodes=None):
+        def failing(params, law, dt, rngs, nodes):
             states = [g.bit_generator.state for g in rngs]
             seen.extend(st for st in states if st not in seen)
             if len(seen) >= 4 and seen[3] in states:
@@ -219,7 +223,7 @@ class TestConvergence:
         keys = [(1, rep) for rep in range(8)]
         assert exp._chunks(keys, 1, 1) == [keys]
         with pytest.raises(DegenerateStateError, match="at step 1$"):
-            exp._simulate(cfg, 1, None, keys)
+            exp._simulate(cfg, 1, [4], keys)
         manifests, steps = [], []
         for threads in (1, 8):  # one chunk of 8 rows; 8 one-row chunks
             out = tmp_path / str(threads)
@@ -259,9 +263,9 @@ class TestConvergence:
 
     def test_tracing_patch_points(self, monkeypatch):
         # the benchmark's particles.* spans wrap two module globals:
-        # experiments.simulate_system, which must still return 2-D kept
-        # positions, and particles.euler_full_truncation, which the batched
-        # engine must call through the module global
+        # experiments.simulate_system, the one-row call, and
+        # particles.euler_full_truncation, which the batched engine must call
+        # through the module global
         euler_calls = []
         real_euler = particles.euler_full_truncation
 
@@ -272,10 +276,10 @@ class TestConvergence:
         kept = []
         real_simulate = exp.simulate_replications
 
-        def recording_simulate(params, law, dt, rngs, nodes=None):
-            rows = real_simulate(params, law, dt, rngs, nodes)
-            kept.append((params.n_particles, nodes, rows))
-            return rows
+        def recording_simulate(params, law, dt, rngs, nodes):
+            result = real_simulate(params, law, dt, rngs, nodes)
+            kept.append((params.n_particles, nodes, result))
+            return result
 
         monkeypatch.setattr(particles, "euler_full_truncation", counting_euler)
         monkeypatch.setattr(exp, "simulate_replications", recording_simulate)
@@ -287,17 +291,30 @@ class TestConvergence:
         assert particles._NOISE_BUDGET // (2 * n) == 32
         widths = [12, 13, 7] + [6, 12, 12, 2] + [11, 13, 8] + [4]
         assert euler_calls == [(2, w, n) for w in widths]
-        [(n_kept, nodes, rows)] = kept
+        [(n_kept, nodes, (times, states))] = kept
         assert n_kept == n
         assert list(nodes) == list(exp._snapshot_indices(100)) == [0, 12, 25, 38, 50, 62, 75, 88, 100]
+        assert type(states) is np.ndarray and states.shape == (2, len(nodes), n)
         euler_calls.clear()
-        paths = exp.simulate_system(ModelParams(2.0, n, 1.0), PointMass(1.0), 0.01, exp.split_rng(0), nodes)
+        one_times, one = exp.simulate_system(ModelParams(2.0, n, 1.0), PointMass(1.0), 0.01, exp.split_rng(0), nodes)
         widths = [12, 13, 13, 12, 12, 2] + [11, 13, 12]
         assert euler_calls == [(1, w, n) for w in widths]
-        for p in [paths, *rows]:
-            assert isinstance(p, particles.ParticlePaths)
-            assert type(p.positions) is np.ndarray
-            assert p.positions.shape == (n, len(nodes))
+        assert type(one) is np.ndarray and one.shape == (len(nodes), n)
+        assert np.array_equal(one_times, times)
+
+    def test_tracer_installs(self):
+        # perfbench/tracing.py looks up every name it patches when it installs,
+        # so a rename breaks a traced benchmark run; install it in a fresh process
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+            cwd=root / "perfbench",
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOtherRunners:

@@ -13,7 +13,6 @@ from vsmhl import (
     DiscreteAtoms,
     GammaLaw,
     ModelParams,
-    ParticlePaths,
     PointMass,
     UniformLaw,
     ValidationError,
@@ -38,7 +37,7 @@ def scalar_scheme(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) -> np
 
 def reference_1d_euler(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) -> np.ndarray:
     """The full-truncation step written out on one 1-D state; returns the
-    positions, shape (N, n_steps + 1)."""
+    states, shape (n_steps + 1, N)."""
     n = len(y0)
     states = [np.array(y0, dtype=float)]
     for z in noise:
@@ -47,12 +46,12 @@ def reference_1d_euler(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) 
         drift = (eta / (2.0 * n)) * s * h
         diff = np.sqrt(np.maximum(y, 0.0) * (s / n)) * math.sqrt(h)
         states.append(np.maximum(y + drift + diff * z, 0.0))
-    return np.array(states).T
+    return np.array(states)
 
 
 def euler_single_row(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) -> np.ndarray:
     """euler_full_truncation on a single replication, called once per step;
-    positions (N, n_steps + 1).  One call over all the steps must end in the
+    states (n_steps + 1, N).  One call over all the steps must end in the
     same state, bit for bit."""
     y, whole = y0[None].copy(), y0[None].copy()
     states = [y0]
@@ -61,44 +60,44 @@ def euler_single_row(eta: float, y0: np.ndarray, h: float, noise: np.ndarray) ->
         states.append(y[0].copy())
     euler_full_truncation(eta, whole, h, noise[None])
     assert np.array_equal(whole, y)
-    return np.array(states).T
+    return np.array(states)
 
 
 class TestSimulate:
     def test_initial_total_matches_samples_exactly(self):
         params = ModelParams(2.0, 37, 1.0)
         law = GammaLaw(2.0, 0.5)
-        paths = simulate_system(params, law, 0.05, split_rng(3))
+        _, states = simulate_system(params, law, 0.05, split_rng(3), [0, 20])
         y0 = sample_initial(law, 37, split_rng(3))
-        assert np.array_equal(paths.positions[:, 0], y0)
-        assert paths.totals[0] == y0.sum()
+        assert np.array_equal(states[0], y0)
+        assert states.sum(axis=-1)[0] == y0.sum()
 
     def test_bit_identical_reruns(self):
         params = ModelParams(2.5, 16, 0.5)
-        a = simulate_system(params, PointMass(1.0), 0.01, split_rng(8))
-        b = simulate_system(params, PointMass(1.0), 0.01, split_rng(8))
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.totals, b.totals)
+        a = simulate_system(params, PointMass(1.0), 0.01, split_rng(8), np.arange(51))
+        b = simulate_system(params, PointMass(1.0), 0.01, split_rng(8), np.arange(51))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_nonnegative_even_with_coarse_steps(self):
         params = ModelParams(4.0, 8, 2.0)
-        paths = simulate_system(params, GammaLaw(0.5, 1.0), 0.5, split_rng(10))
-        assert paths.positions.min() >= 0.0
+        _, states = simulate_system(params, GammaLaw(0.5, 1.0), 0.5, split_rng(10), np.arange(5))
+        assert states.min() >= 0.0
 
     def test_grid_spans_horizon(self):
         params = ModelParams(2.0, 4, 0.7)
-        paths = simulate_system(params, PointMass(1.0), 0.1, split_rng(0))
-        assert paths.time_grid[0] == 0.0
-        assert paths.time_grid[-1] == 0.7
+        times, _ = simulate_system(params, PointMass(1.0), 0.1, split_rng(0), [0, 7])
+        assert times[0] == 0.0
+        assert times[-1] == 0.7
 
     def test_n1_reduces_to_scalar_scheme_bitwise(self):
         params = ModelParams(2.0, 1, 1.0)
-        paths = simulate_system(params, PointMass(1.0), 1 / 512, split_rng(5))
+        _, states = simulate_system(params, PointMass(1.0), 1 / 512, split_rng(5), np.arange(513))
         rng = split_rng(5)
         y0 = sample_initial(PointMass(1.0), 1, rng)
         noise = rng.standard_normal((512, 1))
         ref = euler_single_row(2.0, y0, 1 / 512, noise)
-        assert np.array_equal(paths.positions, ref)
+        assert np.array_equal(states, ref)
 
     def test_n1_gbm_mean(self):
         # at N=1 the scheme is Euler for dY = (eta/2) Y dt + Y dB, whose exact
@@ -112,21 +111,21 @@ class TestSimulate:
 
     def test_validation_errors_propagate(self):
         with pytest.raises(ValidationError):
-            simulate_system(ModelParams(1.0, 4, 1.0), PointMass(1.0), 0.1, split_rng(0))
+            simulate_system(ModelParams(1.0, 4, 1.0), PointMass(1.0), 0.1, split_rng(0), [10])
         with pytest.raises(ValidationError):
-            simulate_system(ModelParams(2.0, 4, 1.0), PointMass(0.0), 0.1, split_rng(0))
+            simulate_system(ModelParams(2.0, 4, 1.0), PointMass(0.0), 0.1, split_rng(0), [10])
 
     def test_dt_bounds(self):
         params = ModelParams(2.0, 4, 1.0)
         with pytest.raises(ValueError):
-            simulate_system(params, PointMass(1.0), 0.0, split_rng(0))
+            simulate_system(params, PointMass(1.0), 0.0, split_rng(0), [1])
         with pytest.raises(ValueError):
-            simulate_system(params, PointMass(1.0), 2.0, split_rng(0))
+            simulate_system(params, PointMass(1.0), 2.0, split_rng(0), [1])
 
     def test_overflow_guard(self):
         params = ModelParams(2.0, 4, 1000.0)
         with pytest.raises(ConfigurationError, match="horizon"):
-            simulate_system(params, PointMass(1.0), 0.1, split_rng(0))
+            simulate_system(params, PointMass(1.0), 0.1, split_rng(0), [10000])
 
     def test_degenerate_state_error(self):
         with pytest.raises(DegenerateStateError):
@@ -143,39 +142,41 @@ class TestSimulate:
         with pytest.raises(ValueError, match="nonnegative"):
             euler_full_truncation(2.0, np.array([[1.0, -1e-300, 3.0]]), 0.1, np.zeros((1, 2, 3)))
         with pytest.raises(ValueError, match="generator"):
-            simulate_replications(ModelParams(2.0, 4, 1.0), PointMass(1.0), 0.1, [])
+            simulate_replications(ModelParams(2.0, 4, 1.0), PointMass(1.0), 0.1, [], [10])
 
 
 class TestStreaming:
     # at N = 4096 a noise block holds 64 steps: 200 steps run as 64 + 64 + 64 + 8
     N, STEPS = 4096, 200
 
-    def full_run(self, **kw):
+    def run(self, nodes):
         params = ModelParams(2.0, self.N, 1.0)
-        return simulate_system(params, GammaLaw(2.0, 0.5), 1.0 / self.STEPS, split_rng(71), **kw)
+        return simulate_system(params, GammaLaw(2.0, 0.5), 1.0 / self.STEPS, split_rng(71), nodes)
 
     def test_every_step_matches_one_full_draw(self):
         block = particles._NOISE_BUDGET // self.N
         assert self.STEPS > 2 * block and self.STEPS % block != 0
-        paths = self.full_run()
+        times, states = self.run(np.arange(self.STEPS + 1))
         rng = split_rng(71)
         y0 = sample_initial(GammaLaw(2.0, 0.5), self.N, rng)
         ref = euler_single_row(2.0, y0, 1.0 / self.STEPS, rng.standard_normal((self.STEPS, self.N)))
-        assert np.array_equal(paths.positions, ref)
-        assert np.array_equal(paths.totals, [ref[:, k].sum() for k in range(self.STEPS + 1)])
-        assert np.array_equal(paths.time_grid, np.linspace(0.0, 1.0, self.STEPS + 1))
+        assert np.array_equal(states, ref)
+        # a row sum of the kept states is the 1-D sum of that state
+        assert np.array_equal(states.sum(axis=-1), [y.sum() for y in ref])
+        assert np.array_equal(times, np.linspace(0.0, 1.0, self.STEPS + 1))
 
-    def test_nodes_pick_columns_of_the_full_run(self):
-        full = self.full_run()
-        nodes = [0, 1, 63, 64, 65, 128, 192, 199, 200]  # both sides of each block edge
-        part = self.full_run(nodes=np.array(nodes))
-        assert part.positions.shape == (self.N, len(nodes))
-        assert np.array_equal(part.positions, full.positions[:, nodes])
-        assert np.array_equal(part.totals, full.totals[nodes])
-        assert np.array_equal(part.time_grid, full.time_grid[nodes])
-        last = self.full_run(nodes=[0, 137])
-        assert np.array_equal(last.positions, full.positions[:, [0, 137]])
-        assert last.time_grid[-1] == full.time_grid[137]
+    def test_nodes_pick_rows_of_the_full_run(self):
+        full_times, full = self.run(np.arange(self.STEPS + 1))
+        for nodes in (
+            [0, 1, 63, 64, 65, 128, 192, 199, 200],  # both sides of each block edge
+            [0, 137],
+            [63, 64, 200],  # step 0 is not kept unless asked for
+            [200],
+        ):
+            times, states = self.run(np.array(nodes))
+            assert states.shape == (len(nodes), self.N)
+            assert np.array_equal(states, full[nodes])
+            assert np.array_equal(times, full_times[nodes])
 
     def test_degenerate_state_reports_global_step(self):
         # noise that wipes every particle out in step 8, so the total is 0 at
@@ -192,19 +193,19 @@ class TestStreaming:
                 return out
 
         with pytest.raises(DegenerateStateError, match="at step 9$") as info:
-            simulate_system(ModelParams(2.0, n, 1.0), PointMass(1.0), 0.1, WipeOut())
+            simulate_system(ModelParams(2.0, n, 1.0), PointMass(1.0), 0.1, WipeOut(), [10])
         assert info.value.step == 9
         again = pickle.loads(pickle.dumps(info.value))  # as a pool worker sends it
         assert (again.step, str(again)) == (9, str(info.value))
         # the same row in the middle of a batch, stepped one step per block
         rngs = [split_rng(73, 0), WipeOut(), split_rng(73, 2)]
         with pytest.raises(DegenerateStateError, match="at step 9$"):
-            simulate_replications(ModelParams(2.0, n, 1.0), PointMass(1.0), 0.1, rngs)
+            simulate_replications(ModelParams(2.0, n, 1.0), PointMass(1.0), 0.1, rngs, [10])
 
     @pytest.mark.parametrize(
         "nodes",
-        [[0, 5, 3], [0, 3, 3], [0, 11], [1, 5], [], [0.0, 1.0]],
-        ids=["unsorted", "duplicated", "past-end", "not-from-0", "empty", "float"],
+        [[0, 5, 3], [0, 3, 3], [0, 11], [-1, 5], [], [0.0, 1.0], None],
+        ids=["unsorted", "duplicated", "past-end", "negative", "empty", "float", "none"],
     )
     def test_rejects_bad_nodes(self, nodes):
         with pytest.raises(ValueError, match="nodes"):
@@ -215,11 +216,11 @@ class TestStreaming:
         params = ModelParams(2.0, 20000, 1.0)
         tracemalloc.start()
         try:
-            paths = simulate_system(params, PointMass(1.0), 1 / 200, split_rng(72), nodes=[0, 100, 200])
+            _, states = simulate_system(params, PointMass(1.0), 1 / 200, split_rng(72), [0, 100, 200])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert paths.positions.shape == (20000, 3)
+        assert states.shape == (3, 20000)
         assert peak < 8e6
 
     def test_memory_at_a_hundred_thousand_particles(self):
@@ -228,11 +229,11 @@ class TestStreaming:
         params = ModelParams(2.0, 100_000, 1.0)
         tracemalloc.start()
         try:
-            [paths] = simulate_replications(params, PointMass(1.0), 1e-3, [split_rng(74)], [0, 500, 1000])
+            _, states = simulate_replications(params, PointMass(1.0), 1e-3, [split_rng(74)], [0, 500, 1000])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert paths.positions.shape == (100_000, 3)
+        assert states.shape == (1, 3, 100_000)
         assert peak < 32e6
 
     def test_memory_holds_no_block_of_states(self):
@@ -247,13 +248,13 @@ class TestStreaming:
         noise, kept, state = 8 * width * n, 8 * 3 * n, 8 * n
         tracemalloc.start()
         try:
-            [paths] = simulate_replications(
+            _, states = simulate_replications(
                 ModelParams(2.0, n, 1.0), PointMass(1.0), 1 / steps, [split_rng(75)], [0, 50, 100]
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert paths.positions.shape == (n, 3)
+        assert states.shape == (1, 3, n)
         assert peak < noise + kept + 4 * state
 
 
@@ -265,27 +266,29 @@ class TestReplications:
     @pytest.mark.parametrize("law", LAWS, ids=str)
     def test_rows_equal_single_runs(self, monkeypatch, law, n, reps):
         params = ModelParams(2.0, n, 1.0)
-        singles = [simulate_system(params, law, 1 / self.STEPS, split_rng(81, n, r)) for r in range(reps)]
+        every = np.arange(self.STEPS + 1)
+        singles = [simulate_system(params, law, 1 / self.STEPS, split_rng(81, n, r), every) for r in range(reps)]
         # blocks of 6 steps; nodes on both sides of the block edges at 6 and 12
         monkeypatch.setattr(particles, "_NOISE_BUDGET", 6 * reps * n)
         nodes = [0, 5, 6, 7, 11, 12, 13, self.STEPS]
         rngs = [split_rng(81, n, r) for r in range(reps)]
-        rows = simulate_replications(params, law, 1 / self.STEPS, rngs, nodes)
-        assert len(rows) == reps
-        for row, one in zip(rows, singles):
-            assert np.array_equal(row.positions, one.positions[:, nodes])
-            assert np.array_equal(row.totals, one.totals[nodes])
-            assert np.array_equal(row.time_grid, one.time_grid[nodes])
+        times, states = simulate_replications(params, law, 1 / self.STEPS, rngs, nodes)
+        assert states.shape == (reps, len(nodes), n)
+        for row, total, (one_times, one) in zip(states, states.sum(axis=-1), singles):
+            assert np.array_equal(row, one[nodes])
+            assert np.array_equal(total, [y.sum() for y in one[nodes]])
+            assert np.array_equal(times, one_times[nodes])
 
     @pytest.mark.parametrize("n", [1, 63, 4097])
     @pytest.mark.parametrize("law", LAWS, ids=str)
     def test_single_row_is_the_one_dimensional_step(self, law, n):
-        paths = simulate_system(ModelParams(2.0, n, 1.0), law, 1 / self.STEPS, split_rng(82))
+        every = np.arange(self.STEPS + 1)
+        _, states = simulate_system(ModelParams(2.0, n, 1.0), law, 1 / self.STEPS, split_rng(82), every)
         rng = split_rng(82)
         y0 = sample_initial(law, n, rng)
         ref = reference_1d_euler(2.0, y0, 1 / self.STEPS, rng.standard_normal((self.STEPS, n)))
-        assert np.array_equal(paths.positions, ref)
-        assert np.array_equal(paths.totals, [ref[:, k].sum() for k in range(self.STEPS + 1)])
+        assert np.array_equal(states, ref)
+        assert np.array_equal(states.sum(axis=-1), [y.sum() for y in ref])
 
 
 class TestMomentIdentities:
@@ -294,7 +297,8 @@ class TestMomentIdentities:
         eta, n, reps = 2.0, 64, 80
         params = ModelParams(eta, n, 1.0)
         rngs = [split_rng(31, r) for r in range(reps)]
-        finals = np.array([p.totals[-1] for p in simulate_replications(params, PointMass(1.0), 2e-3, rngs)])
+        _, states = simulate_replications(params, PointMass(1.0), 2e-3, rngs, [500])
+        finals = states[:, -1].sum(axis=-1)
         target1 = n * math.exp(eta / 2)
         se1 = finals.std(ddof=1) / math.sqrt(reps)
         assert abs(finals.mean() - target1) < 3 * se1
@@ -315,8 +319,8 @@ class TestMomentIdentities:
         m1, m2 = moments(law)
         s0, s0_sq = n * m1, n * m2 + n * (n - 1) * m1 * m1
         rngs = [split_rng(5, r) for r in range(reps)]
-        paths = simulate_replications(ModelParams(eta, n, horizon), law, dt, rngs, nodes=[0, steps])
-        s = np.array([p.totals[-1] for p in paths])
+        _, states = simulate_replications(ModelParams(eta, n, horizon), law, dt, rngs, [steps])
+        s = states[:, -1].sum(axis=-1)
         discrete = (s0 * (1 + 0.5 * eta * dt) ** steps, s0_sq * ((1 + 0.5 * eta * dt) ** 2 + dt / n) ** steps)
         continuous = (s0 * math.exp(0.5 * eta * horizon), s0_sq * math.exp((eta + 1.0 / n) * horizon))
         for data, exact, limit, tol in zip((s, s * s), discrete, continuous, (MOMENT_Z_FIRST, MOMENT_Z_SECOND)):
@@ -352,19 +356,17 @@ class TestStrongError:
 class TestMeanPath:
     def test_starts_at_initial_mean(self):
         params = ModelParams(2.0, 32, 1.0)
-        paths = simulate_system(params, PointMass(1.0), 0.05, split_rng(51))
-        assert paths.totals[0] / params.n_particles == 1.0
+        _, states = simulate_system(params, PointMass(1.0), 0.05, split_rng(51), [0])
+        assert states.sum(axis=-1)[0] / params.n_particles == 1.0
 
     def test_supremum_gap_shrinks_with_n(self):
         # the average position tracks e^{eta t / 2} better at larger N
         eta, reps = 2.0, 20
         meds = {}
         for n in (64, 1024):
-            sups = []
             rngs = [split_rng(52, n, r) for r in range(reps)]
-            for paths in simulate_replications(ModelParams(eta, n, 1.0), PointMass(1.0), 5e-3, rngs):
-                curve = np.exp(0.5 * eta * paths.time_grid)
-                sups.append(np.abs(paths.totals / n - curve).max())
+            times, states = simulate_replications(ModelParams(eta, n, 1.0), PointMass(1.0), 5e-3, rngs, np.arange(201))
+            sups = np.abs(states.sum(axis=-1) / n - np.exp(0.5 * eta * times)).max(axis=1)
             meds[n] = np.median(sups)
         assert meds[1024] < meds[64]
 
@@ -390,15 +392,3 @@ class TestLogGrowthDiagnostic:
             large_mean.append(np.diff(logs[1]).mean())
         assert np.mean(small_mean) > np.mean(large_mean)
 
-
-class TestParticlePathsInvariants:
-    def test_rejects_negative_positions(self):
-        grid = np.array([0.0, 1.0])
-        positions = np.array([[1.0, -0.1]])
-        with pytest.raises(ValueError, match="nonnegative"):
-            ParticlePaths(grid, positions)
-
-    def test_rejects_bad_grid(self):
-        positions = np.ones((1, 2))
-        with pytest.raises(ValueError, match="grid"):
-            ParticlePaths(np.array([0.5, 1.0]), positions)
