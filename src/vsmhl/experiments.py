@@ -57,6 +57,7 @@ from .pde import (
     quadrature_path,
     solve,
     test_function_bank,
+    truncation_violations,
     weak_residual,
 )
 
@@ -550,11 +551,17 @@ def write_results(result: ExperimentResult, cfg: ExperimentConfig, out_dir) -> d
 def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentResult:
     """Run and (when out_dir is given) persist one experiment.
 
-    out_dir is created before the run, so an OSError for a directory that
-    cannot be made comes before any work.  On a mid-run failure a manifest
-    with the completed rows is written before the original error propagates.
+    Before any work, a pde_check grid too short for its law raises
+    ConfigurationError (pde.truncation_violations; solve reads the same CDF
+    from the cache), and only then is out_dir created, so an OSError for a
+    directory that cannot be made also comes before any work.  On a mid-run
+    failure a manifest with the completed rows is written before the original
+    error propagates.
     """
     runner = _RUNNERS[cfg.experiment]
+    bad = truncation_violations(cfg.params, cfg.law, cfg.grid) if cfg.experiment == "pde_check" else []
+    if bad:
+        raise ConfigurationError(*bad)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     try:

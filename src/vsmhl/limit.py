@@ -90,6 +90,7 @@ PANEL_WIDTH = 0.02  # widest quadrature panel in u = sqrt(y): resolves the test-
 # most panels in one quadrature (8 nodes each): bounds the memory of a narrow
 # kernel over a wide law (a gamma law at t = 1e-4 takes 1900)
 MAX_PANELS = 4096
+MASS_TOL = 1e-8  # largest |total weight - 1| a quadrature may return
 
 
 @dataclass(frozen=True)
@@ -338,6 +339,11 @@ def _panels(ll: LimitLaw, t: float) -> _Panels:
     return _Panels(edges_u, halfw, y, f * 2.0 * u)
 
 
+def _check_mass(t: float, total: float) -> None:
+    if not abs(total - 1.0) <= MASS_TOL:
+        raise ValueError(f"the quadrature at t = {t} has total weight {float(total)!r}, not 1 within {MASS_TOL:g}")
+
+
 def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes y and weights w with sum(w g(y)) = E g(Y_t) for the limit law at t >= 0.
 
@@ -345,7 +351,8 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
     (at most MAX_PANELS of them), cover the tail range [y_lo, y_hi] of
     _tail_range, outside which each tail holds at most TAIL_EPS; each weight
     is the density times dy at its node.  Like cdf and quantile, it raises
-    ValueError where the density is not finite on a node.
+    ValueError where the density is not finite on a node or the total weight
+    misses 1 by more than MASS_TOL (MAX_PANELS panels too wide for the kernel).
     At t = 0 the initial law's own pieces are used: its atoms for an atomic
     law (a point mass is one atom), panels over the gamma pdf (Gauss-Jacobi
     with weight y^{k-1} on the first), and panels over [a0, b0] for a uniform.
@@ -364,6 +371,7 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
         y[0] = 0.5 * h * (1.0 + x)
         log_gamma_k = scipy.special.gammaln(k)
         w[0] = (0.5 * h) ** k * wj * np.exp(-y[0] / law.scale - log_gamma_k - k * math.log(law.scale))
+    _check_mass(t, w.sum())
     return y.ravel(), w.ravel()
 
 
@@ -381,12 +389,13 @@ def _panel_cdf(ll: LimitLaw, t: float) -> tuple[np.ndarray, float, np.ndarray, n
     -1 of the degree-7 polynomial through the panel's 8 node values g."""
     p = _panels(ll, t)
     F_edges = np.concatenate([[0.0], np.cumsum(np.sum(p.weights(), axis=1))])
+    _check_mass(t, F_edges[-1])
     return p.edges_u, p.halfw, F_edges, p.halfw * (_LAGRANGE_INTEGRALS @ p.g.T)
 
 
 def cdf(ll: LimitLaw, t: float, y):
     """Cumulative distribution of the limit measure at time t > 0; 0 below the
-    quadrature's range and its total weight above it."""
+    quadrature's range and its total weight (1 within MASS_TOL) above it."""
     ys = np.asarray(y, dtype=float)
     _check_density_args(t, ys)
     edges_u, halfw, F_edges, coef = _panel_cdf(ll, t)

@@ -106,10 +106,7 @@ class MeasurePath:
 
 def empirical(positions) -> Measure1D:
     """Uniform atoms at the given positions (duplicates merged)."""
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 1 or len(pos) == 0:
-        raise ValueError("need a nonempty 1-D position vector")
-    return Measure1D.from_atoms(pos)
+    return Measure1D.from_atoms(positions)
 
 
 def wasserstein1(mu: Measure1D, nu: Measure1D) -> float:

@@ -143,10 +143,8 @@ def simulate_replications(
     noise = np.empty((reps, min(max(_NOISE_BUDGET // (reps * n), 1), n_steps), n))
     kept = np.empty((reps, len(nodes), n))  # [r, j]: row r's state at step nodes[j]
     y = np.array([sample_initial(law, n, rng) for rng in rngs])
-    j = 0
-    if nodes[0] == 0:
-        kept[:, 0] = y
-        j = 1
+    j = int(nodes[0] == 0)  # the next node to keep: step 0 is kept only if asked for
+    kept[:, :j] = y[:, None]
     for start in range(0, n_steps, noise.shape[1]):
         block = noise[:, : n_steps - start]
         for rng, row in zip(rngs, block):
@@ -165,16 +163,11 @@ def simulate_replications(
     return np.linspace(0.0, params.horizon, n_steps + 1)[nodes], kept
 
 
-# No experiment calls simulate_system: it stays because perfbench/tracing.py
-# looks the name up in vsmhl.experiments when it installs its spans.
 def simulate_system(
-    params: ModelParams,
-    law: InitialLaw,
-    dt: float,
-    rng: np.random.Generator,
-    nodes,
+    params: ModelParams, law: InitialLaw, dt: float, rng: np.random.Generator, nodes
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One replication, the one-row call of simulate_replications: the kept
-    times and that row's kept states, shape (len(nodes), N)."""
+    """The one-row call of simulate_replications: the kept times and that row's
+    kept states, shape (len(nodes), N).  No experiment calls it; it stays
+    because perfbench/tracing.py looks the name up in vsmhl.experiments."""
     times, states = simulate_replications(params, law, dt, [rng], nodes)
     return times, states[0]

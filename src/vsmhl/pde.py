@@ -52,6 +52,7 @@ __all__ = [
     "weak_residual",
     "test_function_bank",
     "mollified_start_law",
+    "truncation_violations",
     "TRUNCATION_MASS_TOL",
 ]
 
@@ -232,6 +233,14 @@ def _checked_drift(m: np.ndarray, k: int, dx: float) -> float:
     return drift
 
 
+def truncation_violations(params: ModelParams, law: InitialLaw, grid: SolverGrid) -> list[str]:
+    """One message if the limit law keeps more than TRUNCATION_MASS_TOL of its mass
+    beyond x_max at the horizon (a zero-flux box that small distorts the solution)."""
+    tail = 1.0 - cdf(LimitLaw(params.eta, law), params.horizon, grid.x_max)
+    msg = f"mass {tail:.3e} beyond x_max={grid.x_max} at the horizon exceeds {TRUNCATION_MASS_TOL}"
+    return [msg] if tail > TRUNCATION_MASS_TOL else []
+
+
 def solve(params: ModelParams, law: InitialLaw, grid: SolverGrid) -> DensityTrajectory:
     """Solve the forward equation up to the horizon on the given grid.
 
@@ -241,16 +250,12 @@ def solve(params: ModelParams, law: InitialLaw, grid: SolverGrid) -> DensityTraj
     to the ends nt // 2 and nt.  Only levels 0, nt // 2 and nt outlive their
     step, so memory does not grow with nt.
 
-    Raises ConfigurationError when the analytic law keeps more than
-    TRUNCATION_MASS_TOL of its mass beyond x_max at the horizon, since a
-    zero-flux box that small would distort the solution.
+    Raises ConfigurationError for a grid that truncation_violations refuses.
     """
+    bad = truncation_violations(params, law, grid)
+    if bad:
+        raise ConfigurationError(*bad)
     ll = LimitLaw(params.eta, law)
-    tail = 1.0 - cdf(ll, params.horizon, grid.x_max)
-    if tail > TRUNCATION_MASS_TOL:
-        raise ConfigurationError(
-            f"mass {tail:.3e} beyond x_max={grid.x_max} at the horizon exceeds {TRUNCATION_MASS_TOL}"
-        )
     dx = grid.dx()
     op = _operator(grid.centers(), dx, params.eta)
     dt = params.horizon / grid.nt

@@ -544,6 +544,20 @@ class TestCli:
         assert all(m in err for m in messages)
         assert not out.exists()
 
+    def test_short_pde_grid_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the grid's tail check comes before the output directory and the solve
+        spec = {
+            "experiment": "pde_check",
+            "params": {"eta": 2.0, "n_particles": 1, "horizon": 1.0},
+            "law": {"type": "point_mass", "x0": 1.0},
+            "grid": {"x_max": 5.0, "nx": 100, "nt": 100},
+        }
+        monkeypatch.setattr(exp, "solve", lambda *args: pytest.fail("solved a refused grid"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: mass 1.088e-01 beyond x_max=5.0 at the horizon exceeds 1e-06\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "overrides, message",
         [

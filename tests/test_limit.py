@@ -513,6 +513,27 @@ class TestQuadrature:
             with pytest.raises(ValueError, match="^the limit density is not finite on the quadrature nodes$"):
                 func(*args)
 
+    @pytest.mark.parametrize("func", [limit.quadrature, cdf, quantile], ids=["quadrature", "cdf", "quantile"])
+    @pytest.mark.parametrize(
+        "law, t, total",
+        [(DiscreteAtoms(((0.5, 0.3), (2.0, 0.7))), 1e-10, "0.3036"), (GammaLaw(0.3, 1.0), 1e-6, "0.99999925")],
+        ids=["atoms", "gamma"],
+    )
+    def test_mass_off_one_refused(self, func, law, t, total):
+        # MAX_PANELS panels are too wide for so narrow a kernel: the atoms keep
+        # 0.30 of their mass, the gamma law's spike at 0 loses 7.5e-7
+        ll = LimitLaw(2.0, law)
+        args = (ll, t) if func is limit.quadrature else (ll, t, 0.5)
+        with pytest.raises(ValueError, match=rf"^the quadrature at t = {t} has total weight {total}"):
+            func(*args)
+
+    def test_mass_within_tolerance_passes(self):
+        # the same atoms at t = 1e-8 miss by 1.3e-10, inside MASS_TOL
+        ll = LimitLaw(2.0, DiscreteAtoms(((0.5, 0.3), (2.0, 0.7))))
+        _, w = limit.quadrature(ll, 1e-8)
+        assert 1e-11 <= abs(w.sum() - 1.0) <= limit.MASS_TOL
+        assert cdf(ll, 1e-8, 3.0) == pytest.approx(1.0, abs=limit.MASS_TOL)
+
     def test_uniform_at_1e_9_stays_finite(self):
         # MAX_PANELS binds under so narrow a kernel: the mass reads 1 - 4.6e-10
         y, w = limit.quadrature(LimitLaw(2.0, UniformLaw(0.5, 1.5)), 1e-9)

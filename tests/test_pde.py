@@ -249,8 +249,12 @@ class TestSolve:
         assert traj.max_drift <= 1e-6
 
     def test_truncation_precondition(self):
-        with pytest.raises(ConfigurationError, match="x_max"):
-            solve(PARAMS, LAW, SolverGrid(5.0, 100, 100))
+        short = SolverGrid(5.0, 100, 100)
+        [message] = pde.truncation_violations(PARAMS, LAW, short)
+        with pytest.raises(ConfigurationError, match="x_max") as info:
+            solve(PARAMS, LAW, short)
+        assert info.value.args == (message,)
+        assert pde.truncation_violations(PARAMS, LAW, SolverGrid(30.0, 100, 100)) == []
 
     def test_validation_propagates(self):
         from vsmhl import ValidationError
