@@ -152,9 +152,21 @@ class ExperimentConfig:
             raise ConfigurationError(*out)
 
     def _limit_law_violations(self) -> list[str]:
-        # load what every limit-law run reads in set-up, before any worker forks
-        import scipy.linalg  # noqa: F401  (roots_jacobi and dgtsv)
-        import scipy.special  # noqa: F401
+        # import, before any work or fork, each scipy subpackage the run reads
+        # and no other; one atom's kernel is bessel.py's
+        if self.experiment == "pde_check":
+            # ndtr, logsumexp, dgtsv; roots_jacobi (gamma) loads scipy.linalg itself
+            import scipy.linalg  # noqa: F401
+            import scipy.special  # noqa: F401
+        elif not (isinstance(self.law, DiscreteAtoms) and len(self.law.atoms) == 1):
+            import scipy.special  # noqa: F401  (hyp1f1, logsumexp)
+        else:
+            # what scipy.special would load and the run reads: split_rng's
+            # generators, and numpy.ma, which np.median and np.unique look up
+            import numpy.ma  # noqa: F401
+            import numpy.random  # noqa: F401
+        if isinstance(self.law, UniformLaw):
+            import scipy.stats  # noqa: F401  (ncx2)
 
         out = []
         eta = self.params.eta

@@ -55,7 +55,7 @@ import numpy as np
 import scipy
 
 from .bessel import log_modified_bessel_i
-from .errors import ValidationError
+from .errors import ConfigurationError, ValidationError
 from .model import (
     DiscreteAtoms,
     GammaLaw,
@@ -341,7 +341,8 @@ def _panels(ll: LimitLaw, t: float) -> _Panels:
 
 def _check_mass(t: float, total: float) -> None:
     if not abs(total - 1.0) <= MASS_TOL:
-        raise ValueError(f"the quadrature at t = {t} has total weight {float(total)!r}, not 1 within {MASS_TOL:g}")
+        msg = f"the quadrature at t = {t} has total weight {float(total)!r}, not 1 within {MASS_TOL:g}"
+        raise ConfigurationError(msg)
 
 
 def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -351,8 +352,9 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
     (at most MAX_PANELS of them), cover the tail range [y_lo, y_hi] of
     _tail_range, outside which each tail holds at most TAIL_EPS; each weight
     is the density times dy at its node.  Like cdf and quantile, it raises
-    ValueError where the density is not finite on a node or the total weight
-    misses 1 by more than MASS_TOL (MAX_PANELS panels too wide for the kernel).
+    ValueError where the density is not finite on a node, and
+    ConfigurationError (a ValueError) where the total weight misses 1 by more
+    than MASS_TOL (MAX_PANELS panels too wide for the kernel).
     At t = 0 the initial law's own pieces are used: its atoms for an atomic
     law (a point mass is one atom), panels over the gamma pdf (Gauss-Jacobi
     with weight y^{k-1} on the first), and panels over [a0, b0] for a uniform.

@@ -558,6 +558,21 @@ class TestCli:
         assert capsys.readouterr().err == "config error: mass 1.088e-01 beyond x_max=5.0 at the horizon exceeds 1e-06\n"
         assert not out.exists()
 
+    def test_quadrature_mass_off_one_exit_code(self, tmp_path, capsys):
+        # MAX_PANELS panels are too wide for the kernel at t = 1e-10: the run's
+        # first CDF refuses the law, and the CLI reports it as a config error
+        spec = {
+            "experiment": "sampler_check",
+            "params": {"eta": 2.0, "n_particles": 1, "horizon": 2e-10},
+            "law": {"type": "atoms", "atoms": [[0.5, 0.3], [2.0, 0.7]]},
+            "dt": 1e-10,
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the quadrature at t = 1e-10 has total weight 0.3036")
+        assert err.endswith(", not 1 within 1e-08\n")
+
     @pytest.mark.parametrize(
         "overrides, message",
         [

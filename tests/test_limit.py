@@ -10,6 +10,7 @@ from scipy.stats import ncx2
 import vsmhl.limit as limit
 import vsmhl.pde as pde
 from vsmhl import (
+    ConfigurationError,
     DiscreteAtoms,
     GammaLaw,
     LimitLaw,
@@ -524,7 +525,7 @@ class TestQuadrature:
         # 0.30 of their mass, the gamma law's spike at 0 loses 7.5e-7
         ll = LimitLaw(2.0, law)
         args = (ll, t) if func is limit.quadrature else (ll, t, 0.5)
-        with pytest.raises(ValueError, match=rf"^the quadrature at t = {t} has total weight {total}"):
+        with pytest.raises(ConfigurationError, match=rf"^the quadrature at t = {t} has total weight {total}"):
             func(*args)
 
     def test_mass_within_tolerance_passes(self):

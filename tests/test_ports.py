@@ -7,10 +7,19 @@ start-up per process, and scipy.stats about 1 s.
 
 Importing vsmhl loads scipy itself and none of its subpackages: the modules
 name scipy.special and scipy.linalg.lapack by attribute, which scipy loads on
-first use.  A moment_check never reads the limit law and loads neither.
-Every other experiment loads both while its config is built (and checked),
-so the run itself, and any worker forked for it, loads no scipy module.
-scipy.stats loads only for a UniformLaw limit law (its ncx2 CDF).
+first use.  Each experiment loads, while its config is built (and checked),
+the subpackages its run reads and no others, so the run itself, and any
+worker forked for it, loads no scipy module and none of numpy's lazy ones:
+
+* pde_check, any law: scipy.special and scipy.linalg;
+* convergence, rank_check and sampler_check: for a one-atom law (a point
+  mass: its kernel is vsmhl.bessel's) no scipy subpackage, only the
+  numpy.random and numpy.ma that scipy.special would bring; scipy.special
+  for any other law;
+* each of these runs of a UniformLaw adds scipy.stats (its ncx2 CDF),
+  which loads the other two;
+* moment_check never reads the limit law and loads no scipy subpackage
+  (its run imports numpy.random itself).
 """
 
 import json
@@ -137,8 +146,9 @@ cfg = exp.ExperimentConfig.from_dict(json.loads(sys.argv[1]))  # checked as it i
 validated = set(sys.modules)
 
 
-def new_scipy():
-    return sorted(m for m in set(sys.modules) - validated if m.split(".")[0] == "scipy")
+def new_lazy():
+    # scipy's subpackages, and numpy's that load on first use (numpy.random, numpy.ma)
+    return sorted(m for m in set(sys.modules) - validated if m.split(".")[0] in ("numpy", "scipy"))
 
 
 real_run_chunk = exp._run_chunk
@@ -147,45 +157,66 @@ real_run_chunk = exp._run_chunk
 def checked_run_chunk(*args):
     # runs in each forked pool worker, or in this process when serial
     result = real_run_chunk(*args)
-    assert new_scipy() == [], new_scipy()
+    assert new_lazy() == [], new_lazy()
     return result
 
 
 exp._run_chunk = checked_run_chunk
 exp.run_experiment(cfg, threads=int(sys.argv[2]))
-print(json.dumps({"validated": sorted(validated), "run": new_scipy()}))
+print(json.dumps({"validated": sorted(validated), "run": new_lazy()}))
 """
 
+POINT, GAMMA, UNIFORM, ATOMS = LAWS
+PDE_GRID = SolverGrid(30.0, 300, 16)
+N_VALUES = {"dt": 0.05, "n_values": (16, 64), "replications": 2}
+SPECIAL, LINALG, STATS = "scipy.special", "scipy.linalg", "scipy.stats"
+
+# (config, threads, the scipy subpackages the run reads)
 AFTER_VALIDATION_RUNS = [
     pytest.param(
-        ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), PointMass(1.0), grid=SolverGrid(30.0, 300, 16)),
-        1,
+        ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), POINT, grid=PDE_GRID), 1, {SPECIAL, LINALG},
         id="pde_check-point",
     ),
     pytest.param(
-        ExperimentConfig(
-            "convergence", ModelParams(2.0, 16, 1.0), GammaLaw(2.0, 0.5),
-            dt=0.05, n_values=(16, 64), replications=2, metric="levy",
-        ),
-        2,
+        ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), GAMMA, grid=PDE_GRID), 1, {SPECIAL, LINALG},
+        id="pde_check-gamma",
+    ),
+    pytest.param(
+        ExperimentConfig("convergence", ModelParams(2.0, 16, 1.0), GAMMA, metric="levy", **N_VALUES), 2, {SPECIAL},
         id="convergence-gamma-threads2",
     ),
     pytest.param(
-        ExperimentConfig("rank_check", ModelParams(2.0, 16, 1.0), LAWS[3], dt=0.05, n_values=(16, 64), replications=2),
-        1,
+        ExperimentConfig("convergence", ModelParams(2.0, 16, 1.0), POINT, **N_VALUES), 2, set(),
+        id="convergence-point-threads2",
+    ),
+    pytest.param(
+        ExperimentConfig("rank_check", ModelParams(2.0, 16, 1.0), ATOMS, **N_VALUES), 1, {SPECIAL},
         id="rank_check-atoms",
     ),
-    pytest.param(ExperimentConfig("sampler_check", ModelParams(2.0, 1, 1.0), LAWS[0]), 1, id="sampler_check-point"),
-    pytest.param(ExperimentConfig("sampler_check", ModelParams(2.0, 1, 1.0), LAWS[1]), 1, id="sampler_check-gamma"),
+    pytest.param(
+        ExperimentConfig("rank_check", ModelParams(2.0, 16, 1.0), POINT, **N_VALUES), 1, set(),
+        id="rank_check-point",
+    ),
+    pytest.param(ExperimentConfig("sampler_check", ModelParams(2.0, 1, 1.0), POINT), 1, set(), id="sampler_check-point"),
+    pytest.param(
+        ExperimentConfig("sampler_check", ModelParams(2.0, 1, 1.0), GAMMA), 1, {SPECIAL}, id="sampler_check-gamma"
+    ),
+    # scipy.stats loads scipy.special and scipy.linalg itself
+    pytest.param(
+        ExperimentConfig("sampler_check", ModelParams(2.0, 1, 1.0), UNIFORM), 1, {SPECIAL, LINALG, STATS},
+        id="sampler_check-uniform",
+    ),
 ]
 
 
-@pytest.mark.parametrize("cfg, threads", AFTER_VALIDATION_RUNS)
-def test_run_loads_nothing_validation_did_not(cfg, threads):
+@pytest.mark.parametrize("cfg, threads, reads", AFTER_VALIDATION_RUNS)
+def test_run_loads_nothing_validation_did_not(cfg, threads, reads):
     # in a fresh process: in this one, earlier tests have loaded every module
     out = run_python(RUN_AFTER_VALIDATION, json.dumps(cfg.to_dict()), str(threads))
     assert out["run"] == []
-    assert "scipy.special" in out["validated"] and "scipy.linalg.lapack" in out["validated"]
-    # no optimizer, integrator or interpolator; scipy.stats only for a uniform law's ncx2
-    heavy = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.sparse")
-    assert loaded(out["validated"], heavy) == []
+    # validation loads what the run reads and no more
+    assert {p for p in (SPECIAL, LINALG, STATS) if p in out["validated"]} == reads
+    if STATS not in reads:
+        # no optimizer, integrator or interpolator: only scipy.stats brings them
+        heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.sparse")
+        assert loaded(out["validated"], heavy) == []
