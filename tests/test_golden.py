@@ -2,8 +2,11 @@
 
 Each particle config is small and seeded, and at its largest N the particle
 engine draws its noise in several blocks, the last one partial.  The
-``pde_check`` config is the solver grid 30/1200/800 with a point-mass start;
-its CSV holds the L1 errors, the mass drift and every weak residual.  The
+``pde_check`` configs are the solver grid 30/1200/800 with a point-mass start,
+and three more starts whose limit kernels take other paths: a gamma law (a
+580-atom mollified start and the Kummer-function density), a uniform law
+(``ncx2``) and two atoms (the log-sum-exp over atoms); each CSV holds the L1
+errors, the mass drift and every weak residual.  The
 ``sampler_check`` config draws 100k exact limit samples from a gamma start
 at two times and records their Kolmogorov-Smirnov statistics.  A
 refactor that keeps the RNG streams and the arithmetic must keep every
@@ -16,11 +19,13 @@ import hashlib
 import pytest
 
 from vsmhl import (
+    DiscreteAtoms,
     ExperimentConfig,
     GammaLaw,
     ModelParams,
     PointMass,
     SolverGrid,
+    UniformLaw,
     run_experiment,
 )
 
@@ -59,6 +64,27 @@ GOLDEN = {
             grid=SolverGrid(30.0, 1200, 800),
         ),
         "e5daa1929f135a990befbbc614b092f25b5a7552293813313897fb4bb2db2ad4",
+    ),
+    "pde_check_gamma": (
+        dict(
+            experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=GammaLaw(2.0, 0.5),
+            grid=SolverGrid(40.0, 1200, 800),
+        ),
+        "ed66164fed9296cc23a2f43bf953ef833813ac029466b26036e9257acd2c228d",
+    ),
+    "pde_check_uniform": (
+        dict(
+            experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=UniformLaw(0.5, 1.5),
+            grid=SolverGrid(40.0, 1200, 800),
+        ),
+        "5daed4a7954396ac001c156e3548dabd522a8f0c49dfb09943f612265fc06661",
+    ),
+    "pde_check_atoms": (
+        dict(
+            experiment="pde_check", params=ModelParams(2.0, 64, 1.0),
+            law=DiscreteAtoms(((0.5, 0.3), (2.0, 0.7))), grid=SolverGrid(40.0, 1600, 800),
+        ),
+        "8211fa4a06ce96c968ff169a4296d17cddb91527d381423952e66f7c4c4c537e",
     ),
     "sampler_check": (
         dict(
