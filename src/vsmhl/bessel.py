@@ -18,6 +18,7 @@ larger orders are rejected.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -36,8 +37,8 @@ def _check_args(nu: float, z: np.ndarray) -> None:
         raise ValueError("argument z must be nonnegative")
 
 
-def _series_sum(nu: float, zp: np.ndarray) -> np.ndarray:
-    """Sum_k (z^2/4)^k / (k! (nu+1)_k) for strictly positive z, in place."""
+def _log_series_sum(nu: float, zp: np.ndarray) -> np.ndarray:
+    """log of Sum_k (z^2/4)^k / (k! (nu+1)_k) for strictly positive z."""
     q = 0.25 * zp * zp
     total = np.ones_like(zp)
     term = np.ones_like(zp)
@@ -48,26 +49,37 @@ def _series_sum(nu: float, zp: np.ndarray) -> np.ndarray:
         # all-positive terms, so an occasional elementwise check suffices
         if k % 8 == 0 and np.all(term <= 1e-17 * total):
             break
-    return total
+    return np.log(total, out=total)
+
+
+def _piecewise(mask: np.ndarray, z: np.ndarray, f, g) -> np.ndarray:
+    """f on z[mask] and g on z[~mask], as one array; f or g takes the whole
+    of z, with no gather or scatter, when the mask holds everywhere or nowhere."""
+    if mask.all():
+        return f(z)
+    if not mask.any():
+        return g(z)
+    out = np.empty_like(z)
+    out[mask] = f(z[mask])
+    out[~mask] = g(z[~mask])
+    return out
 
 
 def _series_log(nu: float, z: np.ndarray) -> np.ndarray:
     """log I_nu(z) by the power series; valid for modest z (all-positive terms)."""
-    out = np.full(z.shape, -math.inf)
-    pos = z > 0
-    if nu == 0:
-        out[~pos] = 0.0
-    if not np.any(pos):
+
+    def positive(zp):
+        # band by magnitude so small arguments stop after a few terms
+        log_sum = partial(_log_series_sum, nu)
+        out = _piecewise(zp <= 10.0, zp, log_sum, log_sum)
+        lead = np.multiply(zp, 0.5)
+        np.log(lead, out=lead)
+        lead *= nu
+        lead -= math.lgamma(nu + 1.0)
+        out += lead
         return out
-    zp = z[pos]
-    res = np.empty_like(zp)
-    # band by magnitude so small arguments stop after a few terms
-    small = zp <= 10.0
-    for band in (small, ~small):
-        if np.any(band):
-            res[band] = np.log(_series_sum(nu, zp[band]))
-    out[pos] = nu * np.log(0.5 * zp) - math.lgamma(nu + 1.0) + res
-    return out
+
+    return _piecewise(z > 0, z, positive, lambda z0: np.full(z0.shape, 0.0 if nu == 0 else -math.inf))
 
 
 def _asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:
@@ -98,13 +110,14 @@ def log_modified_bessel_i(nu: float, z, scaled: bool = False):
     _check_args(nu, zs)
     scalar = zs.ndim == 0
     zs = np.atleast_1d(zs)
-    out = np.empty_like(zs)
-    small = zs <= max(Z_SWITCH, 0.5 * nu * nu)
-    if np.any(small):
-        out[small] = _series_log(nu, zs[small]) - (zs[small] if scaled else 0.0)
-    if np.any(~small):
-        zl = zs[~small]
-        log_scaled = np.log(_asymptotic_scaled(nu, zl))
-        out[~small] = log_scaled if scaled else zl + log_scaled
-    return float(out[0]) if scalar else out
 
+    def series(zb):
+        out = _series_log(nu, zb)
+        return np.subtract(out, zb, out=out) if scaled else out
+
+    def asymptotic(zb):
+        out = np.log(_asymptotic_scaled(nu, zb))
+        return out if scaled else np.add(out, zb, out=out)
+
+    out = _piecewise(zs <= max(Z_SWITCH, 0.5 * nu * nu), zs, series, asymptotic)
+    return float(out[0]) if scalar else out

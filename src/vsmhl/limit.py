@@ -131,30 +131,35 @@ def _log_kernel(eta: float, J: float, x, y) -> np.ndarray:
     z = 4 sqrt(xy)/J: the direct -2(x+y)/J + log I(z) nearly cancels when J
     is small, which loses about 1e-16 z of relative accuracy (1e-11 at
     J = 1e-4, x = y = 1) and every digit once z passes 1e16.
+
+    log and sqrt are taken once per coordinate, on the contiguous x and y (a
+    strided copy can change their last bit); z and the exponent are then
+    formed per pair in place, and pairs with a zero coordinate fixed after.
     """
-    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    x, y = np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(y, dtype=float)
     nu = eta - 1.0
-    out = np.full(x.shape, -np.inf)
-    both = (x > 0) & (y > 0)
-    if np.any(both):
-        xb, yb = x[both], y[both]
-        z = 4.0 * np.sqrt(xb * yb) / J
-        out[both] = (
-            math.log(2.0 / J)
-            + 0.5 * nu * (np.log(yb) - np.log(xb))
-            - 2.0 * (np.sqrt(xb) - np.sqrt(yb)) ** 2 / J
-            + log_modified_bessel_i(nu, z, scaled=True)
-        )
-    central = (x == 0) & (y > 0)
-    if np.any(central):
+    z = np.multiply(x, y)
+    np.sqrt(z, out=z)
+    z *= 4.0
+    z /= J
+    log_i = log_modified_bessel_i(nu, z, scaled=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero coordinates, set below
+        out = np.log(y) - np.log(x)
+        out *= 0.5 * nu
+        out += math.log(2.0 / J)
+        gap = np.subtract(np.sqrt(x), np.sqrt(y), out=z)
+        gap *= gap
+        gap *= 2.0
+        gap /= J
+        out -= gap
+        out += log_i
+    x_pos, y_pos = x > 0, y > 0
+    if not (x_pos.all() and y_pos.all()):
+        out[~(x_pos & y_pos)] = -np.inf
+        central = (x == 0) & y_pos
         # start at the origin: the transition law is a plain gamma
-        yc = y[central]
-        out[central] = (
-            eta * math.log(2.0 / J)
-            + nu * np.log(yc)
-            - 2.0 * yc / J
-            - math.lgamma(eta)
-        )
+        yc = np.broadcast_to(y, out.shape)[central]
+        out[central] = eta * math.log(2.0 / J) + nu * np.log(yc) - 2.0 * yc / J - math.lgamma(eta)
     return out
 
 
@@ -198,9 +203,10 @@ def _log_kernel_mixture(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
     law = ll.law
     if len(law.atoms) == 1:
         ((x0, w0),) = law.atoms
-        return _log_kernel(ll.eta, J, x0, y) + math.log(w0)
+        lk = _log_kernel(ll.eta, J, x0, y)
+        return np.add(lk, math.log(w0), out=lk)
     lk = _log_kernel(ll.eta, J, law.locations()[None, :], y[:, None])
-    return scipy.special.logsumexp(lk + np.log(law.weights())[None, :], axis=1)
+    return scipy.special.logsumexp(np.add(lk, np.log(law.weights()), out=lk), axis=1)
 
 
 def _log_density(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:

@@ -150,12 +150,14 @@ def levy(mu: Measure1D, nu: Measure1D) -> float:
     A shift by (-eps, +eps) keeps x + y = s fixed, so the corridor holds at
     width eps exactly when the two completed graphs are within eps in height
     on every anti-diagonal.  The height gap is piecewise linear in s, so its
-    maximum sits at a vertex of one of the graphs and the result is exact.
+    maximum sits at a vertex of one of the graphs and the result is exact:
+    each graph is read at the other's vertices (np.interp returns a vertex's
+    own height there), and the larger gap of the two vertex sets is taken.
     """
     (s_mu, y_mu), (s_nu, y_nu) = _completed_graph(mu), _completed_graph(nu)
-    s = np.union1d(s_mu, s_nu)
-    gap = np.interp(s, s_mu, y_mu, 0.0, 1.0) - np.interp(s, s_nu, y_nu, 0.0, 1.0)
-    return float(np.abs(gap).max())
+    at_mu = np.abs(y_mu - np.interp(s_mu, s_nu, y_nu, 0.0, 1.0)).max()
+    at_nu = np.abs(np.interp(s_nu, s_mu, y_mu, 0.0, 1.0) - y_nu).max()
+    return float(max(at_mu, at_nu))
 
 
 _METRICS = {"levy": levy, "wasserstein1": wasserstein1}

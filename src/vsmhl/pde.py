@@ -141,7 +141,10 @@ class DensityTrajectory:
         return WeakFormPath(self.times[1:], (x, self.masses[0]), stops, x, list(self.integrals))
 
 
-def _operator(centers: np.ndarray, dx: float, eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+_Diagonals = tuple[np.ndarray, np.ndarray, np.ndarray]  # lower, main, upper
+
+
+def _operator(centers: np.ndarray, dx: float, eta: float) -> _Diagonals:
     """Lower, main and upper diagonals of the flux operator per unit c dt / dx.
 
     Face j + 1/2 carries F = (eta c / 2) rho - (c / 2) d(x rho)/dx; its
@@ -157,14 +160,14 @@ def _operator(centers: np.ndarray, dx: float, eta: float) -> tuple[np.ndarray, n
     return -flux_left, diag, flux_right
 
 
-def _advance(m: np.ndarray, op: tuple[np.ndarray, np.ndarray, np.ndarray], rc: float) -> np.ndarray:
+def _advance(m: np.ndarray, op: _Diagonals, rc: float, scratch: _Diagonals) -> np.ndarray:
     """One backward-Euler step of the cell masses m: solve (I + rc A) m' = m,
-    A the _operator diagonals and rc = c dt / dx at the new level."""
-    lower, diag, upper = op
-    # the scaled diagonals are temporaries, so gtsv may factor them in place
-    _, _, _, out, info = scipy.linalg.lapack.dgtsv(
-        rc * lower, 1.0 + rc * diag, rc * upper, m, overwrite_dl=1, overwrite_d=1, overwrite_du=1
-    )
+    A the _operator diagonals and rc = c dt / dx at the new level.  The
+    diagonals of I + rc A go into scratch (shaped like op, its contents never
+    read), where gtsv factors them: a step allocates only the new masses."""
+    dl, d, du = (np.multiply(a, rc, out=s) for a, s in zip(op, scratch))
+    d += 1.0
+    _, _, _, out, info = scipy.linalg.lapack.dgtsv(dl, d, du, m, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info != 0:
         raise LinAlgError(f"tridiagonal solve failed: gtsv info {info}")
     return out
@@ -262,6 +265,7 @@ def solve(params: ModelParams, law: InitialLaw, grid: SolverGrid) -> DensityTraj
     r = dt / dx
     m = _initial_masses(law, grid)
     scaled = np.empty_like(m)
+    scratch = tuple(np.empty_like(a) for a in op)
     ends = (grid.nt // 2, grid.nt)
     integrals = np.zeros((len(ends), grid.nx))
     times, kept, drift = [], [], 0.0
@@ -269,7 +273,7 @@ def solve(params: ModelParams, law: InitialLaw, grid: SolverGrid) -> DensityTraj
         t = params.horizon if k == grid.nt else k * dt  # np.linspace(0, horizon, nt + 1)[k]
         coeff = ll.m_lambda * math.exp(0.5 * params.eta * t)
         if k:
-            m = _advance(m, op, coeff * r)
+            m = _advance(m, op, coeff * r, scratch)
         drift = max(drift, _checked_drift(m, k, dx))
         for row, end in zip(integrals, ends):
             w = _simpson_weight(k, end + 1)

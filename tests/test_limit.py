@@ -621,6 +621,33 @@ class TestKernelBlocks:
             got.append([density(ll, t, grid.centers()).tolist() for t in (0.5, 1.0)])
         assert got[0] == got[1] == got[2]
 
+    @pytest.mark.parametrize("t", [1e-3, 0.5])
+    @pytest.mark.parametrize("case", ["point", "mollified-point"])
+    def test_block_peak_memory(self, case, t):
+        # one kernel block (2**14 points of a point mass, or one block of the
+        # 57-atom mollified point mass on the pde_point grid) holds at most
+        # eight block-sized arrays at once, its result included
+        import tracemalloc
+
+        from vsmhl import SolverGrid, mollified_start_law
+
+        grid = SolverGrid(30.0, 1200, 800)
+        moll = mollified_start_law(PointMass(1.0), grid)
+        law, y = {
+            "point": (PointMass(1.0), np.linspace(0.01, 10.0, limit._KERNEL_BUDGET)),
+            "mollified-point": (moll, grid.centers()[: limit._KERNEL_BUDGET // len(moll.atoms)]),
+        }[case]
+        ll = LimitLaw(2.0, law)
+        J = time_change(ll, t)
+        limit._log_density(ll, J, y)
+        tracemalloc.start()
+        try:
+            limit._log_density(ll, J, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * limit._KERNEL_BUDGET
+
     def test_mollified_gamma_blocks_within_budget(self, monkeypatch):
         from vsmhl import SolverGrid, mollified_start_law
 

@@ -20,6 +20,7 @@ from vsmhl import (
     sup_distance,
     wasserstein1,
 )
+from vsmhl.measures import _completed_graph
 
 
 def random_atoms(rng, max_atoms=12, scale=5.0) -> Measure1D:
@@ -146,6 +147,34 @@ class TestLevy:
         rng = np.random.default_rng(2)
         for _ in range(50):
             assert levy(random_atoms(rng), random_atoms(rng)) <= 1.0
+
+    @staticmethod
+    def union_levy(mu, nu):
+        """The height gap read at the union of both graphs' vertices."""
+        (s_mu, y_mu), (s_nu, y_nu) = _completed_graph(mu), _completed_graph(nu)
+        s = np.union1d(s_mu, s_nu)
+        return float(np.abs(np.interp(s, s_mu, y_mu, 0.0, 1.0) - np.interp(s, s_nu, y_nu, 0.0, 1.0)).max())
+
+    def test_equals_union_of_vertices(self):
+        # reading each graph at the other's vertices takes the same gaps as
+        # reading both at the union, bit for bit
+        rng = np.random.default_rng(5)
+        ll = LimitLaw(2.0, GammaLaw(2.0, 0.5))
+        grids = [Measure1D.from_grid(*density_grid(ll, t)) for t in (0.1, 1.0)]
+        shared = (  # vertices at s = 0.5 and 2.5 in both graphs
+            Measure1D.from_atoms([0.5, 1.0, 2.0], [0.25, 0.25, 0.5]),
+            Measure1D.from_atoms([0.5, 1.5], [0.5, 0.5]),
+        )
+        assert len(np.intersect1d(_completed_graph(shared[0])[0], _completed_graph(shared[1])[0])) == 2
+        pairs = {
+            "atoms-atoms": [shared] + [(random_atoms(rng), random_atoms(rng)) for _ in range(50)],
+            "atoms-grid": [(empirical(sample(ll, t, n, rng)), g) for n in (16, 256) for t, g in zip((0.1, 1.0), grids)],
+            "grid-grid": [tuple(grids), (grids[0], Measure1D.from_grid(_UNIT, np.ones_like(_UNIT)))],
+        }
+        for kind, cases in pairs.items():
+            for mu, nu in cases:
+                for a, b in ((mu, nu), (nu, mu)):
+                    assert levy(a, b) == self.union_levy(a, b), kind
 
 
 class TestMetricAxioms:

@@ -142,11 +142,17 @@ def random_step(seed):
     return centers, dx, dt, coeff, eta, rng.uniform(0.0, 1.0, nx)
 
 
+def advance_once(m, op, rc):
+    """_advance with scratch diagonals full of NaN: a step must write every
+    scratch entry before gtsv reads it."""
+    return _advance(m, op, rc, tuple(np.full_like(a, np.nan) for a in op))
+
+
 class TestAdvance:
     def test_zero_coefficient_freezes_state(self):
         g = SolverGrid(10.0, 64, 16)
         m = np.exp(-g.centers())
-        out = _advance(m, _operator(g.centers(), g.dx(), 2.0), 0.0)
+        out = advance_once(m, _operator(g.centers(), g.dx(), 2.0), 0.0)
         assert np.array_equal(out, m)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -160,14 +166,14 @@ class TestAdvance:
         ab[0, 1:] = rc * upper
         ab[1] = 1.0 + rc * diag
         ab[2, :-1] = rc * lower
-        assert np.array_equal(_advance(m, (lower, diag, upper), rc), solve_banded((1, 1), ab, m))
+        assert np.array_equal(advance_once(m, (lower, diag, upper), rc), solve_banded((1, 1), ab, m))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_step_assembly(self, seed):
         # the operator built once agrees with the flux assembled from c at each
         # step to the rounding of its different operation order
         centers, dx, dt, coeff, eta, m = random_step(seed)
-        got = _advance(m, _operator(centers, dx, eta), coeff * dt / dx)
+        got = advance_once(m, _operator(centers, dx, eta), coeff * dt / dx)
         want = banded_step(m, centers, dx, dt, coeff, eta)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(m).max()
 
@@ -285,7 +291,7 @@ def full_trajectory(params, law, grid):
     op = _operator(grid.centers(), dx, params.eta)
     levels = [_initial_masses(law, grid)]
     for k in range(1, grid.nt + 1):
-        levels.append(_advance(levels[-1], op, coeffs[k] * (params.horizon / grid.nt / dx)))
+        levels.append(advance_once(levels[-1], op, coeffs[k] * (params.horizon / grid.nt / dx)))
     return times, coeffs, np.array(levels)
 
 
@@ -366,8 +372,8 @@ class TestStreamingSolve:
     def test_each_level_is_checked_as_it_is_made(self, monkeypatch, last, scale, match):
         steps = []
 
-        def advance(m, op, rc):
-            out = _advance(m, op, rc)
+        def advance(m, op, rc, scratch):
+            out = _advance(m, op, rc, scratch)
             steps.append(len(steps) + 1)
             if len(steps) == 7:  # spoil level 7, in the last cell (mass about 1e-64)
                 out *= scale
