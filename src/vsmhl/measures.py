@@ -151,8 +151,8 @@ def levy(mu: Measure1D, nu: Measure1D) -> float:
     width eps exactly when the two completed graphs are within eps in height
     on every anti-diagonal.  The height gap is piecewise linear in s, so its
     maximum sits at a vertex of one of the graphs and the result is exact:
-    each graph is read at the other's vertices (np.interp returns a vertex's
-    own height there), and the larger gap of the two vertex sets is taken.
+    the gap is read at each graph's vertices, against the other graph
+    interpolated there.
     """
     (s_mu, y_mu), (s_nu, y_nu) = _completed_graph(mu), _completed_graph(nu)
     at_mu = np.abs(y_mu - np.interp(s_mu, s_nu, y_nu, 0.0, 1.0)).max()
