@@ -251,7 +251,8 @@ def solve(params: ModelParams, law: InitialLaw, grid: SolverGrid) -> DensityTraj
     density below -1e-12, mass drift at most TRUNCATION_MASS_TOL; a failure
     raises ValueError naming its step) and added into the time integrals up
     to the ends nt // 2 and nt.  Only levels 0, nt // 2 and nt outlive their
-    step, so memory does not grow with nt.
+    step, so memory does not grow with nt; the steps share one set of
+    scratch diagonals, so each allocates only its new level.
 
     Raises ConfigurationError for a grid that truncation_violations refuses.
     """
