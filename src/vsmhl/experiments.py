@@ -30,7 +30,7 @@ from . import __version__
 from .bessel import NU_MAX
 from .errors import ConfigurationError, ValidationError
 from .limit import LimitLaw, cdf, density, density_grid, sample, time_change
-from .measures import Measure1D, MeasurePath, empirical, ranked_vs_limit, sup_distance
+from .measures import Measure1D, MeasurePath, _sorted_unique, empirical, ranked_vs_limit, sup_distance
 from .model import (
     DiscreteAtoms,
     GammaLaw,
@@ -161,9 +161,7 @@ class ExperimentConfig:
         elif not (isinstance(self.law, DiscreteAtoms) and len(self.law.atoms) == 1):
             import scipy.special  # noqa: F401  (hyp1f1, logsumexp)
         else:
-            # what scipy.special would load and the run reads: split_rng's
-            # generators, and numpy.ma, which np.median and np.unique look up
-            import numpy.ma  # noqa: F401
+            # what scipy.special would load and the run reads: split_rng's generators
             import numpy.random  # noqa: F401
         if isinstance(self.law, UniformLaw):
             import scipy.stats  # noqa: F401  (ncx2)
@@ -339,8 +337,19 @@ def _analytic_path(ll: LimitLaw, times: tuple[float, ...]) -> MeasurePath:
 
 
 def _snapshot_indices(n_steps: int) -> np.ndarray:
-    idx = np.round(np.linspace(0, n_steps, SNAPSHOT_COUNT)).astype(int)
-    return np.unique(idx)
+    """SNAPSHOT_COUNT steps evenly spaced over [0, n_steps], rounded, with the
+    repeats of a short run dropped."""
+    return _sorted_unique(np.round(np.linspace(0, n_steps, SNAPSHOT_COUNT)).astype(int))
+
+
+def _median(values: list[float]) -> float:
+    """np.median of a nonempty list, equal to it bit for bit (NaN if any value
+    is NaN), without the numpy.ma lookup np.median makes."""
+    v = np.sort(values)  # NaN sorts last
+    if np.isnan(v[-1]):
+        return math.nan
+    mid = len(v) // 2
+    return float(v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2)
 
 
 def _simulate(cfg: ExperimentConfig, n: int, nodes, keys: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
@@ -358,7 +367,7 @@ def _over_n_values(cfg: ExperimentConfig, kind: str, task, threads: int) -> tupl
     _require_kind(cfg, kind)
     groups = [(n, [(n, rep) for rep in range(cfg.replications)]) for n in cfg.n_values]
     rows = _collect(task, cfg, groups, threads)
-    medians = [float(np.median([v for rn, _, v in rows if rn == n])) for n in cfg.n_values]
+    medians = [_median([v for rn, _, v in rows if rn == n]) for n in cfg.n_values]
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     return rows, dict(zip(map(str, cfg.n_values), medians)), decreasing
 

@@ -176,6 +176,19 @@ class TestConvergence:
         assert recorded_pools == [workers]
         assert r.rows == run_experiment(small_convergence_cfg(), threads=1).rows
 
+    def test_median_equals_np_median(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3, 4, 7, 10):
+            values = list(rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-300, 300, n))
+            assert exp._median(values) == np.median(values)
+            assert np.isnan(exp._median(values[:-1] + [np.nan])) and np.isnan(np.median(values[:-1] + [np.nan]))
+        assert exp._median([0.1, 0.2]) == np.median([0.1, 0.2]) == 0.15000000000000002
+
+    def test_snapshot_indices_equal_np_unique(self):
+        for n_steps in (0, 1, 3, 8, 9, 17, 100, 1001):
+            idx = np.round(np.linspace(0, n_steps, exp.SNAPSHOT_COUNT)).astype(int)
+            assert np.array_equal(exp._snapshot_indices(n_steps), np.unique(idx))
+
     def test_seed_changes_values(self, tmp_path):
         r1 = run_experiment(small_convergence_cfg(seed=1))
         r2 = run_experiment(small_convergence_cfg(seed=2))
