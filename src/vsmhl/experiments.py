@@ -152,19 +152,17 @@ class ExperimentConfig:
             raise ConfigurationError(*out)
 
     def _limit_law_violations(self) -> list[str]:
-        # import, before any work or fork, each scipy subpackage the run reads
-        # and no other; one atom's kernel is bessel.py's
+        # import, before any work or fork, each lazily loaded module the run
+        # reads and no other: an atomic law's kernel, log-sum-exp and
+        # mollifier are vsmhl's own, so it needs no scipy subpackage
         if self.experiment == "pde_check":
-            # ndtr, logsumexp, dgtsv; roots_jacobi (gamma) loads scipy.linalg itself
-            import scipy.linalg  # noqa: F401
-            import scipy.special  # noqa: F401
-        elif not (isinstance(self.law, DiscreteAtoms) and len(self.law.atoms) == 1):
-            import scipy.special  # noqa: F401  (hyp1f1, logsumexp)
-        else:
-            # what scipy.special would load and the run reads: split_rng's generators
-            import numpy.random  # noqa: F401
-        if isinstance(self.law, UniformLaw):
+            import scipy.linalg  # noqa: F401  (dgtsv)
+        if isinstance(self.law, GammaLaw):
+            import scipy.special  # noqa: F401  (gammainc, hyp1f1, roots_jacobi)
+        elif isinstance(self.law, UniformLaw):
             import scipy.stats  # noqa: F401  (ncx2)
+        else:
+            import numpy.random  # noqa: F401  (split_rng's generators)
 
         out = []
         eta = self.params.eta

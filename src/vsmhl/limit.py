@@ -197,16 +197,44 @@ def _log_uniform_mixture(eta: float, J: float, law: UniformLaw, y: np.ndarray) -
         return np.log(np.maximum(diff, 0.0)) - math.log(law.b - law.a)
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """scipy.special.logsumexp(a, axis=1) of a real 2-D array, equal to it bit
+    for bit, without importing scipy.special.
+
+    The max-separated form (Blanchard, Higham & Higham, IMA J. Numer. Anal.
+    41(4), 2021): with M the row max and m the count of entries equal to it,
+    log1p(s) + log m + M, s the sum of exp(a - M) over the other entries
+    divided by m.  A row whose result is not finite (all -inf, an inf or a
+    NaN) takes scipy's fallback log(sum(exp(row))).
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    is_max = a == a_max
+    m = np.count_nonzero(is_max, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = np.subtract(a, a_max)
+        np.exp(terms, out=terms)
+        terms[is_max] = 0.0
+        s = terms.sum(axis=1)
+        np.divide(s, m, out=s, where=s != 0)
+        out = np.log1p(s)
+        out += np.log(m)
+        out += a_max[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
+
+
 def _log_kernel_mixture(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
     """Log density of an atomic start on a 1-D block of points: the log-sum-exp
-    over the atoms of log weight plus log kernel; one atom skips logsumexp."""
+    over the atoms of log weight plus log kernel; one atom skips it."""
     law = ll.law
     if len(law.atoms) == 1:
         ((x0, w0),) = law.atoms
         lk = _log_kernel(ll.eta, J, x0, y)
         return np.add(lk, math.log(w0), out=lk)
     lk = _log_kernel(ll.eta, J, law.locations()[None, :], y[:, None])
-    return scipy.special.logsumexp(np.add(lk, np.log(law.weights()), out=lk), axis=1)
+    return _logsumexp(np.add(lk, np.log(law.weights()), out=lk))
 
 
 def _log_density(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
@@ -266,13 +294,11 @@ def _log_mgf(ll: LimitLaw, J: float, s: np.ndarray) -> np.ndarray:
     law, a = ll.law, 0.5 * J
     r = s / (1.0 - a * s)
     if isinstance(law, DiscreteAtoms) and len(law.atoms) == 1:
-        # one atom skips logsumexp, which costs 7x the rest of _tail_range
+        # one atom skips _logsumexp, which costs more than the rest of _tail_range
         ((x0, w0),) = law.atoms
         log_m = math.log(w0) + x0 * r
     elif isinstance(law, DiscreteAtoms):
-        log_m = scipy.special.logsumexp(
-            np.log(law.weights())[None, :] + r[:, None] * law.locations()[None, :], axis=1
-        )
+        log_m = _logsumexp(np.log(law.weights())[None, :] + r[:, None] * law.locations()[None, :])
     elif isinstance(law, GammaLaw):
         log_m = -law.shape * np.log1p(-law.scale * r)
     else:

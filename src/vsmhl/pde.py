@@ -58,6 +58,7 @@ __all__ = [
 
 TRUNCATION_MASS_TOL = 1e-6
 MOLLIFIER_WIDTH_CELLS = 2.0
+_SQRT1_2 = math.sqrt(0.5)
 # Gauss-Legendre nodes of the analytic weak residual's rule in time: in
 # sqrt(t) on [0, T/2], where the pairings are smooth in sqrt(t) (the kernel is
 # sqrt(J(t)) wide), and in t on [T/2, T]; set by the study in CHANGES.md
@@ -173,11 +174,22 @@ def _advance(m: np.ndarray, op: _Diagonals, rc: float, scratch: _Diagonals) -> n
     return out
 
 
+def _ndtr(a: float) -> float:
+    """The standard normal CDF at a, by the branches of cephes ndtr (what
+    scipy.special.ndtr evaluates) on libm's erf and erfc: 0.5 + 0.5 erf(x)
+    for |x| < sqrt(1/2), x = a sqrt(1/2), and 0.5 erfc(|x|), reflected, beyond."""
+    x = a * _SQRT1_2
+    if abs(x) < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0 else y
+
+
 def _mollified_masses(x0: float, grid: SolverGrid) -> np.ndarray:
     """Cell masses of a narrow Gaussian replacing a point mass at x0."""
     sigma = MOLLIFIER_WIDTH_CELLS * grid.dx()
     edges = np.linspace(0.0, grid.x_max, grid.nx + 1)
-    cdf_edges = scipy.special.ndtr((edges - x0) / sigma)
+    cdf_edges = np.array([_ndtr(v) for v in ((edges - x0) / sigma).tolist()])
     return cdf_edges[1:] - cdf_edges[:-1]
 
 

@@ -1,23 +1,27 @@
-"""The scipy routines vsmhl carries its own copy of, checked against scipy with
-==, and the scipy subpackages each run loads.
+"""The scipy routines vsmhl carries its own copy of, checked against scipy,
+and the scipy subpackages each run loads.
 
-Each copy must give scipy's result to the bit, so every output stays the
-same; importing the subpackage it came from would cost about 0.6 s of
-start-up per process, and scipy.stats about 1 s.
+Each copy gives scipy's result to the bit, checked with ==, so every output
+stays the same; importing the subpackage it came from would cost about 0.6 s
+of start-up per process, and scipy.stats about 1 s.  The one exception is
+pde._ndtr, the mollifier's normal CDF: it takes cephes ndtr's branches on
+libm's erf and erfc, whose last bits differ from cephes', and is held to
+scipy.special.ndtr within a measured bound.
 
 Importing vsmhl loads scipy itself and none of its subpackages: the modules
 name scipy.special and scipy.linalg.lapack by attribute, which scipy loads on
 first use.  Each experiment loads, while its config is built (and checked),
-the subpackages its run reads and no others, so the run itself, and any
-worker forked for it, loads no scipy module and none of numpy's lazy ones:
+the modules its run reads and no others, so the run itself, and any worker
+forked for it, loads no scipy module and none of numpy's lazy ones:
 
-* pde_check, any law: scipy.special and scipy.linalg;
-* convergence, rank_check and sampler_check: for a one-atom law (a point
-  mass: its kernel is vsmhl.bessel's) no scipy subpackage, only the
-  numpy.random and numpy.ma that scipy.special would bring; scipy.special
-  for any other law;
-* each of these runs of a UniformLaw adds scipy.stats (its ncx2 CDF),
-  which loads the other two;
+* pde_check, any law: scipy.linalg (dgtsv), which brings numpy.random and
+  numpy.ma;
+* a gamma law adds scipy.special (gammainc, hyp1f1, roots_jacobi);
+* a UniformLaw adds scipy.stats (its ncx2 CDF), which loads the other two;
+* an atomic law (a point mass is one atom) adds no scipy subpackage: its
+  kernel, log-sum-exp and mollifier are vsmhl's own.  convergence,
+  rank_check and sampler_check of an atomic law load only numpy.random
+  (split_rng's generators), and not numpy.ma;
 * moment_check never reads the limit law and loads no scipy subpackage
   (its run imports numpy.random itself).
 """
@@ -50,6 +54,8 @@ from vsmhl import (
     split_rng,
 )
 from vsmhl.experiments import SAMPLER_N, _ks_statistic
+from vsmhl.limit import _logsumexp
+from vsmhl.pde import _ndtr
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 LAWS = [PointMass(1.0), GammaLaw(2.0, 0.5), UniformLaw(0.5, 1.5), DiscreteAtoms(((0.5, 0.3), (2.0, 0.7)))]
@@ -104,6 +110,48 @@ def test_ks_statistic_equals_kstest(law):
         draws = sample(ll, t, SAMPLER_N, split_rng(5, j))
         F = lambda y: cdf(ll, t, y)  # noqa: E731
         assert _ks_statistic(draws, F) == kstest(draws, F).statistic
+
+
+def _logsumexp_cases() -> list:
+    rng = np.random.default_rng(7)
+    # the kernel blocks of a 57-atom and a 768-atom mollified law
+    cases = [rng.normal(-30.0, 20.0, shape) for shape in ((287, 57), (21, 768))]
+    cases += [rng.normal(0.0, 1.0, (40, 1)), rng.normal(700.0, 5.0, (30, 4)), rng.normal(-700.0, 5.0, (30, 4))]
+    edge = rng.normal(0.0, 3.0, (9, 5))
+    edge[0] = -np.inf  # every term 0: a density at y = 0
+    edge[1, :3] = edge[1].max() + 1.0  # a three-way tie at the max
+    edge[2] = 2.5  # all tied
+    edge[3, 1] = np.nan
+    edge[4, 2] = np.inf
+    edge[5, :] = [709.0, 710.0, 708.0, 711.0, 712.0]
+    edge[6, :] = [-745.0, -746.0, -1000.0, -744.0, -800.0]
+    edge[7, :4] = -np.inf  # one finite term
+    edge[8, [0, 4]] = -np.inf
+    cases.append(edge)
+    cases.append(np.round(rng.normal(0.0, 1.0, (200, 6)), 1))  # many ties
+    return cases
+
+
+def test_logsumexp_equals_scipy():
+    from scipy.special import logsumexp
+
+    for a in _logsumexp_cases():
+        assert np.array_equal(_logsumexp(a.copy()), logsumexp(a, axis=1), equal_nan=True)
+
+
+def test_ndtr_near_scipy():
+    # measured on [-40, 40]: at most 1 ulp of 1 apart (2.2e-16) absolutely,
+    # and at most 5.8e-14 relatively (258 ulp, at -32.9) where scipy's value
+    # is a normal float; both err up to 2e-13 against mpmath in that tail
+    from scipy.special import ndtr
+
+    x = np.concatenate([np.linspace(-40.0, 40.0, 160_001), [-1.0, 1.0, np.nextafter(-1.0, 0.0), 0.0]])
+    ours, ref = np.array([_ndtr(v) for v in x.tolist()]), ndtr(x)
+    assert np.all(np.abs(ours - ref) <= 2.3e-16)
+    normal = ref >= np.finfo(float).tiny
+    assert np.all(np.abs(ours - ref)[normal] <= 6e-14 * ref[normal])
+    grid = ours[:160_001]
+    assert np.all(np.diff(grid) >= 0.0) and grid[0] == 0.0 and grid[-1] == 1.0
 
 
 def test_import_loads_no_scipy_subpackage():
@@ -168,43 +216,41 @@ print(json.dumps({"validated": sorted(validated), "run": new_lazy()}))
 
 POINT, GAMMA, UNIFORM, ATOMS = LAWS
 PDE_GRID = SolverGrid(30.0, 300, 16)
+ATOMS_GRID = SolverGrid(40.0, 400, 16)  # the atom at 2 reaches past 30
 N_VALUES = {"dt": 0.05, "n_values": (16, 64), "replications": 2}
 SPECIAL, LINALG, STATS = "scipy.special", "scipy.linalg", "scipy.stats"
 
-# (config, threads, the scipy subpackages the run reads)
+PDE = ModelParams(2.0, 1, 1.0)
+SMALL = ModelParams(2.0, 16, 1.0)
+
+# (config, threads, the scipy subpackages the run reads): every pde_check law,
+# and every experiment that reads the limit law of an atomic start
 AFTER_VALIDATION_RUNS = [
+    pytest.param(ExperimentConfig("pde_check", PDE, POINT, grid=PDE_GRID), 1, {LINALG}, id="pde_check-point"),
+    pytest.param(ExperimentConfig("pde_check", PDE, ATOMS, grid=ATOMS_GRID), 1, {LINALG}, id="pde_check-atoms"),
     pytest.param(
-        ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), POINT, grid=PDE_GRID), 1, {SPECIAL, LINALG},
-        id="pde_check-point",
+        ExperimentConfig("pde_check", PDE, GAMMA, grid=PDE_GRID), 1, {SPECIAL, LINALG}, id="pde_check-gamma"
     ),
     pytest.param(
-        ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), GAMMA, grid=PDE_GRID), 1, {SPECIAL, LINALG},
-        id="pde_check-gamma",
+        ExperimentConfig("pde_check", PDE, UNIFORM, grid=PDE_GRID), 1, {SPECIAL, LINALG, STATS},
+        id="pde_check-uniform",
     ),
     pytest.param(
-        ExperimentConfig("convergence", ModelParams(2.0, 16, 1.0), GAMMA, metric="levy", **N_VALUES), 2, {SPECIAL},
+        ExperimentConfig("convergence", SMALL, GAMMA, metric="levy", **N_VALUES), 2, {SPECIAL},
         id="convergence-gamma-threads2",
     ),
     pytest.param(
-        ExperimentConfig("convergence", ModelParams(2.0, 16, 1.0), POINT, **N_VALUES), 2, set(),
-        id="convergence-point-threads2",
+        ExperimentConfig("convergence", SMALL, POINT, **N_VALUES), 2, set(), id="convergence-point-threads2"
     ),
-    pytest.param(
-        ExperimentConfig("rank_check", ModelParams(2.0, 16, 1.0), ATOMS, **N_VALUES), 1, {SPECIAL},
-        id="rank_check-atoms",
-    ),
-    pytest.param(
-        ExperimentConfig("rank_check", ModelParams(2.0, 16, 1.0), POINT, **N_VALUES), 1, set(),
-        id="rank_check-point",
-    ),
-    pytest.param(ExperimentConfig("sampler_check", ModelParams(2.0, 1, 1.0), POINT), 1, set(), id="sampler_check-point"),
-    pytest.param(
-        ExperimentConfig("sampler_check", ModelParams(2.0, 1, 1.0), GAMMA), 1, {SPECIAL}, id="sampler_check-gamma"
-    ),
+    pytest.param(ExperimentConfig("convergence", SMALL, ATOMS, **N_VALUES), 1, set(), id="convergence-atoms"),
+    pytest.param(ExperimentConfig("rank_check", SMALL, ATOMS, **N_VALUES), 1, set(), id="rank_check-atoms"),
+    pytest.param(ExperimentConfig("rank_check", SMALL, POINT, **N_VALUES), 1, set(), id="rank_check-point"),
+    pytest.param(ExperimentConfig("sampler_check", PDE, POINT), 1, set(), id="sampler_check-point"),
+    pytest.param(ExperimentConfig("sampler_check", PDE, ATOMS), 1, set(), id="sampler_check-atoms"),
+    pytest.param(ExperimentConfig("sampler_check", PDE, GAMMA), 1, {SPECIAL}, id="sampler_check-gamma"),
     # scipy.stats loads scipy.special and scipy.linalg itself
     pytest.param(
-        ExperimentConfig("sampler_check", ModelParams(2.0, 1, 1.0), UNIFORM), 1, {SPECIAL, LINALG, STATS},
-        id="sampler_check-uniform",
+        ExperimentConfig("sampler_check", PDE, UNIFORM), 1, {SPECIAL, LINALG, STATS}, id="sampler_check-uniform"
     ),
 ]
 
@@ -220,3 +266,6 @@ def test_run_loads_nothing_validation_did_not(cfg, threads, reads):
         # no optimizer, integrator or interpolator: only scipy.stats brings them
         heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.sparse")
         assert loaded(out["validated"], heavy) == []
+    if not reads:
+        # nor numpy.ma (about 10 ms), which every scipy subpackage brings
+        assert loaded(out["validated"], ("numpy.ma", "scipy._lib._array_api")) == []
