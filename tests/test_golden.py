@@ -63,7 +63,7 @@ GOLDEN = {
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=PointMass(1.0),
             grid=SolverGrid(30.0, 1200, 800),
         ),
-        "e5daa1929f135a990befbbc614b092f25b5a7552293813313897fb4bb2db2ad4",
+        "a24b94c7203fb6e9180c1332982d1e7059da76226cae03cef885fe85dbaecb72",
     ),
     "pde_check_gamma": (
         dict(
@@ -84,7 +84,7 @@ GOLDEN = {
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0),
             law=DiscreteAtoms(((0.5, 0.3), (2.0, 0.7))), grid=SolverGrid(40.0, 1600, 800),
         ),
-        "8211fa4a06ce96c968ff169a4296d17cddb91527d381423952e66f7c4c4c537e",
+        "c23ce16de0e675441ef268ddd6f2b20cffe724ea8f8d24f81d57180c18c0ba8f",
     ),
     "sampler_check": (
         dict(
