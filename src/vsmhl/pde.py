@@ -188,8 +188,12 @@ def _ndtr(a: float) -> float:
 def _mollified_masses(x0: float, grid: SolverGrid) -> np.ndarray:
     """Cell masses of a narrow Gaussian replacing a point mass at x0."""
     sigma = MOLLIFIER_WIDTH_CELLS * grid.dx()
-    edges = np.linspace(0.0, grid.x_max, grid.nx + 1)
-    cdf_edges = np.array([_ndtr(v) for v in ((edges - x0) / sigma).tolist()])
+    a = (np.linspace(0.0, grid.x_max, grid.nx + 1) - x0) / sigma
+    # _ndtr is exactly 0 below a = -40 (erfc underflows) and exactly 1 above
+    # a = 9 (1 - y rounds to 1), so only the edges between take a libm call
+    cdf_edges = (a > 0).astype(float)
+    inside = (a > -40.0) & (a < 9.0)
+    cdf_edges[inside] = [_ndtr(v) for v in a[inside].tolist()]
     return cdf_edges[1:] - cdf_edges[:-1]
 
 

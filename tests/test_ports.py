@@ -152,6 +152,9 @@ def test_ndtr_near_scipy():
     assert np.all(np.abs(ours - ref)[normal] <= 6e-14 * ref[normal])
     grid = ours[:160_001]
     assert np.all(np.diff(grid) >= 0.0) and grid[0] == 0.0 and grid[-1] == 1.0
+    # pde._mollified_masses calls it only on (-40, 9): exactly 0 and 1 beyond
+    assert all(_ndtr(v) == 0.0 for v in (-40.0, -1e3, -1e300, -np.inf))
+    assert all(_ndtr(v) == 1.0 for v in (9.0, 1e3, 1e300, np.inf))
 
 
 def test_import_loads_no_scipy_subpackage():
