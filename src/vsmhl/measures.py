@@ -27,6 +27,7 @@ __all__ = [
     "ranked_vs_limit",
 ]
 
+
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
     """np.unique of an already sorted 1-D array: its entries that rise above
     the one before.  np.unique (and np.union1d) would look up numpy.ma, about
@@ -118,7 +119,7 @@ def empirical(positions) -> Measure1D:
 
 def wasserstein1(mu: Measure1D, nu: Measure1D) -> float:
     """Area between the two CDFs, exact for atom and grid representations."""
-    xs = _sorted_unique(np.sort(np.concatenate([mu.x, nu.x])))  # np.union1d
+    xs = _sorted_unique(np.sort(np.concatenate([mu.x, nu.x])))  # np.union1d(mu.x, nu.x)
     if len(xs) == 1:
         return 0.0
     f_right = [m.cdf(xs) for m in (mu, nu)]

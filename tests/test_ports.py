@@ -114,7 +114,7 @@ def test_ks_statistic_equals_kstest(law):
 
 def _logsumexp_cases() -> list:
     rng = np.random.default_rng(7)
-    # the kernel blocks of a 57-atom and a 768-atom mollified law
+    # the kernel blocks of a 57-atom and a 768-atom law: _KERNEL_BUDGET // atoms rows
     cases = [rng.normal(-30.0, 20.0, shape) for shape in ((287, 57), (21, 768))]
     cases += [rng.normal(0.0, 1.0, (40, 1)), rng.normal(700.0, 5.0, (30, 4)), rng.normal(-700.0, 5.0, (30, 4))]
     edge = rng.normal(0.0, 3.0, (9, 5))
