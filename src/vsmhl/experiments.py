@@ -53,6 +53,7 @@ from .particles import (  # noqa: F401
 )
 from .pde import (
     SolverGrid,
+    _gtsv,
     mollified_start_law,
     quadrature_path,
     solve,
@@ -154,14 +155,19 @@ class ExperimentConfig:
     def _limit_law_violations(self) -> list[str]:
         # import, before any work or fork, each lazily loaded module the run
         # reads and no other: an atomic law's kernel, log-sum-exp and
-        # mollifier are vsmhl's own, so it needs no scipy subpackage
-        if self.experiment == "pde_check":
-            import scipy.linalg  # noqa: F401  (dgtsv)
+        # mollifier are vsmhl's own, and the solver's dgtsv is numpy's
+        # OpenBLAS's, so it needs no scipy subpackage
+        pde_check = self.experiment == "pde_check"
+        if pde_check:
+            _gtsv()  # or scipy.linalg's, imported, on a numpy that lacks it
         if isinstance(self.law, GammaLaw):
-            import scipy.special  # noqa: F401  (gammainc, hyp1f1, roots_jacobi)
+            import scipy.special  # noqa: F401  (gammainc, hyp1f1)
+
+            if pde_check:
+                import scipy.linalg  # noqa: F401  (roots_jacobi, for the start's quadrature)
         elif isinstance(self.law, UniformLaw):
             import scipy.stats  # noqa: F401  (ncx2)
-        else:
+        elif not pde_check:  # the experiments that draw
             import numpy.random  # noqa: F401  (split_rng's generators)
 
         out = []

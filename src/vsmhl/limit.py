@@ -80,10 +80,9 @@ __all__ = [
 
 _LEG, _POLY = np.polynomial.legendre, np.polynomial.polynomial
 _GL_NODES, _GL_WEIGHTS = _LEG.leggauss(8)
-# most (point, atom) kernel values in one block of an atomic density, and most
-# nodes in one block of pde.weak_residual's generator: a one-atom quadrature
-# (at most 4096 x 8 nodes) takes two blocks, a 580-atom law 28 points a block.
-# Each block's temporaries stay near 128 kB apiece
+# most (point, atom) kernel values in one block of an atomic density: a
+# one-atom quadrature (at most 4096 x 8 nodes) takes two blocks, a 580-atom law
+# 28 points a block.  Each block's temporaries stay near 128 kB apiece
 _KERNEL_BUDGET = 2**14
 TAIL_EPS = 1e-16  # mass a quadrature leaves beyond each end of its range, at most
 PANEL_WIDTH = 0.02  # widest quadrature panel in u = sqrt(y): resolves the test-function bank

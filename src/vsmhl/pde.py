@@ -12,8 +12,13 @@ on [0, x_max] with zero flux through both ends.  Cells are uniform and the
 solver steps their masses m = rho dx.  Time stepping is backward Euler with
 the growing coefficient evaluated at the new level: the flux is c(t) times an
 operator that does not depend on t, assembled once per solve, and each step
-is one tridiagonal solve by LAPACK gtsv (Gaussian elimination with partial
-pivoting; Anderson et al., LAPACK Users' Guide, sec. 2.4).  The advective
+is one tridiagonal solve, in place, by LAPACK gtsv (Gaussian elimination with
+partial pivoting; Anderson et al., LAPACK Users' Guide, sec. 2.4).  gtsv is
+the dgtsv that numpy's bundled OpenBLAS exports (as scipy_dgtsv_64_, with
+64-bit integers), called through ctypes in the library numpy has already
+loaded, so a solve imports no scipy subpackage and starts no second BLAS
+thread pool.  A numpy built on another LAPACK falls back to
+scipy.linalg.lapack.dgtsv, which overwrites the same arrays.  The advective
 part of the flux is centered on every face where that keeps the system an
 M-matrix and taken from the left (donor) cell on the rest; the scheme
 conserves mass to solver precision and keeps cell masses nonnegative.  A
@@ -30,13 +35,14 @@ weak_residual pairs either path with a bank of test functions.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 from numpy.linalg import LinAlgError
-import scipy
 
 from .errors import ConfigurationError
 from .limit import _KERNEL_BUDGET, LimitLaw, cdf, quadrature
@@ -64,6 +70,10 @@ _SQRT1_2 = math.sqrt(0.5)
 # sqrt(J(t)) wide), and in t on [T/2, T]; set by the study in CHANGES.md
 TIME_NODES_SQRT = 24
 TIME_NODES_LATE = 12
+# nodes per block of a test function's jet in weak_residual: the jets' 64 KiB
+# temporaries stay below glibc's default mmap threshold (128 KiB), so each
+# block reuses heap pages rather than mapping and faulting in fresh ones
+_JET_BLOCK = _KERNEL_BUDGET // 2
 
 
 @dataclass(frozen=True)
@@ -161,17 +171,74 @@ def _operator(centers: np.ndarray, dx: float, eta: float) -> _Diagonals:
     return -flux_left, diag, flux_right
 
 
-def _advance(m: np.ndarray, op: _Diagonals, rc: float, scratch: _Diagonals) -> np.ndarray:
-    """One backward-Euler step of the cell masses m: solve (I + rc A) m' = m,
-    A the _operator diagonals and rc = c dt / dx at the new level.  The
-    diagonals of I + rc A go into scratch (shaped like op, its contents never
-    read), where gtsv factors them: a step allocates only the new masses."""
-    dl, d, du = (np.multiply(a, rc, out=s) for a, s in zip(op, scratch))
-    d += 1.0
-    _, _, _, out, info = scipy.linalg.lapack.dgtsv(dl, d, du, m, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+# the LAPACK dgtsv of numpy's bundled OpenBLAS (ILP64: 64-bit integers)
+_DGTSV = "scipy_dgtsv_64_"
+_Gtsv = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], Callable[[], int]]
+
+
+def _check_system(arrays: tuple[np.ndarray, ...]) -> None:
+    """Raise ValueError unless the arrays (dl, d, du, b) are what gtsv
+    overwrites in place: writeable contiguous 1-D float64 arrays of n - 1, n,
+    n - 1 and n entries."""
+    dl, d, du, b = arrays
+    flags = [a.dtype == np.float64 and a.ndim == 1 and a.flags.c_contiguous and a.flags.writeable for a in arrays]
+    if not (all(flags) and len(dl) == len(du) == len(d) - 1 == len(b) - 1):
+        raise ValueError("gtsv needs writeable contiguous 1-D float64 arrays of n - 1, n, n - 1 and n entries")
+
+
+@cache
+def _gtsv() -> _Gtsv:
+    """LAPACK dgtsv, as a binder: _gtsv()(dl, d, du, b) returns a call that
+    solves the tridiagonal system with sub-, main and super-diagonals dl, d
+    and du in place into b, overwriting the diagonals with their factors,
+    and returns LAPACK's info.  The routine comes from the OpenBLAS numpy
+    has already loaded: dlsym on numpy's core extension searches its
+    dependencies too, so the library's hashed file name is never named.  A
+    numpy whose LAPACK does not export it (an Accelerate, MKL or system
+    build) gets scipy.linalg.lapack.dgtsv, imported here."""
+    try:
+        dgtsv = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), _DGTSV)
+    except (AttributeError, OSError):
+        from scipy.linalg.lapack import dgtsv as scipy_dgtsv
+
+        overwrite = dict(overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
+
+        def bind_scipy(*arrays):
+            _check_system(arrays)
+            return lambda: scipy_dgtsv(*arrays, **overwrite)[-1]
+
+        return bind_scipy
+    dgtsv.argtypes = [ctypes.c_void_p] * 8
+    dgtsv.restype = None
+
+    def bind_openblas(*arrays):
+        _check_system(arrays)
+        n, one, info = ctypes.c_int64(len(arrays[-1])), ctypes.c_int64(1), ctypes.c_int64()
+        pointers = [a.ctypes.data for a in arrays]
+        args = (ctypes.byref(n), ctypes.byref(one), *pointers, ctypes.byref(n), ctypes.byref(info))  # ldb = n
+
+        def call():
+            dgtsv(*args)
+            return info.value
+
+        call.arrays = arrays  # the pointers in args stay valid while call lives
+        return call
+
+    return bind_openblas
+
+
+def _advance(m: np.ndarray, op: _Diagonals, rc: float, scratch: _Diagonals, gtsv: Callable[[], int]) -> None:
+    """One backward-Euler step of the cell masses m, in place: solve
+    (I + rc A) m' = m, A the _operator diagonals and rc = c dt / dx at the
+    new level.  The diagonals of I + rc A go into scratch (shaped like op,
+    its contents never read), and gtsv, bound by _gtsv() to scratch and m,
+    factors them there and overwrites m with m'."""
+    for a, s in zip(op, scratch):
+        np.multiply(a, rc, out=s)
+    np.add(scratch[1], 1.0, out=scratch[1])
+    info = gtsv()
     if info != 0:
         raise LinAlgError(f"tridiagonal solve failed: gtsv info {info}")
-    return out
 
 
 def _ndtr(a: float) -> float:
@@ -266,9 +333,10 @@ def solve(params: ModelParams, law: InitialLaw, grid: SolverGrid) -> DensityTraj
     The solve streams: each level is checked as it is made (finite, no cell
     density below -1e-12, mass drift at most TRUNCATION_MASS_TOL; a failure
     raises ValueError naming its step) and added into the time integrals up
-    to the ends nt // 2 and nt.  Only levels 0, nt // 2 and nt outlive their
-    step, so memory does not grow with nt; the steps share one set of
-    scratch diagonals, so each allocates only its new level.
+    to the ends nt // 2 and nt.  The steps overwrite one masses array and
+    share one set of scratch diagonals, and only levels 0, nt // 2 and nt
+    are copied out, so memory does not grow with nt and a step allocates
+    nothing.
 
     Raises ConfigurationError for a grid that truncation_violations refuses.
     """
@@ -283,23 +351,25 @@ def solve(params: ModelParams, law: InitialLaw, grid: SolverGrid) -> DensityTraj
     m = _initial_masses(law, grid)
     scaled = np.empty_like(m)
     scratch = tuple(np.empty_like(a) for a in op)
+    gtsv = _gtsv()(*scratch, m)
     ends = (grid.nt // 2, grid.nt)
     integrals = np.zeros((len(ends), grid.nx))
-    times, kept, drift = [], [], 0.0
+    masses = np.empty((3, grid.nx))
+    times, drift = [], 0.0
     for k in range(grid.nt + 1):
         t = params.horizon if k == grid.nt else k * dt  # np.linspace(0, horizon, nt + 1)[k]
         coeff = ll.m_lambda * math.exp(0.5 * params.eta * t)
         if k:
-            m = _advance(m, op, coeff * r, scratch)
+            _advance(m, op, coeff * r, scratch, gtsv)
         drift = max(drift, _checked_drift(m, k, dx))
         for row, end in zip(integrals, ends):
             w = _simpson_weight(k, end + 1)
             if w:
                 row += np.multiply(m, w * dt * coeff, out=scaled)
         if k == 0 or k in ends:
+            masses[len(times)] = m
             times.append(t)
-            kept.append(m)
-    return DensityTrajectory(grid, np.array(times), np.array(kept), integrals, float(drift))
+    return DensityTrajectory(grid, np.array(times), masses, integrals, float(drift))
 
 
 @dataclass(frozen=True)
@@ -387,9 +457,11 @@ def quadrature_path(ll: LimitLaw, horizon: float) -> WeakFormPath:
     times, weights, ends = _analytic_time_rule(horizon)
     rules = [quadrature(ll, float(t)) for t in times]
     scale = weights * ll.m_lambda * np.exp(0.5 * ll.eta * times)
+    lengths = [len(x) for x, _ in rules]
     x = np.concatenate([x for x, _ in rules])
-    w = np.concatenate([w * c for (_, w), c in zip(rules, scale)])
-    set_ends = np.cumsum([len(x) for x, _ in rules])  # node set k ends at set_ends[k]
+    w = np.concatenate([w for _, w in rules])
+    w *= np.repeat(scale, lengths)
+    set_ends = np.cumsum(lengths)  # node set k ends at set_ends[k]
     prefixes = [w[: set_ends[k - 1]] for k in ends]
     return WeakFormPath(times[ends], rules[0], [rules[k] for k in ends], x[: set_ends[-2]], prefixes)
 
@@ -403,15 +475,16 @@ def weak_residual(path: WeakFormPath, bank: list[TestFunction], eta: float) -> n
     Simpson over the solver's steps, or the analytic path's Gauss rule
     (_analytic_time_rule).  Each pairing is one sum over a node set, and each
     generator term is evaluated once, on the time integrals' shared nodes, in
-    blocks of _KERNEL_BUDGET nodes so the jets' temporaries stay small.
+    blocks of _JET_BLOCK nodes so the jets' temporaries stay small.
     """
     x = path.integral_x
-    generator = np.empty(len(x))
+    generator, products = np.empty(len(x)), np.empty(len(x))
     out = np.empty((len(bank), len(path.ends)))
     for i, g in enumerate(bank):
         at_start, lg = _pair(g.f, path.start), _generator(g, eta)
-        for start in range(0, len(x), _KERNEL_BUDGET):
-            generator[start : start + _KERNEL_BUDGET] = lg(x[start : start + _KERNEL_BUDGET])
+        for start in range(0, len(x), _JET_BLOCK):
+            generator[start : start + _JET_BLOCK] = lg(x[start : start + _JET_BLOCK])
         for j, (stop, w) in enumerate(zip(path.stops, path.integral_w)):
-            out[i, j] = _pair(g.f, stop) - at_start - float(np.sum(w * generator[: len(w)]))
+            integral = np.multiply(w, generator[: len(w)], out=products[: len(w)]).sum()
+            out[i, j] = _pair(g.f, stop) - at_start - float(integral)
     return out

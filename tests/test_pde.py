@@ -28,7 +28,7 @@ from vsmhl import (
     weak_residual,
 )
 from vsmhl import test_function_bank as function_bank
-from vsmhl.pde import _advance, _generator, _initial_masses, _operator, _simpson_weight
+from vsmhl.pde import _advance, _generator, _gtsv, _initial_masses, _operator, _simpson_weight
 
 PARAMS = ModelParams(2.0, 1, 1.0)
 LAW = PointMass(1.0)
@@ -143,9 +143,26 @@ def random_step(seed):
 
 
 def advance_once(m, op, rc):
-    """_advance with scratch diagonals full of NaN: a step must write every
-    scratch entry before gtsv reads it."""
-    return _advance(m, op, rc, tuple(np.full_like(a, np.nan) for a in op))
+    """_advance on a copy of m, with scratch diagonals full of NaN: a step
+    must write every scratch entry before gtsv reads it."""
+    out, scratch = m.copy(), tuple(np.full_like(a, np.nan) for a in op)
+    _advance(out, op, rc, scratch, _gtsv()(*scratch, out))
+    return out
+
+
+def gtsv_binders():
+    """_gtsv() as numpy's OpenBLAS resolves it, and as a numpy whose LAPACK
+    lacks the symbol does: scipy.linalg's dgtsv.  Later calls resolve anew."""
+    openblas = _gtsv()
+    _gtsv.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pde, "_DGTSV", "no_such_symbol")
+            fallback = _gtsv()
+    finally:
+        _gtsv.cache_clear()
+    assert fallback is not openblas
+    return openblas, fallback
 
 
 class TestAdvance:
@@ -167,6 +184,59 @@ class TestAdvance:
         ab[1] = 1.0 + rc * diag
         ab[2, :-1] = rc * lower
         assert np.array_equal(advance_once(m, (lower, diag, upper), rc), solve_banded((1, 1), ab, m))
+
+    def test_scipy_fallback_equals_openblas(self, monkeypatch):
+        # a numpy whose LAPACK does not export dgtsv gets scipy's behind the same
+        # in-place call; singular systems (info 1 and 7) included
+        rng = np.random.default_rng(28)
+        systems = [[rng.normal(size=k) for k in (n - 1, n, n - 1, n)] for n in rng.integers(16, 2401, 40)]
+        systems += [[np.zeros(15), np.zeros(16), np.zeros(15), np.ones(16)]]
+        systems += [[np.zeros(15), np.r_[np.ones(6), 0.0, np.ones(9)], np.zeros(15), np.ones(16)]]
+
+        def solved(bind):
+            out = []
+            for system in systems:
+                dl, d, du, b = (a.copy() for a in system)
+                out.append((bind(dl, d, du, b)(), dl, d, du, b))
+            return out
+
+        openblas, fallback = gtsv_binders()
+        grid = SolverGrid(30.0, 300, 64)
+        want, want_solve = solved(openblas), solve(PARAMS, LAW, grid)
+        assert _gtsv() is not fallback
+        monkeypatch.setattr(pde, "_gtsv", lambda: fallback)
+        got, got_solve = solved(fallback), solve(PARAMS, LAW, grid)
+        assert [info for info, *_ in want] == [0] * 40 + [1, 7]
+        for (info, *arrays), (want_info, *want_arrays) in zip(got, want):
+            assert info == want_info
+            assert all(np.array_equal(a, w, equal_nan=True) for a, w in zip(arrays, want_arrays))
+        assert np.array_equal(got_solve.masses, want_solve.masses)
+        assert np.array_equal(got_solve.integrals, want_solve.integrals)
+
+    def test_binding_checks_the_arrays(self):
+        # both routines write through the arrays they are bound to
+        dl, d, du, b = np.ones(15), np.full(16, 3.0), np.ones(15), np.ones(16)
+        frozen = np.ones(16)
+        frozen.flags.writeable = False
+        bad_systems = [
+            (dl, d, du, np.ones(17)),
+            (dl[:14], d, du, b),
+            (dl, d, du, np.ones(32)[::2]),
+            (dl, d, du, np.ones(16, np.float32)),
+            (dl, d, np.ones((15, 1)), b),
+            (dl, d, du, frozen),
+        ]
+        for bind in gtsv_binders():
+            bind(dl, d, du, b)  # a valid system binds
+            for bad in bad_systems:
+                with pytest.raises(ValueError, match="gtsv needs"):
+                    bind(*bad)
+
+    def test_singular_step_raises(self):
+        # I + rc A with a zero pivot in row 3
+        op = (np.zeros(15), np.r_[np.zeros(2), -1.0, np.zeros(13)], np.zeros(15))
+        with pytest.raises(np.linalg.LinAlgError, match="gtsv info 3$"):
+            advance_once(np.ones(16), op, 1.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_step_assembly(self, seed):
@@ -372,14 +442,13 @@ class TestStreamingSolve:
     def test_each_level_is_checked_as_it_is_made(self, monkeypatch, last, scale, match):
         steps = []
 
-        def advance(m, op, rc, scratch):
-            out = _advance(m, op, rc, scratch)
+        def advance(m, op, rc, scratch, gtsv):
+            _advance(m, op, rc, scratch, gtsv)
             steps.append(len(steps) + 1)
             if len(steps) == 7:  # spoil level 7, in the last cell (mass about 1e-64)
-                out *= scale
+                m *= scale
                 if last is not None:
-                    out[-1] = last * self.GRID.dx()
-            return out
+                    m[-1] = last * self.GRID.dx()
 
         monkeypatch.setattr(pde, "_advance", advance)
         if match is None:
@@ -450,15 +519,15 @@ class TestWeakResidual:
             tracemalloc.stop()
         assert peak <= 8 * path.integral_x.nbytes
 
-    @pytest.mark.parametrize("budget", [pde._KERNEL_BUDGET, 2**8])
-    def test_blocked_generator_equals_one_shot(self, budget, monkeypatch):
-        # the pde_point analytic path: the generator is filled in blocks of the
-        # kernel budget, and each residual equals the one with every jet
+    @pytest.mark.parametrize("block", [pde._JET_BLOCK, 2**8])
+    def test_blocked_generator_equals_one_shot(self, block, monkeypatch):
+        # the pde_point analytic path: the generator is filled in blocks of
+        # _JET_BLOCK nodes, and each residual equals the one with every jet
         # evaluated on all of the path's nodes at once, bit for bit
         path = quadrature_path(LimitLaw(PARAMS.eta, LAW), 1.0)
-        assert len(path.integral_x) > 3 * pde._KERNEL_BUDGET
+        assert len(path.integral_x) > 3 * pde._JET_BLOCK
         bank = function_bank()
-        monkeypatch.setattr(pde, "_KERNEL_BUDGET", budget)
+        monkeypatch.setattr(pde, "_JET_BLOCK", block)
         got = weak_residual(path, bank, PARAMS.eta)
         for i, g in enumerate(bank):
             lg = _generator(g, PARAMS.eta)(path.integral_x)

@@ -9,19 +9,21 @@ libm's erf and erfc, whose last bits differ from cephes', and is held to
 scipy.special.ndtr within a measured bound.
 
 Importing vsmhl loads scipy itself and none of its subpackages: the modules
-name scipy.special and scipy.linalg.lapack by attribute, which scipy loads on
-first use.  Each experiment loads, while its config is built (and checked),
-the modules its run reads and no others, so the run itself, and any worker
-forked for it, loads no scipy module and none of numpy's lazy ones:
+name scipy.special by attribute, which scipy loads on first use.  Each
+experiment loads, while its config is built (and checked), the modules its
+run reads and no others, so the run itself, and any worker forked for it,
+loads no scipy module and none of numpy's lazy ones:
 
-* pde_check, any law: scipy.linalg (dgtsv), which brings numpy.random and
-  numpy.ma;
-* a gamma law adds scipy.special (gammainc, hyp1f1, roots_jacobi);
+* pde_check, any law: nothing for the solver's dgtsv, which is called
+  through ctypes from the OpenBLAS numpy has loaded (scipy.linalg's only on
+  a numpy without it), so the run maps one OpenBLAS and starts no thread;
+* a gamma law adds scipy.special (gammainc, hyp1f1), and in a pde_check
+  scipy.linalg (roots_jacobi);
 * a UniformLaw adds scipy.stats (its ncx2 CDF), which loads the other two;
 * an atomic law (a point mass is one atom) adds no scipy subpackage: its
   kernel, log-sum-exp and mollifier are vsmhl's own.  convergence,
   rank_check and sampler_check of an atomic law load only numpy.random
-  (split_rng's generators), and not numpy.ma;
+  (split_rng's generators), and not numpy.ma; a pde_check loads neither;
 * moment_check never reads the limit law and loads no scipy subpackage
   (its run imports numpy.random itself).
 """
@@ -165,7 +167,7 @@ def test_import_loads_no_scipy_subpackage():
     assert loaded(modules, heavy) == []
 
 
-MOMENT_CHECK_CLI = """
+RUN_CLI = """
 import json, sys
 from vsmhl import cli
 code = cli.main(["run", "--config", sys.argv[1], "--output-dir", sys.argv[2]])
@@ -183,7 +185,7 @@ def test_moment_check_loads_no_scipy_subpackage(tmp_path, law):
         "replications": 4,
     }
     (tmp_path / "cfg.json").write_text(json.dumps(spec))
-    out = run_python(MOMENT_CHECK_CLI, str(tmp_path / "cfg.json"), str(tmp_path / "out"))
+    out = run_python(RUN_CLI, str(tmp_path / "cfg.json"), str(tmp_path / "out"))
     assert out["exit"] == 0 and (tmp_path / "out" / "moment_check.csv").exists()
     # the benchmark reads scipy's version from sys.modules after every run
     assert "scipy" in out["modules"]
@@ -229,8 +231,8 @@ SMALL = ModelParams(2.0, 16, 1.0)
 # (config, threads, the scipy subpackages the run reads): every pde_check law,
 # and every experiment that reads the limit law of an atomic start
 AFTER_VALIDATION_RUNS = [
-    pytest.param(ExperimentConfig("pde_check", PDE, POINT, grid=PDE_GRID), 1, {LINALG}, id="pde_check-point"),
-    pytest.param(ExperimentConfig("pde_check", PDE, ATOMS, grid=ATOMS_GRID), 1, {LINALG}, id="pde_check-atoms"),
+    pytest.param(ExperimentConfig("pde_check", PDE, POINT, grid=PDE_GRID), 1, set(), id="pde_check-point"),
+    pytest.param(ExperimentConfig("pde_check", PDE, ATOMS, grid=ATOMS_GRID), 1, set(), id="pde_check-atoms"),
     pytest.param(
         ExperimentConfig("pde_check", PDE, GAMMA, grid=PDE_GRID), 1, {SPECIAL, LINALG}, id="pde_check-gamma"
     ),
@@ -272,3 +274,40 @@ def test_run_loads_nothing_validation_did_not(cfg, threads, reads):
     if not reads:
         # nor numpy.ma (about 10 ms), which every scipy subpackage brings
         assert loaded(out["validated"], ("numpy.ma", "scipy._lib._array_api")) == []
+
+
+ATOMIC_PDE_CHECKS = [
+    pytest.param(ExperimentConfig("pde_check", PDE, POINT, grid=PDE_GRID), id="point"),
+    pytest.param(ExperimentConfig("pde_check", PDE, ATOMS, grid=ATOMS_GRID), id="atoms"),
+]
+
+
+@pytest.mark.parametrize("cfg", ATOMIC_PDE_CHECKS)
+def test_atomic_pde_check_loads_no_lazy_module(tmp_path, cfg):
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_dict()))
+    out = run_python(RUN_CLI, str(tmp_path / "cfg.json"), str(tmp_path / "out"))
+    assert out["exit"] == 0 and (tmp_path / "out" / "pde_check.csv").exists()
+    # the benchmark reads scipy's version from sys.modules after every run,
+    # though the run itself reads nothing of scipy
+    assert "scipy" in out["modules"]
+    assert loaded(out["modules"], (*LAZY_SCIPY, "numpy.random", "numpy.ma")) == []
+
+
+THREADS_AND_OPENBLAS = """
+import json, os, sys
+import vsmhl.experiments as exp
+before = len(os.listdir("/proc/self/task"))
+exp.run_experiment(exp.ExperimentConfig.from_dict(json.loads(sys.argv[1])), threads=1)
+with open("/proc/self/maps") as maps:
+    openblas = {line.split()[-1] for line in maps if "openblas" in line}
+print(json.dumps({"started": len(os.listdir("/proc/self/task")) - before, "openblas": len(openblas)}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("cfg", ATOMIC_PDE_CHECKS)
+def test_atomic_pde_check_starts_no_thread(cfg):
+    # the solver's dgtsv is in the OpenBLAS numpy loaded, whose thread pool
+    # started with numpy; a second OpenBLAS (scipy's) would start its own
+    out = run_python(THREADS_AND_OPENBLAS, json.dumps(cfg.to_dict()))
+    assert out == {"started": 0, "openblas": 1}
