@@ -75,7 +75,6 @@ __all__ = [
     "sample",
     "density_grid",
     "quadrature",
-    "log_modified_bessel_i",
 ]
 
 _LEG, _POLY = np.polynomial.legendre, np.polynomial.polynomial

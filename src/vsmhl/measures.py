@@ -61,7 +61,7 @@ class Measure1D:
         if np.any(wts < 0):
             raise ValueError("atom weights must be nonnegative")
         if abs(wts.sum() - 1.0) > 1e-9:
-            raise ValueError(f"atom weights must sum to 1, got {wts.sum()!r}")
+            raise ValueError(f"atom weights must sum to 1, got {float(wts.sum())!r}")
         uniq, inv = np.unique(locs, return_inverse=True)
         agg = np.zeros(len(uniq))
         np.add.at(agg, inv, wts)
@@ -82,7 +82,7 @@ class Measure1D:
         vals = np.maximum(vals, 0.0)
         mass = np.trapezoid(vals, xs)
         if abs(mass - 1.0) > 5e-2:  # coarse grids under-resolve narrow densities
-            raise ValueError(f"grid density mass {mass!r} is too far from 1")
+            raise ValueError(f"grid density mass {float(mass)!r} is too far from 1")
         vals /= mass
         cum = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (vals[1:] + vals[:-1]) / 2.0)])
         cum /= cum[-1]

@@ -17,8 +17,10 @@ partial pivoting; Anderson et al., LAPACK Users' Guide, sec. 2.4).  gtsv is
 the dgtsv that numpy's bundled OpenBLAS exports (as scipy_dgtsv_64_, with
 64-bit integers), called through ctypes in the library numpy has already
 loaded, so a solve imports no scipy subpackage and starts no second BLAS
-thread pool.  A numpy built on another LAPACK falls back to
-scipy.linalg.lapack.dgtsv, which overwrites the same arrays.  The advective
+thread pool.  One stepper per solve owns every array gtsv writes through:
+the masses and three scratch diagonals, made by the stepper itself.  On a
+numpy built on another LAPACK the stepper calls scipy.linalg.lapack.dgtsv
+instead, which overwrites the same arrays.  The advective
 part of the flux is centered on every face where that keeps the system an
 M-matrix and taken from the left (donor) cell on the rest; the scheme
 conserves mass to solver precision and keeps cell masses nonnegative.  A
@@ -45,7 +47,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .errors import ConfigurationError
-from .limit import _KERNEL_BUDGET, LimitLaw, cdf, quadrature
+from .limit import LimitLaw, cdf, quadrature
 from .model import DiscreteAtoms, GammaLaw, InitialLaw, ModelParams, _floats, _is_integer
 
 __all__ = [
@@ -73,7 +75,7 @@ TIME_NODES_LATE = 12
 # nodes per block of a test function's jet in weak_residual: the jets' 64 KiB
 # temporaries stay below glibc's default mmap threshold (128 KiB), so each
 # block reuses heap pages rather than mapping and faulting in fresh ones
-_JET_BLOCK = _KERNEL_BUDGET // 2
+_JET_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -173,72 +175,61 @@ def _operator(centers: np.ndarray, dx: float, eta: float) -> _Diagonals:
 
 # the LAPACK dgtsv of numpy's bundled OpenBLAS (ILP64: 64-bit integers)
 _DGTSV = "scipy_dgtsv_64_"
-_Gtsv = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], Callable[[], int]]
-
-
-def _check_system(arrays: tuple[np.ndarray, ...]) -> None:
-    """Raise ValueError unless the arrays (dl, d, du, b) are what gtsv
-    overwrites in place: writeable contiguous 1-D float64 arrays of n - 1, n,
-    n - 1 and n entries."""
-    dl, d, du, b = arrays
-    flags = [a.dtype == np.float64 and a.ndim == 1 and a.flags.c_contiguous and a.flags.writeable for a in arrays]
-    if not (all(flags) and len(dl) == len(du) == len(d) - 1 == len(b) - 1):
-        raise ValueError("gtsv needs writeable contiguous 1-D float64 arrays of n - 1, n, n - 1 and n entries")
 
 
 @cache
-def _gtsv() -> _Gtsv:
-    """LAPACK dgtsv, as a binder: _gtsv()(dl, d, du, b) returns a call that
-    solves the tridiagonal system with sub-, main and super-diagonals dl, d
-    and du in place into b, overwriting the diagonals with their factors,
-    and returns LAPACK's info.  The routine comes from the OpenBLAS numpy
-    has already loaded: dlsym on numpy's core extension searches its
-    dependencies too, so the library's hashed file name is never named.  A
-    numpy whose LAPACK does not export it (an Accelerate, MKL or system
-    build) gets scipy.linalg.lapack.dgtsv, imported here."""
+def _gtsv() -> ctypes._CFuncPtr | None:
+    """LAPACK dgtsv from the OpenBLAS numpy has already loaded, as a ctypes
+    function: dlsym on numpy's core extension searches its dependencies too,
+    so the library's hashed file name is never named.  Where numpy's LAPACK
+    does not export it (an Accelerate, MKL or system build), None, once
+    scipy.linalg.lapack is imported: _stepper then calls its dgtsv."""
     try:
         dgtsv = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), _DGTSV)
     except (AttributeError, OSError):
-        from scipy.linalg.lapack import dgtsv as scipy_dgtsv
+        import scipy.linalg.lapack  # noqa: F401
 
-        overwrite = dict(overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
-
-        def bind_scipy(*arrays):
-            _check_system(arrays)
-            return lambda: scipy_dgtsv(*arrays, **overwrite)[-1]
-
-        return bind_scipy
+        return None
     dgtsv.argtypes = [ctypes.c_void_p] * 8
     dgtsv.restype = None
+    return dgtsv
 
-    def bind_openblas(*arrays):
-        _check_system(arrays)
-        n, one, info = ctypes.c_int64(len(arrays[-1])), ctypes.c_int64(1), ctypes.c_int64()
-        pointers = [a.ctypes.data for a in arrays]
+
+def _stepper(op: _Diagonals, m0: np.ndarray) -> tuple[np.ndarray, Callable[[float], None]]:
+    """Backward-Euler steps of cell masses, in place: returns m, a float64
+    copy of m0, and step(rc), which solves (I + rc A) m' = m, A the
+    _operator diagonals op and rc = c dt / dx at the new level, and
+    overwrites m with m'.  The diagonals of I + rc A go into three scratch
+    arrays made here, which gtsv factors in place.  So every array LAPACK
+    writes through is the stepper's own, step holds all four, and a step
+    allocates nothing: the ctypes arguments are built once, here."""
+    m = np.array(m0, dtype=np.float64)
+    system = (np.empty(len(m) - 1), np.empty(len(m)), np.empty(len(m) - 1), m)  # dl, d, du, b
+    dgtsv = _gtsv()
+    if dgtsv is None:
+        from scipy.linalg.lapack import dgtsv as scipy_dgtsv
+
+        def gtsv():
+            return scipy_dgtsv(*system, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[-1]
+
+    else:
+        n, one, info = ctypes.c_int64(len(m)), ctypes.c_int64(1), ctypes.c_int64()
+        pointers = [a.ctypes.data for a in system]
         args = (ctypes.byref(n), ctypes.byref(one), *pointers, ctypes.byref(n), ctypes.byref(info))  # ldb = n
 
-        def call():
+        def gtsv():
             dgtsv(*args)
             return info.value
 
-        call.arrays = arrays  # the pointers in args stay valid while call lives
-        return call
+    def step(rc: float) -> None:
+        for a, s in zip(op, system):  # the three diagonals; system[3] is m
+            np.multiply(a, rc, out=s)
+        np.add(system[1], 1.0, out=system[1])
+        info = gtsv()
+        if info != 0:
+            raise LinAlgError(f"tridiagonal solve failed: gtsv info {info}")
 
-    return bind_openblas
-
-
-def _advance(m: np.ndarray, op: _Diagonals, rc: float, scratch: _Diagonals, gtsv: Callable[[], int]) -> None:
-    """One backward-Euler step of the cell masses m, in place: solve
-    (I + rc A) m' = m, A the _operator diagonals and rc = c dt / dx at the
-    new level.  The diagonals of I + rc A go into scratch (shaped like op,
-    its contents never read), and gtsv, bound by _gtsv() to scratch and m,
-    factors them there and overwrites m with m'."""
-    for a, s in zip(op, scratch):
-        np.multiply(a, rc, out=s)
-    np.add(scratch[1], 1.0, out=scratch[1])
-    info = gtsv()
-    if info != 0:
-        raise LinAlgError(f"tridiagonal solve failed: gtsv info {info}")
+    return m, step
 
 
 def _ndtr(a: float) -> float:
@@ -333,8 +324,8 @@ def solve(params: ModelParams, law: InitialLaw, grid: SolverGrid) -> DensityTraj
     The solve streams: each level is checked as it is made (finite, no cell
     density below -1e-12, mass drift at most TRUNCATION_MASS_TOL; a failure
     raises ValueError naming its step) and added into the time integrals up
-    to the ends nt // 2 and nt.  The steps overwrite one masses array and
-    share one set of scratch diagonals, and only levels 0, nt // 2 and nt
+    to the ends nt // 2 and nt.  The steps overwrite the stepper's one
+    masses array and scratch diagonals, and only levels 0, nt // 2 and nt
     are copied out, so memory does not grow with nt and a step allocates
     nothing.
 
@@ -348,10 +339,8 @@ def solve(params: ModelParams, law: InitialLaw, grid: SolverGrid) -> DensityTraj
     op = _operator(grid.centers(), dx, params.eta)
     dt = params.horizon / grid.nt
     r = dt / dx
-    m = _initial_masses(law, grid)
+    m, step = _stepper(op, _initial_masses(law, grid))
     scaled = np.empty_like(m)
-    scratch = tuple(np.empty_like(a) for a in op)
-    gtsv = _gtsv()(*scratch, m)
     ends = (grid.nt // 2, grid.nt)
     integrals = np.zeros((len(ends), grid.nx))
     masses = np.empty((3, grid.nx))
@@ -360,7 +349,7 @@ def solve(params: ModelParams, law: InitialLaw, grid: SolverGrid) -> DensityTraj
         t = params.horizon if k == grid.nt else k * dt  # np.linspace(0, horizon, nt + 1)[k]
         coeff = ll.m_lambda * math.exp(0.5 * params.eta * t)
         if k:
-            _advance(m, op, coeff * r, scratch, gtsv)
+            step(coeff * r)
         drift = max(drift, _checked_drift(m, k, dx))
         for row, end in zip(integrals, ends):
             w = _simpson_weight(k, end + 1)

@@ -259,6 +259,8 @@ class TestMeasure1DValidation:
     def test_atoms_weight_checks(self):
         with pytest.raises(ValueError):
             Measure1D.from_atoms([1.0, 2.0], [0.6, 0.6])
+        with pytest.raises(ValueError, match="^atom weights must sum to 1, got 1.1$"):
+            Measure1D.from_atoms([1.0], [1.1])
         with pytest.raises(ValueError):
             Measure1D.from_atoms([1.0], [-1.0])
 
@@ -266,6 +268,8 @@ class TestMeasure1DValidation:
         x = np.linspace(0, 1, 11)
         with pytest.raises(ValueError):
             Measure1D.from_grid(x, np.full(11, 5.0))  # mass far from 1
+        with pytest.raises(ValueError, match="^grid density mass inf is too far from 1$"):
+            Measure1D.from_grid(x, np.r_[np.ones(10), np.inf])
         with pytest.raises(ValueError):
             Measure1D.from_grid(x[::-1], np.ones(11))
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import tracemalloc
@@ -28,7 +29,7 @@ from vsmhl import (
     weak_residual,
 )
 from vsmhl import test_function_bank as function_bank
-from vsmhl.pde import _advance, _generator, _gtsv, _initial_masses, _operator, _simpson_weight
+from vsmhl.pde import _generator, _gtsv, _initial_masses, _operator, _simpson_weight, _stepper
 
 PARAMS = ModelParams(2.0, 1, 1.0)
 LAW = PointMass(1.0)
@@ -143,26 +144,28 @@ def random_step(seed):
 
 
 def advance_once(m, op, rc):
-    """_advance on a copy of m, with scratch diagonals full of NaN: a step
-    must write every scratch entry before gtsv reads it."""
-    out, scratch = m.copy(), tuple(np.full_like(a, np.nan) for a in op)
-    _advance(out, op, rc, scratch, _gtsv()(*scratch, out))
+    """One step of a _stepper started at m, taken after a step at rc = NaN has
+    filled its scratch diagonals with NaN: a step must write every scratch
+    entry before gtsv reads it."""
+    out, step = _stepper(op, m)
+    step(math.nan)
+    out[:] = m
+    step(rc)
     return out
 
 
-def gtsv_binders():
-    """_gtsv() as numpy's OpenBLAS resolves it, and as a numpy whose LAPACK
-    lacks the symbol does: scipy.linalg's dgtsv.  Later calls resolve anew."""
-    openblas = _gtsv()
+@contextlib.contextmanager
+def without_numpy_dgtsv():
+    """_gtsv() as a numpy whose LAPACK lacks the symbol resolves it: None, so
+    _stepper calls scipy.linalg's dgtsv.  Calls after the block resolve anew."""
     _gtsv.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pde, "_DGTSV", "no_such_symbol")
-            fallback = _gtsv()
+            assert _gtsv() is None
+            yield
     finally:
         _gtsv.cache_clear()
-    assert fallback is not openblas
-    return openblas, fallback
 
 
 class TestAdvance:
@@ -185,52 +188,66 @@ class TestAdvance:
         ab[2, :-1] = rc * lower
         assert np.array_equal(advance_once(m, (lower, diag, upper), rc), solve_banded((1, 1), ab, m))
 
-    def test_scipy_fallback_equals_openblas(self, monkeypatch):
+    def test_scipy_fallback_equals_openblas(self):
         # a numpy whose LAPACK does not export dgtsv gets scipy's behind the same
-        # in-place call; singular systems (info 1 and 7) included
+        # in-place step; singular systems (info 1 and 7) included.  Each system
+        # (dl, d, du, b) is the step at rc = 1 of op = (dl, d - 1, du) from b
         rng = np.random.default_rng(28)
         systems = [[rng.normal(size=k) for k in (n - 1, n, n - 1, n)] for n in rng.integers(16, 2401, 40)]
         systems += [[np.zeros(15), np.zeros(16), np.zeros(15), np.ones(16)]]
         systems += [[np.zeros(15), np.r_[np.ones(6), 0.0, np.ones(9)], np.zeros(15), np.ones(16)]]
 
-        def solved(bind):
+        def solved():
             out = []
-            for system in systems:
-                dl, d, du, b = (a.copy() for a in system)
-                out.append((bind(dl, d, du, b)(), dl, d, du, b))
+            for dl, d, du, b in systems:
+                m, step = _stepper((dl, d - 1.0, du), b)
+                try:
+                    step(1.0)
+                    info = 0
+                except np.linalg.LinAlgError as e:
+                    info = int(str(e).rsplit(" ", 1)[1])
+                out.append((info, m))
             return out
 
-        openblas, fallback = gtsv_binders()
         grid = SolverGrid(30.0, 300, 64)
-        want, want_solve = solved(openblas), solve(PARAMS, LAW, grid)
-        assert _gtsv() is not fallback
-        monkeypatch.setattr(pde, "_gtsv", lambda: fallback)
-        got, got_solve = solved(fallback), solve(PARAMS, LAW, grid)
-        assert [info for info, *_ in want] == [0] * 40 + [1, 7]
-        for (info, *arrays), (want_info, *want_arrays) in zip(got, want):
+        want, want_solve = solved(), solve(PARAMS, LAW, grid)
+        with without_numpy_dgtsv():
+            got, got_solve = solved(), solve(PARAMS, LAW, grid)
+        assert _gtsv() is not None
+        assert [info for info, _ in want] == [0] * 40 + [1, 7]
+        for (info, m), (want_info, want_m) in zip(got, want):
             assert info == want_info
-            assert all(np.array_equal(a, w, equal_nan=True) for a, w in zip(arrays, want_arrays))
+            assert np.array_equal(m, want_m, equal_nan=True)
         assert np.array_equal(got_solve.masses, want_solve.masses)
         assert np.array_equal(got_solve.integrals, want_solve.integrals)
 
-    def test_binding_checks_the_arrays(self):
-        # both routines write through the arrays they are bound to
-        dl, d, du, b = np.ones(15), np.full(16, 3.0), np.ones(15), np.ones(16)
-        frozen = np.ones(16)
-        frozen.flags.writeable = False
-        bad_systems = [
-            (dl, d, du, np.ones(17)),
-            (dl[:14], d, du, b),
-            (dl, d, du, np.ones(32)[::2]),
-            (dl, d, du, np.ones(16, np.float32)),
-            (dl, d, np.ones((15, 1)), b),
-            (dl, d, du, frozen),
-        ]
-        for bind in gtsv_binders():
-            bind(dl, d, du, b)  # a valid system binds
-            for bad in bad_systems:
-                with pytest.raises(ValueError, match="gtsv needs"):
-                    bind(*bad)
+    @pytest.mark.parametrize("backend", ["openblas", "scipy"])
+    def test_steps_allocate_nothing(self, backend):
+        grid = SolverGrid(30.0, 1200, 16)
+        op = _operator(grid.centers(), grid.dx(), 2.0)
+        with without_numpy_dgtsv() if backend == "scipy" else contextlib.nullcontext():
+            m, step = _stepper(op, _initial_masses(LAW, grid))
+            step(0.01)  # the first call of each routine may cache what it looks up
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                for _ in range(100):
+                    step(0.01)
+                after, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert after == before
+        assert abs(m.sum() - 1.0) <= 1e-12  # the steps ran
+
+    @pytest.mark.parametrize("n", [15, 17])
+    def test_mismatched_operator_fails_before_lapack(self, n):
+        # the stepper sizes its scratch from the masses, so an operator of
+        # another size fails in numpy's first multiply, and m is untouched
+        grid = SolverGrid(10.0, 16, 16)
+        m, step = _stepper(_operator(grid.centers(), grid.dx(), 2.0), np.ones(n))
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            step(1.0)
+        assert np.array_equal(m, np.ones(n))
 
     def test_singular_step_raises(self):
         # I + rc A with a zero pivot in row 3
@@ -442,15 +459,20 @@ class TestStreamingSolve:
     def test_each_level_is_checked_as_it_is_made(self, monkeypatch, last, scale, match):
         steps = []
 
-        def advance(m, op, rc, scratch, gtsv):
-            _advance(m, op, rc, scratch, gtsv)
-            steps.append(len(steps) + 1)
-            if len(steps) == 7:  # spoil level 7, in the last cell (mass about 1e-64)
-                m *= scale
-                if last is not None:
-                    m[-1] = last * self.GRID.dx()
+        def stepper(op, m0):
+            m, step = _stepper(op, m0)
 
-        monkeypatch.setattr(pde, "_advance", advance)
+            def spoiling_step(rc):
+                step(rc)
+                steps.append(len(steps) + 1)
+                if len(steps) == 7:  # spoil level 7, in the last cell (mass about 1e-64)
+                    m[:] *= scale
+                    if last is not None:
+                        m[-1] = last * self.GRID.dx()
+
+            return m, spoiling_step
+
+        monkeypatch.setattr(pde, "_stepper", stepper)
         if match is None:
             solve(PARAMS, LAW, self.GRID)
             return
