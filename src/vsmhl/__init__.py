@@ -68,11 +68,6 @@ from .experiments import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
     ExperimentResult,
-    run_convergence,
     run_experiment,
-    run_moment_check,
-    run_pde_check,
-    run_rank_check,
-    run_sampler_check,
     write_results,
 )

@@ -10,9 +10,9 @@ the replications are chunked.
 
 An ExperimentConfig checks itself when it is built, after its params, law
 and grid have checked themselves, and raises ConfigurationError listing
-every violation it finds; a runner only checks that the config is of its
-kind.  A config bad in several of these objects reports the first one built
-(params, law, grid, then the config itself).
+every violation it finds.  A config bad in several of these objects reports
+the first one built (params, law, grid, then the config itself).  A config
+runs through run_experiment alone, which dispatches on cfg.experiment.
 """
 
 from __future__ import annotations
@@ -67,15 +67,9 @@ __all__ = [
     "ExperimentResult",
     "EXPERIMENT_KINDS",
     "run_experiment",
-    "run_convergence",
-    "run_pde_check",
-    "run_sampler_check",
-    "run_moment_check",
-    "run_rank_check",
     "write_results",
 ]
 
-EXPERIMENT_KINDS = ("convergence", "pde_check", "sampler_check", "moment_check", "rank_check")
 SNAPSHOT_COUNT = 9  # measure snapshots per path, evenly spaced over [0, T]
 SAMPLER_N = 100_000
 KS_CRITICAL_1PCT = 1.63  # numerator of the 1% asymptotic critical value
@@ -231,7 +225,6 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    experiment: str
     columns: list[str]
     rows: list[tuple]
     summary: dict
@@ -247,11 +240,6 @@ class ExperimentFailure(RuntimeError):
         self.cause = cause
         self.partial_rows = partial_rows
         self.failed_task = failed_task
-
-
-def _require_kind(cfg: ExperimentConfig, kind: str) -> None:
-    if cfg.experiment != kind:
-        raise ConfigurationError(f"config is for {cfg.experiment!r}, not {kind!r}")
 
 
 def _map_tasks(fn, argtuples: list[tuple], threads: int):
@@ -365,10 +353,9 @@ def _simulate(cfg: ExperimentConfig, n: int, nodes, keys: list[tuple]) -> tuple[
     return simulate_replications(params, cfg.law, cfg.dt, rngs, nodes)
 
 
-def _over_n_values(cfg: ExperimentConfig, kind: str, task, threads: int) -> tuple[list, dict, bool]:
+def _over_n_values(cfg: ExperimentConfig, task, threads: int) -> tuple[list, dict, bool]:
     """Run task(cfg, n, keys) over every N's (n, rep) keys; return its (n, rep, value)
     rows, their median per N keyed by str(N), and whether the medians strictly fall."""
-    _require_kind(cfg, kind)
     groups = [(n, [(n, rep) for rep in range(cfg.replications)]) for n in cfg.n_values]
     rows = _collect(task, cfg, groups, threads)
     medians = [_median([v for rn, _, v in rows if rn == n]) for n in cfg.n_values]
@@ -387,10 +374,9 @@ def _convergence_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[
     return rows
 
 
-def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    rows, medians, passed = _over_n_values(cfg, "convergence", _convergence_task, threads)
+def _run_convergence(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+    rows, medians, passed = _over_n_values(cfg, _convergence_task, threads)
     return ExperimentResult(
-        experiment="convergence",
         columns=["N", "replication", "metric", "value"],
         rows=[(n, rep, cfg.metric, v) for n, rep, v in rows],
         summary={"medians": medians},
@@ -398,8 +384,7 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult
     )
 
 
-def run_pde_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    _require_kind(cfg, "pde_check")
+def _run_pde_check(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     grid = cfg.grid
     traj = solve(cfg.params, cfg.law, grid)
     ll = LimitLaw(cfg.params.eta, cfg.law)
@@ -432,7 +417,6 @@ def run_pde_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             residuals_ok &= abs(r_a) <= RESIDUAL_TOL_ANALYTIC and abs(r_p) <= RESIDUAL_TOL_PDE
     passed = final_l1 <= PDE_L1_TOL and drift <= PDE_MASS_TOL and residuals_ok
     return ExperimentResult(
-        experiment="pde_check",
         columns=["check", "t", "detail", "value"],
         rows=rows,
         summary={
@@ -444,6 +428,15 @@ def run_pde_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     )
 
 
+# the times, as fractions of the horizon, at which a run reads the limit
+# law's CDF: sampler_check's KS distances and rank_check's quantiles
+_CDF_FRACTIONS = {"sampler_check": (0.5, 1.0), "rank_check": (1.0,)}
+
+
+def _cdf_times(cfg: ExperimentConfig) -> tuple[float, ...]:
+    return tuple(f * cfg.params.horizon for f in _CDF_FRACTIONS.get(cfg.experiment, ()))
+
+
 def _ks_statistic(draws: np.ndarray, cdf_of) -> float:
     """The one-sample Kolmogorov-Smirnov distance of the draws from a CDF,
     scipy.stats.kstest(draws, cdf_of).statistic without loading scipy.stats."""
@@ -453,20 +446,18 @@ def _ks_statistic(draws: np.ndarray, cdf_of) -> float:
     return float(np.maximum(np.max(np.arange(1.0, n + 1) / n - f), np.max(f - np.arange(0.0, n) / n)))
 
 
-def run_sampler_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    _require_kind(cfg, "sampler_check")
+def _run_sampler_check(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     ll = LimitLaw(cfg.params.eta, cfg.law)
     crit = KS_CRITICAL_1PCT / math.sqrt(SAMPLER_N)
     rows = []
     all_ok = True
-    for j, t in enumerate((0.5 * cfg.params.horizon, cfg.params.horizon)):
+    for j, t in enumerate(_cdf_times(cfg)):
         draws = sample(ll, t, SAMPLER_N, split_rng(cfg.seed, j))
         ks = _ks_statistic(draws, lambda y: cdf(ll, t, y))
         ok = ks < crit
         all_ok &= ok
         rows.append((t, SAMPLER_N, ks, crit, int(ok)))
     return ExperimentResult(
-        experiment="sampler_check",
         columns=["t", "n_samples", "ks_statistic", "critical_1pct", "passed"],
         rows=rows,
         summary={"critical_1pct": crit},
@@ -482,8 +473,7 @@ def _moment_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple
     return [(float(times[0]), float(a), float(b)) for a, b in zip(middle, end)]
 
 
-def run_moment_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    _require_kind(cfg, "moment_check")
+def _run_moment_check(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     n = cfg.params.n_particles
     m1, m2 = moments(cfg.law)
     es0 = n * m1
@@ -506,7 +496,6 @@ def run_moment_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResul
             all_ok &= ok
             rows.append((t, moment, est, target, se, z, int(ok)))
     return ExperimentResult(
-        experiment="moment_check",
         columns=["t", "moment", "estimate", "target", "std_error", "z", "passed"],
         rows=rows,
         summary={"replications": cfg.replications},
@@ -519,17 +508,17 @@ def _rank_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[i
     lo = max(int(math.ceil(RANK_KEEP[0] * n)), 1)
     hi = max(int(math.floor(RANK_KEEP[1] * n)), lo)
     _, states = _simulate(cfg, n, [step_count(cfg.params.horizon, cfg.dt)], keys)
+    (t,) = _cdf_times(cfg)
     rows = []
     for (_, rep), (final,) in zip(keys, states):
-        table = ranked_vs_limit(final, ll, cfg.params.horizon)
+        table = ranked_vs_limit(final, ll, t)
         rows.append((n, rep, float(np.mean(table[lo - 1 : hi, 3]))))
     return rows
 
 
-def run_rank_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    rows, medians, passed = _over_n_values(cfg, "rank_check", _rank_task, threads)
+def _run_rank_check(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+    rows, medians, passed = _over_n_values(cfg, _rank_task, threads)
     return ExperimentResult(
-        experiment="rank_check",
         columns=["N", "replication", "mean_gap"],
         rows=rows,
         summary={"medians": medians},
@@ -538,12 +527,13 @@ def run_rank_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
 
 
 _RUNNERS = {
-    "convergence": run_convergence,
-    "pde_check": run_pde_check,
-    "sampler_check": run_sampler_check,
-    "moment_check": run_moment_check,
-    "rank_check": run_rank_check,
+    "convergence": _run_convergence,
+    "pde_check": _run_pde_check,
+    "sampler_check": _run_sampler_check,
+    "moment_check": _run_moment_check,
+    "rank_check": _run_rank_check,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def _format_cell(v) -> str:
@@ -555,20 +545,20 @@ def _format_cell(v) -> str:
 def write_results(result: ExperimentResult, cfg: ExperimentConfig, out_dir) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{result.experiment}.csv"
+    csv_path = out / f"{cfg.experiment}.csv"
     lines = [",".join(result.columns)]
     lines += [",".join(_format_cell(v) for v in row) for row in result.rows]
     csv_path.write_text("\n".join(lines) + "\n")
     sidecar = {
         "schema_version": 1,
         "package_version": __version__,
-        "experiment": result.experiment,
+        "experiment": cfg.experiment,
         "seed": cfg.seed,
         "config": cfg.to_dict(),
         "summary": result.summary,
         "passed": result.passed,
     }
-    json_path = out / f"{result.experiment}_summary.json"
+    json_path = out / f"{cfg.experiment}_summary.json"
     json_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return {"csv": csv_path, "summary": json_path}
 
@@ -576,17 +566,20 @@ def write_results(result: ExperimentResult, cfg: ExperimentConfig, out_dir) -> d
 def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentResult:
     """Run and (when out_dir is given) persist one experiment.
 
-    Before any work, a pde_check grid too short for its law raises
-    ConfigurationError (pde.truncation_violations; solve reads the same CDF
-    from the cache), and only then is out_dir created, so an OSError for a
-    directory that cannot be made also comes before any work.  On a mid-run
-    failure a manifest with the completed rows is written before the original
-    error propagates.
+    Before any work, ConfigurationError refuses a pde_check grid too short
+    for its law (pde.truncation_violations) and a quadrature whose mass
+    misses 1 at a time where sampler_check or rank_check reads the CDF; the
+    run, and any worker forked for it, reads these CDFs from the cache.  Only
+    then is out_dir created, so an OSError for a directory that cannot be
+    made also comes before any work.  On a mid-run failure a manifest with
+    the completed rows is written before the original error propagates.
     """
     runner = _RUNNERS[cfg.experiment]
     bad = truncation_violations(cfg.params, cfg.law, cfg.grid) if cfg.experiment == "pde_check" else []
     if bad:
         raise ConfigurationError(*bad)
+    for t in _cdf_times(cfg):
+        cdf(LimitLaw(cfg.params.eta, cfg.law), t, 0.0)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     try:

@@ -54,13 +54,16 @@ class Measure1D:
         locs = np.asarray(locations, dtype=float)
         if locs.ndim != 1 or len(locs) == 0:
             raise ValueError("need a nonempty 1-D array of atom locations")
+        if not np.all(np.isfinite(locs)):
+            raise ValueError("atom locations must be finite")
         if weights is None:
             wts = np.full(len(locs), 1.0 / len(locs))
         else:
             wts = np.asarray(weights, dtype=float)
-        if np.any(wts < 0):
+        # each check fails NaN: a NaN comparison is False
+        if not np.all(wts >= 0):
             raise ValueError("atom weights must be nonnegative")
-        if abs(wts.sum() - 1.0) > 1e-9:
+        if not abs(wts.sum() - 1.0) <= 1e-9:
             raise ValueError(f"atom weights must sum to 1, got {float(wts.sum())!r}")
         uniq, inv = np.unique(locs, return_inverse=True)
         agg = np.zeros(len(uniq))
@@ -75,13 +78,14 @@ class Measure1D:
         vals = np.asarray(values, dtype=float)
         if xs.ndim != 1 or xs.shape != vals.shape or len(xs) < 2:
             raise ValueError("grid and values must be matching 1-D arrays")
-        if np.any(np.diff(xs) <= 0):
+        # each check fails NaN: a NaN comparison is False
+        if not np.all(np.diff(xs) > 0):
             raise ValueError("grid must be strictly increasing")
-        if np.any(vals < -1e-12):
+        if not np.all(vals >= -1e-12):
             raise ValueError("density values must be nonnegative")
         vals = np.maximum(vals, 0.0)
         mass = np.trapezoid(vals, xs)
-        if abs(mass - 1.0) > 5e-2:  # coarse grids under-resolve narrow densities
+        if not abs(mass - 1.0) <= 5e-2:  # coarse grids under-resolve narrow densities
             raise ValueError(f"grid density mass {float(mass)!r} is too far from 1")
         vals /= mass
         cum = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (vals[1:] + vals[:-1]) / 2.0)])

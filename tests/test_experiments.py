@@ -150,10 +150,6 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig.from_dict({"experiment": "convergence"})
 
-    def test_wrong_experiment_tag(self):
-        with pytest.raises(ConfigurationError):
-            exp.run_moment_check(small_convergence_cfg())
-
 
 class TestConvergence:
     def test_outputs_and_determinism(self, tmp_path):
@@ -402,7 +398,7 @@ class TestOtherRunners:
         cfg = ExperimentConfig(
             "pde_check", ModelParams(2.0, 1, 1.0), PointMass(1.0), grid=SolverGrid(30.0, 300, 16)
         )
-        exp.run_pde_check(cfg)
+        run_experiment(cfg)
         assert calls == {"weak_residual": 2, "density_grid": 0, "measure_path": 1}
         # the solver path holds cell masses and the analytic path panel
         # quadratures, so no Measure1D grid measure is built
@@ -417,7 +413,7 @@ class TestOtherRunners:
         # the solver's tail check reads one CDF; the 39 analytic quadratures read none
         limit._panel_cdf.cache_clear()
         cfg = ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), law, grid=SolverGrid(40.0, 400, 16))
-        exp.run_pde_check(cfg)
+        run_experiment(cfg)
         assert limit._panel_cdf.cache_info().misses == 1
 
     def test_pde_check_peak_memory(self):
@@ -433,7 +429,7 @@ class TestOtherRunners:
         limit._panel_cdf.cache_clear()
         tracemalloc.start()
         try:
-            r = exp.run_pde_check(cfg)
+            r = run_experiment(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -571,20 +567,30 @@ class TestCli:
         assert capsys.readouterr().err == "config error: mass 1.088e-01 beyond x_max=5.0 at the horizon exceeds 1e-06\n"
         assert not out.exists()
 
-    def test_quadrature_mass_off_one_exit_code(self, tmp_path, capsys):
-        # MAX_PANELS panels are too wide for the kernel at t = 1e-10: the run's
-        # first CDF refuses the law, and the CLI reports it as a config error
+    @pytest.mark.parametrize(
+        "experiment, message",
+        [
+            ("sampler_check", "the quadrature at t = 1e-10 has total weight 0.3036"),
+            ("rank_check", "the quadrature at t = 2e-10 has total weight 1.2396"),
+        ],
+    )
+    def test_quadrature_mass_off_one_exit_code(self, tmp_path, capsys, experiment, message):
+        # MAX_PANELS panels are too wide for the kernel at t <= 2e-10: the
+        # CDF the run reads first refuses the law before the output directory
+        # is made, and the CLI reports it as a config error
         spec = {
-            "experiment": "sampler_check",
+            "experiment": experiment,
             "params": {"eta": 2.0, "n_particles": 1, "horizon": 2e-10},
             "law": {"type": "atoms", "atoms": [[0.5, 0.3], [2.0, 0.7]]},
             "dt": 1e-10,
+            "n_values": [1] if experiment == "rank_check" else [],
         }
         out = tmp_path / "out"
         assert main(["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: the quadrature at t = 1e-10 has total weight 0.3036")
+        assert err.startswith(f"config error: {message}")
         assert err.endswith(", not 1 within 1e-08\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "overrides, message",

@@ -264,6 +264,23 @@ class TestMeasure1DValidation:
         with pytest.raises(ValueError):
             Measure1D.from_atoms([1.0], [-1.0])
 
+    @pytest.mark.parametrize(
+        "locations, weights, message",
+        [
+            ([0.5, 1.0], [np.nan, 1.0], "^atom weights must be nonnegative$"),
+            ([0.5, 1.0], [0.5, np.nan], "^atom weights must be nonnegative$"),
+            ([np.nan, 1.0], None, "^atom locations must be finite$"),
+            ([np.inf, 1.0], None, "^atom locations must be finite$"),
+            ([1.0, np.nan], [0.5, 0.5], "^atom locations must be finite$"),
+        ],
+        ids=repr,
+    )
+    def test_atoms_reject_nan(self, locations, weights, message):
+        # NaN fails every comparison: each check must still refuse it, not drop
+        # a NaN weight or let a NaN location read W1 = 0
+        with pytest.raises(ValueError, match=message):
+            Measure1D.from_atoms(locations, weights)
+
     def test_grid_checks(self):
         x = np.linspace(0, 1, 11)
         with pytest.raises(ValueError):
@@ -272,6 +289,26 @@ class TestMeasure1DValidation:
             Measure1D.from_grid(x, np.r_[np.ones(10), np.inf])
         with pytest.raises(ValueError):
             Measure1D.from_grid(x[::-1], np.ones(11))
+
+    @pytest.mark.parametrize(
+        "node, value, message",
+        [
+            (None, 3, "^density values must be nonnegative$"),
+            (None, 0, "^density values must be nonnegative$"),
+            (3, None, "^grid must be strictly increasing$"),
+            (10, None, "^grid must be strictly increasing$"),
+        ],
+        ids=repr,
+    )
+    def test_grid_rejects_nan(self, node, value, message):
+        # one NaN node or value must be refused, not turned into a NaN CDF
+        x, vals = np.linspace(0, 1, 11), np.ones(11)
+        if node is not None:
+            x[node] = np.nan
+        if value is not None:
+            vals[value] = np.nan
+        with pytest.raises(ValueError, match=message):
+            Measure1D.from_grid(x, vals)
 
     def test_grid_mass_window_and_clipping(self):
         x = np.linspace(0.0, 2.0, 41)
