@@ -1,8 +1,11 @@
 """Command-line entry point: ``vsmhl run --config <path> [options]``.
 
-Exit codes: 0 on success, 2 on config validation failure or an output
-directory that cannot be written, 3 when --assert is given and the
-experiment's pass criterion fails.
+The config file says what to compute; --output-dir says where the CSV and
+summary go, and is not recorded in them.
+
+Exit codes: 0 on success, 2 on a config that cannot be read or fails
+validation or an output directory that cannot be written, 3 when --assert
+is given and the experiment's pass criterion fails.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run one experiment from a JSON config")
     run.add_argument("--config", required=True, help="path to the JSON experiment config")
-    run.add_argument("--output-dir", default=None, help="override the config's output directory")
-    run.add_argument("--seed", type=int, default=None, help="override the config's seed")
+    run.add_argument("--output-dir", default="vsmhl_out", help="directory for the CSV and summary")
     run.add_argument("--threads", type=int, default=1, help="worker processes for replications")
     run.add_argument(
         "--assert",
@@ -42,22 +44,14 @@ def main(argv=None) -> int:
         print(f"config error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not JSON or not UTF-8
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not isinstance(spec, dict):
-        print("config error: config must be a JSON object", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.seed is not None:
-        spec["seed"] = args.seed
-    if args.output_dir is not None:
-        spec["output_dir"] = args.output_dir
     try:
         cfg = ExperimentConfig.from_dict(spec)
-        out_dir = cfg.output_dir if cfg.output_dir is not None else "vsmhl_out"
-        result = run_experiment(cfg, out_dir=out_dir, threads=args.threads)
+        result = run_experiment(cfg, out_dir=args.output_dir, threads=args.threads)
     except (ValidationError, ConfigurationError) as exc:
         for violation in exc.args:
             print(f"config error: {violation}", file=sys.stderr)
@@ -66,7 +60,7 @@ def main(argv=None) -> int:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     status = "PASS" if result.passed else "FAIL"
-    print(f"{cfg.experiment}: {status} ({len(result.rows)} rows -> {out_dir})")
+    print(f"{cfg.experiment}: {status} ({len(result.rows)} rows -> {args.output_dir})")
     for key, value in result.summary.items():
         print(f"  {key}: {value}")
     if args.assert_pass and not result.passed:

@@ -3,7 +3,9 @@
 Each experiment takes one JSON-serializable config, fans replications out
 over a worker pool keyed by (N, replication) so results never depend on
 scheduling, and emits a CSV table plus a JSON sidecar holding the resolved
-config, package version, seed and a pass/fail summary.  The replications of
+config, package version, seed and a pass/fail summary.  The config says what
+to compute and run_experiment's out_dir says where the files go, so one
+config writes the same bytes into any directory.  The replications of
 one N run in chunks, each chunk simulated as one (R, N) state; every
 replication keeps its own random stream, so the rows do not depend on how
 the replications are chunked.
@@ -100,7 +102,6 @@ class ExperimentConfig:
     replications: int = 1
     seed: int = 0
     grid: SolverGrid | None = None
-    output_dir: str | None = None
     metric: str = "wasserstein1"
 
     def __post_init__(self):
@@ -121,8 +122,6 @@ class ExperimentConfig:
             out.append(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.metric not in ("levy", "wasserstein1"):
             out.append(f"unknown metric {self.metric!r}")
-        if self.output_dir is not None and not isinstance(self.output_dir, str):
-            out.append(f"output_dir must be a string, got {self.output_dir!r}")
         ns = self.n_values
         n_max = self.params.n_particles  # the run's largest N, unless n_values sets it
         if not (isinstance(ns, (list, tuple)) and all(_is_integer(n) for n in ns)):
@@ -197,15 +196,13 @@ class ExperimentConfig:
         }
         if self.grid is not None:
             out["grid"] = asdict(self.grid)
-        if self.output_dir is not None:
-            out["output_dir"] = self.output_dir
         return out
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ExperimentConfig":
-        """The config a JSON object describes.  Unknown keys, a section that
-        is not an object and a missing key raise ValidationError; every value
-        is checked by the object it builds."""
+        """The config a JSON object describes.  A spec or section that is not
+        an object, unknown keys and a missing key raise ValidationError; every
+        value is checked by the object it builds."""
 
         def section(key: str, kind) -> list:
             """The fields of kind, in order, read from the JSON object spec[key]."""
@@ -568,18 +565,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
 
     Before any work, ConfigurationError refuses a pde_check grid too short
     for its law (pde.truncation_violations) and a quadrature whose mass
-    misses 1 at a time where sampler_check or rank_check reads the CDF; the
-    run, and any worker forked for it, reads these CDFs from the cache.  Only
-    then is out_dir created, so an OSError for a directory that cannot be
-    made also comes before any work.  On a mid-run failure a manifest with
-    the completed rows is written before the original error propagates.
+    misses 1 at a time where the run reads the limit law: pde_check's
+    analytic path (pde.quadrature_path), or the CDF of sampler_check and
+    rank_check.  The run, and any worker forked for it, reads these from the
+    cache.  Only then is out_dir created, so an OSError for a directory that
+    cannot be made also comes before any work.  On a mid-run failure a
+    manifest with the completed rows is written before the original error
+    propagates.
     """
     runner = _RUNNERS[cfg.experiment]
-    bad = truncation_violations(cfg.params, cfg.law, cfg.grid) if cfg.experiment == "pde_check" else []
-    if bad:
-        raise ConfigurationError(*bad)
+    ll = LimitLaw(cfg.params.eta, cfg.law)
+    if cfg.experiment == "pde_check":
+        bad = truncation_violations(cfg.params, cfg.law, cfg.grid)
+        if bad:
+            raise ConfigurationError(*bad)
+        quadrature_path(ll, cfg.params.horizon)
     for t in _cdf_times(cfg):
-        cdf(LimitLaw(cfg.params.eta, cfg.law), t, 0.0)
+        cdf(ll, t, 0.0)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     try:

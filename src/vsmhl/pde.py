@@ -40,7 +40,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -438,6 +438,7 @@ def _analytic_time_rule(horizon: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return times, weights, np.array([len(early) + 1, len(times) - 1])
 
 
+@lru_cache(maxsize=2)
 def quadrature_path(ll: LimitLaw, horizon: float) -> WeakFormPath:
     """The limit law on _analytic_time_rule(horizon), one panel quadrature per
     time, read at the panel ends horizon/2 and horizon.  The quadratures are

@@ -68,7 +68,7 @@ def recorded_pools(monkeypatch):
 
 class TestConfig:
     def test_round_trip(self):
-        cfg = small_convergence_cfg(grid=SolverGrid(30.0, 100, 100), output_dir="out")
+        cfg = small_convergence_cfg(grid=SolverGrid(30.0, 100, 100))
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_omitted_keys_take_the_field_defaults(self):
@@ -78,23 +78,27 @@ class TestConfig:
 
     def test_violations(self):
         with pytest.raises(ConfigurationError) as info:
-            small_convergence_cfg(n_values=(64, 16), replications=0, metric="hausdorff", output_dir=5)
+            small_convergence_cfg(n_values=(64, 16), replications=0, metric="hausdorff")
         bad = info.value.args
         assert any("n_values" in v for v in bad)
         assert any("replications" in v for v in bad)
         assert any("metric" in v for v in bad)
-        assert "output_dir must be a string, got 5" in bad
         assert str(info.value) == "; ".join(bad)
 
     def test_pde_check_needs_grid(self):
         with pytest.raises(ConfigurationError, match="pde_check needs a grid"):
             small_convergence_cfg(experiment="pde_check", n_values=())
 
-    @pytest.mark.parametrize("section", [None, "params", "grid", "law"])
-    def test_unknown_key_rejected(self, section):
+    @pytest.mark.parametrize(
+        "section, key",
+        [(None, "replicatons"), ("params", "replicatons"), ("grid", "replicatons"), ("law", "replicatons"),
+         # where a run's files go is the caller's out_dir, not the config's
+         (None, "output_dir")],
+    )
+    def test_unknown_key_rejected(self, section, key):
         spec = small_convergence_cfg(grid=SolverGrid(30.0, 100, 100)).to_dict()
-        (spec if section is None else spec[section])["replicatons"] = 3
-        with pytest.raises(ValidationError, match="replicatons"):
+        (spec if section is None else spec[section])[key] = 3
+        with pytest.raises(ValidationError, match=key):
             ExperimentConfig.from_dict(spec)
 
     @pytest.mark.parametrize("experiment", ["convergence", "pde_check", "sampler_check", "rank_check"])
@@ -572,19 +576,31 @@ class TestCli:
         [
             ("sampler_check", "the quadrature at t = 1e-10 has total weight 0.3036"),
             ("rank_check", "the quadrature at t = 2e-10 has total weight 1.2396"),
+            ("pde_check", "the quadrature at t = 2.8953564196339443e-06 has total weight 0.99999937"),
         ],
     )
-    def test_quadrature_mass_off_one_exit_code(self, tmp_path, capsys, experiment, message):
-        # MAX_PANELS panels are too wide for the kernel at t <= 2e-10: the
-        # CDF the run reads first refuses the law before the output directory
-        # is made, and the CLI reports it as a config error
-        spec = {
-            "experiment": experiment,
-            "params": {"eta": 2.0, "n_particles": 1, "horizon": 2e-10},
-            "law": {"type": "atoms", "atoms": [[0.5, 0.3], [2.0, 0.7]]},
-            "dt": 1e-10,
-            "n_values": [1] if experiment == "rank_check" else [],
-        }
+    def test_quadrature_mass_off_one_exit_code(self, tmp_path, capsys, monkeypatch, experiment, message):
+        # MAX_PANELS panels are too wide for the atoms' kernel at t <= 2e-10,
+        # and the first panel misses GammaLaw(0.3, 1)'s y^(eta - 1) at the
+        # origin at eta 1.1: the quadrature the run reads first refuses the
+        # law before any solve or output directory, and the CLI reports it as
+        # a config error
+        if experiment == "pde_check":
+            spec = {
+                "experiment": experiment,
+                "params": {"eta": 1.1, "n_particles": 1, "horizon": 1.0},
+                "law": {"type": "gamma", "shape": 0.3, "scale": 1.0},
+                "grid": {"x_max": 40.0, "nx": 1200, "nt": 800},
+            }
+        else:
+            spec = {
+                "experiment": experiment,
+                "params": {"eta": 2.0, "n_particles": 1, "horizon": 2e-10},
+                "law": {"type": "atoms", "atoms": [[0.5, 0.3], [2.0, 0.7]]},
+                "dt": 1e-10,
+                "n_values": [1] if experiment == "rank_check" else [],
+            }
+        monkeypatch.setattr(exp, "solve", lambda *args: pytest.fail("solved a refused config"))
         out = tmp_path / "out"
         assert main(["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
@@ -656,29 +672,32 @@ class TestCli:
         assert "cannot write output" in capsys.readouterr().err
         assert calls == []
 
-    def test_missing_config_file(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "No such file or directory"),
+            (b'{"experiment": ', "Expecting value"),
+            (b"\xff\xfe{}", "codec can't decode byte 0xff"),
+            (b"[" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["missing", "invalid json", "not utf-8", "deep nesting"],
+    )
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, monkeypatch, content, message):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read config: ") and message in err
+        assert not (tmp_path / "vsmhl_out").exists()
 
-    @pytest.mark.parametrize("output_dir", [5, 2.5, True, ["out"], {"dir": "out"}], ids=repr)
-    def test_non_string_output_dir_exit_code(self, tmp_path, capsys, monkeypatch, output_dir):
-        calls = []
-        monkeypatch.setitem(exp._RUNNERS, "sampler_check", lambda cfg, threads: calls.append(cfg))
-        spec = {
-            "experiment": "sampler_check",
-            "params": {"eta": 2.0, "n_particles": 1, "horizon": 1.0},
-            "law": {"type": "point_mass", "x0": 1.0},
-            "output_dir": output_dir,
-        }
-        assert main(["run", "--config", self.write_cfg(tmp_path, spec)]) == 2
-        assert capsys.readouterr().err == f"config error: output_dir must be a string, got {output_dir!r}\n"
-        assert calls == []
-
-    @pytest.mark.parametrize("override", [[], ["--seed", "3"], ["--output-dir", "out"]], ids=repr)
+    @pytest.mark.parametrize("override", [[], ["--output-dir", "out"]], ids=repr)
     @pytest.mark.parametrize("spec", [[1, 2], "convergence", 5, None], ids=repr)
     def test_non_object_config_exit_code(self, tmp_path, capsys, monkeypatch, spec, override):
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", self.write_cfg(tmp_path, spec), *override]) == 2
-        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+        assert capsys.readouterr().err == f"config error: config must be a JSON object, got {spec!r}\n"
         assert not (tmp_path / "out").exists() and not (tmp_path / "vsmhl_out").exists()
 
     @pytest.mark.parametrize(
@@ -719,21 +738,29 @@ class TestCli:
         assert main(["run", "--config", cfg, "--output-dir", out, "--assert"]) == 3
         assert main(["run", "--config", cfg, "--output-dir", out]) == 0
 
-    def test_seed_override(self, tmp_path):
-        spec = {
-            "experiment": "convergence",
-            "params": {"eta": 2.0, "n_particles": 16, "horizon": 1.0},
-            "law": {"type": "point_mass", "x0": 1.0},
-            "dt": 0.02,
-            "n_values": [16],
-            "replications": 2,
-            "seed": 1,
-        }
-        cfg = self.write_cfg(tmp_path, spec)
-        main(["run", "--config", cfg, "--output-dir", str(tmp_path / "a")])
-        main(["run", "--config", cfg, "--output-dir", str(tmp_path / "b"), "--seed", "2"])
+    CONVERGENCE_SPEC = {
+        "experiment": "convergence",
+        "params": {"eta": 2.0, "n_particles": 16, "horizon": 1.0},
+        "law": {"type": "point_mass", "x0": 1.0},
+        "dt": 0.02,
+        "n_values": [16],
+        "replications": 2,
+        "seed": 1,
+    }
+
+    def test_seed_from_config(self, tmp_path):
+        for seed, name in ((1, "a"), (2, "b")):
+            cfg = self.write_cfg(tmp_path, self.CONVERGENCE_SPEC | {"seed": seed})
+            assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / name)]) == 0
         a = (tmp_path / "a" / "convergence.csv").read_bytes()
         b = (tmp_path / "b" / "convergence.csv").read_bytes()
         assert a != b
         sidecar = json.loads((tmp_path / "b" / "convergence_summary.json").read_text())
         assert sidecar["seed"] == 2
+
+    def test_outputs_do_not_depend_on_the_output_dir(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, self.CONVERGENCE_SPEC)
+        for name in ("a", "nested/b"):
+            assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / name)]) == 0
+        for file in ("convergence.csv", "convergence_summary.json"):
+            assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "nested" / "b" / file).read_bytes()

@@ -127,7 +127,6 @@ ROWS = [
     ("config", {"seed": 1.0}, "seed must be a 64-bit unsigned integer, got 1.0"),
     ("config", {"seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
     ("config", {"seed": 2**64}, f"seed must be a 64-bit unsigned integer, got {2**64}"),
-    ("config", {"output_dir": 5}, "output_dir must be a string, got 5"),
     ("config", {"metric": "hausdorff"}, "unknown metric 'hausdorff'"),
     ("config", {"experiment": "pde_check", "grid": None}, "pde_check needs a grid"),
     (
