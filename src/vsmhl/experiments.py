@@ -55,9 +55,9 @@ from .particles import (  # noqa: F401
 )
 from .pde import (
     SolverGrid,
+    _cached_quadrature_path,
     _gtsv,
     mollified_start_law,
-    quadrature_path,
     solve,
     test_function_bank,
     truncation_violations,
@@ -401,7 +401,7 @@ def _run_pde_check(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     rows.append(("mass", t_pde[-1], "max_drift", drift))
 
     bank = test_function_bank()
-    analytic = quadrature_path(ll, cfg.params.horizon)
+    analytic = _cached_quadrature_path(ll, cfg.params.horizon)
     r_analytic = weak_residual(analytic, bank, cfg.params.eta)
     pde_path = traj.measure_path()
     r_pde = weak_residual(pde_path, bank, cfg.params.eta)
@@ -579,7 +579,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
         bad = truncation_violations(cfg.params, cfg.law, cfg.grid)
         if bad:
             raise ConfigurationError(*bad)
-        quadrature_path(ll, cfg.params.horizon)
+        _cached_quadrature_path(ll, cfg.params.horizon)
     for t in _cdf_times(cfg):
         cdf(ll, t, 0.0)
     if out_dir is not None:

@@ -438,7 +438,6 @@ def _analytic_time_rule(horizon: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return times, weights, np.array([len(early) + 1, len(times) - 1])
 
 
-@lru_cache(maxsize=2)
 def quadrature_path(ll: LimitLaw, horizon: float) -> WeakFormPath:
     """The limit law on _analytic_time_rule(horizon), one panel quadrature per
     time, read at the panel ends horizon/2 and horizon.  The quadratures are
@@ -454,6 +453,11 @@ def quadrature_path(ll: LimitLaw, horizon: float) -> WeakFormPath:
     set_ends = np.cumsum(lengths)  # node set k ends at set_ends[k]
     prefixes = [w[: set_ends[k - 1]] for k in ends]
     return WeakFormPath(times[ends], rules[0], [rules[k] for k in ends], x[: set_ends[-2]], prefixes)
+
+
+# run_experiment's gate builds pde_check's analytic path and the runner reads
+# it: one entry hands it over.  Private, so no caller can edit its arrays.
+_cached_quadrature_path = lru_cache(maxsize=1)(quadrature_path)
 
 
 def weak_residual(path: WeakFormPath, bank: list[TestFunction], eta: float) -> np.ndarray:

@@ -416,13 +416,14 @@ class TestOtherRunners:
     def test_pde_check_builds_one_cdf(self, law):
         # the solver's tail check reads one CDF; the 39 analytic quadratures read none
         limit._panel_cdf.cache_clear()
+        pde._cached_quadrature_path.cache_clear()
         cfg = ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), law, grid=SolverGrid(40.0, 400, 16))
         run_experiment(cfg)
         assert limit._panel_cdf.cache_info().misses == 1
 
     def test_pde_check_peak_memory(self):
-        # the pde_point config from a cold CDF cache.  The analytic path holds
-        # its 56,729 time-integral nodes and weights (0.9 MB); the weak
+        # the pde_point config from cold CDF and path caches.  The analytic
+        # path holds its 56,729 time-integral nodes and weights (0.9 MB); the weak
         # residual adds its generator values and their product with the
         # weights (0.9 MB) and one block's jet temporaries, budgeted as 12
         # arrays of _KERNEL_BUDGET values (1.6 MB; a bump's jet makes about
@@ -431,6 +432,7 @@ class TestOtherRunners:
         cfg = ExperimentConfig("pde_check", ModelParams(2.0, 64, 1.0), PointMass(1.0), grid=SolverGrid(30.0, 1200, 800))
         assert 12 * 8 * limit._KERNEL_BUDGET <= 1.6e6
         limit._panel_cdf.cache_clear()
+        pde._cached_quadrature_path.cache_clear()
         tracemalloc.start()
         try:
             r = run_experiment(cfg)

@@ -610,8 +610,7 @@ class TestWeakResidual:
         coarse = weak_residual(quadrature_path(ll, 1.0), bank, PARAMS.eta)
         monkeypatch.setattr(pde, "TIME_NODES_SQRT", 2 * pde.TIME_NODES_SQRT)
         monkeypatch.setattr(pde, "TIME_NODES_LATE", 2 * pde.TIME_NODES_LATE)
-        # the cache holds the coarse path: build the fine one past it
-        fine = weak_residual(quadrature_path.__wrapped__(ll, 1.0), bank, PARAMS.eta)
+        fine = weak_residual(quadrature_path(ll, 1.0), bank, PARAMS.eta)
         assert np.abs(fine - coarse).max() <= 1e-7
 
 
