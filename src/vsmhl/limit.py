@@ -196,31 +196,12 @@ def _log_uniform_mixture(eta: float, J: float, law: UniformLaw, y: np.ndarray) -
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """scipy.special.logsumexp(a, axis=1) of a real 2-D array, equal to it bit
-    for bit, without importing scipy.special.
-
-    The max-separated form (Blanchard, Higham & Higham, IMA J. Numer. Anal.
-    41(4), 2021): with M the row max and m the count of entries equal to it,
-    log1p(s) + log m + M, s the sum of exp(a - M) over the other entries
-    divided by m.  A row whose result is not finite (all -inf, an inf or a
-    NaN) takes scipy's fallback log(sum(exp(row))).
-    """
+    """log(sum(exp(a), axis=1)) of a real 2-D array, each row shifted by its
+    largest entry M (by 0 where M is not finite) so that no term overflows."""
     a_max = a.max(axis=1, keepdims=True)
-    is_max = a == a_max
-    m = np.count_nonzero(is_max, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = np.subtract(a, a_max)
-        np.exp(terms, out=terms)
-        terms[is_max] = 0.0
-        s = terms.sum(axis=1)
-        np.divide(s, m, out=s, where=s != 0)
-        out = np.log1p(s)
-        out += np.log(m)
-        out += a_max[:, 0]
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
-    return out
+    a_max[~np.isfinite(a_max)] = 0.0
+    with np.errstate(divide="ignore"):  # an all -inf row: log 0
+        return np.log(np.exp(a - a_max).sum(axis=1)) + a_max[:, 0]
 
 
 def _log_kernel_mixture(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:

@@ -233,14 +233,8 @@ def _stepper(op: _Diagonals, m0: np.ndarray) -> tuple[np.ndarray, Callable[[floa
 
 
 def _ndtr(a: float) -> float:
-    """The standard normal CDF at a, by the branches of cephes ndtr (what
-    scipy.special.ndtr evaluates) on libm's erf and erfc: 0.5 + 0.5 erf(x)
-    for |x| < sqrt(1/2), x = a sqrt(1/2), and 0.5 erfc(|x|), reflected, beyond."""
-    x = a * _SQRT1_2
-    if abs(x) < _SQRT1_2:
-        return 0.5 + 0.5 * math.erf(x)
-    y = 0.5 * math.erfc(abs(x))
-    return 1.0 - y if x > 0 else y
+    """The standard normal CDF at a, 0.5 erfc(-a sqrt(1/2)) on libm's erfc."""
+    return 0.5 * math.erfc(-a * _SQRT1_2)
 
 
 def _mollified_masses(x0: float, grid: SolverGrid) -> np.ndarray:
@@ -248,7 +242,7 @@ def _mollified_masses(x0: float, grid: SolverGrid) -> np.ndarray:
     sigma = MOLLIFIER_WIDTH_CELLS * grid.dx()
     a = (np.linspace(0.0, grid.x_max, grid.nx + 1) - x0) / sigma
     # _ndtr is exactly 0 below a = -40 (erfc underflows) and exactly 1 above
-    # a = 9 (1 - y rounds to 1), so only the edges between take a libm call
+    # a = 9 (erfc rounds to 2), so only the edges between take a libm call
     cdf_edges = (a > 0).astype(float)
     inside = (a > -40.0) & (a < 9.0)
     cdf_edges[inside] = [_ndtr(v) for v in a[inside].tolist()]
