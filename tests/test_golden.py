@@ -63,28 +63,28 @@ GOLDEN = {
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=PointMass(1.0),
             grid=SolverGrid(30.0, 1200, 800),
         ),
-        "a24b94c7203fb6e9180c1332982d1e7059da76226cae03cef885fe85dbaecb72",
+        "249015dce653c4211f44b24caeab1f6491d0d455e038e536ef25761ad41fcfc2",
     ),
     "pde_check_gamma": (
         dict(
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=GammaLaw(2.0, 0.5),
             grid=SolverGrid(40.0, 1200, 800),
         ),
-        "ed66164fed9296cc23a2f43bf953ef833813ac029466b26036e9257acd2c228d",
+        "5e7aa32ccc77ed2ba72526c76f4a56fc99677e2e4c79c62fa1410fd4826150a3",
     ),
     "pde_check_uniform": (
         dict(
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=UniformLaw(0.5, 1.5),
             grid=SolverGrid(40.0, 1200, 800),
         ),
-        "5daed4a7954396ac001c156e3548dabd522a8f0c49dfb09943f612265fc06661",
+        "9468dad522324ae243ed70d863ac4829e27191b1ab1633c08a54a7ae9c6ab710",
     ),
     "pde_check_atoms": (
         dict(
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0),
             law=DiscreteAtoms(((0.5, 0.3), (2.0, 0.7))), grid=SolverGrid(40.0, 1600, 800),
         ),
-        "c23ce16de0e675441ef268ddd6f2b20cffe724ea8f8d24f81d57180c18c0ba8f",
+        "04df86b4759f1aedd90a5ccff875883be982cd06a08b2509070f90f4b9f7ff9a",
     ),
     "sampler_check": (
         dict(
