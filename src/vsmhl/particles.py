@@ -93,7 +93,9 @@ def float_range_violations(params: ModelParams, law: InitialLaw) -> list[str]:
     """One message if the expected total N m1 e^{eta T / 2} of the system comes
     within a factor e^10 of the largest float, else none."""
     m1, _ = moments(law)
-    if 0.5 * params.eta * params.horizon + math.log(max(params.n_particles * m1, 1.0)) > _LOG_FLOAT_MAX - 10:
+    # log N + log m1, not log(N m1): N may be an integer past float range
+    log_total = math.log(params.n_particles) + math.log(m1) if m1 > 0 else -math.inf
+    if 0.5 * params.eta * params.horizon + max(log_total, 0.0) > _LOG_FLOAT_MAX - 10:
         return ["expected total grows past float range over this horizon; shrink horizon or eta"]
     return []
 

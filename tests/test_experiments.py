@@ -131,6 +131,18 @@ class TestConfig:
             build(41.5)
         build(41.0)
 
+    @pytest.mark.parametrize("experiment", exp.EXPERIMENT_KINDS)
+    def test_dt_checked_only_where_particles_step(self, experiment):
+        # the default dt 1e-3 exceeds a horizon of 1e-4, which sampler_check and
+        # pde_check never read
+        spec = dict(n_values=(16, 64), replications=2, grid=SolverGrid(30.0, 300, 16))
+        params = ModelParams(2.0, 16, 1e-4)
+        if experiment in ("sampler_check", "pde_check"):
+            assert ExperimentConfig(experiment, params, PointMass(1.0), **spec).dt == 1e-3
+        else:
+            with pytest.raises(ConfigurationError, match=r"dt must lie in \(0, horizon\]"):
+                ExperimentConfig(experiment, params, PointMass(1.0), **spec)
+
     def test_uniform_width_not_checked_without_limit_law(self):
         small_convergence_cfg(experiment="moment_check", law=UniformLaw(1.0, 1.0 + 1e-11))
 
@@ -193,6 +205,15 @@ class TestConvergence:
         r1 = run_experiment(small_convergence_cfg(seed=1))
         r2 = run_experiment(small_convergence_cfg(seed=2))
         assert r1.rows != r2.rows
+
+    @pytest.mark.parametrize("shape", [0.3, 0.999])
+    def test_gamma_shape_below_one(self, shape):
+        # the gamma pdf is infinite at 0, so the t = 0 measure reads the law's cdf
+        r = run_experiment(small_convergence_cfg(law=GammaLaw(shape, 1.0), n_values=(16, 64, 256)))
+        assert r.passed and len(r.rows) == 9
+        law = GammaLaw(shape, 1.0)
+        x = np.linspace(0.0, law.ppf(1.0 - 1e-12), exp.LAW_GRID_NODES)
+        assert np.allclose(exp._law_measure(law).cdf(x), law.cdf(x), rtol=0.0, atol=1e-12)
 
     def test_levy_metric_variant(self):
         r = run_experiment(small_convergence_cfg(metric="levy"))
@@ -625,18 +646,28 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "experiment, horizon",
-        [("rank_check", 700.0), ("sampler_check", 720.0), ("pde_check", 720.0), ("moment_check", 700.0)],
+        "experiment, horizon, n_particles, n_values",
+        [
+            pytest.param("rank_check", 700.0, 4, [4, 8], id="rank_check-700.0"),
+            pytest.param("sampler_check", 720.0, 4, [4, 8], id="sampler_check-720.0"),
+            pytest.param("pde_check", 720.0, 4, [4, 8], id="pde_check-720.0"),
+            pytest.param("moment_check", 700.0, 4, [4, 8], id="moment_check-700.0"),
+            # N itself past float range, where N m1 would overflow
+            pytest.param("moment_check", 1.0, 10**400, [4, 8], id="moment_check-n_particles-1e400"),
+            pytest.param("convergence", 1.0, 4, [4, 10**400], id="convergence-n_values-1e400"),
+        ],
     )
-    def test_horizon_past_float_range_exit_code(self, tmp_path, capsys, recorded_pools, experiment, horizon):
+    def test_horizon_past_float_range_exit_code(
+        self, tmp_path, capsys, recorded_pools, experiment, horizon, n_particles, n_values
+    ):
         # N m1 e^{eta T / 2} within e^10 of the float range: refused before any
         # work, where the pool or limit.time_change would fail mid-run
         spec = {
             "experiment": experiment,
-            "params": {"eta": 2.0, "n_particles": 4, "horizon": horizon},
+            "params": {"eta": 2.0, "n_particles": n_particles, "horizon": horizon},
             "law": {"type": "point_mass", "x0": 1.0},
             "dt": 1.0,
-            "n_values": [4, 8],
+            "n_values": n_values,
             "replications": 2,
             "grid": {"x_max": 30.0, "nx": 64, "nt": 32},
         }

@@ -199,6 +199,35 @@ def test_moment_check_loads_no_scipy_subpackage(tmp_path, law):
     assert loaded(out["modules"], LAZY_SCIPY) == []
 
 
+RUN_IN_FORKED_WORKERS = """
+import json, os, sys
+import vsmhl.experiments as exp
+cfg = exp.ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+parent = os.getpid()
+at_fork = set()
+os.register_at_fork(after_in_child=lambda: at_fork.update(sys.modules))
+real_run_chunk = exp._run_chunk
+
+
+def checked_run_chunk(*args):
+    result = real_run_chunk(*args)
+    assert os.getpid() != parent and sorted(set(sys.modules) - at_fork) == [], sorted(set(sys.modules) - at_fork)
+    return result
+
+
+exp._run_chunk = checked_run_chunk
+exp.run_experiment(cfg, threads=2)
+print(json.dumps({"ok": True}))
+"""
+
+
+@pytest.mark.parametrize("law", LAWS, ids=repr)
+def test_moment_check_workers_load_nothing(law):
+    # numpy.random loads once, before the pool forks, not in every worker
+    cfg = ExperimentConfig("moment_check", ModelParams(2.0, 64, 1.0), law, dt=0.1, replications=4)
+    assert run_python(RUN_IN_FORKED_WORKERS, json.dumps(cfg.to_dict())) == {"ok": True}
+
+
 RUN_AFTER_VALIDATION = """
 import json, sys
 import vsmhl.experiments as exp
