@@ -211,7 +211,8 @@ real_run_chunk = exp._run_chunk
 
 def checked_run_chunk(*args):
     result = real_run_chunk(*args)
-    assert os.getpid() != parent and sorted(set(sys.modules) - at_fork) == [], sorted(set(sys.modules) - at_fork)
+    new = sorted(set(sys.modules) - at_fork)
+    assert os.getpid() != parent and new == [], new
     return result
 
 
