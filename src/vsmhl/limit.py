@@ -27,8 +27,9 @@ family (a = J/2, b = a + theta):
   a difference of CDFs below (a0 + b0)/2 and of survival functions above.
 
 Everything here is evaluated in log space so large Bessel arguments (small
-t, large y) do not overflow, and the kernel pairs -2(sqrt x - sqrt y)^2 / J
-with log(e^{-z} I(z)) so that small t keeps its digits.
+t, large y) do not overflow: the log-sum-exp over atoms shifts each point's
+terms by their largest, and the kernel pairs -2(sqrt x - sqrt y)^2 / J with
+log(e^{-z} I(z)) so that small t keeps its digits.
 
 ``quadrature(ll, t)`` gives the law at t as nodes and weights, for pairing it
 with test functions: 8-point Gauss-Legendre panels in u = sqrt(y), each as

@@ -3,10 +3,12 @@ and the scipy subpackages each run loads.
 
 Each copy gives scipy's result to the bit, checked with ==, so every output
 stays the same; importing the subpackage it came from would cost about 0.6 s
-of start-up per process, and scipy.stats about 1 s.  The one exception is
-pde._ndtr, the mollifier's normal CDF: it takes cephes ndtr's branches on
-libm's erf and erfc, whose last bits differ from cephes', and is held to
-scipy.special.ndtr within a measured bound.
+of start-up per process, and scipy.stats about 1 s.  Two routines are the
+plain formulas instead, each held to a bound: limit._logsumexp, the
+log-sum-exp over a law's atoms shifted by each row's largest term, to 200-bit
+mpmath within one ulp of max(1, |exact|); and pde._ndtr, the mollifier's
+normal CDF 0.5 erfc(-a sqrt(1/2)) on libm's erfc, to scipy.special.ndtr
+within a measured bound.
 
 Importing vsmhl loads scipy itself and none of its subpackages: the modules
 name scipy.special by attribute, which scipy loads on first use.  Each
@@ -24,8 +26,9 @@ loads no scipy module and none of numpy's lazy ones:
   kernel, log-sum-exp and mollifier are vsmhl's own.  convergence,
   rank_check and sampler_check of an atomic law load only numpy.random
   (split_rng's generators), and not numpy.ma; a pde_check loads neither;
-* moment_check never reads the limit law and loads no scipy subpackage
-  (its run imports numpy.random itself).
+* moment_check never reads the limit law and loads no scipy subpackage.
+  Its run imports numpy.random itself, once, before its worker pool forks,
+  so a forked worker loads no module at all.
 """
 
 import json
