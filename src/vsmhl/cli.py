@@ -28,7 +28,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment from a JSON config")
     run.add_argument("--config", required=True, help="path to the JSON experiment config")
     run.add_argument("--output-dir", default="vsmhl_out", help="directory for the CSV and summary")
-    run.add_argument("--threads", type=int, default=1, help="worker processes for replications")
+    run.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes: replications fan out over them; pde_check forks one solver worker at 2 or "
+        "more and nothing at 1",
+    )
     run.add_argument(
         "--assert",
         dest="assert_pass",

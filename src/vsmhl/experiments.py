@@ -8,7 +8,8 @@ to compute and run_experiment's out_dir says where the files go, so one
 config writes the same bytes into any directory.  The replications of
 one N run in chunks, each chunk simulated as one (R, N) state; every
 replication keeps its own random stream, so the rows do not depend on how
-the replications are chunked.
+the replications are chunked.  pde_check has no replications: at two threads or
+more it runs its solver side in one forked worker beside its analytic side.
 
 An ExperimentConfig checks itself when it is built, after its params, law
 and grid have checked themselves, and raises ConfigurationError listing
@@ -21,9 +22,10 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,7 @@ from .particles import (  # noqa: F401
     step_count,
 )
 from .pde import (
+    DensityTrajectory,
     SolverGrid,
     _cached_quadrature_path,
     _gtsv,
@@ -385,33 +388,51 @@ def _run_convergence(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     )
 
 
-def _run_pde_check(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _solver_side(cfg: ExperimentConfig) -> tuple[DensityTrajectory, np.ndarray]:
+    """pde_check's solver side: the solve, and the weak residuals of its path."""
+    traj = solve(cfg.params, cfg.law, cfg.grid)
+    return traj, weak_residual(traj.measure_path(), test_function_bank(), cfg.params.eta)
+
+
+def _run_pde_check(cfg: ExperimentConfig, threads: int, solver: Future | None = None) -> ExperimentResult:
+    """The solver's path against the limit law's, each computed on its own.
+
+    The solver side (_solver_side) runs first, here, or, when solver is
+    given, in the worker run_experiment forked for it, whose future solver
+    is.  Meanwhile this process computes the analytic side: the exact and
+    the mollified law's densities at the solver's kept level times
+    (SolverGrid.level_time) and the analytic path's weak residuals.  Then it
+    collects the solver side and compares.  The rows do not depend on where
+    the solver side ran."""
+    if solver is None:
+        traj, r_pde = _solver_side(cfg)
     grid = cfg.grid
-    traj = solve(cfg.params, cfg.law, grid)
     ll = LimitLaw(cfg.params.eta, cfg.law)
-    moll = mollified_start_law(cfg.law, grid)
-    ll_moll = LimitLaw(cfg.params.eta, moll)
+    ll_moll = LimitLaw(cfg.params.eta, mollified_start_law(cfg.law, grid))
     centers = grid.centers()
+    t_pde = [grid.level_time(k, cfg.params.horizon) for k in grid.ends()]
+    references = (("l1_vs_exact", ll), ("l1_vs_mollified", ll_moll))
+    refs = [[(tag, density(lref, t, centers)) for tag, lref in references] for t in t_pde]
+    bank = test_function_bank()
+    analytic = _cached_quadrature_path(ll, cfg.params.horizon)
+    r_analytic = weak_residual(analytic, bank, cfg.params.eta)
+    if solver is not None:
+        traj, r_pde = solver.result()
+
     dx = grid.dx()
-    t_pde = [float(t) for t in traj.times[1:]]
     rows: list[tuple] = []
     l1 = {}
-    for t, m in zip(t_pde, traj.masses[1:]):
-        for tag, lref in (("l1_vs_exact", ll), ("l1_vs_mollified", ll_moll)):
-            l1[tag] = float(np.abs(m / dx - density(lref, t, centers)).sum() * dx)
+    for t, m, at_t in zip(t_pde, traj.masses[1:], refs):
+        for tag, ref in at_t:
+            l1[tag] = float(np.abs(m / dx - ref).sum() * dx)
             rows.append(("l1", t, tag, l1[tag]))
     final_l1 = l1["l1_vs_exact"]  # at the last level
     drift = traj.max_drift
     rows.append(("mass", t_pde[-1], "max_drift", drift))
 
-    bank = test_function_bank()
-    analytic = _cached_quadrature_path(ll, cfg.params.horizon)
-    r_analytic = weak_residual(analytic, bank, cfg.params.eta)
-    pde_path = traj.measure_path()
-    r_pde = weak_residual(pde_path, bank, cfg.params.eta)
     residuals_ok = True
     for i, g in enumerate(bank):
-        for j, (t_a, t_p) in enumerate(zip(analytic.ends, pde_path.ends)):
+        for j, (t_a, t_p) in enumerate(zip(analytic.ends, traj.times[1:])):
             r_a, r_p = float(r_analytic[i, j]), float(r_pde[i, j])
             rows.append(("residual_analytic", float(t_a), g.name, r_a))
             rows.append(("residual_pde", float(t_p), g.name, r_p))
@@ -578,32 +599,45 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
     cannot be made also comes before any work.  On a mid-run failure a
     manifest with the completed rows is written before the original error
     propagates.
+
+    One piece of work may start before out_dir is made: at threads >= 2,
+    pde_check forks one worker right after the grid's tail check, and the
+    worker runs the solver side (the solve and its weak residuals) while
+    this process builds the analytic path, which the mass check reads, and
+    the rest of the analytic side.  A refusal or an OSError after the fork
+    waits for the worker's solve to end and shuts the worker down before it
+    propagates; a failure in the worker propagates from here with its type
+    and message.  No worker, and no thread of its pool, outlives the call.
     """
     runner = _RUNNERS[cfg.experiment]
     ll = LimitLaw(cfg.params.eta, cfg.law)
-    if cfg.experiment == "pde_check":
-        bad = truncation_violations(cfg.params, cfg.law, cfg.grid)
-        if bad:
-            raise ConfigurationError(*bad)
-        _cached_quadrature_path(ll, cfg.params.horizon)
-    for t in _cdf_times(cfg):
-        cdf(ll, t, 0.0)
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-    try:
-        result = runner(cfg, threads=threads)
-    except ExperimentFailure as failure:
+    with ExitStack() as workers:
+        if cfg.experiment == "pde_check":
+            bad = truncation_violations(cfg.params, cfg.law, cfg.grid)
+            if bad:
+                raise ConfigurationError(*bad)
+            if threads > 1:
+                pool = workers.enter_context(ProcessPoolExecutor(max_workers=1))
+                runner = partial(_run_pde_check, solver=pool.submit(_solver_side, cfg))
+            _cached_quadrature_path(ll, cfg.params.horizon)
+        for t in _cdf_times(cfg):
+            cdf(ll, t, 0.0)
         if out_dir is not None:
-            manifest = {
-                "experiment": cfg.experiment,
-                "error": repr(failure.cause),
-                "completed_rows": [list(r) for r in failure.partial_rows],
-                "failed_task": list(failure.failed_task),
-            }
-            (Path(out_dir) / "failure_manifest.json").write_text(
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-            )
-        raise failure.cause
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        try:
+            result = runner(cfg, threads=threads)
+        except ExperimentFailure as failure:
+            if out_dir is not None:
+                manifest = {
+                    "experiment": cfg.experiment,
+                    "error": repr(failure.cause),
+                    "completed_rows": [list(r) for r in failure.partial_rows],
+                    "failed_task": list(failure.failed_task),
+                }
+                (Path(out_dir) / "failure_manifest.json").write_text(
+                    json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+                )
+            raise failure.cause
     if out_dir is not None:
         write_results(result, cfg, out_dir)
     return result

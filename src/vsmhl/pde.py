@@ -62,9 +62,14 @@ __all__ = [
     "mollified_start_law",
     "truncation_violations",
     "TRUNCATION_MASS_TOL",
+    "GRID_MAX",
 ]
 
 TRUNCATION_MASS_TOL = 1e-6
+# the most cells, and the most steps, a SolverGrid takes: 5x the largest grid
+# of any study in ROADMAP.md (nx 4800, nt 12800), and far below the sizes at
+# which an array cannot be allocated or a solve would never end
+GRID_MAX = 2**16
 MOLLIFIER_WIDTH_CELLS = 2.0
 _SQRT1_2 = math.sqrt(0.5)
 # Gauss-Legendre nodes of the analytic weak residual's rule in time: in
@@ -80,7 +85,8 @@ _JET_BLOCK = 2**13
 
 @dataclass(frozen=True)
 class SolverGrid:
-    """Uniform computational grid: nx cells on [0, x_max], nt time steps.
+    """Uniform computational grid: nx cells on [0, x_max], nt time steps,
+    each of nx and nt an integer from 16 to GRID_MAX.
 
     Built only from valid fields: ConfigurationError lists every one that is not.
     """
@@ -93,11 +99,11 @@ class SolverGrid:
         out = _floats(self, "x_max")
         if not out and not self.x_max > 0:
             out.append(f"x_max must be positive, got {self.x_max!r}")
-        out += [
-            f"{name} must be an integer of at least 16, got {n!r}"
-            for name, n in (("nx", self.nx), ("nt", self.nt))
-            if not (_is_integer(n) and n >= 16)
-        ]
+        for name, n in (("nx", self.nx), ("nt", self.nt)):
+            if not (_is_integer(n) and n >= 16):
+                out.append(f"{name} must be an integer of at least 16, got {n!r}")
+            elif n > GRID_MAX:
+                out.append(f"{name} must be at most {GRID_MAX}, got {n!r}")
         if out:
             raise ConfigurationError(*out)
 
@@ -106,6 +112,15 @@ class SolverGrid:
 
     def centers(self) -> np.ndarray:
         return (np.arange(self.nx) + 0.5) * self.dx()
+
+    def level_time(self, k: int, horizon: float) -> float:
+        """The time of a solve's level k of nt up to the horizon: k horizon / nt,
+        and the horizon itself at k = nt."""
+        return horizon if k == self.nt else k * (horizon / self.nt)
+
+    def ends(self) -> tuple[int, int]:
+        """The levels, besides 0, that a solve keeps: the weak form's end times."""
+        return self.nt // 2, self.nt
 
 
 @dataclass(frozen=True)
@@ -335,12 +350,12 @@ def solve(params: ModelParams, law: InitialLaw, grid: SolverGrid) -> DensityTraj
     r = dt / dx
     m, step = _stepper(op, _initial_masses(law, grid))
     scaled = np.empty_like(m)
-    ends = (grid.nt // 2, grid.nt)
+    ends = grid.ends()
     integrals = np.zeros((len(ends), grid.nx))
     masses = np.empty((3, grid.nx))
     times, drift = [], 0.0
     for k in range(grid.nt + 1):
-        t = params.horizon if k == grid.nt else k * dt  # np.linspace(0, horizon, nt + 1)[k]
+        t = grid.level_time(k, params.horizon)
         coeff = ll.m_lambda * math.exp(0.5 * params.eta * t)
         if k:
             step(coeff * r)

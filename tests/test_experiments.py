@@ -1,8 +1,11 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,15 @@ def small_convergence_cfg(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+@contextmanager
+def leaves_no_worker():
+    """Check that the block leaves no worker process and no thread behind."""
+    threads = threading.active_count()
+    yield
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 @pytest.fixture
@@ -484,6 +496,41 @@ class TestOtherRunners:
         # sqrt(t) keeps the time integral's error below this
         assert worst <= 1e-6
 
+    @pytest.mark.parametrize(
+        "law, x_max, nx",
+        [
+            (PointMass(1.0), 30.0, 300),
+            (GammaLaw(2.0, 0.5), 30.0, 300),
+            (UniformLaw(0.5, 1.5), 30.0, 300),
+            (DiscreteAtoms(((0.5, 0.3), (2.0, 0.7))), 40.0, 400),
+        ],
+        ids=["point", "gamma", "uniform", "atoms"],
+    )
+    def test_pde_check_outputs_independent_of_thread_count(self, tmp_path, law, x_max, nx):
+        # at two threads the solver side runs in a forked worker
+        cfg = ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), law, grid=SolverGrid(x_max, nx, 16))
+        for threads in (1, 2):
+            with leaves_no_worker():
+                run_experiment(cfg, out_dir=tmp_path / str(threads), threads=threads)
+        for name in ("pde_check.csv", "pde_check_summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_pde_check_solver_failure_propagates_from_the_worker(self, tmp_path, monkeypatch):
+        real_checked_drift = pde._checked_drift
+
+        def planted(m, k, dx):
+            if k == 5:
+                raise np.linalg.LinAlgError("planted failure at step 5")
+            return real_checked_drift(m, k, dx)
+
+        monkeypatch.setattr(pde, "_checked_drift", planted)  # the forked worker inherits it
+        cfg = ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), PointMass(1.0), grid=SolverGrid(30.0, 300, 16))
+        for threads in (1, 2):
+            with leaves_no_worker(), pytest.raises(np.linalg.LinAlgError) as failure:
+                run_experiment(cfg, out_dir=tmp_path / str(threads), threads=threads)
+            assert type(failure.value) is np.linalg.LinAlgError
+            assert str(failure.value) == "planted failure at step 5"
+
     def test_pde_check_at_a_high_kernel_order_reports(self):
         # eta 40: the kernel's order 39 needs the series up to z = 760.5; the
         # 1/z expansion's terms still grow just above z = 50
@@ -595,19 +642,25 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "experiment, message",
+        "experiment, message, threads",
         [
-            ("sampler_check", "the quadrature at t = 1e-10 has total weight 0.3036"),
-            ("rank_check", "the quadrature at t = 2e-10 has total weight 1.2396"),
-            ("pde_check", "the quadrature at t = 2.8953564196339443e-06 has total weight 0.99999937"),
+            pytest.param(experiment, message, threads, id=f"{experiment}-{message}" + "-threads2" * (threads == 2))
+            for experiment, message, threads in [
+                ("sampler_check", "the quadrature at t = 1e-10 has total weight 0.3036", 1),
+                ("rank_check", "the quadrature at t = 2e-10 has total weight 1.2396", 1),
+                ("pde_check", "the quadrature at t = 2.8953564196339443e-06 has total weight 0.99999937", 1),
+                ("pde_check", "the quadrature at t = 2.8953564196339443e-06 has total weight 0.99999937", 2),
+            ]
         ],
     )
-    def test_quadrature_mass_off_one_exit_code(self, tmp_path, capsys, monkeypatch, experiment, message):
+    def test_quadrature_mass_off_one_exit_code(self, tmp_path, capsys, monkeypatch, experiment, message, threads):
         # MAX_PANELS panels are too wide for the atoms' kernel at t <= 2e-10,
         # and the first panel misses GammaLaw(0.3, 1)'s y^(eta - 1) at the
         # origin at eta 1.1: the quadrature the run reads first refuses the
-        # law before any solve or output directory, and the CLI reports it as
-        # a config error
+        # law before any output directory (and, at one thread, before any
+        # solve), and the CLI reports it as a config error.  At two threads
+        # pde_check's solver worker has started: it is shut down, and none
+        # is left
         if experiment == "pde_check":
             spec = {
                 "experiment": experiment,
@@ -623,9 +676,12 @@ class TestCli:
                 "dt": 1e-10,
                 "n_values": [1] if experiment == "rank_check" else [],
             }
-        monkeypatch.setattr(exp, "solve", lambda *args: pytest.fail("solved a refused config"))
+        if threads == 1:
+            monkeypatch.setattr(exp, "solve", lambda *args: pytest.fail("solved a refused config"))
         out = tmp_path / "out"
-        assert main(["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out)]) == 2
+        args = ["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out), "--threads", str(threads)]
+        with leaves_no_worker():
+            assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")
         assert err.endswith(", not 1 within 1e-08\n")
@@ -704,6 +760,37 @@ class TestCli:
         assert main(["run", "--config", cfg, "--output-dir", str(blocker / "sub")]) == 2
         assert "cannot write output" in capsys.readouterr().err
         assert calls == []
+
+    def test_unwritable_output_dir_shuts_the_solver_worker_down(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        spec = {
+            "experiment": "pde_check",
+            "params": {"eta": 2.0, "n_particles": 1, "horizon": 1.0},
+            "law": {"type": "point_mass", "x0": 1.0},
+            "grid": {"x_max": 30.0, "nx": 300, "nt": 16},
+        }
+        args = ["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(blocker / "sub"), "--threads", "2"]
+        with leaves_no_worker():
+            assert main(args) == 2
+        assert "cannot write output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value", [("nx", 10**400), ("nt", 10**400), ("nx", 10**20), ("nx", 2**40), ("nt", 10**20)]
+    )
+    def test_oversized_pde_grid_exit_code(self, tmp_path, capsys, field, value):
+        # an overflow, an array too large to allocate, or a solve that never
+        # ends: each is refused as a config error before the output directory
+        spec = {
+            "experiment": "pde_check",
+            "params": {"eta": 2.0, "n_particles": 1, "horizon": 1.0},
+            "law": {"type": "point_mass", "x0": 1.0},
+            "grid": {"x_max": 30.0, "nx": 300, "nt": 16} | {field: value},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {field} must be at most {pde.GRID_MAX}, got {value}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "content, message",

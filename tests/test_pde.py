@@ -47,6 +47,27 @@ class TestSolverGrid:
             with pytest.raises(ConfigurationError, match="^x_max must be a finite number"):
                 SolverGrid(x_max, 100, 100)
 
+    @pytest.mark.parametrize(
+        "field, value", [("nx", 10**400), ("nt", 10**400), ("nx", 10**20), ("nx", 2**40), ("nt", 10**20)]
+    )
+    def test_rejects_oversized_grids(self, field, value):
+        fields = {"x_max": 30.0, "nx": 100, "nt": 100} | {field: value}
+        with pytest.raises(ConfigurationError, match=f"^{field} must be at most 65536, got {value}$"):
+            SolverGrid(**fields)
+
+    def test_admits_every_studied_grid(self):
+        assert pde.GRID_MAX == 2**16
+        for nx, nt in ((4800, 12800), (pde.GRID_MAX, pde.GRID_MAX)):
+            SolverGrid(30.0, nx, nt)
+
+    def test_level_times_are_the_solves(self):
+        # pde_check reads the limit law at these times while the solve runs elsewhere
+        grid = SolverGrid(30.0, 300, 17)
+        traj = solve(PARAMS, LAW, grid)
+        assert grid.ends() == (8, 17)
+        assert list(traj.times) == [grid.level_time(k, PARAMS.horizon) for k in (0, *grid.ends())]
+        assert grid.level_time(17, PARAMS.horizon) == PARAMS.horizon
+
     def test_centers(self):
         g = SolverGrid(2.0, 16, 16)
         assert g.dx() == 0.125

@@ -18,7 +18,9 @@ loads no scipy module and none of numpy's lazy ones:
 
 * pde_check, any law: nothing for the solver's dgtsv, which is called
   through ctypes from the OpenBLAS numpy has loaded (scipy.linalg's only on
-  a numpy without it), so the run maps one OpenBLAS and starts no thread;
+  a numpy without it), so the run maps one OpenBLAS and, at one thread,
+  starts no thread.  At two threads its solver side runs in one forked
+  worker, which loads nothing;
 * a gamma law adds scipy.special (gammainc, hyp1f1), and in a pde_check
   scipy.linalg (roots_jacobi);
 * a UniformLaw adds scipy.stats (its ncx2 CDF), which loads the other two;
@@ -180,7 +182,7 @@ def test_import_loads_no_scipy_subpackage():
 RUN_CLI = """
 import json, sys
 from vsmhl import cli
-code = cli.main(["run", "--config", sys.argv[1], "--output-dir", sys.argv[2]])
+code = cli.main(["run", "--config", sys.argv[1], "--output-dir", sys.argv[2], *sys.argv[3:]])
 print(json.dumps({"exit": code, "modules": sorted(sys.modules)}))
 """
 
@@ -209,17 +211,18 @@ cfg = exp.ExperimentConfig.from_dict(json.loads(sys.argv[1]))
 parent = os.getpid()
 at_fork = set()
 os.register_at_fork(after_in_child=lambda: at_fork.update(sys.modules))
-real_run_chunk = exp._run_chunk
+worker_function = sys.argv[2]  # the function the run hands its workers
+real = getattr(exp, worker_function)
 
 
-def checked_run_chunk(*args):
-    result = real_run_chunk(*args)
+def checked(*args):
+    result = real(*args)
     new = sorted(set(sys.modules) - at_fork)
     assert os.getpid() != parent and new == [], new
     return result
 
 
-exp._run_chunk = checked_run_chunk
+setattr(exp, worker_function, checked)
 exp.run_experiment(cfg, threads=2)
 print(json.dumps({"ok": True}))
 """
@@ -229,7 +232,14 @@ print(json.dumps({"ok": True}))
 def test_moment_check_workers_load_nothing(law):
     # numpy.random loads once, before the pool forks, not in every worker
     cfg = ExperimentConfig("moment_check", ModelParams(2.0, 64, 1.0), law, dt=0.1, replications=4)
-    assert run_python(RUN_IN_FORKED_WORKERS, json.dumps(cfg.to_dict())) == {"ok": True}
+    assert run_python(RUN_IN_FORKED_WORKERS, json.dumps(cfg.to_dict()), "_run_chunk") == {"ok": True}
+
+
+@pytest.mark.parametrize("law", [PointMass(1.0), GammaLaw(2.0, 0.5)], ids=repr)
+def test_pde_check_solver_worker_loads_nothing(law):
+    # the solve and its weak residuals read only what validation loaded
+    cfg = ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), law, grid=SolverGrid(30.0, 300, 16))
+    assert run_python(RUN_IN_FORKED_WORKERS, json.dumps(cfg.to_dict()), "_solver_side") == {"ok": True}
 
 
 RUN_AFTER_VALIDATION = """
@@ -280,6 +290,14 @@ AFTER_VALIDATION_RUNS = [
         ExperimentConfig("pde_check", PDE, UNIFORM, grid=PDE_GRID), 1, {SPECIAL, LINALG, STATS},
         id="pde_check-uniform",
     ),
+    # the solver side runs in a forked worker; this process runs the rest
+    pytest.param(
+        ExperimentConfig("pde_check", PDE, POINT, grid=PDE_GRID), 2, set(), id="pde_check-point-threads2"
+    ),
+    pytest.param(
+        ExperimentConfig("pde_check", PDE, GAMMA, grid=PDE_GRID), 2, {SPECIAL, LINALG},
+        id="pde_check-gamma-threads2",
+    ),
     pytest.param(
         ExperimentConfig("convergence", SMALL, GAMMA, metric="levy", **N_VALUES), 2, {SPECIAL},
         id="convergence-gamma-threads2",
@@ -329,6 +347,17 @@ def test_atomic_pde_check_loads_no_lazy_module(tmp_path, cfg):
     assert out["exit"] == 0 and (tmp_path / "out" / "pde_check.csv").exists()
     # the benchmark reads scipy's version from sys.modules after every run,
     # though the run itself reads nothing of scipy
+    assert "scipy" in out["modules"]
+    assert loaded(out["modules"], (*LAZY_SCIPY, "numpy.random", "numpy.ma")) == []
+
+
+def test_pde_check_at_two_threads_loads_no_lazy_module(tmp_path):
+    # the benchmark's own path: a fresh CLI process whose solver side runs in
+    # a forked worker
+    cfg = ExperimentConfig("pde_check", PDE, POINT, grid=PDE_GRID)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_dict()))
+    out = run_python(RUN_CLI, str(tmp_path / "cfg.json"), str(tmp_path / "out"), "--threads", "2")
+    assert out["exit"] == 0 and (tmp_path / "out" / "pde_check.csv").exists()
     assert "scipy" in out["modules"]
     assert loaded(out["modules"], (*LAZY_SCIPY, "numpy.random", "numpy.ma")) == []
 
