@@ -20,6 +20,7 @@ runs through run_experiment alone, which dispatches on cfg.experiment.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -570,9 +571,11 @@ def write_results(result: ExperimentResult, cfg: ExperimentConfig, out_dir) -> d
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{cfg.experiment}.csv"
-    lines = [",".join(result.columns)]
-    lines += [",".join(_format_cell(v) for v in row) for row in result.rows]
-    csv_path.write_text("\n".join(lines) + "\n")
+    with csv_path.open("w", newline="") as fh:
+        # a cell that holds a comma (pde_check's test-function names) is quoted
+        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+        writer.writerow(result.columns)
+        writer.writerows([_format_cell(v) for v in row] for row in result.rows)
     sidecar = {
         "schema_version": 1,
         "package_version": __version__,

@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -495,6 +496,18 @@ class TestOtherRunners:
         # the pairings are smooth in sqrt(t), not in t, and the Gauss rule in
         # sqrt(t) keeps the time integral's error below this
         assert worst <= 1e-6
+
+    def test_pde_check_csv_reads_four_fields_per_row(self, tmp_path):
+        # the test-function names hold commas, so their cells are quoted
+        cfg = ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), PointMass(1.0), grid=SolverGrid(30.0, 300, 16))
+        result = run_experiment(cfg, out_dir=tmp_path)
+        with open(tmp_path / "pde_check.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == result.columns == ["check", "t", "detail", "value"]
+        assert len(rows) == len(result.rows) == 25
+        assert all(len(row) == 4 for row in rows)
+        assert [row[2] for row in rows[5:7]] == ["gaussian(c=1.0,sigma=0.5)"] * 2
+        assert [(c, float(t), d, float(v)) for c, t, d, v in rows] == result.rows
 
     @pytest.mark.parametrize(
         "law, x_max, nx",

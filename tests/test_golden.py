@@ -63,28 +63,28 @@ GOLDEN = {
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=PointMass(1.0),
             grid=SolverGrid(30.0, 1200, 800),
         ),
-        "249015dce653c4211f44b24caeab1f6491d0d455e038e536ef25761ad41fcfc2",
+        "28e10bec94f7e960fea9a3089a1e44ca1e1f5880fde5b1e87d641d39cd1c332a",
     ),
     "pde_check_gamma": (
         dict(
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=GammaLaw(2.0, 0.5),
             grid=SolverGrid(40.0, 1200, 800),
         ),
-        "5e7aa32ccc77ed2ba72526c76f4a56fc99677e2e4c79c62fa1410fd4826150a3",
+        "17eabf194663abac31de3943f29ecc010d9fe16b3ab9b2b1755363506814ec05",
     ),
     "pde_check_uniform": (
         dict(
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=UniformLaw(0.5, 1.5),
             grid=SolverGrid(40.0, 1200, 800),
         ),
-        "9468dad522324ae243ed70d863ac4829e27191b1ab1633c08a54a7ae9c6ab710",
+        "6d3e5e807bdbdcbb1bb2995262934a311fb86761ddc61b920e286f08d53d8476",
     ),
     "pde_check_atoms": (
         dict(
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0),
             law=DiscreteAtoms(((0.5, 0.3), (2.0, 0.7))), grid=SolverGrid(40.0, 1600, 800),
         ),
-        "04df86b4759f1aedd90a5ccff875883be982cd06a08b2509070f90f4b9f7ff9a",
+        "965b4285ff500889e77a4b69f1ed9c18eeaf2af87c44564117ae77fd8a66a180",
     ),
     "sampler_check": (
         dict(
