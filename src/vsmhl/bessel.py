@@ -18,7 +18,6 @@ larger orders are rejected.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -69,9 +68,7 @@ def _series_log(nu: float, z: np.ndarray) -> np.ndarray:
     """log I_nu(z) by the power series; valid for modest z (all-positive terms)."""
 
     def positive(zp):
-        # band by magnitude so small arguments stop after a few terms
-        log_sum = partial(_log_series_sum, nu)
-        out = _piecewise(zp <= 10.0, zp, log_sum, log_sum)
+        out = _log_series_sum(nu, zp)
         lead = np.multiply(zp, 0.5)
         np.log(lead, out=lead)
         lead *= nu

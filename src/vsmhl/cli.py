@@ -4,8 +4,8 @@ The config file says what to compute; --output-dir says where the CSV and
 summary go, and is not recorded in them.
 
 Exit codes: 0 on success, 2 on a config that cannot be read or fails
-validation or an output directory that cannot be written, 3 when --assert
-is given and the experiment's pass criterion fails.
+validation, a --threads below 1 or an output directory that cannot be
+written, 3 when --assert is given and the experiment's pass criterion fails.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print(f"config error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         with open(args.config, encoding="utf-8") as fh:
             spec = json.load(fh)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache, partial
@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .bessel import NU_MAX
 from .errors import ConfigurationError, ValidationError
-from .limit import LimitLaw, cdf, density, density_grid, sample, time_change
+from .limit import GRID_NODES, LimitLaw, cdf, density, density_grid, sample, time_change
 from .measures import Measure1D, MeasurePath, _sorted_unique, empirical, ranked_vs_limit, sup_distance
 from .model import (
     DiscreteAtoms,
@@ -59,9 +59,9 @@ from .particles import (  # noqa: F401
 from .pde import (
     DensityTrajectory,
     SolverGrid,
-    _cached_quadrature_path,
     _gtsv,
     mollified_start_law,
+    quadrature_path,
     solve,
     test_function_bank,
     truncation_violations,
@@ -91,8 +91,6 @@ MOMENT_Z_SECOND = 4.0
 RANK_KEEP = (0.1, 0.9)  # central band of ranks summarized by rank_check
 # the experiments that step particles by dt; the others never read it
 _STEPPED = ("convergence", "rank_check", "moment_check")
-# t = 0 grid of a gamma or uniform law on convergence's analytic path
-LAW_GRID_NODES = 4096
 # largest R * N state simulated as one chunk (at least one replication per
 # chunk); chosen by an in-process sweep over N and R recorded in CHANGES.md
 STATE_BUDGET = 2**14
@@ -316,10 +314,10 @@ def _law_measure(law: InitialLaw) -> Measure1D:
     if isinstance(law, GammaLaw):
         # the node CDF is law.cdf's, not a trapezoid of the pdf, which is
         # infinite at 0 for a shape below 1
-        x = np.linspace(0.0, law.ppf(1.0 - 1e-12), LAW_GRID_NODES)
+        x = np.linspace(0.0, law.ppf(1.0 - 1e-12), GRID_NODES)
         return Measure1D(Measure1D.GRID, x, law.pdf(x), law.cdf(x) / law.cdf(x[-1]))
-    x = np.linspace(law.a, law.b, LAW_GRID_NODES)
-    return Measure1D.from_grid(x, np.full(LAW_GRID_NODES, 1.0 / (law.b - law.a)))
+    x = np.linspace(law.a, law.b, GRID_NODES)
+    return Measure1D.from_grid(x, np.full(GRID_NODES, 1.0 / (law.b - law.a)))
 
 
 @lru_cache(maxsize=8)
@@ -395,18 +393,16 @@ def _solver_side(cfg: ExperimentConfig) -> tuple[DensityTrajectory, np.ndarray]:
     return traj, weak_residual(traj.measure_path(), test_function_bank(), cfg.params.eta)
 
 
-def _run_pde_check(cfg: ExperimentConfig, threads: int, solver: Future | None = None) -> ExperimentResult:
+def _run_pde_check(cfg: ExperimentConfig, threads: int, solver, analytic) -> ExperimentResult:
     """The solver's path against the limit law's, each computed on its own.
 
-    The solver side (_solver_side) runs first, here, or, when solver is
-    given, in the worker run_experiment forked for it, whose future solver
-    is.  Meanwhile this process computes the analytic side: the exact and
-    the mollified law's densities at the solver's kept level times
-    (SolverGrid.level_time) and the analytic path's weak residuals.  Then it
-    collects the solver side and compares.  The rows do not depend on where
-    the solver side ran."""
-    if solver is None:
-        traj, r_pde = _solver_side(cfg)
+    run_experiment hands over the analytic path it built for its mass check,
+    and solver, which returns the solver side (_solver_side): the forked
+    worker's result, or the solve itself, run here.  This process first
+    computes the rest of the analytic side, the exact and the mollified
+    law's densities at the solver's kept level times (SolverGrid.level_time)
+    and the analytic path's weak residuals; then it calls solver and
+    compares.  The rows do not depend on where the solver side ran."""
     grid = cfg.grid
     ll = LimitLaw(cfg.params.eta, cfg.law)
     ll_moll = LimitLaw(cfg.params.eta, mollified_start_law(cfg.law, grid))
@@ -415,10 +411,8 @@ def _run_pde_check(cfg: ExperimentConfig, threads: int, solver: Future | None = 
     references = (("l1_vs_exact", ll), ("l1_vs_mollified", ll_moll))
     refs = [[(tag, density(lref, t, centers)) for tag, lref in references] for t in t_pde]
     bank = test_function_bank()
-    analytic = _cached_quadrature_path(ll, cfg.params.horizon)
     r_analytic = weak_residual(analytic, bank, cfg.params.eta)
-    if solver is not None:
-        traj, r_pde = solver.result()
+    traj, r_pde = solver()
 
     dx = grid.dx()
     rows: list[tuple] = []
@@ -593,25 +587,28 @@ def write_results(result: ExperimentResult, cfg: ExperimentConfig, out_dir) -> d
 def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentResult:
     """Run and (when out_dir is given) persist one experiment.
 
-    Before any work, ConfigurationError refuses a pde_check grid too short
-    for its law (pde.truncation_violations) and a quadrature whose mass
-    misses 1 at a time where the run reads the limit law: pde_check's
-    analytic path (pde.quadrature_path), or the CDF of sampler_check and
-    rank_check.  The run, and any worker forked for it, reads these from the
-    cache.  Only then is out_dir created, so an OSError for a directory that
-    cannot be made also comes before any work.  On a mid-run failure a
-    manifest with the completed rows is written before the original error
-    propagates.
+    Before any work, ConfigurationError refuses a threads that is not an
+    integer of at least 1, a pde_check grid too short for its law
+    (pde.truncation_violations) and a quadrature whose mass misses 1 at a
+    time where the run reads the limit law: pde_check's analytic path
+    (pde.quadrature_path), which the run is then handed, or the CDF of
+    sampler_check and rank_check, which the run reads from limit's cache.
+    Only then is out_dir created, so an OSError for a directory that cannot
+    be made also comes before any work.  On a mid-run failure a manifest
+    with the completed rows is written before the original error propagates.
 
     One piece of work may start before out_dir is made: at threads >= 2,
     pde_check forks one worker right after the grid's tail check, and the
     worker runs the solver side (the solve and its weak residuals) while
     this process builds the analytic path, which the mass check reads, and
-    the rest of the analytic side.  A refusal or an OSError after the fork
+    the rest of the analytic side; at threads 1 the solver side runs after
+    the analytic side, in this process.  A refusal or an OSError after the fork
     waits for the worker's solve to end and shuts the worker down before it
     propagates; a failure in the worker propagates from here with its type
     and message.  No worker, and no thread of its pool, outlives the call.
     """
+    if not (_is_integer(threads) and threads >= 1):
+        raise ConfigurationError(f"threads must be an integer of at least 1, got {threads!r}")
     runner = _RUNNERS[cfg.experiment]
     ll = LimitLaw(cfg.params.eta, cfg.law)
     with ExitStack() as workers:
@@ -621,8 +618,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
                 raise ConfigurationError(*bad)
             if threads > 1:
                 pool = workers.enter_context(ProcessPoolExecutor(max_workers=1))
-                runner = partial(_run_pde_check, solver=pool.submit(_solver_side, cfg))
-            _cached_quadrature_path(ll, cfg.params.horizon)
+                solver = pool.submit(_solver_side, cfg).result
+            else:
+                solver = partial(_solver_side, cfg)
+            runner = partial(_run_pde_check, solver=solver, analytic=quadrature_path(ll, cfg.params.horizon))
         for t in _cdf_times(cfg):
             cdf(ll, t, 0.0)
         if out_dir is not None:

@@ -14,8 +14,8 @@ freedom and noncentrality 4x/J.  The density of a single start point x is
 and the full density is its mixture over the initial law, exact for each
 family (a = J/2, b = a + theta):
 
-* ``DiscreteAtoms``: the kernel's log-sum-exp over the atoms; the kernel
-  itself for one atom, which is what ``PointMass(x0)`` is.
+* ``DiscreteAtoms``: the kernel's log-sum-exp over the atoms, of which
+  ``PointMass(x0)`` has one.
 * ``GammaLaw(k, theta)``: the mixed BESQ Laplace transform
   (1 + a s)^{k-eta} (1 + b s)^{-k} (Revuz & Yor, Continuous Martingales and
   Brownian Motion, ch. XI) inverts, by Kummer's function
@@ -90,6 +90,9 @@ PANEL_WIDTH = 0.02  # widest quadrature panel in u = sqrt(y): resolves the test-
 # kernel over a wide law (a gamma law at t = 1e-4 takes 1900)
 MAX_PANELS = 4096
 MASS_TOL = 1e-8  # largest |total weight - 1| a quadrature may return
+# nodes of density_grid, and of the t = 0 grid of a gamma or uniform law that
+# convergence compares with (experiments._law_measure)
+GRID_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -207,12 +210,9 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 def _log_kernel_mixture(ll: LimitLaw, J: float, y: np.ndarray) -> np.ndarray:
     """Log density of an atomic start on a 1-D block of points: the log-sum-exp
-    over the atoms of log weight plus log kernel; one atom skips it."""
+    over the atoms of log weight plus log kernel.  For one atom that is the
+    kernel plus log 1 = 0, bit for bit (_logsumexp of one column is its entry)."""
     law = ll.law
-    if len(law.atoms) == 1:
-        ((x0, w0),) = law.atoms
-        lk = _log_kernel(ll.eta, J, x0, y)
-        return np.add(lk, math.log(w0), out=lk)
     lk = _log_kernel(ll.eta, J, law.locations()[None, :], y[:, None])
     return _logsumexp(np.add(lk, np.log(law.weights()), out=lk))
 
@@ -270,14 +270,11 @@ def _y_hi(ll: LimitLaw, t: float) -> float:
 def _log_mgf(ll: LimitLaw, J: float, s: np.ndarray) -> np.ndarray:
     """log E[e^{sY}] of the law at clock J: -eta log(1 - a s) + log M(s / (1 - a s)),
     a = J/2, M the initial law's moment generating function; finite for s
-    below the bound _tail_range keeps to."""
+    below the bound _tail_range keeps to.  A point mass at x0 gives
+    -eta log(1 - a s) + x0 r, r = s / (1 - a s), bit for bit."""
     law, a = ll.law, 0.5 * J
     r = s / (1.0 - a * s)
-    if isinstance(law, DiscreteAtoms) and len(law.atoms) == 1:
-        # one atom skips _logsumexp, which costs more than the rest of _tail_range
-        ((x0, w0),) = law.atoms
-        log_m = math.log(w0) + x0 * r
-    elif isinstance(law, DiscreteAtoms):
+    if isinstance(law, DiscreteAtoms):
         log_m = _logsumexp(np.log(law.weights())[None, :] + r[:, None] * law.locations()[None, :])
     elif isinstance(law, GammaLaw):
         log_m = -law.shape * np.log1p(-law.scale * r)
@@ -464,8 +461,8 @@ def sample(ll: LimitLaw, t: float, n: int, rng: np.random.Generator) -> np.ndarr
     return 0.25 * J * rng.gamma(ll.eta + k, 2.0)
 
 
-def density_grid(ll: LimitLaw, t: float, n_nodes: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Evenly spaced grid on [0, _y_hi(ll, t)] with the density at its nodes;
-    it builds no CDF."""
-    y = np.linspace(0.0, _y_hi(ll, t), n_nodes)
+def density_grid(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """GRID_NODES evenly spaced nodes on [0, _y_hi(ll, t)] with the density
+    at them; it builds no CDF."""
+    y = np.linspace(0.0, _y_hi(ll, t), GRID_NODES)
     return y, density(ll, t, y)

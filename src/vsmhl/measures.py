@@ -124,8 +124,6 @@ def empirical(positions) -> Measure1D:
 def wasserstein1(mu: Measure1D, nu: Measure1D) -> float:
     """Area between the two CDFs, exact for atom and grid representations."""
     xs = _sorted_unique(np.sort(np.concatenate([mu.x, nu.x])))  # np.union1d(mu.x, nu.x)
-    if len(xs) == 1:
-        return 0.0
     f_right = [m.cdf(xs) for m in (mu, nu)]
     # CDF approaching the next knot from the left: constant for atoms,
     # continuous for grid densities

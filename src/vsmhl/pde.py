@@ -40,7 +40,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -462,11 +462,6 @@ def quadrature_path(ll: LimitLaw, horizon: float) -> WeakFormPath:
     set_ends = np.cumsum(lengths)  # node set k ends at set_ends[k]
     prefixes = [w[: set_ends[k - 1]] for k in ends]
     return WeakFormPath(times[ends], rules[0], [rules[k] for k in ends], x[: set_ends[-2]], prefixes)
-
-
-# run_experiment's gate builds pde_check's analytic path and the runner reads
-# it: one entry hands it over.  Private, so no caller can edit its arrays.
-_cached_quadrature_path = lru_cache(maxsize=1)(quadrature_path)
 
 
 def weak_residual(path: WeakFormPath, bank: list[TestFunction], eta: float) -> np.ndarray:

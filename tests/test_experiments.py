@@ -201,6 +201,18 @@ class TestConvergence:
         assert recorded_pools == [workers]
         assert r.rows == run_experiment(small_convergence_cfg(), threads=1).rows
 
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, True], ids=repr)
+    def test_thread_count_not_a_positive_integer_refused(self, tmp_path, monkeypatch, recorded_pools, threads):
+        # refused before any directory, pool or solve
+        monkeypatch.setattr(exp, "solve", lambda *args: pytest.fail("solved with a refused thread count"))
+        pde_cfg = ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), PointMass(1.0), grid=SolverGrid(30.0, 64, 32))
+        out = tmp_path / "out"
+        for cfg in (small_convergence_cfg(), pde_cfg):
+            with pytest.raises(ConfigurationError) as info:
+                run_experiment(cfg, out_dir=out, threads=threads)
+            assert info.value.args == (f"threads must be an integer of at least 1, got {threads!r}",)
+        assert recorded_pools == [] and not out.exists()
+
     def test_median_equals_np_median(self):
         rng = np.random.default_rng(4)
         for n in (1, 2, 3, 4, 7, 10):
@@ -225,7 +237,7 @@ class TestConvergence:
         r = run_experiment(small_convergence_cfg(law=GammaLaw(shape, 1.0), n_values=(16, 64, 256)))
         assert r.passed and len(r.rows) == 9
         law = GammaLaw(shape, 1.0)
-        x = np.linspace(0.0, law.ppf(1.0 - 1e-12), exp.LAW_GRID_NODES)
+        x = np.linspace(0.0, law.ppf(1.0 - 1e-12), limit.GRID_NODES)
         assert np.allclose(exp._law_measure(law).cdf(x), law.cdf(x), rtol=0.0, atol=1e-12)
 
     def test_levy_metric_variant(self):
@@ -450,13 +462,12 @@ class TestOtherRunners:
     def test_pde_check_builds_one_cdf(self, law):
         # the solver's tail check reads one CDF; the 39 analytic quadratures read none
         limit._panel_cdf.cache_clear()
-        pde._cached_quadrature_path.cache_clear()
         cfg = ExperimentConfig("pde_check", ModelParams(2.0, 1, 1.0), law, grid=SolverGrid(40.0, 400, 16))
         run_experiment(cfg)
         assert limit._panel_cdf.cache_info().misses == 1
 
     def test_pde_check_peak_memory(self):
-        # the pde_point config from cold CDF and path caches.  The analytic
+        # the pde_point config from a cold CDF cache.  The analytic
         # path holds its 56,729 time-integral nodes and weights (0.9 MB); the weak
         # residual adds its generator values and their product with the
         # weights (0.9 MB) and one block's jet temporaries, budgeted as 12
@@ -466,7 +477,6 @@ class TestOtherRunners:
         cfg = ExperimentConfig("pde_check", ModelParams(2.0, 64, 1.0), PointMass(1.0), grid=SolverGrid(30.0, 1200, 800))
         assert 12 * 8 * limit._KERNEL_BUDGET <= 1.6e6
         limit._panel_cdf.cache_clear()
-        pde._cached_quadrature_path.cache_clear()
         tracemalloc.start()
         try:
             r = run_experiment(cfg)
@@ -621,7 +631,7 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, small_convergence_cfg().to_dict())
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--output-dir", str(out), "--threads", threads]) == 2
-        assert "--threads" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: threads must be an integer of at least 1, got {threads}\n"
         assert recorded_pools == [] and not out.exists()
 
     @pytest.mark.parametrize(

@@ -83,3 +83,22 @@ def test_weak_form_lives_in_pde():
         named = {n for n in names(PACKAGE_DIR / module) if n in weak_form or n.startswith("TIME_NODES_")}
         assert named == set(), module
 
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used(name):
+    # flake8's F401 for the package: each name an import binds is read in the
+    # module, or the import carries `# noqa: F401` on one of its lines
+    source = (PACKAGE_DIR / f"{name}.py").read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [
+        (node.lineno, alias.asname or alias.name.split(".")[0])
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        if not any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in read
+    ]
+    assert unused == []

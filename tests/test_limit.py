@@ -427,9 +427,9 @@ class TestDensityGrid:
     def test_builds_no_cdf(self, law):
         ll = LimitLaw(2.0, law)
         limit._panel_cdf.cache_clear()
-        y, f = density_grid(ll, 0.3, 64)
+        y, f = density_grid(ll, 0.3)
         assert limit._panel_cdf.cache_info().currsize == 0
-        assert y[0] == 0.0 and y[-1] == limit._y_hi(ll, 0.3)
+        assert len(y) == limit.GRID_NODES and y[0] == 0.0 and y[-1] == limit._y_hi(ll, 0.3)
         assert np.array_equal(f, density(ll, 0.3, y))
         with pytest.raises(ValueError):
             density_grid(ll, 0.0)
@@ -589,8 +589,8 @@ class TestNonFiniteArguments:
 
 class TestKernelBlocks:
     # at J = 0.1 a start x spans z = 4 sqrt(x y) / J over 0 to 40 sqrt(x y): up to
-    # 120 for x = 1 on y in [0, 9], across the Bessel series bands (z <= 10 and
-    # above) and the large-argument expansion (z > 50)
+    # 120 for x = 1 on y in [0, 9], across the Bessel series, small (z <= 10)
+    # and large, and the large-argument expansion (z > 50)
     J = 0.1
     Y = np.concatenate([np.linspace(0.0, 9.0, 1201), [0.0625, 1.5625, 1.5626]])
 
@@ -692,6 +692,28 @@ class TestPointMassIsOneAtom:
         J = time_change(point, 0.5)
         assert limit._tail_range(point, J) == limit._tail_range(atom, J)
         assert moments(point.law) == moments(atom.law)
+
+    @pytest.mark.parametrize("x0", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("J", [1e-4, 0.1, 3.0])
+    def test_kernel_mixture_is_the_kernel(self, x0, J):
+        # a one-column log-sum-exp returns its entry (shift by it, exp 1,
+        # log 0), so the mixture is the kernel plus log 1, -inf at y = 0 included
+        ll = LimitLaw(2.0, PointMass(x0))
+        y = TestKernelBlocks.Y
+        assert y[0] == 0.0
+        expected = limit._log_kernel(ll.eta, J, x0, y) + 0.0
+        assert np.array_equal(limit._log_kernel_mixture(ll, J, y), expected)
+
+    @pytest.mark.parametrize("x0", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("J", [1e-4, 0.1, 3.0])
+    def test_log_mgf_closed_form(self, x0, J):
+        # over _tail_range's grid of s, both signs, below 1 / a
+        ll = LimitLaw(2.0, PointMass(x0))
+        a = 0.5 * J
+        q = limit._S_FRACTIONS
+        s = np.concatenate([q, -q / (1.0 - q)]) / a
+        r = s / (1.0 - a * s)
+        assert np.array_equal(limit._log_mgf(ll, J, s), -ll.eta * np.log1p(-a * s) + x0 * r)
 
     @pytest.mark.parametrize("x0", [0.5, 1.0, 2.0])
     def test_pde_check_agrees(self, x0):
