@@ -8,6 +8,11 @@ paths approach the limit.
 
 __version__ = "0.1.0"
 
+# perfbench/child.py reads sys.modules["scipy"].__version__ after every run,
+# and no other module imports scipy at its top: without this line a run that
+# loads no scipy subpackage would end in a KeyError
+import scipy  # noqa: F401
+
 from .errors import (
     ConfigurationError,
     DegenerateStateError,

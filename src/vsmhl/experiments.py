@@ -67,6 +67,7 @@ from .pde import (
     truncation_violations,
     weak_residual,
 )
+from .special import gamma_range_violations
 
 __all__ = [
     "ExperimentConfig",
@@ -152,23 +153,21 @@ class ExperimentConfig:
     def _limit_law_violations(self) -> list[str]:
         # import, before any work or fork, each lazily loaded module the run
         # reads and no other: an atomic law's kernel, log-sum-exp and
-        # mollifier are vsmhl's own, and the solver's dgtsv is numpy's
-        # OpenBLAS's, so it needs no scipy subpackage
+        # mollifier and a gamma law's special functions are vsmhl's own, and
+        # the solver's dgtsv is numpy's OpenBLAS's, so they need no scipy
+        # subpackage
         pde_check = self.experiment == "pde_check"
         if pde_check:
             _gtsv()  # or scipy.linalg's, imported, on a numpy that lacks it
-        if isinstance(self.law, GammaLaw):
-            import scipy.special  # noqa: F401  (gammainc, hyp1f1)
-
-            if pde_check:
-                import scipy.linalg  # noqa: F401  (roots_jacobi, for the start's quadrature)
-        elif isinstance(self.law, UniformLaw):
+        if isinstance(self.law, UniformLaw):
             import scipy.stats  # noqa: F401  (ncx2)
         elif not pde_check:  # the experiments that draw
             import numpy.random  # noqa: F401  (split_rng's generators)
 
         out = []
         eta = self.params.eta
+        if isinstance(self.law, GammaLaw):
+            out += gamma_range_violations(self.law.shape, eta)
         # pde_check reads the Bessel kernel for every law, through the solver's
         # mollified start (an atomic law)
         kernel = self.experiment == "pde_check" or isinstance(self.law, DiscreteAtoms)

@@ -20,7 +20,8 @@ family (a = J/2, b = a + theta):
   (1 + a s)^{k-eta} (1 + b s)^{-k} (Revuz & Yor, Continuous Martingales and
   Brownian Motion, ch. XI) inverts, by Kummer's function
   (https://dlmf.nist.gov/13.2), to Gamma(eta, scale b) at eta = k and in general
-  f(y) = y^{eta-1} e^{-y/b} 1F1(eta-k; eta; -y(1/a - 1/b)) / (Gamma(eta) a^{eta-k} b^k).
+  f(y) = y^{eta-1} e^{-y/b} 1F1(eta-k; eta; -y(1/a - 1/b)) / (Gamma(eta) a^{eta-k} b^k),
+  with log 1F1 from special.log_kummer.
 * ``UniformLaw(a0, b0)``: as d/dlam F(z; d, lam) = -f(z; d+2, lam) for the
   noncentral chi-squared CDF F, the Poisson-gamma series telescopes to
   f(y) = [F(4y/J; 2eta-2, 4a0/J) - F(4y/J; 2eta-2, 4b0/J)] / (b0 - a0),
@@ -53,7 +54,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .bessel import log_modified_bessel_i
 from .errors import ConfigurationError, ValidationError
@@ -65,6 +65,7 @@ from .model import (
     moments,
     sample_initial,
 )
+from .special import gauss_jacobi, log_kummer
 
 __all__ = [
     "LimitLaw",
@@ -178,10 +179,10 @@ def _log_gamma_mixture(eta: float, J: float, law: GammaLaw, y: np.ndarray) -> np
     k, a = law.shape, 0.5 * J
     b = a + law.scale
     p, x = eta - k, y * (law.scale / (a * b))
-    m = scipy.special.hyp1f1(p, eta, -x)
-    log_norm = scipy.special.gammaln(eta) + p * math.log(a) + k * math.log(b)
+    log_m = log_kummer(k, eta, x)
+    log_norm = math.lgamma(eta) + p * math.log(a) + k * math.log(b)
     with np.errstate(divide="ignore"):
-        return (eta - 1.0) * np.log(y) - y / b + np.log(m) - log_norm
+        return (eta - 1.0) * np.log(y) - y / b + log_m - log_norm
 
 
 def _log_uniform_mixture(eta: float, J: float, law: UniformLaw, y: np.ndarray) -> np.ndarray:
@@ -378,10 +379,9 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
         # the pdf's factor y^{k-1} is not smooth at 0 (not even bounded for
         # k < 1): on the first panel, Gauss-Jacobi in y with that weight
         k, h = law.shape, (2.0 * p.halfw) ** 2
-        x, wj = scipy.special.roots_jacobi(len(_GL_NODES), 0.0, k - 1.0)
+        x, wj = gauss_jacobi(len(_GL_NODES), k - 1.0)
         y[0] = 0.5 * h * (1.0 + x)
-        log_gamma_k = scipy.special.gammaln(k)
-        w[0] = (0.5 * h) ** k * wj * np.exp(-y[0] / law.scale - log_gamma_k - k * math.log(law.scale))
+        w[0] = (0.5 * h) ** k * wj * np.exp(-y[0] / law.scale - math.lgamma(k) - k * math.log(law.scale))
     _check_mass(t, w.sum())
     return y.ravel(), w.ravel()
 

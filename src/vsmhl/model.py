@@ -22,9 +22,9 @@ from dataclasses import dataclass, fields
 from numbers import Real
 
 import numpy as np
-import scipy
 
 from .errors import ValidationError
+from .special import gamma_cdf, gamma_ppf
 
 __all__ = [
     "ModelParams",
@@ -103,7 +103,9 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class GammaLaw:
-    """Gamma(shape k, scale theta), mean k*theta; pdf, cdf and ppf are scipy.stats.gamma's."""
+    """Gamma(shape k, scale theta), mean k*theta.  cdf and ppf are vsmhl.special's
+    regularized incomplete gamma function and its inverse, and raise
+    ValueError for a shape outside [special.SHAPE_MIN, special.SHAPE_MAX]."""
 
     shape: float
     scale: float
@@ -117,14 +119,15 @@ class GammaLaw:
 
     def pdf(self, x) -> np.ndarray:
         z = np.asarray(x, dtype=float) / self.scale
-        log_pdf = scipy.special.xlogy(self.shape - 1.0, z) - z - scipy.special.gammaln(self.shape)
-        return np.exp(log_pdf) / self.scale
+        with np.errstate(divide="ignore"):  # at shape 1, 0 log 0 = 0 at z = 0
+            xlogy = (self.shape - 1.0) * np.log(z) if self.shape != 1.0 else 0.0
+        return np.exp(xlogy - z - math.lgamma(self.shape)) / self.scale
 
     def cdf(self, x) -> np.ndarray:
-        return scipy.special.gammainc(self.shape, np.asarray(x, dtype=float) / self.scale)
+        return gamma_cdf(self.shape, np.asarray(x, dtype=float) / self.scale)
 
     def ppf(self, q) -> float:
-        return float(scipy.special.gammaincinv(self.shape, q) * self.scale)
+        return gamma_ppf(self.shape, q) * self.scale
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -31,6 +32,7 @@ from vsmhl import (
     run_experiment,
 )
 from vsmhl.cli import main
+from vsmhl.special import ETA_MAX, SHAPE_MAX, SHAPE_MIN
 
 
 def small_convergence_cfg(**overrides) -> ExperimentConfig:
@@ -143,6 +145,32 @@ class TestConfig:
         else:
             build(41.5)
         build(41.0)
+
+    @pytest.mark.parametrize("experiment", ["convergence", "pde_check", "sampler_check", "rank_check", "moment_check"])
+    @pytest.mark.parametrize(
+        "shape, eta, cause",
+        [
+            (SHAPE_MAX * 1.5, 2.0, "gamma shape 60 lies outside"),
+            (SHAPE_MIN / 5.0, 2.0, "gamma shape 0.01 lies outside"),
+            (2.0, ETA_MAX + 0.5, "eta = 50.5 lies outside (1, 50] for a gamma law"),
+        ],
+    )
+    def test_gamma_law_past_verified_range(self, experiment, shape, eta, cause):
+        # the gamma law's special functions raise ValueError outside the range
+        # they were checked on; every experiment that reads the limit law
+        # refuses such a law as it is built, and moment_check never reads it
+        def build(law, eta):
+            grid = SolverGrid(30.0, 100, 100)
+            return small_convergence_cfg(experiment=experiment, law=law, params=ModelParams(eta, 16, 0.1), grid=grid)
+
+        if experiment == "moment_check":
+            build(GammaLaw(shape, 0.5), eta)
+        else:
+            with pytest.raises(ConfigurationError, match=re.escape(cause)):
+                build(GammaLaw(shape, 0.5), eta)
+        # the nearest law inside, where pde_check's mollified start stops eta at 41
+        inside = min(max(shape, SHAPE_MIN), SHAPE_MAX), min(eta, 41.0 if experiment == "pde_check" else ETA_MAX)
+        build(GammaLaw(inside[0], 0.5), inside[1])
 
     @pytest.mark.parametrize("experiment", exp.EXPERIMENT_KINDS)
     def test_dt_checked_only_where_particles_step(self, experiment):
@@ -639,6 +667,12 @@ class TestCli:
         [
             ({"law": {"type": "uniform", "a": 1.0, "b": 1.0 + 1e-11}}, ["too narrow for the horizon", "J(T)/(b - a)"]),
             ({"params": {"eta": 42.0, "n_particles": 16, "horizon": 0.1}}, ["Bessel kernel", "verified up to 40"]),
+            ({"law": {"type": "gamma", "shape": 60.0, "scale": 0.5}}, ["gamma shape 60 lies outside [0.05, 40]"]),
+            (
+                {"law": {"type": "gamma", "shape": 2.0, "scale": 0.5},
+                 "params": {"eta": 51.0, "n_particles": 16, "horizon": 0.1}},
+                ["eta = 51 lies outside (1, 50]", "Kummer function"],
+            ),
         ],
     )
     def test_limit_law_violation_exit_code(self, tmp_path, capsys, overrides, messages):

@@ -102,3 +102,25 @@ def test_every_import_is_used(name):
         if (alias.asname or alias.name.split(".")[0]) not in read
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("name", [*MODULES, "__init__"])
+def test_no_module_names_scipy_special(name):
+    # a gamma law's special functions are vsmhl.special's, so scipy.special
+    # (about 0.2 s of set-up) loads only with a uniform law's scipy.stats:
+    # no module imports it or reads an attribute of it
+    named = []
+    for node in ast.walk(ast.parse((PACKAGE_DIR / f"{name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            named += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            named += [node.module or "", *(f"{node.module}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Attribute):
+            parts = [node.attr]
+            value = node.value
+            while isinstance(value, ast.Attribute):
+                parts.append(value.attr)
+                value = value.value
+            if isinstance(value, ast.Name):
+                named.append(".".join([value.id, *reversed(parts)]))
+    assert [n for n in named if n == "scipy.special" or n.startswith("scipy.special.")] == []

@@ -1,33 +1,38 @@
-"""The scipy routines vsmhl carries its own copy of, checked against scipy,
-and the scipy subpackages each run loads.
+"""The scipy routines vsmhl carries its own version of, checked against
+scipy, and the scipy subpackages each run loads.
 
-Each copy gives scipy's result to the bit, checked with ==, so every output
-stays the same; importing the subpackage it came from would cost about 0.6 s
-of start-up per process, and scipy.stats about 1 s.  Two routines are the
-plain formulas instead, each held to a bound: limit._logsumexp, the
-log-sum-exp over a law's atoms shifted by each row's largest term, to 200-bit
-mpmath within one ulp of max(1, |exact|); and pde._ndtr, the mollifier's
-normal CDF 0.5 erfc(-a sqrt(1/2)) on libm's erfc, to scipy.special.ndtr
-within a measured bound.
+Two copies give scipy's result to the bit, checked with ==: the cumulative
+trapezoid of Measure1D.from_grid and sampler_check's Kolmogorov-Smirnov
+statistic.  Importing the subpackage each came from would cost about 0.6 s
+of start-up per process, and scipy.stats about 1 s.  The others are the
+plain formulas, each held to a measured bound: limit._logsumexp, the
+log-sum-exp over a law's atoms shifted by each row's largest term, to
+200-bit mpmath within one ulp of max(1, |exact|); pde._ndtr, the mollifier's
+normal CDF 0.5 erfc(-a sqrt(1/2)) on libm's erfc, to scipy.special.ndtr; and
+the gamma law's pdf, cdf and ppf, on vsmhl.special's incomplete gamma
+function and its inverse, to 200-bit mpmath and to scipy.stats.gamma
+(tests/test_special.py holds vsmhl.special itself to mpmath).
 
-Importing vsmhl loads scipy itself and none of its subpackages: the modules
-name scipy.special by attribute, which scipy loads on first use.  Each
-experiment loads, while its config is built (and checked), the modules its
-run reads and no others, so the run itself, and any worker forked for it,
-loads no scipy module and none of numpy's lazy ones:
+Importing vsmhl loads scipy itself and none of its subpackages: only the
+package's __init__ imports scipy at its top, because perfbench/child.py
+reads scipy's version from sys.modules after every run.  Each experiment
+loads, while its config is built (and checked), the modules its run reads
+and no others, so the run itself, and any worker forked for it, loads no
+scipy module and none of numpy's lazy ones:
 
 * pde_check, any law: nothing for the solver's dgtsv, which is called
   through ctypes from the OpenBLAS numpy has loaded (scipy.linalg's only on
   a numpy without it), so the run maps one OpenBLAS and, at one thread,
   starts no thread.  At two threads its solver side runs in one forked
   worker, which loads nothing;
-* a gamma law adds scipy.special (gammainc, hyp1f1), and in a pde_check
-  scipy.linalg (roots_jacobi);
-* a UniformLaw adds scipy.stats (its ncx2 CDF), which loads the other two;
-* an atomic law (a point mass is one atom) adds no scipy subpackage: its
-  kernel, log-sum-exp and mollifier are vsmhl's own.  convergence,
-  rank_check and sampler_check of an atomic law load only numpy.random
-  (split_rng's generators), and not numpy.ma; a pde_check loads neither;
+* a UniformLaw adds scipy.stats (its ncx2 CDF), which loads scipy.special
+  and scipy.linalg;
+* an atomic law (a point mass is one atom) and a gamma law add no scipy
+  subpackage: the kernel, its log-sum-exp and the mollifier, and a gamma
+  start's Kummer function, incomplete gamma function and Gauss-Jacobi rule
+  (on numpy's eigh), are vsmhl's own.  convergence, rank_check and
+  sampler_check of either load only numpy.random (split_rng's generators),
+  and not numpy.ma; a pde_check loads neither;
 * moment_check never reads the limit law and loads no scipy subpackage.
   Its run imports numpy.random itself, once, before its worker pool forks,
   so a forked worker loads no module at all.
@@ -88,14 +93,41 @@ def run_python(script: str, *args: str) -> dict:
 
 
 @pytest.mark.parametrize("shape, scale", [(2.0, 0.5), (0.7, 2.0), (1.0, 1.0), (35.5, 0.01)])
-def test_gamma_law_equals_scipy_stats(shape, scale):
+def test_gamma_law_near_mpmath_and_scipy_stats(shape, scale):
+    # vsmhl.special's incomplete gamma function and its inverse, and the pdf
+    # on math.lgamma; each bound is the largest difference measured, at
+    # shape 35.5 unless stated
     law = GammaLaw(shape, scale)
-    for q in (1.0 - 1e-15, 1.0 - 1e-12, 0.5, 1e-9):
-        assert law.ppf(q) == float(gamma_dist.ppf(q, shape, scale=scale))
-    x = np.linspace(0.0, law.ppf(1.0 - 1e-12), 4096)
+    qs = (1.0 - 1e-15, 1.0 - 1e-12, 0.5, 1e-9)
+    ppf = [law.ppf(q) for q in qs]
+    # measured 3.3e-15 (shape 0.7)
+    assert np.allclose(ppf, gamma_dist.ppf(qs, shape, scale=scale), rtol=4e-15, atol=0.0)
+    x = np.linspace(0.0, ppf[1], 4096)
     x = np.concatenate([x, np.random.default_rng(3).exponential(shape * scale, 1000)])
-    assert np.array_equal(law.pdf(x), gamma_dist.pdf(x, shape, scale=scale))
-    assert np.array_equal(law.cdf(x), gamma_dist.cdf(x, shape, scale=scale))
+    pdf, cdf = law.pdf(x), law.cdf(x)
+    pos = x > 0
+    # measured 2.9e-14 relative and 1.3e-14 absolute
+    assert np.allclose(pdf[pos], gamma_dist.pdf(x[pos], shape, scale=scale), rtol=3e-14, atol=0.0)
+    assert np.allclose(cdf, gamma_dist.cdf(x, shape, scale=scale), rtol=0.0, atol=1.5e-14)
+    assert law.pdf(0.0) == {2.0: 0.0, 0.7: np.inf, 1.0: 1.0 / scale, 35.5: 0.0}[shape] and law.cdf(0.0) == 0.0
+    # every eighth grid node and every fourth draw against 200-bit mpmath
+    some = np.concatenate([x[1:4096:8], x[4096::4]])
+    with mpmath.workprec(200):
+        k = mpmath.mpf(shape)
+        z = [mpmath.mpf(v) / scale for v in some.tolist()]
+        exact_pdf = [float(mpmath.exp((k - 1) * mpmath.log(v) - v - mpmath.loggamma(k)) / scale) for v in z]
+        exact_cdf = [float(mpmath.gammainc(k, 0, v, regularized=True)) for v in z]
+        # the q each ppf returns, through P below the median and Q above it
+        back = [
+            mpmath.gammainc(k, 0, v / scale, regularized=True) / q if q < 0.5
+            else mpmath.gammainc(k, v / scale, mpmath.inf, regularized=True) / (1 - mpmath.mpf(q))
+            for v, q in zip(ppf, qs)
+        ]
+    # measured 4.4e-14 relative and 1.0e-14 absolute
+    assert np.allclose(law.pdf(some), exact_pdf, rtol=5e-14, atol=0.0)
+    assert np.allclose(law.cdf(some), exact_cdf, rtol=0.0, atol=1.2e-14)
+    # measured 7.0e-15 (at 1e-9), 6.7e-15 at shape 2 (at 1 - 1e-15)
+    assert all(abs(float(r) - 1.0) <= 1e-14 for r in back)
 
 
 def test_from_grid_equals_cumulative_trapezoid():
@@ -279,13 +311,11 @@ PDE = ModelParams(2.0, 1, 1.0)
 SMALL = ModelParams(2.0, 16, 1.0)
 
 # (config, threads, the scipy subpackages the run reads): every pde_check law,
-# and every experiment that reads the limit law of an atomic start
+# and every experiment that reads the limit law of an atomic or a gamma start
 AFTER_VALIDATION_RUNS = [
     pytest.param(ExperimentConfig("pde_check", PDE, POINT, grid=PDE_GRID), 1, set(), id="pde_check-point"),
     pytest.param(ExperimentConfig("pde_check", PDE, ATOMS, grid=ATOMS_GRID), 1, set(), id="pde_check-atoms"),
-    pytest.param(
-        ExperimentConfig("pde_check", PDE, GAMMA, grid=PDE_GRID), 1, {SPECIAL, LINALG}, id="pde_check-gamma"
-    ),
+    pytest.param(ExperimentConfig("pde_check", PDE, GAMMA, grid=PDE_GRID), 1, set(), id="pde_check-gamma"),
     pytest.param(
         ExperimentConfig("pde_check", PDE, UNIFORM, grid=PDE_GRID), 1, {SPECIAL, LINALG, STATS},
         id="pde_check-uniform",
@@ -295,11 +325,10 @@ AFTER_VALIDATION_RUNS = [
         ExperimentConfig("pde_check", PDE, POINT, grid=PDE_GRID), 2, set(), id="pde_check-point-threads2"
     ),
     pytest.param(
-        ExperimentConfig("pde_check", PDE, GAMMA, grid=PDE_GRID), 2, {SPECIAL, LINALG},
-        id="pde_check-gamma-threads2",
+        ExperimentConfig("pde_check", PDE, GAMMA, grid=PDE_GRID), 2, set(), id="pde_check-gamma-threads2"
     ),
     pytest.param(
-        ExperimentConfig("convergence", SMALL, GAMMA, metric="levy", **N_VALUES), 2, {SPECIAL},
+        ExperimentConfig("convergence", SMALL, GAMMA, metric="levy", **N_VALUES), 2, set(),
         id="convergence-gamma-threads2",
     ),
     pytest.param(
@@ -308,9 +337,10 @@ AFTER_VALIDATION_RUNS = [
     pytest.param(ExperimentConfig("convergence", SMALL, ATOMS, **N_VALUES), 1, set(), id="convergence-atoms"),
     pytest.param(ExperimentConfig("rank_check", SMALL, ATOMS, **N_VALUES), 1, set(), id="rank_check-atoms"),
     pytest.param(ExperimentConfig("rank_check", SMALL, POINT, **N_VALUES), 1, set(), id="rank_check-point"),
+    pytest.param(ExperimentConfig("rank_check", SMALL, GAMMA, **N_VALUES), 1, set(), id="rank_check-gamma"),
     pytest.param(ExperimentConfig("sampler_check", PDE, POINT), 1, set(), id="sampler_check-point"),
     pytest.param(ExperimentConfig("sampler_check", PDE, ATOMS), 1, set(), id="sampler_check-atoms"),
-    pytest.param(ExperimentConfig("sampler_check", PDE, GAMMA), 1, {SPECIAL}, id="sampler_check-gamma"),
+    pytest.param(ExperimentConfig("sampler_check", PDE, GAMMA), 1, set(), id="sampler_check-gamma"),
     # scipy.stats loads scipy.special and scipy.linalg itself
     pytest.param(
         ExperimentConfig("sampler_check", PDE, UNIFORM), 1, {SPECIAL, LINALG, STATS}, id="sampler_check-uniform"
@@ -334,14 +364,16 @@ def test_run_loads_nothing_validation_did_not(cfg, threads, reads):
         assert loaded(out["validated"], ("numpy.ma", "scipy._lib._array_api")) == []
 
 
-ATOMIC_PDE_CHECKS = [
+# the pde_check laws that read no scipy subpackage
+SCIPY_FREE_PDE_CHECKS = [
     pytest.param(ExperimentConfig("pde_check", PDE, POINT, grid=PDE_GRID), id="point"),
     pytest.param(ExperimentConfig("pde_check", PDE, ATOMS, grid=ATOMS_GRID), id="atoms"),
+    pytest.param(ExperimentConfig("pde_check", PDE, GAMMA, grid=PDE_GRID), id="gamma"),
 ]
 
 
-@pytest.mark.parametrize("cfg", ATOMIC_PDE_CHECKS)
-def test_atomic_pde_check_loads_no_lazy_module(tmp_path, cfg):
+@pytest.mark.parametrize("cfg", SCIPY_FREE_PDE_CHECKS)
+def test_pde_check_loads_no_lazy_module(tmp_path, cfg):
     (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_dict()))
     out = run_python(RUN_CLI, str(tmp_path / "cfg.json"), str(tmp_path / "out"))
     assert out["exit"] == 0 and (tmp_path / "out" / "pde_check.csv").exists()
@@ -351,10 +383,11 @@ def test_atomic_pde_check_loads_no_lazy_module(tmp_path, cfg):
     assert loaded(out["modules"], (*LAZY_SCIPY, "numpy.random", "numpy.ma")) == []
 
 
-def test_pde_check_at_two_threads_loads_no_lazy_module(tmp_path):
+@pytest.mark.parametrize("law", [POINT, GAMMA], ids=repr)
+def test_pde_check_at_two_threads_loads_no_lazy_module(tmp_path, law):
     # the benchmark's own path: a fresh CLI process whose solver side runs in
     # a forked worker
-    cfg = ExperimentConfig("pde_check", PDE, POINT, grid=PDE_GRID)
+    cfg = ExperimentConfig("pde_check", PDE, law, grid=PDE_GRID)
     (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_dict()))
     out = run_python(RUN_CLI, str(tmp_path / "cfg.json"), str(tmp_path / "out"), "--threads", "2")
     assert out["exit"] == 0 and (tmp_path / "out" / "pde_check.csv").exists()
@@ -374,9 +407,10 @@ print(json.dumps({"started": len(os.listdir("/proc/self/task")) - before, "openb
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
-@pytest.mark.parametrize("cfg", ATOMIC_PDE_CHECKS)
-def test_atomic_pde_check_starts_no_thread(cfg):
+@pytest.mark.parametrize("cfg", SCIPY_FREE_PDE_CHECKS)
+def test_pde_check_starts_no_thread(cfg):
     # the solver's dgtsv is in the OpenBLAS numpy loaded, whose thread pool
-    # started with numpy; a second OpenBLAS (scipy's) would start its own
+    # started with numpy, as is the eigh of a gamma start's Gauss-Jacobi
+    # rule; a second OpenBLAS (scipy's) would start its own
     out = run_python(THREADS_AND_OPENBLAS, json.dumps(cfg.to_dict()))
     assert out == {"started": 0, "openblas": 1}
