@@ -42,7 +42,7 @@ GOLDEN = {
             experiment="convergence", params=ModelParams(2.0, 16, 1.0), law=GammaLaw(2.0, 0.5),
             dt=0.01, n_values=(16, 64, 4096), replications=2, seed=102, metric="levy",
         ),
-        "8c5c1725490855039ef198acf65cb165239069c2c9e0bf5c91442ec25c7fb912",
+        "2a5f829a0a1086063856fc6e827321499d7e9f174a2272446d3fecd5d44b0e31",
     ),
     "moment_check": (
         dict(
@@ -70,7 +70,7 @@ GOLDEN = {
             experiment="pde_check", params=ModelParams(2.0, 64, 1.0), law=GammaLaw(2.0, 0.5),
             grid=SolverGrid(40.0, 1200, 800),
         ),
-        "17eabf194663abac31de3943f29ecc010d9fe16b3ab9b2b1755363506814ec05",
+        "dc40f331d8c79f3b74cd9ee72806b15832997604ba3c05fec7b7d3213e1c8b47",
     ),
     "pde_check_uniform": (
         dict(
