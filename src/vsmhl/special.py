@@ -19,11 +19,12 @@ raises ValueError, and ExperimentConfig refuses such a law before any work.
 
   whose dropped recessive part is e^{-x} x^{eta - 2k} Gamma(k) / Gamma(eta - k)
   relative to it (DLMF 13.7.2).  x_s is the first point of a geometric grid
-  where that part is below 2^-56 and some term of the sum, with every term
-  between it and the first one that grows again, is below 2^-56 of the sum up
-  to it: the optimal truncation, whose S terms then serve every larger x.
-  Where eta - k is 0 or a negative integer -m, both series terminate and the
-  expansion, times x^m, is a polynomial in x exact at every x >= 0.
+  where that part is below 2^-56, where the terms from some S on, up to the
+  first that grows again, sum to below 2^-56 of the first S (the optimal
+  truncation), and where those S terms cancel by at most a factor 16; the
+  same S terms then serve every larger x.  Where eta - k is 0 or a negative
+  integer -m, the series of M(eta - k, eta, -x) ends after m + 1 positive
+  terms and is that polynomial in x, exact at every x >= 0.
 * ``gamma_cdf(k, x)`` is P(k, x) = gamma(k, x) / Gamma(k): the series
   x^k e^{-x} sum_n x^n / Gamma(k + n + 1) below x = k + 1 (DLMF 8.7.1), and
   1 - Q above it, Q by Legendre's continued fraction (DLMF 8.9.2), evaluated
@@ -62,7 +63,7 @@ _CANCEL = 16.0  # most the expansion's sum may cancel: its terms' magnitudes ove
 _SUM_TOL = 1e-17  # a sum stops once each of its terms is below this much of it
 _MAX_TERMS = 1000  # within the checked range the longest series ends within 640 terms
 _EXPANSION_TERMS = 128  # within the checked range S is at most 40
-_CF_MAX_TERMS = 300
+_CF_MAX_TERMS = 300  # within the checked range the fraction ends within 90 terms
 # a continued fraction stops once each factor is within this of 1: its
 # rounding alone moves a converged factor by up to 2 ulp of 1
 _CF_TOL = 1e-15
@@ -91,14 +92,6 @@ def _check_range(k: float, eta: float | None = None) -> None:
         raise ValueError("; ".join(out))
 
 
-def _expansion_coefficients(k: float, eta: float) -> list[float]:
-    """(1 - k)_s (eta - k)_s / s! for s < _EXPANSION_TERMS."""
-    c = [1.0]
-    for s in range(1, _EXPANSION_TERMS):
-        c.append(c[-1] * (s - k) * (eta - k + s - 1) / s)
-    return c
-
-
 def _terms_needed(c: list[float], k: float, x: float) -> int | None:
     """The optimal truncation S of sum_s c_s x^{-s}, or None when no term
     falls below _TINY of the sum before the terms grow again, or when the sum
@@ -121,6 +114,13 @@ def _terms_needed(c: list[float], k: float, x: float) -> int | None:
     return None
 
 
+def _read_only(values) -> np.ndarray:
+    """values as an array that no caller of a cached result can write to."""
+    out = np.asarray(values, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 @lru_cache(maxsize=64)
 def _kummer_switch(k: float, eta: float) -> tuple[float, np.ndarray]:
     """x_s and the expansion's S coefficients, highest power of 1/x first.
@@ -132,8 +132,10 @@ def _kummer_switch(k: float, eta: float) -> tuple[float, np.ndarray]:
         d = [1.0]
         for j in range(1, int(m) + 1):
             d.append(d[-1] * (m - j + 1) / ((eta + j - 1) * j))
-        return 0.0, np.array(d[::-1])
-    c = _expansion_coefficients(k, eta)
+        return 0.0, _read_only(d[::-1])
+    c = [1.0]  # (1 - k)_s (eta - k)_s / s!
+    for s in range(1, _EXPANSION_TERMS):
+        c.append(c[-1] * (s - k) * (eta - k + s - 1) / s)
     log_gamma_ratio = math.lgamma(k) - math.lgamma(eta - k)  # lgamma is log |Gamma|
     for j in range(8 * 12):
         x = 2.0 ** (j / 8)
@@ -141,7 +143,7 @@ def _kummer_switch(k: float, eta: float) -> tuple[float, np.ndarray]:
         if x >= eta - 2.0 * k and recessive <= math.log(_TINY):
             terms = _terms_needed(c, k, x)
             if terms is not None:
-                return x, np.array(c[:terms][::-1])
+                return x, _read_only(c[:terms][::-1])
     raise ValueError(f"no switch found for Kummer's function at k = {k}, eta = {eta}")
 
 
@@ -308,6 +310,4 @@ def gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     off = np.sqrt(4.0 * j * j * (j + beta) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
     nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     weights = 2.0 ** (beta + 1.0) / (beta + 1.0) * vectors[0] ** 2  # the weight's integral times v_0^2
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return _read_only(nodes), _read_only(weights)
