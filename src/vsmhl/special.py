@@ -45,6 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bessel import _piecewise
+
 __all__ = [
     "SHAPE_MIN",
     "SHAPE_MAX",
@@ -183,12 +185,11 @@ def log_kummer(k: float, eta: float, x) -> np.ndarray:
     if x_s == 0.0:
         return np.log(np.polyval(coef, x))
     log_ratio = _log_gamma_ratio(eta, k)
-    out = np.empty(x.shape)
-    low = x < x_s
-    out[low] = _log_kummer_series(k, eta, x[low])
-    high = x[~low]
-    out[~low] = log_ratio + (k - eta) * np.log(high) + np.log(np.polyval(coef, 1.0 / high))
-    return out
+
+    def expansion(xh):
+        return log_ratio + (k - eta) * np.log(xh) + np.log(np.polyval(coef, 1.0 / xh))
+
+    return _piecewise(x < x_s, x, lambda xl: _log_kummer_series(k, eta, xl), expansion)
 
 
 def _log_prefactor(k: float, x):
