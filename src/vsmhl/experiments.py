@@ -26,7 +26,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -177,14 +177,17 @@ class ExperimentConfig:
                 f"eta - 1, verified up to {NU_MAX:g}"
             )
         if isinstance(self.law, UniformLaw):
-            ll = LimitLaw(eta, self.law)
-            spread = time_change(ll, self.params.horizon) / (self.law.b - self.law.a)
+            spread = time_change(self.limit_law, self.params.horizon) / (self.law.b - self.law.a)
             if spread > UNIFORM_SPREAD_MAX:
                 out.append(
                     f"uniform law too narrow for the horizon: J(T)/(b - a) = {spread:.3e} "
                     f"exceeds {UNIFORM_SPREAD_MAX:.0e} (1e-6 relative density error)"
                 )
         return out
+
+    @cached_property
+    def limit_law(self) -> LimitLaw:
+        return LimitLaw(self.params.eta, self.law)
 
     def to_dict(self) -> dict:
         out = {
@@ -314,20 +317,22 @@ def _law_measure(law: InitialLaw) -> Measure1D:
         # the node CDF is law.cdf's, not a trapezoid of the pdf, which is
         # infinite at 0 for a shape below 1
         x = np.linspace(0.0, law.ppf(1.0 - 1e-12), GRID_NODES)
-        return Measure1D(Measure1D.GRID, x, law.pdf(x), law.cdf(x) / law.cdf(x[-1]))
+        return Measure1D(Measure1D.GRID, x, law.cdf(x) / law.cdf(x[-1]))
     x = np.linspace(law.a, law.b, GRID_NODES)
     return Measure1D.from_grid(x, np.full(GRID_NODES, 1.0 / (law.b - law.a)))
 
 
 @lru_cache(maxsize=8)
-def _analytic_path(ll: LimitLaw, times: tuple[float, ...]) -> MeasurePath:
+def _analytic_path(cfg: ExperimentConfig) -> MeasurePath:
+    n_steps = step_count(cfg.params.horizon, cfg.dt)
+    times = np.linspace(0.0, cfg.params.horizon, n_steps + 1)[_snapshot_indices(n_steps)]
     measures = []
-    for t in times:
+    for t in times.tolist():
         if t == 0.0:
-            measures.append(_law_measure(ll.law))
+            measures.append(_law_measure(cfg.law))
         else:
-            measures.append(Measure1D.from_grid(*density_grid(ll, t)))
-    return MeasurePath(np.array(times), tuple(measures))
+            measures.append(Measure1D.from_grid(*density_grid(cfg.limit_law, t)))
+    return MeasurePath(times, tuple(measures))
 
 
 def _snapshot_indices(n_steps: int) -> np.ndarray:
@@ -368,7 +373,7 @@ def _over_n_values(cfg: ExperimentConfig, task, threads: int) -> tuple[list, dic
 def _convergence_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[int, int, float]]:
     nodes = _snapshot_indices(step_count(cfg.params.horizon, cfg.dt))
     times, states = _simulate(cfg, n, nodes, keys)
-    analytic = _analytic_path(LimitLaw(cfg.params.eta, cfg.law), tuple(float(t) for t in times))
+    analytic = _analytic_path(cfg)
     rows = []
     for (_, rep), snapshots in zip(keys, states):
         emp = MeasurePath(times, tuple(empirical(y) for y in snapshots))
@@ -403,11 +408,10 @@ def _run_pde_check(cfg: ExperimentConfig, threads: int, solver, analytic) -> Exp
     and the analytic path's weak residuals; then it calls solver and
     compares.  The rows do not depend on where the solver side ran."""
     grid = cfg.grid
-    ll = LimitLaw(cfg.params.eta, cfg.law)
     ll_moll = LimitLaw(cfg.params.eta, mollified_start_law(cfg.law, grid))
     centers = grid.centers()
     t_pde = [grid.level_time(k, cfg.params.horizon) for k in grid.ends()]
-    references = (("l1_vs_exact", ll), ("l1_vs_mollified", ll_moll))
+    references = (("l1_vs_exact", cfg.limit_law), ("l1_vs_mollified", ll_moll))
     refs = [[(tag, density(lref, t, centers)) for tag, lref in references] for t in t_pde]
     bank = test_function_bank()
     r_analytic = weak_residual(analytic, bank, cfg.params.eta)
@@ -463,13 +467,12 @@ def _ks_statistic(draws: np.ndarray, cdf_of) -> float:
 
 
 def _run_sampler_check(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
-    ll = LimitLaw(cfg.params.eta, cfg.law)
     crit = KS_CRITICAL_1PCT / math.sqrt(SAMPLER_N)
     rows = []
     all_ok = True
     for j, t in enumerate(_cdf_times(cfg)):
-        draws = sample(ll, t, SAMPLER_N, split_rng(cfg.seed, j))
-        ks = _ks_statistic(draws, lambda y: cdf(ll, t, y))
+        draws = sample(cfg.limit_law, t, SAMPLER_N, split_rng(cfg.seed, j))
+        ks = _ks_statistic(draws, lambda y: cdf(cfg.limit_law, t, y))
         ok = ks < crit
         all_ok &= ok
         rows.append((t, SAMPLER_N, ks, crit, int(ok)))
@@ -522,14 +525,13 @@ def _run_moment_check(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
 
 
 def _rank_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[int, int, float]]:
-    ll = LimitLaw(cfg.params.eta, cfg.law)
     lo = max(int(math.ceil(RANK_KEEP[0] * n)), 1)
     hi = max(int(math.floor(RANK_KEEP[1] * n)), lo)
     _, states = _simulate(cfg, n, [step_count(cfg.params.horizon, cfg.dt)], keys)
     (t,) = _cdf_times(cfg)
     rows = []
     for (_, rep), (final,) in zip(keys, states):
-        table = ranked_vs_limit(final, ll, t)
+        table = ranked_vs_limit(final, cfg.limit_law, t)
         rows.append((n, rep, float(np.mean(table[lo - 1 : hi, 3]))))
     return rows
 
@@ -588,10 +590,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
 
     Before any work, ConfigurationError refuses a threads that is not an
     integer of at least 1, a pde_check grid too short for its law
-    (pde.truncation_violations) and a quadrature whose mass misses 1 at a
-    time where the run reads the limit law: pde_check's analytic path
-    (pde.quadrature_path), which the run is then handed, or the CDF of
-    sampler_check and rank_check, which the run reads from limit's cache.
+    (pde.truncation_violations) and a limit law whose mass misses 1 where
+    the run reads it: in pde_check's analytic path (pde.quadrature_path),
+    which the run is handed, or in convergence's (Measure1D.from_grid) or
+    the CDF of sampler_check and rank_check, which the run reads from a cache.
     Only then is out_dir created, so an OSError for a directory that cannot
     be made also comes before any work.  On a mid-run failure a manifest
     with the completed rows is written before the original error propagates.
@@ -609,7 +611,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
     if not (_is_integer(threads) and threads >= 1):
         raise ConfigurationError(f"threads must be an integer of at least 1, got {threads!r}")
     runner = _RUNNERS[cfg.experiment]
-    ll = LimitLaw(cfg.params.eta, cfg.law)
     with ExitStack() as workers:
         if cfg.experiment == "pde_check":
             bad = truncation_violations(cfg.params, cfg.law, cfg.grid)
@@ -620,9 +621,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
                 solver = pool.submit(_solver_side, cfg).result
             else:
                 solver = partial(_solver_side, cfg)
-            runner = partial(_run_pde_check, solver=solver, analytic=quadrature_path(ll, cfg.params.horizon))
+            analytic = quadrature_path(cfg.limit_law, cfg.params.horizon)
+            runner = partial(_run_pde_check, solver=solver, analytic=analytic)
+        if cfg.experiment == "convergence":
+            _analytic_path(cfg)
         for t in _cdf_times(cfg):
-            cdf(ll, t, 0.0)
+            cdf(cfg.limit_law, t, 0.0)
         if out_dir is not None:
             Path(out_dir).mkdir(parents=True, exist_ok=True)
         try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import ConfigurationError, GridMismatchError
 from .limit import LimitLaw, quantile
 
 __all__ = [
@@ -41,12 +41,11 @@ class Measure1D:
     ATOMS = "atoms"
     GRID = "grid"
 
-    __slots__ = ("kind", "x", "w", "_cum")
+    __slots__ = ("kind", "x", "_cum")
 
-    def __init__(self, kind: str, x: np.ndarray, w: np.ndarray, cum: np.ndarray):
+    def __init__(self, kind: str, x: np.ndarray, cum: np.ndarray):
         self.kind = kind
         self.x = x
-        self.w = w
         self._cum = cum
 
     @classmethod
@@ -70,7 +69,7 @@ class Measure1D:
         np.add.at(agg, inv, wts)
         keep = agg > 0
         uniq, agg = uniq[keep], agg[keep]
-        return cls(cls.ATOMS, uniq, agg, np.cumsum(agg))
+        return cls(cls.ATOMS, uniq, np.cumsum(agg))
 
     @classmethod
     def from_grid(cls, x, values) -> "Measure1D":
@@ -86,12 +85,12 @@ class Measure1D:
         vals = np.maximum(vals, 0.0)
         mass = np.trapezoid(vals, xs)
         if not abs(mass - 1.0) <= 5e-2:  # coarse grids under-resolve narrow densities
-            raise ValueError(f"grid density mass {float(mass)!r} is too far from 1")
+            raise ConfigurationError(f"grid density mass {float(mass)!r} is too far from 1")
         vals /= mass
         cum = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (vals[1:] + vals[:-1]) / 2.0)])
         cum /= cum[-1]
         cum[-1] = 1.0
-        return cls(cls.GRID, xs, vals, cum)
+        return cls(cls.GRID, xs, cum)
 
     def cdf(self, q) -> np.ndarray:
         qs = np.asarray(q, dtype=float)

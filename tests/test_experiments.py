@@ -50,6 +50,28 @@ def small_convergence_cfg(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def _atoms_spec(experiment: str) -> dict:
+    return {
+        "experiment": experiment,
+        "params": {"eta": 2.0, "n_particles": 1, "horizon": 2e-10},
+        "law": {"type": "atoms", "atoms": [[0.5, 0.3], [2.0, 0.7]]},
+        "dt": 1e-10,
+        "n_values": [1] if experiment == "rank_check" else [],
+    }
+
+
+def _convergence_spec(law: dict, horizon: float, dt: float, metric: str) -> dict:
+    return {
+        "experiment": "convergence",
+        "params": {"eta": 2.0, "n_particles": 64, "horizon": horizon},
+        "law": law,
+        "dt": dt,
+        "n_values": [64],
+        "replications": 1,
+        "metric": metric,
+    }
+
+
 @contextmanager
 def leaves_no_worker():
     """Check that the block leaves no worker process and no thread behind."""
@@ -240,6 +262,24 @@ class TestConvergence:
                 run_experiment(cfg, out_dir=out, threads=threads)
             assert info.value.args == (f"threads must be an integer of at least 1, got {threads!r}",)
         assert recorded_pools == [] and not out.exists()
+
+    def test_gate_builds_the_analytic_path_the_tasks_read(self):
+        # run_experiment builds it before any work; each of the two chunks
+        # (one per N) then reads it from the cache
+        exp._analytic_path.cache_clear()
+        run_experiment(small_convergence_cfg())
+        info = exp._analytic_path.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("experiment", ["convergence", "pde_check", "sampler_check", "rank_check"])
+    def test_one_limit_law_per_run(self, monkeypatch, experiment):
+        built = []
+        monkeypatch.setattr(exp, "LimitLaw", lambda *args: built.append(args) or limit.LimitLaw(*args))
+        law = UniformLaw(0.5, 1.5)
+        cfg = small_convergence_cfg(experiment=experiment, law=law, grid=SolverGrid(40.0, 400, 16), dt=0.1)
+        run_experiment(cfg)
+        # pde_check also builds the limit law of its mollified start
+        assert [args for args in built if args[1] == law] == [(2.0, law)]
 
     def test_median_equals_np_median(self):
         rng = np.random.default_rng(4)
@@ -699,49 +739,61 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "experiment, message, threads",
+        "spec, message, threads",
         [
-            pytest.param(experiment, message, threads, id=f"{experiment}-{message}" + "-threads2" * (threads == 2))
-            for experiment, message, threads in [
-                ("sampler_check", "the quadrature at t = 1e-10 has total weight 0.3036", 1),
-                ("rank_check", "the quadrature at t = 2e-10 has total weight 1.2396", 1),
-                ("pde_check", "the quadrature at t = 2.8953564196339443e-06 has total weight 0.99999937", 1),
-                ("pde_check", "the quadrature at t = 2.8953564196339443e-06 has total weight 0.99999937", 2),
+            pytest.param(spec, message, threads, id=f"{spec['experiment']}-{message}" + "-threads2" * (threads == 2))
+            for spec, message, thread_counts in [
+                (_atoms_spec("sampler_check"), "the quadrature at t = 1e-10 has total weight 0.3036", (1,)),
+                (_atoms_spec("rank_check"), "the quadrature at t = 2e-10 has total weight 1.2396", (1,)),
+                (
+                    {
+                        "experiment": "pde_check",
+                        "params": {"eta": 1.1, "n_particles": 1, "horizon": 1.0},
+                        "law": {"type": "gamma", "shape": 0.3, "scale": 1.0},
+                        "grid": {"x_max": 40.0, "nx": 1200, "nt": 800},
+                    },
+                    "the quadrature at t = 2.8953564196339443e-06 has total weight 0.99999937",
+                    (1, 2),
+                ),
+                (
+                    _convergence_spec({"type": "gamma", "shape": 0.33, "scale": 1.2}, 0.08, 1e-3, "wasserstein1"),
+                    "grid density mass 0.8352606787719359 is too far from 1",
+                    (1, 2),
+                ),
+                (
+                    _convergence_spec({"type": "atoms", "atoms": [[0.01, 0.5], [1.0, 0.5]]}, 1e-3, 1e-4, "levy"),
+                    "grid density mass 1.1246087881692797 is too far from 1",
+                    (1, 2),
+                ),
+                (
+                    _convergence_spec({"type": "gamma", "shape": 0.1, "scale": 0.5}, 1.0, 1e-3, "levy"),
+                    "grid density mass 0.8157499528492116 is too far from 1",
+                    (1, 2),
+                ),
             ]
+            for threads in thread_counts
         ],
     )
-    def test_quadrature_mass_off_one_exit_code(self, tmp_path, capsys, monkeypatch, experiment, message, threads):
+    def test_quadrature_mass_off_one_exit_code(self, tmp_path, capsys, monkeypatch, spec, message, threads):
         # MAX_PANELS panels are too wide for the atoms' kernel at t <= 2e-10,
         # and the first panel misses GammaLaw(0.3, 1)'s y^(eta - 1) at the
         # origin at eta 1.1: the quadrature the run reads first refuses the
         # law before any output directory (and, at one thread, before any
         # solve), and the CLI reports it as a config error.  At two threads
         # pde_check's solver worker has started: it is shut down, and none
-        # is left
-        if experiment == "pde_check":
-            spec = {
-                "experiment": experiment,
-                "params": {"eta": 1.1, "n_particles": 1, "horizon": 1.0},
-                "law": {"type": "gamma", "shape": 0.3, "scale": 1.0},
-                "grid": {"x_max": 40.0, "nx": 1200, "nt": 800},
-            }
-        else:
-            spec = {
-                "experiment": experiment,
-                "params": {"eta": 2.0, "n_particles": 1, "horizon": 2e-10},
-                "law": {"type": "atoms", "atoms": [[0.5, 0.3], [2.0, 0.7]]},
-                "dt": 1e-10,
-                "n_values": [1] if experiment == "rank_check" else [],
-            }
+        # is left.  convergence's 4096-node density grids miss mass 1 at a
+        # steep power at the origin (gamma shapes below 1, an atom near 0):
+        # its analytic path refuses the law before any particle is stepped
         if threads == 1:
             monkeypatch.setattr(exp, "solve", lambda *args: pytest.fail("solved a refused config"))
+        monkeypatch.setattr(exp, "simulate_replications", lambda *args: pytest.fail("simulated a refused config"))
         out = tmp_path / "out"
         args = ["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out), "--threads", str(threads)]
         with leaves_no_worker():
             assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")
-        assert err.endswith(", not 1 within 1e-08\n")
+        assert err.endswith(" is too far from 1\n" if "grid" in message else ", not 1 within 1e-08\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(

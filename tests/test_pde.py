@@ -20,7 +20,6 @@ from vsmhl import (
     UniformLaw,
     WeakFormPath,
     density,
-    empirical,
     mean,
     mollified_start_law,
     quadrature,
@@ -512,13 +511,13 @@ class TestStreamingSolve:
 
 
 def atom_path():
-    """A hand-made path of atoms: empirical measures at 0 and at two ends,
-    and time integrals weighting a prefix of 30 shared atoms."""
+    """A hand-made path of atoms: 50 sorted draws of weight 1/50 each at 0 and
+    at two ends, and time integrals weighting a prefix of 30 shared atoms."""
     rng = np.random.default_rng(7)
-    start, half, end = (empirical(rng.gamma(2.0, 0.5 + k / 4.0, 50)) for k in range(3))
+    start, half, end = ((np.sort(rng.gamma(2.0, 0.5 + k / 4.0, 50)), np.full(50, 1 / 50)) for k in range(3))
     x = np.sort(rng.uniform(0.0, 6.0, 30))
     w = rng.uniform(0.0, 0.1, 30)
-    return WeakFormPath(np.array([0.5, 1.0]), (start.x, start.w), [(half.x, half.w), (end.x, end.w)], x, [w[:12], w])
+    return WeakFormPath(np.array([0.5, 1.0]), start, [half, end], x, [w[:12], w])
 
 
 class TestWeakResidual:

@@ -137,7 +137,8 @@ def test_from_grid_equals_cumulative_trapezoid():
         vals = rng.uniform(0.5, 1.5, n)
         vals /= np.trapezoid(vals, x)
         m = Measure1D.from_grid(x, vals)
-        cum = np.concatenate([[0.0], cumulative_trapezoid(m.w, x)])  # m.w: vals normalized
+        # from_grid divides the values by their trapezoid mass first
+        cum = np.concatenate([[0.0], cumulative_trapezoid(vals / np.trapezoid(vals, x), x)])
         cum /= cum[-1]
         cum[-1] = 1.0
         assert np.array_equal(m._cum, cum)

@@ -10,15 +10,15 @@ from vsmhl import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text()
-# (language, body, line of the opening fence) of each fenced block
-BLOCKS = [
-    (m["lang"], m["body"], TEXT.count("\n", 0, m.start()) + 1)
-    for m in re.finditer(r"^```(?P<lang>\w*)\n(?P<body>.*?)^```$", TEXT, re.M | re.S)
-]
+# (language, body) of each fenced block
+BLOCKS = [(m["lang"], m["body"]) for m in re.finditer(r"^```(?P<lang>\w*)\n(?P<body>.*?)^```$", TEXT, re.M | re.S)]
 
 
 def blocks(lang: str) -> list:
-    return [pytest.param(body, id=f"line {line}") for kind, body, line in BLOCKS if kind == lang]
+    """The bodies of the lang blocks, each named by its ordinal among them, so
+    an edit above a block does not rename its test."""
+    bodies = [body for kind, body in BLOCKS if kind == lang]
+    return [pytest.param(body, id=f"{lang} {i}") for i, body in enumerate(bodies, 1)]
 
 
 def test_the_readme_has_examples():
