@@ -360,35 +360,30 @@ def _simulate(cfg: ExperimentConfig, n: int, nodes, keys: list[tuple]) -> tuple[
     return simulate_replications(params, cfg.law, cfg.dt, rngs, nodes)
 
 
-def _over_n_values(cfg: ExperimentConfig, task, threads: int) -> tuple[list, dict, bool]:
-    """Run task(cfg, n, keys) over every N's (n, rep) keys; return its (n, rep, value)
-    rows, their median per N keyed by str(N), and whether the medians strictly fall."""
+def _run_over_n_values(cfg: ExperimentConfig, threads: int, task, columns: list[str]) -> ExperimentResult:
+    """Run task(cfg, n, keys) over every N's (n, rep) keys; its rows are the CSV's
+    rows, each ending in its value.  The summary holds the median value per N,
+    keyed by str(N), and the run passes when the medians strictly fall."""
     groups = [(n, [(n, rep) for rep in range(cfg.replications)]) for n in cfg.n_values]
     rows = _collect(task, cfg, groups, threads)
-    medians = [_median([v for rn, _, v in rows if rn == n]) for n in cfg.n_values]
-    decreasing = all(b < a for a, b in zip(medians, medians[1:]))
-    return rows, dict(zip(map(str, cfg.n_values), medians)), decreasing
+    medians = [_median([row[-1] for row in rows if row[0] == n]) for n in cfg.n_values]
+    return ExperimentResult(
+        columns=columns,
+        rows=rows,
+        summary={"medians": dict(zip(map(str, cfg.n_values), medians))},
+        passed=all(b < a for a, b in zip(medians, medians[1:])),
+    )
 
 
-def _convergence_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[int, int, float]]:
+def _convergence_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[int, int, str, float]]:
     nodes = _snapshot_indices(step_count(cfg.params.horizon, cfg.dt))
     times, states = _simulate(cfg, n, nodes, keys)
     analytic = _analytic_path(cfg)
     rows = []
     for (_, rep), snapshots in zip(keys, states):
         emp = MeasurePath(times, tuple(empirical(y) for y in snapshots))
-        rows.append((n, rep, sup_distance(emp, analytic, cfg.metric)))
+        rows.append((n, rep, cfg.metric, sup_distance(emp, analytic, cfg.metric)))
     return rows
-
-
-def _run_convergence(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
-    rows, medians, passed = _over_n_values(cfg, _convergence_task, threads)
-    return ExperimentResult(
-        columns=["N", "replication", "metric", "value"],
-        rows=[(n, rep, cfg.metric, v) for n, rep, v in rows],
-        summary={"medians": medians},
-        passed=passed,
-    )
 
 
 def _solver_side(cfg: ExperimentConfig) -> tuple[DensityTrajectory, np.ndarray]:
@@ -536,22 +531,14 @@ def _rank_task(cfg: ExperimentConfig, n: int, keys: list[tuple]) -> list[tuple[i
     return rows
 
 
-def _run_rank_check(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
-    rows, medians, passed = _over_n_values(cfg, _rank_task, threads)
-    return ExperimentResult(
-        columns=["N", "replication", "mean_gap"],
-        rows=rows,
-        summary={"medians": medians},
-        passed=passed,
-    )
-
-
 _RUNNERS = {
-    "convergence": _run_convergence,
+    "convergence": partial(
+        _run_over_n_values, task=_convergence_task, columns=["N", "replication", "metric", "value"]
+    ),
     "pde_check": _run_pde_check,
     "sampler_check": _run_sampler_check,
     "moment_check": _run_moment_check,
-    "rank_check": _run_rank_check,
+    "rank_check": partial(_run_over_n_values, task=_rank_task, columns=["N", "replication", "mean_gap"]),
 }
 EXPERIMENT_KINDS = tuple(_RUNNERS)
 

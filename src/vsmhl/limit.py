@@ -49,6 +49,7 @@ polynomial through its 8 node values, so the law at t has one discretization.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -194,8 +195,14 @@ def _log_uniform_mixture(eta: float, J: float, law: UniformLaw, y: np.ndarray) -
     nc_a, nc_b = 4.0 * law.a / J, 4.0 * law.b / J
     lo = y <= 0.5 * (law.a + law.b)
     diff = np.empty(y.shape)
-    diff[lo] = ncx2.cdf(z[lo], df, nc_a) - ncx2.cdf(z[lo], df, nc_b)
-    diff[~lo] = ncx2.sf(z[~lo], df, nc_b) - ncx2.sf(z[~lo], df, nc_a)
+    # where a series does not converge ncx2 warns and returns its closest value:
+    # the warnings are recorded (raising one inside the ufunc breaks it) and refused
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        diff[lo] = ncx2.cdf(z[lo], df, nc_a) - ncx2.cdf(z[lo], df, nc_b)
+        diff[~lo] = ncx2.sf(z[~lo], df, nc_b) - ncx2.sf(z[~lo], df, nc_a)
+    if caught:
+        raise ConfigurationError(f"ncx2 did not converge for {law} at clock J = {J}: {caught[0].message}")
     with np.errstate(divide="ignore"):
         return np.log(np.maximum(diff, 0.0)) - math.log(law.b - law.a)
 
@@ -246,6 +253,7 @@ def density(ll: LimitLaw, t: float, y):
     J / (b0 - a0) = 1e6, and no correct digit near 1e16.  A very narrow
     uniform law or a long horizon should use a point mass or
     ``DiscreteAtoms`` instead.  The same holds for ``cdf`` and ``quantile``.
+    Where scipy's ncx2 does not converge on a point it raises ConfigurationError.
     """
     ys = np.asarray(y, dtype=float)
     _check_density_args(t, ys)
@@ -329,7 +337,7 @@ class _Panels(NamedTuple):
 def _panels(ll: LimitLaw, t: float) -> _Panels:
     """Panels of width _panel_width(J), at most MAX_PANELS of them, over the
     tail range of the law at t (over [a0, b0] for a uniform law at t = 0).
-    Raises ValueError if the density is not finite on every node."""
+    Raises ConfigurationError if the density is not finite on every node."""
     law, J = ll.law, time_change(ll, t)
     y_lo, y_hi = (law.a, law.b) if t == 0 and isinstance(law, UniformLaw) else _tail_range(ll, J)
     u_lo, u_hi = math.sqrt(y_lo), math.sqrt(y_hi)
@@ -345,7 +353,7 @@ def _panels(ll: LimitLaw, t: float) -> _Panels:
     else:
         f = np.full(y.shape, 1.0 / (law.b - law.a))
     if not np.all(np.isfinite(f)):
-        raise ValueError("the limit density is not finite on the quadrature nodes")
+        raise ConfigurationError(f"the limit density is not finite on the quadrature nodes at t = {t}")
     return _Panels(edges_u, halfw, y, f * 2.0 * u)
 
 
@@ -362,9 +370,9 @@ def quadrature(ll: LimitLaw, t: float) -> tuple[np.ndarray, np.ndarray]:
     (at most MAX_PANELS of them), cover the tail range [y_lo, y_hi] of
     _tail_range, outside which each tail holds at most TAIL_EPS; each weight
     is the density times dy at its node.  Like cdf and quantile, it raises
-    ValueError where the density is not finite on a node, and
-    ConfigurationError (a ValueError) where the total weight misses 1 by more
-    than MASS_TOL (MAX_PANELS panels too wide for the kernel).
+    ConfigurationError (a ValueError) where a uniform law's ncx2 does not
+    converge or the density is not finite on a node, or where the total weight
+    misses 1 by more than MASS_TOL (MAX_PANELS panels too wide for the kernel).
     At t = 0 the initial law's own pieces are used: its atoms for an atomic
     law (a point mass is one atom), panels over the gamma pdf (Gauss-Jacobi
     with weight y^{k-1} on the first), and panels over [a0, b0] for a uniform.

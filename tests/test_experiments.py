@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -70,6 +72,75 @@ def _convergence_spec(law: dict, horizon: float, dt: float, metric: str) -> dict
         "replications": 1,
         "metric": metric,
     }
+
+
+def _uniform_pde_spec(params: tuple, ends: tuple, grid: tuple) -> dict:
+    """A pde_check of a uniform law: (eta, N, T), (a, b), (x_max, nx, nt)."""
+    return {
+        "experiment": "pde_check",
+        "params": dict(zip(("eta", "n_particles", "horizon"), params)),
+        "law": dict(zip(("type", "a", "b"), ("uniform", *ends))),
+        "grid": dict(zip(("x_max", "nx", "nt"), grid)),
+    }
+
+
+def fuzz_spec(rng: np.random.Generator) -> dict:
+    """One config drawn over the range the config accepts, at tiny sizes:
+    experiment, law and metric uniform; eta in 1.001-1.1 (odds 0.3), 40.5-41.5
+    (0.15), else 1 + log-uniform on [1e-3, 45]; T log-uniform on [1e-4, 3];
+    dt = T / (1 to 200 steps); N 1-128; 1-3 replications (2-3 for
+    moment_check); 1-3 distinct sorted n_values up to 128; atom locations
+    log-uniform on [1e-3, 0.1] or [0.1, 10] at even odds, 1-4 atoms with
+    Dirichlet weights; gamma shape log-uniform on [0.05, 40], scale on
+    [0.1, 10]; uniform a = 0 or U(0, 2), width log-uniform on [1e-3, 10]; grid
+    x_max log-uniform on [1, 100], nx and nt 100-800.  The draws come in the
+    order of the scratch fuzz that chose seed 20261021, so that seed's third
+    config is the uniform-law pde_check it found, where ncx2 does not
+    converge; its 79th is one whose limit density is not finite."""
+
+    def log_uniform(lo, hi):
+        return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+    def location():
+        return log_uniform(1e-3, 0.1) if rng.random() < 0.5 else log_uniform(0.1, 10.0)
+
+    steps = int(rng.integers(1, 201))
+    experiment = exp.EXPERIMENT_KINDS[rng.integers(5)]
+    horizon = log_uniform(1e-4, 3.0)
+    u = rng.random()
+    eta = rng.uniform(1.001, 1.1) if u < 0.3 else rng.uniform(40.5, 41.5) if u < 0.45 else 1.0 + log_uniform(1e-3, 45.0)
+    n_particles = int(rng.integers(1, 129))
+    kind = rng.integers(4)
+    if kind == 0:
+        law = {"type": "point_mass", "x0": location()}
+    elif kind == 1:
+        n_atoms = int(rng.integers(1, 5))
+        locations = [location() for _ in range(n_atoms)]
+        law = {"type": "atoms", "atoms": [list(a) for a in zip(locations, rng.dirichlet(np.ones(n_atoms)).tolist())]}
+    elif kind == 2:
+        law = {"type": "gamma", "shape": log_uniform(0.05, 40.0), "scale": log_uniform(0.1, 10.0)}
+    else:
+        a = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 2.0)
+        law = {"type": "uniform", "a": a, "b": a + log_uniform(1e-3, 10.0)}
+    metric = "levy" if rng.random() < 0.5 else "wasserstein1"
+    seed = int(rng.integers(2**63))
+    grid = {"x_max": log_uniform(1.0, 100.0), "nx": int(rng.integers(100, 801)), "nt": int(rng.integers(100, 801))}
+    n_values = sorted(rng.choice(np.arange(1, 129), int(rng.integers(1, 4)), replace=False).tolist())
+    return {
+        "experiment": experiment,
+        "params": {"eta": eta, "n_particles": n_particles, "horizon": horizon},
+        "law": law,
+        "dt": horizon / steps,
+        "n_values": n_values,
+        "replications": int(rng.integers(2 if experiment == "moment_check" else 1, 4)),
+        "seed": seed,
+        "grid": grid,
+        "metric": metric,
+    }
+
+
+_OFF_ONE = ", not 1 within 1e-08\n"  # the endings of the mass refusals
+_TOO_FAR = " is too far from 1\n"
 
 
 @contextmanager
@@ -321,6 +392,8 @@ class TestConvergence:
         # N in (16, 64) x 3 replications, or 6 replications of one N: every
         # batch holding the fourth replication fails, after three completed rows
         cfg = small_convergence_cfg(experiment=experiment, replications=replications)
+        run_experiment(cfg, out_dir=tmp_path / "whole")
+        header = (tmp_path / "whole" / f"{experiment}.csv").read_text().splitlines()[0]
         real = exp.simulate_replications
         seen = []  # generator states in the order replications first arrive
 
@@ -338,6 +411,10 @@ class TestConvergence:
         assert manifest["experiment"] == experiment
         assert "boom" in manifest["error"]
         assert len(manifest["completed_rows"]) == 3
+        # each completed row of a per-N experiment is a CSV row; moment_check's
+        # are the totals of one replication, which its CSV summarizes
+        if experiment != "moment_check":
+            assert all(len(row) == len(header.split(",")) for row in manifest["completed_rows"])
         assert manifest["failed_task"] == failed_task
 
     def test_degenerate_row_mid_chunk_matches_unbatched_run(self, tmp_path, recorded_pools):
@@ -739,12 +816,14 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "spec, message, threads",
+        "spec, message, ending, threads",
         [
-            pytest.param(spec, message, threads, id=f"{spec['experiment']}-{message}" + "-threads2" * (threads == 2))
-            for spec, message, thread_counts in [
-                (_atoms_spec("sampler_check"), "the quadrature at t = 1e-10 has total weight 0.3036", (1,)),
-                (_atoms_spec("rank_check"), "the quadrature at t = 2e-10 has total weight 1.2396", (1,)),
+            pytest.param(
+                spec, message, ending, threads, id=f"{spec['experiment']}-{message}" + "-threads2" * (threads == 2)
+            )
+            for spec, message, ending, thread_counts in [
+                (_atoms_spec("sampler_check"), "the quadrature at t = 1e-10 has total weight 0.3036", _OFF_ONE, (1,)),
+                (_atoms_spec("rank_check"), "the quadrature at t = 2e-10 has total weight 1.2396", _OFF_ONE, (1,)),
                 (
                     {
                         "experiment": "pde_check",
@@ -753,28 +832,53 @@ class TestCli:
                         "grid": {"x_max": 40.0, "nx": 1200, "nt": 800},
                     },
                     "the quadrature at t = 2.8953564196339443e-06 has total weight 0.99999937",
+                    _OFF_ONE,
                     (1, 2),
                 ),
                 (
                     _convergence_spec({"type": "gamma", "shape": 0.33, "scale": 1.2}, 0.08, 1e-3, "wasserstein1"),
                     "grid density mass 0.8352606787719359 is too far from 1",
+                    _TOO_FAR,
                     (1, 2),
                 ),
                 (
                     _convergence_spec({"type": "atoms", "atoms": [[0.01, 0.5], [1.0, 0.5]]}, 1e-3, 1e-4, "levy"),
                     "grid density mass 1.1246087881692797 is too far from 1",
+                    _TOO_FAR,
                     (1, 2),
                 ),
                 (
                     _convergence_spec({"type": "gamma", "shape": 0.1, "scale": 0.5}, 1.0, 1e-3, "levy"),
                     "grid density mass 0.8157499528492116 is too far from 1",
+                    _TOO_FAR,
+                    (1, 2),
+                ),
+                (
+                    _uniform_pde_spec(
+                        (1.001024795349005, 79, 1.4230833439308292e-4),
+                        (1.799129671921631, 1.8398562414624997),
+                        (7.328503623889294, 448, 597),
+                    ),
+                    "the limit density is not finite on the quadrature nodes",
+                    " at t = 4.120333495524266e-10\n",
+                    (1, 2),
+                ),
+                (
+                    _uniform_pde_spec(
+                        (1.0220200148131273, 103, 1.081093419483734e-4),
+                        (0.0, 0.08074785945757425),
+                        (1.0557060546344335, 755, 266),
+                    ),
+                    "ncx2 did not converge for UniformLaw(a=0.0, b=0.08074785945757425) at clock J = "
+                    "1.2637648733251561e-11",
+                    ": Series did not converge, closest value was %1%\n",
                     (1, 2),
                 ),
             ]
             for threads in thread_counts
         ],
     )
-    def test_quadrature_mass_off_one_exit_code(self, tmp_path, capsys, monkeypatch, spec, message, threads):
+    def test_quadrature_mass_off_one_exit_code(self, tmp_path, capsys, monkeypatch, spec, message, ending, threads):
         # MAX_PANELS panels are too wide for the atoms' kernel at t <= 2e-10,
         # and the first panel misses GammaLaw(0.3, 1)'s y^(eta - 1) at the
         # origin at eta 1.1: the quadrature the run reads first refuses the
@@ -783,7 +887,9 @@ class TestCli:
         # pde_check's solver worker has started: it is shut down, and none
         # is left.  convergence's 4096-node density grids miss mass 1 at a
         # steep power at the origin (gamma shapes below 1, an atom near 0):
-        # its analytic path refuses the law before any particle is stepped
+        # its analytic path refuses the law before any particle is stepped.
+        # A uniform law at t near 3e-10 is refused where scipy's ncx2 does
+        # not converge or returns a non-finite density
         if threads == 1:
             monkeypatch.setattr(exp, "solve", lambda *args: pytest.fail("solved a refused config"))
         monkeypatch.setattr(exp, "simulate_replications", lambda *args: pytest.fail("simulated a refused config"))
@@ -793,7 +899,7 @@ class TestCli:
             assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")
-        assert err.endswith(" is too far from 1\n" if "grid" in message else ", not 1 within 1e-08\n")
+        assert err.endswith(ending)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -993,3 +1099,24 @@ class TestCli:
             assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / name)]) == 0
         for file in ("convergence.csv", "convergence_summary.json"):
             assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "nested" / "b" / file).read_bytes()
+
+    def test_seeded_config_fuzz(self, tmp_path, capsys):
+        # every config fuzz_spec draws exits 0, or 2 with a config error and
+        # no output directory; the seed was fixed before the first run
+        rng = np.random.default_rng(20261021)
+        broken, refusals = [], Counter()
+        for i in range(100):
+            spec = fuzz_spec(rng)
+            out = tmp_path / str(i)
+            args = ["run", "--config", self.write_cfg(tmp_path, spec), "--output-dir", str(out)]
+            try:
+                with leaves_no_worker():
+                    code = main([*args, "--threads", "2" if i % 5 == 4 else "1"])
+            except Exception as exc:
+                code = repr(exc)
+            err = capsys.readouterr().err
+            if code == 2 and err.startswith("config error: ") and not out.exists():
+                refusals[spec["experiment"] + ": " + re.sub(r"(?<![\w.])-?\d[\w.+-]*", "#", err.splitlines()[0])] += 1
+            elif code != 0:
+                broken.append((i, code, err, spec))
+        assert broken == [], f"refusals by cause: {dict(refusals)}"

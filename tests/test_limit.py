@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -504,15 +505,34 @@ class TestQuadrature:
             limit.quadrature(LL_POINT, -1e-3)
 
     @pytest.mark.parametrize("func", [limit.quadrature, cdf, quantile], ids=["quadrature", "cdf", "quantile"])
-    def test_non_finite_density_refused(self, func):
-        # at t = 1e-10 scipy's ncx2.cdf does not converge at noncentrality
-        # 4 a0 / J ~ 2e10: boost warns and it returns NaN at 5 of the 32,768
-        # nodes; pytest turns warnings into errors, so they are caught here
-        ll = LimitLaw(2.0, UniformLaw(0.5, 1.5))
-        args = (ll, 1e-10) if func is limit.quadrature else (ll, 1e-10, 0.5)
-        with pytest.warns(RuntimeWarning, match="^Error in function .*Series"):
-            with pytest.raises(ValueError, match="^the limit density is not finite on the quadrature nodes$"):
+    @pytest.mark.parametrize(
+        "ll, t, message",
+        [
+            # at t = 1e-10 scipy's ncx2.cdf does not converge at noncentrality
+            # 4 a0 / J ~ 2e10: boost warns and returns its closest value
+            (
+                LimitLaw(2.0, UniformLaw(0.5, 1.5)),
+                1e-10,
+                r"^ncx2 did not converge for UniformLaw\(a=0.5, b=1.5\) at clock J = 1.00000000005e-10: "
+                r"Error in function .*Series",
+            ),
+            # here ncx2 returns a non-finite value with no warning
+            (
+                LimitLaw(1.001, UniformLaw(1.8, 1.84)),
+                4e-10,
+                r"^the limit density is not finite on the quadrature nodes at t = 4e-10$",
+            ),
+        ],
+        ids=["ncx2", "non_finite"],
+    )
+    def test_non_finite_density_refused(self, func, ll, t, message):
+        # both are refused by name, and no warning escapes
+        args = (ll, t) if func is limit.quadrature else (ll, t, 0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigurationError, match=message):
                 func(*args)
+        assert caught == []
 
     @pytest.mark.parametrize("func", [limit.quadrature, cdf, quantile], ids=["quadrature", "cdf", "quantile"])
     @pytest.mark.parametrize(
